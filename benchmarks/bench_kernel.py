@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled arithmetic kernel against the pure-Python twin.
+"""Benchmark the arithmetic kernel.
 
 Times exact Gauss-Jordan elimination (rref) and dense products (matmul) on
 random Gaussian-rational matrices, plus one end-to-end pipeline run.  Run
@@ -12,14 +12,7 @@ import argparse
 import random
 import time
 
-from acdol import _kernel_py
-
-BACKENDS = [("python", _kernel_py)]
-try:
-    from acdol import _speedups
-    BACKENDS.append(("cython", _speedups))
-except ImportError:
-    _speedups = None
+from acdol import kernel
 
 
 def random_entries(rng, rows, cols):
@@ -42,8 +35,8 @@ def sparse_entries(rng, rows, cols):
     return out
 
 
-def lift(kern, data):
-    return [[kern.Scalar(*t) for t in row] for row in data]
+def lift(data):
+    return [[kernel.Scalar(*t) for t in row] for row in data]
 
 
 def time_op(fn, trials):
@@ -57,47 +50,25 @@ def time_op(fn, trials):
 
 
 def bench_sizes(sizes, trials, seed):
-    print("%-12s %-8s %12s %12s %10s" % ("op", "size", "python[s]",
-                                         "cython[s]", "speedup"))
+    print("%-12s %-8s %12s" % ("op", "size", "best[s]"))
     for size in sizes:
         for label, gen in (("rref/dense", random_entries),
                            ("rref/sparse", sparse_entries)):
-            rng = random.Random(seed)
-            data = gen(rng, size, size)
-            times = {}
-            for name, kern in BACKENDS:
-                rows = lift(kern, data)
-                times[name] = time_op(lambda: kern.rref(rows, size), trials)
-            _print_row(label, size, times)
+            rows = lift(gen(random.Random(seed), size, size))
+            best = time_op(lambda: kernel.rref(rows, size), trials)
+            print("%-12s %-8d %12.4f" % (label, size, best))
         rng = random.Random(seed + 1)
-        a = random_entries(rng, size, size)
-        b = random_entries(rng, size, size)
-        times = {}
-        for name, kern in BACKENDS:
-            ka, kb = lift(kern, a), lift(kern, b)
-            times[name] = time_op(lambda: kern.matmul(ka, kb, size), trials)
-        _print_row("matmul", size, times)
-
-
-def _print_row(op, size, times):
-    py = times.get("python")
-    cy = times.get("cython")
-    if cy is None:
-        print("%-12s %-8d %12.4f %12s %10s" % (op, size, py, "n/a", "n/a"))
-    else:
-        print("%-12s %-8d %12.4f %12.4f %9.1fx"
-              % (op, size, py, cy, py / cy))
+        a = lift(random_entries(rng, size, size))
+        b = lift(random_entries(rng, size, size))
+        best = time_op(lambda: kernel.matmul(a, b, size), trials)
+        print("%-12s %-8d %12.4f" % ("matmul", size, best))
 
 
 def bench_pipeline(trials):
-    # full su2su2 analysis exercised through whichever backend is active
-    from acdol import catalog, kernel, pipeline
+    from acdol import catalog, pipeline
     doc = catalog.builtin("su2su2-nk")
     best = time_op(lambda: pipeline.analyze_document(doc), trials)
-    print("\nfull su2su2-nk analysis (%s backend): %.3f s"
-          % (kernel.BACKEND, best))
-    print("note: rerun with ACDOL_PURE=1 to time the pure-Python backend "
-          "end to end")
+    print("\nfull su2su2-nk analysis: %.3f s" % best)
 
 
 def main():
@@ -107,8 +78,6 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
-    if _speedups is None:
-        print("compiled kernel not built; only the pure backend is timed")
     bench_sizes(sizes, args.trials, args.seed)
     bench_pipeline(max(1, args.trials - 1))
 

@@ -5,7 +5,5 @@ Everything is computed over the Gaussian rationals with no floating point,
 so dimension tables and operator identities are exact.
 """
 
-from .kernel import BACKEND
-
 __version__ = "0.1.0"
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

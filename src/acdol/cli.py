@@ -33,7 +33,7 @@ def _add_input_options(sub):
     sub.add_argument("--format", choices=("text", "json", "latex"),
                      default="text")
     sub.add_argument("--max-page", type=int, default=None,
-                     help="cap the spectral-sequence iteration")
+                     help="cap the printed spectral-sequence page table")
     sub.add_argument("--averaged-metric", action="store_true",
                      help="replace the metric by its J-average (g + J^t g J)/2")
 

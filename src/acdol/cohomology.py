@@ -48,10 +48,16 @@ class CohomologyTable:
 
     def grid(self):
         """Rows from q = 0 upward."""
-        return tuple(self.row(q) for q in range(self.m + 1))
+        return dims_grid(self.dims, self.m)
 
     def total(self, n):
         return sum(self.dim(p, n - p) for p in range(self.m + 1))
+
+
+def dims_grid(dims, m):
+    """A {(p, q): dim} table as rows from q = 0 upward."""
+    return tuple(tuple(dims.get((p, q), 0) for p in range(m + 1))
+                 for q in range(m + 1))
 
 
 def _quotient_table(m, parts):

@@ -227,27 +227,6 @@ class ComponentMatrices:
         self._totals[n] = out
         return out
 
-    def embed_slot(self, p, q, vec):
-        """Slot coordinates -> total-degree coordinates."""
-        n = p + q
-        out = [ZERO] * self.basis.total_dim(n)
-        for sp, sq, off in self.basis.slot_offsets(n):
-            if (sp, sq) == (p, q):
-                for i, v in enumerate(vec):
-                    out[off + i] = v
-                return tuple(out)
-        if vec:
-            raise ValueError("slot (%d, %d) not present in degree %d" % (p, q, n))
-        return tuple(out)
-
-    def project_slot(self, p, q, vec):
-        """Total-degree coordinates -> slot coordinates."""
-        n = p + q
-        for sp, sq, off in self.basis.slot_offsets(n):
-            if (sp, sq) == (p, q):
-                return tuple(vec[off:off + self.basis.dim(p, q)])
-        return tuple()
-
 
 def build_differential(csc, basis):
     """Differential from complex structure constants, split into components.

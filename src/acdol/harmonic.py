@@ -98,12 +98,6 @@ class HermitianStructure:
                 acc = acc + from_rational(w) * a * b.conj()
         return acc
 
-    def gram_matrix(self, p, q):
-        diag = self.gram_diag(p, q)
-        n = len(diag)
-        return Matrix(n, n, [[from_rational(diag[i]) if i == j else ZERO
-                              for j in range(n)] for i in range(n)])
-
     # -- Hodge star ----------------------------------------------------------
 
     def star(self, p, q):
@@ -370,11 +364,6 @@ def build_hermitian(cm, frame):
 
 def harmonic_dims(spaces, m):
     return {k: v.dim for k, v in spaces.items() if v.dim}
-
-
-def dims_grid(dims, m):
-    return tuple(tuple(dims.get((p, q), 0) for p in range(m + 1))
-                 for q in range(m + 1))
 
 
 # -- mubar Hodge decomposition ------------------------------------------------

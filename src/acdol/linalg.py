@@ -93,10 +93,6 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.rows, self.cols)
 
-    def pretty(self):
-        return "\n".join("[" + "  ".join(str(e) for e in row) + "]"
-                         for row in self.entries)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -226,10 +222,6 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise LinalgError("shape mismatch: %d x %d vs %d x %d"
                               % (self.rows, self.cols, other.rows, other.cols))
-
-
-def zero_vector(n):
-    return tuple([ZERO] * n)
 
 
 class Subspace:

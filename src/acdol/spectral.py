@@ -1,25 +1,26 @@
 """Spectral sequences of the filtered Chevalley-Eilenberg complex.
 
-Two decreasing filtrations are supported:
+Each filtration comes as a basis of every degree adapted to it: F^p is
+spanned by the generators of filtration value >= p.
 
-* the Hodge filtration  F^p A^n = (Ker mubar ∩ A^{p,n-p}) ⊕ ⊕_{i>p} A^{i,n-i},
-  whose first page is Dolbeault cohomology and which converges to complex
-  de Rham cohomology;
-* the shifted filtration  Ft^p A^n = ⊕_{i >= p-n} A^{i,n-i}; its pages agree
-  with the Hodge pages after the index shift
-  E_r^{p,n-p}(F) ≅ E_{r+1}^{p+n,-p}(Ft) for r >= 1, and F = Dec Ft.
+* Hodge: F^p A^n = (Ker mubar ∩ A^{p,n-p}) ⊕ ⊕_{i>p} A^{i,n-i}.  In slot
+  (p, q) the canonical Ker mubar basis has value p and the unit vectors at
+  the pivot columns of mubar's rref, a complement, have value p - 1.  E_1 is
+  Dolbeault cohomology and the sequence converges to de Rham cohomology.
+* Shifted: Ft^p A^n = ⊕_{i >= p-n} A^{i,n-i}, the monomial basis with value
+  i + n on slot i; E_r^{p,n-p}(F) ≅ E_{r+1}^{p+n,-p}(Ft) for r >= 1.
 
-Pages are computed by the standard filtered-complex recipe on the
-total-degree spaces,
-
-    Z_r^{p,q} = F^p A^n ∩ d^{-1}(F^{p+r} A^{n+1}),          n = p + q,
-    E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
-
-entirely in exact arithmetic.  An independent computation of the same
-dimensions from explicit witness-chain systems (one linear system per page,
-no filtration machinery) is provided by ``explicit_page`` and serves as an
-oracle for the generic route.  Both filtrations are bounded, so every page
-with r >= 2m+2 equals the limit page.
+Every page comes from one persistence-style column reduction of d per
+degree (Zomorodian & Carlsson 2005; Basu & Parida, arXiv:1308.0801).  The
+generators of a degree are ordered by (value, index), one order for the
+columns of d_n and the rows of d_{n-1}.  Each column of d in the adapted
+bases is reduced by the reduced columns of later generators, so the column
+operations V preserve the filtration, until R = D V has distinct pivots
+(earliest nonzero rows).  A column tau with pivot sigma pairs the two, with
+gap r = value(sigma) - value(tau): d_r maps the class of tau onto that of
+sigma, so the pair lives on E_0 .. E_r.  Unpaired generators give E_inf,
+and every page with r >= 2m+2 is E_inf.  ``explicit_page`` computes the
+same dimensions from witness-chain systems as an independent oracle.
 """
 
 from __future__ import annotations
@@ -27,306 +28,183 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import forms
-from .cohomology import Check, ConsistencyError
+from .cohomology import Check, ConsistencyError, dims_grid
 from .forms import DELBAR, MU, MUBAR, PARTIAL
-from .linalg import Matrix, Subspace, complement_in, preimage
-
-HODGE = "hodge"
-SHIFTED = "shifted"
+from .linalg import Matrix, Subspace, preimage
 
 
-class Filtration:
-    """A bounded decreasing filtration of the total complex by subspaces."""
+def hodge_generators(cm, n):
+    """(values, basis, coords) of the degree-n Hodge-adapted generators.
 
-    def __init__(self, cm, kind):
-        if kind not in (HODGE, SHIFTED):
-            raise ValueError("unknown filtration kind %r" % kind)
-        self.cm = cm
-        self.kind = kind
-        self.basis = cm.basis
-        self.m = cm.m
-        self._levels = {}
-        self._z = {}
-        self._dz = {}
-        self._dimg = {}
-
-    def level(self, p, n):
-        """F^p A^n as a subspace of the total-degree-n space."""
-        two_m = 2 * self.m
-        if n < 0 or n > two_m:
-            return Subspace.zero(0)
-        total = self.basis.total_dim(n)
-        if p <= (0 if self.kind == HODGE else n):
-            return Subspace.full(total)
-        hi = n + 1 if self.kind == HODGE else 2 * n + 1
-        if p >= hi:
-            return Subspace.zero(total)
-        key = (p, n)
-        got = self._levels.get(key)
-        if got is not None:
-            return got
-        cols = []
-        for sp, sq, off in self.basis.slot_offsets(n):
-            if self.kind == HODGE:
-                if sp > p:
-                    for j in range(self.basis.dim(sp, sq)):
-                        vec = [forms.ZERO] * total
-                        vec[off + j] = forms.ONE
-                        cols.append(tuple(vec))
-                elif sp == p:
-                    ker = self.cm.block(MUBAR, sp, sq).nullspace_matrix()
-                    for j in range(ker.cols):
-                        vec = [forms.ZERO] * total
-                        for i in range(ker.rows):
-                            vec[off + i] = ker.entries[i][j]
-                        cols.append(tuple(vec))
-            else:
-                if sp >= p - n:
-                    for j in range(self.basis.dim(sp, sq)):
-                        vec = [forms.ZERO] * total
-                        vec[off + j] = forms.ONE
-                        cols.append(tuple(vec))
-        sub = Subspace.from_columns(total, cols)
-        self._levels[key] = sub
-        return sub
-
-    def check_structure(self):
-        """Assert boundedness and d-compatibility; raises on failure."""
-        two_m = 2 * self.m
-        for n in range(two_m + 1):
-            lo = 0 if self.kind == HODGE else n
-            hi = n + 1 if self.kind == HODGE else 2 * n + 1
-            if self.level(lo, n).dim != self.basis.total_dim(n):
-                raise ConsistencyError("filtration does not start full")
-            if self.level(hi, n).dim != 0:
-                raise ConsistencyError("filtration does not end at zero")
-            d = self.cm.total_matrix(n)
-            for p in range(lo, hi + 1):
-                Fp = self.level(p, n)
-                if not (self.level(p + 1, n).dim <= Fp.dim
-                        and Fp.contains(self.level(p + 1, n))):
-                    raise ConsistencyError("filtration is not decreasing")
-                if n < two_m:
-                    img = Fp.image_under(d)
-                    if not self.level(p, n + 1).contains(img):
-                        raise ConsistencyError(
-                            "filtration is not d-compatible at (p=%d, n=%d)"
-                            % (p, n))
-
-    def cycles(self, r, p, n):
-        """Z_r^{p, n-p} = F^p A^n ∩ d^{-1}(F^{p+r} A^{n+1}); r >= -1.
-
-        Computed in F^p coordinates: x with d(B x) in F^{p+r} come from the
-        kernel of [d B | -B'], which keeps the eliminations small.  The
-        target level p + r is clamped to the filtration window of degree
-        n + 1, so all sufficiently deep pages share cached results.
-        """
-        two_m = 2 * self.m
-        if n < 0 or n > two_m:
-            return Subspace.zero(0)
-        lo_next = 0 if self.kind == HODGE else n + 1
-        hi_next = (n + 2) if self.kind == HODGE else (2 * n + 3)
-        t = max(lo_next, min(p + r, hi_next))
-        key = (t, p, n)
-        got = self._z.get(key)
-        if got is not None:
-            return got
-        Fp = self.level(p, n)
-        if n == two_m or Fp.dim == 0 or t == lo_next:
-            out = Fp  # the target level is everything (or there is no d)
-        else:
-            target = self.level(t, n + 1)
-            restricted = self._restricted(p, n)
-            if target.dim == 0:
-                coeffs = restricted.nullspace_matrix()
-            else:
-                ker = restricted.hstack(-target.basis).nullspace_matrix()
-                coeffs = Matrix(Fp.dim, ker.cols,
-                                [ker.entries[i] for i in range(Fp.dim)])
-            out = Subspace.from_matrix_columns(Fp.basis @ coeffs)
-        self._z[key] = out
-        return out
-
-    def _restricted(self, p, n):
-        """The differential applied to the level basis, cached."""
-        key = (p, n)
-        got = self._dz.get(key)
-        if got is None:
-            got = self.cm.total_matrix(n) @ self.level(p, n).basis
-            self._dz[key] = got
-        return got
-
-    def boundary_image(self, r, p, n):
-        """d(Z_r^{p, n-p}) as a subspace of the degree-(n+1) space, cached."""
-        two_m = 2 * self.m
-        if n < 0 or n > two_m:
-            return Subspace.zero(self.basis.total_dim(n + 1))
-        lo_next = 0 if self.kind == HODGE else n + 1
-        hi_next = (n + 2) if self.kind == HODGE else (2 * n + 3)
-        t = max(lo_next, min(p + r, hi_next))
-        key = (t, p, n)
-        got = self._dimg.get(key)
-        if got is None:
-            z = self.cycles(r, p, n)
-            got = z.image_under(self.cm.total_matrix(n))
-            self._dimg[key] = got
-        return got
-
-
-@dataclass
-class PageSlot:
-    dim: int
-    numerator: Subspace
-    denominator: Subspace
-    reps: Subspace
-
-
-def build_filtration(cm, kind):
-    filt = Filtration(cm, kind)
-    filt.check_structure()
-    return filt
-
-
-def er_page(filt, r):
-    """All slots of the r-th page: {(p, q): PageSlot}.
-
-    Representatives live in total-degree coordinates.  Keys cover the
-    bigraded range of the filtration kind.
+    ``basis`` holds the generators as columns, in (value, index) order, and
+    ``coords`` is its inverse: a kernel vector's coordinate is its free
+    entry and a pivot unit vector's is the matching rref row.
     """
-    if r < 0:
-        raise ValueError("page index must be >= 0")
-    cm = filt.cm
-    m = filt.m
-    out = {}
-    for n in range(2 * m + 1):
-        lo = 0 if filt.kind == HODGE else n
-        hi = n if filt.kind == HODGE else 2 * n
-        for p in range(lo, hi + 1):
-            q = n - p
-            num = filt.cycles(r, p, n)
-            den_a = filt.cycles(r - 1, p + 1, n)
-            if n >= 1:
-                den_b = filt.boundary_image(r - 1, p - r + 1, n - 1)
-            else:
-                den_b = Subspace.zero(num.ambient_dim)
-            den = den_a + den_b
-            if not num.contains(den):
-                raise ConsistencyError(
-                    "page denominator escapes the cycles at r=%d (p=%d,q=%d)"
-                    % (r, p, q))
-            reps = complement_in(den, num)
-            out[(p, q)] = PageSlot(num.dim - den.dim, num, den, reps)
+    total = cm.basis.total_dim(n)
+    gens = []
+    for p, q, off in cm.basis.slot_offsets(n):
+        red, pivots = cm.block(MUBAR, p, q).rref()
+        ker = cm.block(MUBAR, p, q).nullspace_matrix()
+        free = [j for j in range(ker.rows) if j not in pivots]
+        gens += [(p, _embed(ker.col(k), off, total), _unit(off + j, total))
+                 for k, j in enumerate(free)]
+        gens += [(p - 1, _unit(off + c, total),
+                  _embed(red.entries[k], off, total))
+                 for k, c in enumerate(pivots)]
+    gens.sort(key=lambda g: g[0])  # stable: ties keep the index order
+    return ([g[0] for g in gens],
+            Matrix.from_columns([g[1] for g in gens], ambient_rows=total),
+            Matrix.from_rows([g[2] for g in gens]))
+
+
+def shifted_generators(cm, n):
+    """(values, None, None): the monomial basis, value i + n on slot i."""
+    return ([p + n for p, q, _ in cm.basis.slot_offsets(n)
+             for _ in range(cm.basis.dim(p, q))], None, None)
+
+
+def _unit(i, size):
+    return _embed([forms.ONE], i, size)
+
+
+def _embed(vec, off, size):
+    out = [forms.ZERO] * size
+    out[off:off + len(vec)] = vec
     return out
 
 
-def page_dims(page, m, kind=HODGE):
-    """Dims as a dict over the standard (p, q) grid (zero entries kept)."""
-    dims = {}
-    for (p, q), slot in page.items():
-        if slot.dim:
-            dims[(p, q)] = slot.dim
-    return dims
+@dataclass
+class Reduction:
+    """The filtered column reduction of d, one list entry per degree n.
 
-
-def dims_grid(dims, m):
-    return tuple(tuple(dims.get((p, q), 0) for p in range(m + 1))
-                 for q in range(m + 1))
-
-
-def er_differential(filt, r, page, page_next=None):
-    """Matrices of the induced differential d_r on page representatives.
-
-    d_r goes (p, q) -> (p+r, q-r+1); entry matrices are written in the
-    representative bases of ``page``.  Verifies d_r^2 = 0 and, when the next
-    page is supplied, that the cohomology of d_r has its dimensions.
+    ``values[n]``: the generators' filtration values in (value, index)
+    order; ``basis[n]``: the generators as columns (None: monomials);
+    ``d[n]``: d on A^n in these bases; ``ops[n]`` and ``reduced[n]``: the
+    columns of V and R = d[n] V as sparse {row: Scalar} dicts; ``gap[n]``:
+    each generator's pair gap, None if unpaired.  A degree-n generator of
+    value v sits in page slot (v, n - v).
     """
-    cm = filt.cm
-    mats = {}
-    for (p, q), slot in page.items():
-        tgt = page.get((p + r, q - r + 1))
-        n = p + q
-        if tgt is None or slot.dim == 0:
-            mats[(p, q)] = Matrix.zero(tgt.dim if tgt else 0, slot.dim)
-            continue
-        d = cm.total_matrix(n)
-        solver = tgt.reps.basis.hstack(tgt.denominator.basis)
-        cols = []
-        for j in range(slot.dim):
-            w = d.apply(slot.reps.basis.col(j))
-            x = solver.solve(w)
-            if x is None:
-                raise ConsistencyError(
-                    "d of a page representative is not a page cycle at "
-                    "r=%d (p=%d,q=%d)" % (r, p, q))
-            cols.append(tuple(x[:tgt.reps.dim]))
-        mats[(p, q)] = Matrix.from_columns(cols, ambient_rows=tgt.reps.dim)
-    # d_r composed with itself must vanish
-    for (p, q), mat in mats.items():
-        nxt = mats.get((p + r, q - r + 1))
-        if nxt is not None and mat.cols and nxt.rows:
-            if not (nxt @ mat).is_zero():
-                raise ConsistencyError("page differential does not square to zero")
-    if page_next is not None:
-        for (p, q), slot in page.items():
-            out = mats[(p, q)]
-            inc = mats.get((p - r, q + r - 1))
-            ker = out.cols - out.rank()
-            img = inc.rank() if inc is not None else 0
-            nxt_dim = page_next[(p, q)].dim if (p, q) in page_next else 0
-            if ker - img != nxt_dim:
-                raise ConsistencyError(
-                    "page cohomology does not match the next page at "
-                    "(p=%d,q=%d)" % (p, q))
-    return mats
+
+    values: list
+    basis: list
+    d: list
+    ops: list
+    reduced: list
+    gap: list
+
+    def page(self, r):
+        """Dims of E_r as {(p, q): dim}, zero entries left out."""
+        if r < 0:
+            raise ValueError("page index must be >= 0")
+        dims = {}
+        for n, (values, gaps) in enumerate(zip(self.values, self.gap)):
+            for v, g in zip(values, gaps):
+                if g is None or g >= r:
+                    dims[(v, n - v)] = dims.get((v, n - v), 0) + 1
+        return dims
+
+    def pairs(self, r):
+        """[(slot of tau, slot of sigma)] for the pairs of gap r."""
+        out = []
+        for n, cols in enumerate(self.reduced):
+            for tau, col in enumerate(cols):
+                v = self.values[n][tau]
+                if col and self.values[n + 1][min(col)] - v == r:
+                    out.append(((v, n - v), (v + r, n + 1 - v - r)))
+        return out
+
+
+def reduce_filtration(cm, generators):
+    """Reduce d once per degree in the bases from ``generators(cm, n)``,
+    which returns (values, basis, coords) as ``hodge_generators`` does.
+
+    Raises ConsistencyError naming the degree, the slot and the page r when
+    d lowers a filtration value (a pair of gap r < 0) or a generator would
+    be paired twice.
+    """
+    gens = [generators(cm, n) for n in range(2 * cm.m + 1)]
+    gens.append(([], None, None))
+    values = [g[0] for g in gens]
+    gap = [[None] * len(v) for v in values]
+    ds, ops, reduced = [], [], []
+    for n, (src, tgt) in enumerate(zip(gens, gens[1:])):
+        d = cm.total_matrix(n) if tgt[0] else Matrix.zero(0, len(src[0]))
+        d = d if src[1] is None else d @ src[1]
+        d = d if tgt[2] is None else tgt[2] @ d
+        cols = [{i: row[j] for i, row in enumerate(d.entries) if row[j]}
+                for j in range(d.cols)]
+        op = [None] * d.cols
+        owner = {}  # pivot row -> its column
+        for j in range(d.cols - 1, -1, -1):
+            col, op[j] = cols[j], {j: forms.ONE}
+            low = min(col, default=None)
+            while low in owner:
+                k = owner[low]
+                f = col[low] / cols[k][low]
+                _axpy(col, -f, cols[k])
+                _axpy(op[j], -f, op[k])
+                low = min(col, default=None)
+            if low is not None:
+                owner[low] = j
+                r = tgt[0][low] - src[0][j]
+                if r < 0 or gap[n][j] is not None:
+                    raise ConsistencyError(
+                        "degree %d, slot (p=%d,q=%d), page r=%d: %s"
+                        % (n, src[0][j], n - src[0][j], r,
+                           "generator paired twice" if r >= 0 else
+                           "d lowers the filtration value"))
+                gap[n][j] = gap[n + 1][low] = r
+        ds.append(d)
+        ops.append(op)
+        reduced.append(cols)
+    return Reduction(values[:-1], [g[1] for g in gens[:-1]], ds, ops,
+                     reduced, gap[:-1])
+
+
+def _axpy(x, a, y):
+    """x += a y for sparse {index: Scalar} vectors, dropping zeros."""
+    for i, b in y.items():
+        s = x.get(i, forms.ZERO) + a * b
+        if s:
+            x[i] = s
+        else:
+            del x[i]
 
 
 @dataclass
 class PageTable:
     """Every page of the Hodge-filtration spectral sequence.
 
-    ``pages[r]`` maps (p, q) to dimensions; ``slots[r]`` retains the full
-    PageSlot data.  ``degeneration_page`` is the least r with E_r = E_inf.
+    ``dims(r)`` reads E_r from ``reduction``; pages past ``limit_page``
+    repeat it.  ``degeneration_page`` is the least r >= 1 with E_r equal to
+    the limit page.
     """
 
     m: int
-    pages: dict
-    slots: dict
+    reduction: Reduction
     degeneration_page: int
     limit_page: int
 
     def dims(self, r):
-        return self.pages[min(r, self.limit_page)]
+        return self.reduction.page(min(r, self.limit_page))
 
     def infinity(self):
-        return self.pages[self.limit_page]
+        return self.dims(self.limit_page)
 
     def grid(self, r):
         return dims_grid(self.dims(r), self.m)
 
 
 def frolicher_all(cm, max_page=None):
-    """Iterate the Hodge-filtration pages to the guaranteed-stable bound.
-
-    Pages are computed for r = 0 .. 2m+2 (or ``max_page`` if smaller); the
-    bound 2m+2 exceeds the filtration length, so that page equals E_inf.
-    """
-    m = cm.m
-    limit = 2 * m + 2
+    """The Hodge pages up to r = 2m+2 (E_inf), or to ``max_page`` if that
+    is smaller, from one reduction."""
+    limit = 2 * cm.m + 2
     if max_page is not None:
         limit = min(limit, max(max_page, 1))
-    filt = build_filtration(cm, HODGE)
-    pages = {}
-    slots = {}
-    for r in range(limit + 1):
-        page = er_page(filt, r)
-        slots[r] = page
-        pages[r] = page_dims(page, m)
-    degen = limit
-    for r in range(1, limit + 1):
-        if pages[r] == pages[limit]:
-            degen = r
-            break
-    return PageTable(m, pages, slots, degen, limit)
+    red = reduce_filtration(cm, hodge_generators)
+    degen = next(r for r in range(1, limit + 1)
+                 if red.page(r) == red.page(limit))
+    return PageTable(cm.m, red, degen, limit)
 
 
 def infinity_vs_betti(table, betti):
@@ -343,6 +221,9 @@ def infinity_vs_betti(table, betti):
 
 # -- explicit witness-chain systems (independent page oracle) --------------
 
+# the components of d by the shift t in p: tag t maps A^{p,q} to A^{p+t-1,.}
+_CHAIN_TAGS = (MUBAR, DELBAR, PARTIAL, MU)
+
 
 def _slot_dims_chain(basis, bidegrees):
     return [basis.dim(p, q) if 0 <= p <= basis.m and 0 <= q <= basis.m else 0
@@ -353,32 +234,23 @@ def _block_system(cm, equations, variables):
     """Assemble the block matrix of a linear system over slot variables.
 
     ``variables``: list of bidegrees (one unknown form per entry).
-    ``equations``: list of rows; each row is a list of (var_index, tag_or_None,
-    sign) triples meaning  sum sign * tag(x_var) = 0, with tag None for the
-    identity map.  Out-of-range slots contribute zero-dimensional blocks.
-    Row bidegrees are inferred from the first well-defined term.
+    ``equations``: list of rows; each row is a list of (var_index, tag, sign)
+    triples meaning  sum sign * tag(x_var) = 0.  Out-of-range slots
+    contribute zero-dimensional blocks.  Row bidegrees are inferred from the
+    first well-defined term.
     """
     basis = cm.basis
     var_dims = _slot_dims_chain(basis, variables)
-    offsets = []
-    total = 0
-    for d in var_dims:
-        offsets.append(total)
-        total += d
+    offsets = [sum(var_dims[:i]) for i in range(len(var_dims))]
+    total = sum(var_dims)
     rows_data = []
     for row in equations:
         row_dim = None
         mats = {}
         for var, tag, sign in row:
-            vp, vq = variables[var]
             if var_dims[var] == 0:
                 continue
-            if tag is None:
-                mat = Matrix.identity(var_dims[var])
-                tp, tq = vp, vq
-            else:
-                mat = cm.block(tag, vp, vq)
-                tp, tq = cm.target(tag, vp, vq)
+            mat = cm.block(tag, *variables[var])
             if sign < 0:
                 mat = -mat
             if row_dim is None:
@@ -390,9 +262,7 @@ def _block_system(cm, equations, variables):
         for var, mat in mats.items():
             off = offsets[var]
             for i in range(mat.rows):
-                for j in range(mat.cols):
-                    if mat.entries[i][j]:
-                        block_rows[i][off + j] = mat.entries[i][j]
+                block_rows[i][off:off + mat.cols] = mat.entries[i]
         rows_data.extend(block_rows)
     if not rows_data:
         return Matrix.zero(0, total), offsets, var_dims
@@ -416,18 +286,10 @@ def explicit_cycles(cm, r, p, q):
     partial w = mubar w_2 + delbar w_1;  mu w = mubar w_3 + delbar w_2 +
     partial w_1;  and homogeneous continuations for i = 4 .. r.
     """
-    variables = [(p, q)] + [(p + i, q - i) for i in range(1, r + 1)]
-    equations = [[(0, MUBAR, 1)]]
-    if r >= 1:
-        equations.append([(0, DELBAR, 1), (1, MUBAR, -1)])
-    if r >= 2:
-        equations.append([(0, PARTIAL, 1), (2, MUBAR, -1), (1, DELBAR, -1)])
-    if r >= 3:
-        equations.append([(0, MU, 1), (3, MUBAR, -1), (2, DELBAR, -1),
-                          (1, PARTIAL, -1)])
-    for i in range(4, r + 1):
-        equations.append([(i, MUBAR, 1), (i - 1, DELBAR, 1),
-                          (i - 2, PARTIAL, 1), (i - 3, MU, 1)])
+    variables = [(p + i, q - i) for i in range(r + 1)]
+    equations = [[(i - t, tag, 1 if t == i else -1)
+                  for t, tag in enumerate(_CHAIN_TAGS) if t <= i]
+                 for i in range(r + 1)]
     system, offsets, var_dims = _block_system(cm, equations, variables)
     return _project_solutions(system, offsets, var_dims, 0)
 
@@ -439,37 +301,18 @@ def explicit_boundaries(cm, r, p, q):
     taken over chains satisfying the homogeneous closing equations.
     """
     variables = [(p + 2 - i, q - 3 + i) for i in range(1, r + 2)]
-    equations = []
-    if r == 1:
-        equations.append([(1, MUBAR, 1)])
-    elif r == 2:
-        equations.append([(1, MUBAR, 1), (2, DELBAR, 1)])
-        equations.append([(2, MUBAR, 1)])
-    else:
-        for i in range(2, r - 1):
-            equations.append([(i - 1, MUBAR, 1), (i, DELBAR, 1),
-                              (i + 1, PARTIAL, 1), (i + 2, MU, 1)])
-        equations.append([(r - 2, MUBAR, 1), (r - 1, DELBAR, 1),
-                          (r, PARTIAL, 1)])
-        equations.append([(r - 1, MUBAR, 1), (r, DELBAR, 1)])
-        equations.append([(r, MUBAR, 1)])
-    basis = cm.basis
-    var_dims = _slot_dims_chain(basis, variables)
-    system, offsets, _ = _block_system(cm, equations, variables)
-    if system.rows == 0:
-        ker = Matrix.identity(sum(var_dims))
-    else:
-        ker = system.nullspace_matrix()
-    out_dim = basis.dim(p, q)
-    first_tags = [MUBAR, DELBAR, PARTIAL, MU]
+    equations = [[(j + t, tag, 1) for t, tag in enumerate(_CHAIN_TAGS)
+                  if j + t <= r] for j in range(1, r + 1)]
+    system, offsets, var_dims = _block_system(cm, equations, variables)
+    ker = system.nullspace_matrix()
+    out_dim = cm.basis.dim(p, q)
     cols = []
     for j in range(ker.cols):
         acc = [forms.ZERO] * out_dim
         for var in range(min(4, len(variables))):
-            vp, vq = variables[var]
             if var_dims[var] == 0:
                 continue
-            mat = cm.block(first_tags[var], vp, vq)
+            mat = cm.block(_CHAIN_TAGS[var], *variables[var])
             off = offsets[var]
             comp = mat.apply([ker.entries[off + i][j]
                               for i in range(var_dims[var])])
@@ -527,8 +370,7 @@ def dolbeault_delta1(cm, dol):
                     "delta_1 image is not a Dolbeault cocycle at (%d, %d)"
                     % (p, q))
             cols.append(tuple(x[:tgt_reps.dim]))
-        mats[(p, q)] = Matrix.from_columns(cols, ambient_rows=tgt_reps.dim) \
-            if cols else Matrix.zero(tgt_reps.dim, 0)
+        mats[(p, q)] = Matrix.from_columns(cols, ambient_rows=tgt_reps.dim)
     return mats
 
 
@@ -548,9 +390,8 @@ def _delta1_image(cm, p, q, w, kernel_shift=None):
 def witness_independent(cm, dol, p, q):
     """Check the delta_1 class is unchanged by any witness shift."""
     src = dol.representatives[(p, q)]
-    tgt_num = dol.numerators.get((p + 1, q))
     tgt_den = dol.denominators.get((p + 1, q))
-    if src.dim == 0 or tgt_num is None:
+    if src.dim == 0 or tgt_den is None:
         return True
     kernel = cm.block(MUBAR, p + 1, q - 1).nullspace_matrix()
     for j in range(src.dim):
@@ -565,39 +406,47 @@ def witness_independent(cm, dol, p, q):
     return True
 
 
-def decalage_check(cm):
-    """Compare shifted-filtration pages with Hodge pages under the reindexing.
+def decalage_check(cm, table):
+    """Compare shifted-filtration pages with the Hodge pages of ``table``.
 
-    Checks  dim E_r^{p,n-p}(F) = dim E_{r+1}^{p+n,-p}(Ft)  for r >= 1 up to
-    the stable bound, and the subspace identity F^p A^n = Dec Ft^p A^n.
+    Checks  dim E_r^{p,n-p}(F) = dim E_{r+1}^{p+n,-p}(Ft)  for r = 1 .. the
+    table's limit page, and the subspace identity F^p A^n = Dec Ft^p A^n.
     """
     m = cm.m
-    hodge = build_filtration(cm, HODGE)
-    shifted = build_filtration(cm, SHIFTED)
+    shifted = reduce_filtration(cm, shifted_generators)
     checks = []
-    limit = 2 * m + 2
-    for r in range(1, limit + 1):
-        ph = page_dims(er_page(hodge, r), m)
-        ps = er_page(shifted, r + 1)
+    for r in range(1, table.limit_page + 1):
+        ph = table.dims(r)
+        ps = shifted.page(r + 1)
         ok = True
         detail = ""
         for n in range(2 * m + 1):
             for p in range(n + 1):
                 lhs = ph.get((p, n - p), 0)
-                slot = ps.get((p + n, -p))
-                rhs = slot.dim if slot else 0
+                rhs = ps.get((p + n, -p), 0)
                 if lhs != rhs:
                     ok = False
                     detail = ("r=%d (p=%d,q=%d): %d vs shifted %d"
                               % (r, p, n - p, lhs, rhs))
         checks.append(Check("decalage_shift_page_%d" % r, ok, detail))
+    hodge = table.reduction
     dec_ok = True
     for n in range(2 * m + 1):
-        for p in range(0, n + 2):
-            lhs = hodge.level(p, n)
-            # Dec of the shifted filtration is its r = 1 cycle space
-            rhs = shifted.cycles(1, p + n, n)
-            if lhs != rhs:
-                dec_ok = False
+        d = cm.total_matrix(n)
+        nxt = shifted.values[n + 1] if n < 2 * m else []
+        for p in range(n + 2):
+            # Dec Ft^{p+n} A^n: the forms in Ft^{p+n} A^n (slots >= p) whose
+            # d has no part in the slots < p of degree n + 1
+            src = [j for j, v in enumerate(shifted.values[n]) if v >= p + n]
+            out = [j for j, v in enumerate(shifted.values[n]) if v < p + n]
+            low = [i for i, v in enumerate(nxt) if v <= p + n]
+            block = Matrix(len(low), len(src), [[d.entries[i][j] for j in src]
+                                                for i in low])
+            dec = preimage(block, Subspace.zero(len(low)))
+            gens = [g for g, v in zip(hodge.basis[n].columns(),
+                                      hodge.values[n]) if v >= p]
+            dec_ok &= dec.dim == len(gens) and all(
+                not any(g[j] for j in out)
+                and not any(block.apply([g[j] for j in src])) for g in gens)
     checks.append(Check("decalage_subspace_identity", dec_ok))
     return checks

@@ -12,9 +12,9 @@ metric (see notes/decisions.md).
 import os
 
 from acdol import docio, pipeline
-from acdol.cohomology import de_rham, euler_characteristic
+from acdol.cohomology import de_rham, dims_grid, euler_characteristic
 from acdol.forms import build_basis, build_differential, relations_ok
-from acdol.harmonic import (build_hermitian, delb_mub, dims_grid,
+from acdol.harmonic import (build_hermitian, delb_mub,
                             metric_independence_probe, mub_decomposition)
 from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.spectral import (decalage_check, explicit_page, frolicher_all,
@@ -108,7 +108,7 @@ def test_criterion_6_oracle_equivalence():
             exp = explicit_page(an.cm, r)
             gen = {k: v for k, v in an.pages.dims(r).items() if v}
             assert exp == gen, "%s page %d" % (name, r)
-        assert all(c.passed for c in decalage_check(an.cm)), name
+        assert all(c.passed for c in decalage_check(an.cm, an.pages)), name
     _report(6, "explicit pages r=1..4 and decalage shift on every builtin")
 
 

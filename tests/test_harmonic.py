@@ -1,15 +1,17 @@
 """Hodge star, adjoints, Laplacians, the delbar_mub theory, and the nearly
 Kahler identity battery."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
 from acdol import catalog, docio, harmonic
+from acdol.cohomology import dims_grid
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential)
 from acdol.harmonic import (build_hermitian, delb_mub, delb_mub_checks,
-                            dims_grid, fundamental_form, harmonic_dims,
+                            fundamental_form, harmonic_dims,
                             lefschetz_matrices, metric_independence_probe,
                             mub_decomposition, nearly_kahler_checks,
                             serre_star_check, top_cohomology_is_line)
@@ -291,6 +293,33 @@ def test_nearly_kahler_su2su2_honest_outcomes():
     assert not by_name["nk_laplacian delbar + 2 mubar = partial + 2 mu"].passed
     assert not by_name["nk_commutator [mu*, delbar] = 0"].passed
     assert all(c.informational for c in an.nk_checks)
+
+
+def _nk_document(name):
+    if name in catalog.builtin_names():
+        return catalog.builtin(name)
+    path = os.path.join(os.path.dirname(__file__), "data", "inputs",
+                        "%s.json" % name)
+    with open(path) as fh:
+        return docio.parse_document(fh.read())
+
+
+NK_SCALARS = {"s3s3-nk": Fraction(8, 9), "su2su2-nk": Fraction(1)}
+
+
+@pytest.mark.parametrize("name", sorted(NK_SCALARS))
+def test_nk_scalar_scales_inversely_with_metric(name):
+    """g -> lam g multiplies the fundamental form, and so L, by lam and
+    leaves partial delbar + delbar partial alone, so the constant c fitted
+    in partial delbar + delbar partial = -i c (p - q) L goes to c/lam."""
+    spec = docio.to_spec(_nk_document(name))
+    for lam in (1, 4, Fraction(1, 9)):
+        scaled = spec.with_metric([[lam * x for x in row]
+                                   for row in spec.metric])
+        frame = adapted_frame(scaled)
+        cm = build_differential(complexify(scaled, frame), build_basis(3))
+        _, fitted = nearly_kahler_checks(build_hermitian(cm, frame))
+        assert Fraction(fitted) == NK_SCALARS[name] / lam, lam
 
 
 def test_nearly_kahler_negative_control():

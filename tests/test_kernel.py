@@ -1,23 +1,15 @@
-"""Arithmetic kernel tests, run against both backends."""
+"""Arithmetic kernel tests."""
 
-import importlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdol import _kernel_py
-
-BACKENDS = [_kernel_py]
-try:
-    _speedups = importlib.import_module("acdol._speedups")
-    BACKENDS.append(_speedups)
-except ImportError:
-    pass
+from acdol import kernel
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda mod: mod.BACKEND_NAME)
+@pytest.fixture(params=[kernel], ids=["python"])
 def kern(request):
     return request.param
 
@@ -154,18 +146,3 @@ def test_matmul(kern):
 def test_matmul_empty_inner(kern):
     out = kern.matmul([[], []], [], 3)
     assert len(out) == 2 and all(e.is_zero() for row in out for e in row)
-
-
-def test_backends_agree_on_elimination():
-    if len(BACKENDS) < 2:
-        pytest.skip("compiled backend not built")
-    import random
-    rng = random.Random(11)
-    data = [[(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 4))
-             for _ in range(6)] for _ in range(5)]
-    results = []
-    for kern in BACKENDS:
-        rows = [[kern.Scalar(*t) for t in row] for row in data]
-        red, piv = kern.rref(rows, 6)
-        results.append((piv, [[(e.xn, e.yn, e.dn) for e in row] for row in red]))
-    assert results[0] == results[1]

@@ -1,16 +1,18 @@
 """Filtrations, spectral-sequence pages, page differentials, and oracles."""
 
+import copy
+
 import pytest
 
-from acdol import spectral
-from acdol.cohomology import de_rham
+from acdol.cohomology import ConsistencyError, de_rham
 from acdol.forms import MUBAR, build_basis, build_differential
 from acdol.liealg import adapted_frame, complexify, validate_spec
-from acdol.linalg import Subspace
-from acdol.spectral import (HODGE, SHIFTED, build_filtration, decalage_check,
-                            dolbeault_delta1, er_differential, er_page,
-                            explicit_page, frolicher_all, infinity_vs_betti,
-                            page_dims, witness_independent)
+from acdol.linalg import Matrix, Subspace
+from acdol.pipeline import reduction_certificate
+from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_page,
+                            frolicher_all, hodge_generators, infinity_vs_betti,
+                            reduce_filtration, shifted_generators,
+                            witness_independent)
 from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
 
 E2_TABLES = {
@@ -29,40 +31,55 @@ DEGENERATION = {
 }
 
 
+def _level_dim(reduction, p, n):
+    """dim F^p A^n: the adapted generators of degree n with value >= p."""
+    return sum(v >= p for v in reduction.values[n])
+
+
+def _column_generators(cm, n):
+    """The monomial basis with value p on slot p: not a filtration by
+    subcomplexes once mubar, which lowers p, is nonzero."""
+    values, basis, coords = shifted_generators(cm, n)
+    return [v - n for v in values], basis, coords
+
+
 def test_filtration_structure_checked_on_build():
     an = builtin_analysis("filiform-J")
-    for kind in (HODGE, SHIFTED):
-        build_filtration(an.cm, kind)  # raises on any structural failure
+    for generators in (hodge_generators, shifted_generators):
+        reduce_filtration(an.cm, generators)  # raises on any failure
+    with pytest.raises(ConsistencyError, match=r"degree \d, slot "
+                       r"\(p=\d,q=\d\), page r=-1: d lowers the filtration"):
+        reduce_filtration(an.cm, _column_generators)
+    # on an integrable structure mubar vanishes and the columns filter
+    reduce_filtration(builtin_analysis("kt-Jprime").cm, _column_generators)
 
 
 def test_hodge_filtration_abelian_is_column_truncation():
     an = builtin_analysis("abelian-m2")
-    filt = build_filtration(an.cm, HODGE)
     basis = an.cm.basis
     for n in range(5):
         for p in range(n + 2):
             expected = sum(basis.dim(i, n - i) for i in range(p, n + 1))
-            assert filt.level(p, n).dim == expected
+            assert _level_dim(an.pages.reduction, p, n) == expected
 
 
 def test_hodge_filtration_filiform_uses_mubar_kernel():
     an = builtin_analysis("filiform-J")
-    filt = build_filtration(an.cm, HODGE)
     cm = an.cm
     ker_dim = cm.basis.dim(1, 1) - cm.block(MUBAR, 1, 1).rank()
     expected = ker_dim + cm.basis.dim(2, 0)
-    assert filt.level(1, 2).dim == expected
+    assert _level_dim(an.pages.reduction, 1, 2) == expected
     assert expected < cm.basis.total_dim(2)
 
 
 def test_shifted_filtration_is_column_truncation():
     an = builtin_analysis("filiform-J")
-    filt = build_filtration(an.cm, SHIFTED)
+    shifted = reduce_filtration(an.cm, shifted_generators)
     basis = an.cm.basis
     for n in range(5):
         for p in range(n, 2 * n + 2):
             expected = sum(basis.dim(i, n - i) for i in range(p - n, n + 1))
-            assert filt.level(p, n).dim == expected
+            assert _level_dim(shifted, p, n) == expected
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATION))
@@ -131,24 +148,37 @@ def test_bottom_row_first_page_is_kernel_intersection():
 
 def test_generic_delta1_matches_table_drop():
     an = builtin_analysis("filiform-J")
-    filt = build_filtration(an.cm, HODGE)
-    d1 = er_differential(filt, 1, an.pages.slots[1], an.pages.slots[2])
-    # rank bookkeeping: 4 -> 2 at (1, 1) comes from rank 1 out + rank 1 in
-    assert d1[(1, 1)].rank() == 1
-    assert d1[(0, 1)].rank() == 1
-    for (p, q), slot in an.pages.slots[1].items():
-        out = d1.get((p, q))
-        inc = d1.get((p - 1, q))
-        ker = out.cols - out.rank() if out is not None else slot.dim
-        img = inc.rank() if inc is not None else 0
-        assert ker - img == an.pages.slots[2][(p, q)].dim
+    pairs = an.pages.reduction.pairs(1)
+    # 4 -> 2 at (1, 1): one gap-1 pair leaves it and one arrives from (0, 1)
+    assert sorted(pairs) == [((0, 1), (1, 1)), ((1, 1), (2, 1))]
+    e1, e2 = an.pages.dims(1), an.pages.dims(2)
+    for key in set(e1) | set(e2):
+        ends = sum(pair.count(key) for pair in pairs)
+        assert e2.get(key, 0) == e1.get(key, 0) - ends
+
+
+def test_reduction_certificate_flags_a_wrong_reduction():
+    an = builtin_analysis("filiform-J")
+    delta1 = dolbeault_delta1(an.cm, an.h_dol)
+    check = reduction_certificate(an.pages, delta1)
+    assert check.passed
+    assert check.detail == "r = [1, 2] verified against the next page"
+    table = copy.deepcopy(an.pages)
+    col = next(c for c in table.reduction.reduced[1] if c)
+    col[min(col)] = col[min(col)] * 2
+    check = reduction_certificate(table, delta1)
+    assert not check.passed and "D V != R in degree 1" in check.detail
+    wrong = dict(delta1)
+    wrong[(0, 1)] = Matrix.zero(delta1[(0, 1)].rows, delta1[(0, 1)].cols)
+    check = reduction_certificate(an.pages, wrong)
+    assert not check.passed
+    assert "witness delta_1 rank 0 vs 1 gap-1 pairs at (p=0,q=1)" \
+        in check.detail
 
 
 def test_su2su2_delta1_injective_on_01():
     an = builtin_analysis("su2su2-nk")
-    filt = build_filtration(an.cm, HODGE)
-    d1 = er_differential(filt, 1, an.pages.slots[1], an.pages.slots[2])
-    mat = d1[(0, 1)]
+    mat = dolbeault_delta1(an.cm, an.h_dol)[(0, 1)]
     assert mat.cols == 3 and mat.rank() == 3
 
 
@@ -157,6 +187,9 @@ def test_witness_delta1_agrees_with_generic_ranks():
     d1 = dolbeault_delta1(an.cm, an.h_dol)
     assert d1[(1, 1)].rank() == 1
     assert d1[(0, 1)].rank() == 1
+    sources = [src for src, _ in an.pages.reduction.pairs(1)]
+    for key, mat in d1.items():
+        assert mat.rank() == sources.count(key)
     # cohomology of the witness delta1 equals the second page
     for (p, q) in an.cm.basis.slots:
         out = d1.get((p, q))
@@ -208,14 +241,15 @@ def test_explicit_page_abelian_slot_dims():
                                   "su2su2-nk"])
 def test_decalage(name):
     an = builtin_analysis(name)
-    assert all(c.passed for c in decalage_check(an.cm))
+    assert all(c.passed for c in decalage_check(an.cm, an.pages))
 
 
 def test_er_page_rejects_negative_index():
     an = builtin_analysis("abelian-m2")
-    filt = build_filtration(an.cm, HODGE)
     with pytest.raises(ValueError):
-        er_page(filt, -1)
+        an.pages.dims(-1)
+    with pytest.raises(ValueError):
+        an.pages.reduction.page(-1)
 
 
 def test_max_page_cap():
@@ -226,15 +260,28 @@ def test_max_page_cap():
     assert capped.dims(1) == an_full.pages.dims(1)
 
 
+def _random_cm(rng, m):
+    spec = validate_spec(random_nilpotent_spec(rng, m))
+    return build_differential(complexify(spec, adapted_frame(spec)),
+                              build_basis(m))
+
+
 def test_random_specs_spectral_convergence():
     rng = seeded_rng(777)
-    for _ in range(4):
-        spec = validate_spec(random_nilpotent_spec(rng, 2))
-        cm = build_differential(complexify(spec, adapted_frame(spec)),
-                                build_basis(2))
+    for m in (2, 2, 2, 2, 3, 3):
+        cm = _random_cm(rng, m)
         pages = frolicher_all(cm)
         betti = de_rham(cm)
         assert all(c.passed for c in infinity_vs_betti(pages, betti))
         for r in (1, 2, 3):
             assert explicit_page(cm, r) == {
                 k: v for k, v in pages.dims(r).items() if v}
+
+
+def test_random_m4_pages_converge():
+    cm = _random_cm(seeded_rng(11), 4)
+    pages = frolicher_all(cm)
+    assert all(c.passed for c in infinity_vs_betti(pages, de_rham(cm)))
+    dec = decalage_check(cm, pages)
+    assert [c.name for c in dec if not c.passed] == []
+    assert pages.degeneration_page == 1
