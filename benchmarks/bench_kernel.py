@@ -35,6 +35,18 @@ def sparse_entries(rng, rows, cols):
     return out
 
 
+def block_entries(rng, rows, cols, block=5):
+    """Block-diagonal with dense blocks of small entries: each pivot reaches
+    only the rows of its own block."""
+    out = [[(0, 0, 1)] * cols for _ in range(rows)]
+    for start in range(0, min(rows, cols), block):
+        for i in range(start, min(start + block, rows)):
+            for j in range(start, min(start + block, cols)):
+                out[i][j] = (rng.randint(-9, 9), rng.randint(-9, 9),
+                             rng.randint(1, 9))
+    return out
+
+
 def lift(data):
     return [[kernel.Scalar(*t) for t in row] for row in data]
 
@@ -53,7 +65,8 @@ def bench_sizes(sizes, trials, seed):
     print("%-12s %-8s %12s" % ("op", "size", "best[s]"))
     for size in sizes:
         for label, gen in (("rref/dense", random_entries),
-                           ("rref/sparse", sparse_entries)):
+                           ("rref/sparse", sparse_entries),
+                           ("rref/block", block_entries)):
             rows = lift(gen(random.Random(seed), size, size))
             best = time_op(lambda: kernel.rref(rows, size), trials)
             print("%-12s %-8d %12.4f" % (label, size, best))

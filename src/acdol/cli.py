@@ -78,6 +78,17 @@ def main(argv=None):
         return 2
 
 
+def _section_document(result, command):
+    """The result document with only the section ``command`` prints: the
+    pages or the harmonic tables, and no checks."""
+    doc = {key: result[key] for key in (
+        "name", "m", "classification", "betti", "degeneration_page",
+        "pages", "h_mub", "h_dol", "harmonic")}
+    doc["pages" if command == "harmonic" else "harmonic"] = {}
+    doc["checks"] = []
+    return doc
+
+
 def _dispatch(args):
     if args.command == "list":
         for name in catalog.builtin_names():
@@ -110,36 +121,10 @@ def _dispatch(args):
             print(line)
         summary = "%d checks: %d hard failures" % (len(checks), len(failures))
         print(summary, file=sys.stderr)
-    elif args.command == "pages":
+    elif args.command in ("pages", "harmonic"):
         result = pipeline.result_document(an, checks)
-        doc = {
-            "name": result["name"],
-            "m": result["m"],
-            "classification": result["classification"],
-            "betti": result["betti"],
-            "degeneration_page": result["degeneration_page"],
-            "pages": result["pages"],
-            "h_mub": result["h_mub"],
-            "h_dol": result["h_dol"],
-            "harmonic": {},
-            "checks": [],
-        }
-        sys.stdout.write(docio.render(doc, args.format))
-    elif args.command == "harmonic":
-        result = pipeline.result_document(an, checks)
-        doc = {
-            "name": result["name"],
-            "m": result["m"],
-            "classification": result["classification"],
-            "betti": result["betti"],
-            "degeneration_page": result["degeneration_page"],
-            "pages": {},
-            "h_mub": result["h_mub"],
-            "h_dol": result["h_dol"],
-            "harmonic": result["harmonic"],
-            "checks": [],
-        }
-        sys.stdout.write(docio.render(doc, args.format))
+        sys.stdout.write(docio.render(_section_document(result, args.command),
+                                      args.format))
     if failures:
         for c in failures:
             print("FAILED CHECK: %s %s" % (c.name, c.detail), file=sys.stderr)

@@ -39,6 +39,10 @@ def top_cohomology_is_line(cm):
     return cm.total_matrix(2 * cm.m - 1).rank() == 0
 
 
+def _real_frame_name(k):
+    return ("X%d" if k % 2 == 0 else "JX%d") % (k // 2 + 1)
+
+
 class HermitianStructure:
     """Slotwise Gram data, Hodge star, adjoints and Laplacians (all cached)."""
 
@@ -47,6 +51,14 @@ class HermitianStructure:
         self.basis = cm.basis
         self.m = cm.m
         self.frame = frame
+        # the monomial basis is orthogonal only for a g-orthogonal frame
+        gram = frame.real_gram()
+        for a, row in enumerate(gram):
+            for b in range(a + 1, len(row)):
+                if row[b]:
+                    raise ConsistencyError(
+                        "harmonic frame is not g-orthogonal: <%s, %s> = %s"
+                        % (_real_frame_name(a), _real_frame_name(b), row[b]))
         # dual generator weights: |t^j|^2 = 1/(2 |X_j|^2)
         self.weights = tuple(Fraction(1, 2) / n for n in frame.norm_sq)
         self._gram = {}
@@ -624,7 +636,7 @@ def metric_independence_probe(spec, metrics):
     runs = []
     for g in metrics:
         variant = liealg.validate_spec(spec.with_metric(g))
-        frame = liealg.adapted_frame(variant)
+        frame = liealg.orthogonal_frame(variant, liealg.adapted_frame(variant))
         csc = liealg.complexify(variant, frame)
         cm = build_differential(csc, build_basis(variant.m))
         hs = build_hermitian(cm, frame)

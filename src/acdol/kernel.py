@@ -168,13 +168,26 @@ def rref(rows, ncols):
     """Reduced row echelon form by exact fraction-free elimination.
 
     ``rows`` is a list of lists of Scalars, each of length ``ncols``.  The
-    rows are cleared to Gaussian integers, forward-eliminated by the
-    one-step fraction-free scheme (every update divides exactly by the
-    previous pivot, which bounds entry growth by minor size), and the
-    resulting echelon rows are back-reduced rationally.  Pivot rows are
-    chosen by smallest entry; the result is the unique reduced row echelon
-    form with leading ones, so the output does not depend on that choice.
-    Returns ``(new_rows, pivot_columns)`` without mutating the input.
+    rows are cleared to Gaussian integers and forward-eliminated by the
+    one-step fraction-free scheme, whose entries are minors of the cleared
+    matrix, so their growth is bounded by minor size.  Step k with pivot
+    p_k turns each row a below the pivot row b into (p_k a - f b) / p_{k-1},
+    f the row's entry in the pivot column.
+
+    A row with f = 0 is left as it is, and each row records the pivot p_j
+    that last divided it.  Its stored value then differs from its
+    fraction-free value by the factor p_{k-1} / p_j, which telescopes over
+    the skipped steps, so a row touched at step k becomes
+    (p_k a - f b) / p_j, still an exact Gaussian-integer division, and the
+    pivot row is brought up to its current level (times p_{k-1} / p_j)
+    before it is used.  Rows that the pivot column does not reach cost
+    nothing, which keeps sparse and block-structured matrices cheap.  The
+    echelon rows are back-reduced rationally.
+
+    Pivot rows are chosen by smallest entry; the result is the unique
+    reduced row echelon form with leading ones, so the output does not
+    depend on that choice.  Returns ``(new_rows, pivot_columns)`` without
+    mutating the input.
     """
     m = []
     for row in rows:
@@ -183,9 +196,12 @@ def rref(rows, ncols):
             den = den * e.dn // gcd(den, e.dn)
         m.append([(e.xn * (den // e.dn), e.yn * (den // e.dn)) for e in row])
     nrows = len(m)
+    unit = (1, 0, 1)
+    # the pivot (x, y, x^2 + y^2) that last divided each row
+    divisor = [unit] * nrows
     pivots = []
     r = 0
-    prev_x, prev_y, prev_n = 1, 0, 1
+    prev = unit
     for c in range(ncols):
         pr = -1
         best = -1
@@ -200,35 +216,42 @@ def rref(rows, ncols):
             continue
         if pr != r:
             m[pr], m[r] = m[r], m[pr]
-        px, py = m[r][c]
+            divisor[pr], divisor[r] = divisor[r], divisor[pr]
         row = m[r]
+        if divisor[r] != prev:
+            qx, qy, _ = prev
+            row = [(qx * x - qy * y, qx * y + qy * x) for (x, y) in row]
+            _divide_row(row, divisor[r], c)
+            m[r] = row
+        px, py = row[c]
+        pivot = (px, py, px * px + py * py)
+        support = [(j, bx, by) for j, (bx, by) in
+                   enumerate(row[c + 1:], c + 1) if bx or by]
         for i in range(r + 1, nrows):
-            fx, fy = m[i][c]
             tgt = m[i]
-            for j in range(c + 1, ncols):
-                ax, ay = tgt[j]
-                bx, by = row[j]
-                nx = px * ax - py * ay - (fx * bx - fy * by)
-                ny = px * ay + py * ax - (fx * by + fy * bx)
-                if prev_x != 1 or prev_y != 0:
-                    # divide by the previous pivot; exact by the one-step
-                    # fraction-free elimination identity
-                    tx = nx * prev_x + ny * prev_y
-                    ty = ny * prev_x - nx * prev_y
-                    nx, rem1 = divmod(tx, prev_n)
-                    ny, rem2 = divmod(ty, prev_n)
-                    if rem1 or rem2:
-                        raise ArithmeticError("fraction-free division failed")
-                tgt[j] = (nx, ny)
-            tgt[c] = (0, 0)
-        prev_x, prev_y = px, py
-        prev_n = px * px + py * py
+            fx, fy = tgt[c]
+            if not (fx or fy):
+                continue
+            # p_k a over the whole row, then - f b on the pivot row's support
+            new = [(px * ax - py * ay, px * ay + py * ax) if ax or ay
+                   else (0, 0) for (ax, ay) in tgt]
+            for j, bx, by in support:
+                nx, ny = new[j]
+                new[j] = (nx - (fx * bx - fy * by), ny - (fx * by + fy * bx))
+            new[c] = (0, 0)
+            if divisor[i] != unit:
+                _divide_row(new, divisor[i], c + 1)
+            m[i] = new
+            divisor[i] = pivot
+        prev = pivot
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     # rational back-reduction of the echelon rows (entries are minor-sized)
-    out = [[Scalar(x, y) for (x, y) in row] for row in m]
+    out = [[Scalar(x, y) if x or y else ZERO for (x, y) in row]
+           for row in m[:len(pivots)]]
+    out.extend([ZERO] * ncols for _ in range(nrows - len(pivots)))
     for k in range(len(pivots) - 1, -1, -1):
         row = out[k]
         pc = pivots[k]
@@ -245,6 +268,20 @@ def rref(rows, ncols):
                 if row[j]:
                     tgt[j] = tgt[j] - f * row[j]
     return out, pivots
+
+
+def _divide_row(row, divisor, start):
+    """Divide ``row[start:]`` in place by the Gaussian integer
+    ``(dx, dy, dx^2 + dy^2)``, which must divide every entry."""
+    dx, dy, dn = divisor
+    for j in range(start, len(row)):
+        x, y = row[j]
+        if x or y:
+            qx, rem1 = divmod(x * dx + y * dy, dn)
+            qy, rem2 = divmod(y * dx - x * dy, dn)
+            if rem1 or rem2:
+                raise ArithmeticError("fraction-free division failed")
+            row[j] = (qx, qy)
 
 
 def matmul(a_rows, b_rows, bcols):

@@ -201,50 +201,66 @@ class ComplexFrame:
     """Adapted frame: Z_j = X_j - i J X_j spanning the +i eigenspace of J.
 
     ``vectors`` holds the Z_j as Scalar coordinate vectors in the real basis,
-    ``seeds`` the real vectors X_j, and ``norm_sq`` the exact g-lengths
-    squared of the seeds.
+    ``seeds`` the real vectors X_j, ``norm_sq`` the exact g-lengths squared
+    of the seeds and ``metric`` the Gram matrix g they are measured with.
     """
 
     m: int
     vectors: tuple
     seeds: tuple
     norm_sq: tuple
+    metric: tuple
+
+    def real_gram(self):
+        """g-Gram matrix of the real frame (X_1, JX_1, ..., X_m, JX_m)."""
+        # Z = X - i JX, so JX is minus the imaginary part of Z
+        real = []
+        for x, z in zip(self.seeds, self.vectors):
+            real.extend([x, tuple(-c.im for c in z)])
+        g_real = [_apply(self.metric, v) for v in real]
+        return tuple(tuple(sum(a * b for a, b in zip(u, gv) if a and b)
+                           for gv in g_real) for u in real)
+
+
+def _apply(mat, v):
+    n = len(v)
+    return tuple(sum(mat[i][k] * v[k] for k in range(n)) for i in range(n))
+
+
+def _pairing(g, u, v):
+    n = len(u)
+    return sum(g[i][k] * u[i] * v[k] for i in range(n) for k in range(n))
 
 
 def adapted_frame(spec):
-    """Greedy orthogonal frame construction (deterministic in basis order).
+    """The plain frame (deterministic in basis order).
 
-    Picks the first basis vector outside the span of the pairs chosen so
-    far, g-orthogonalises it against that span without normalising, and
-    pairs it with its J-image.  Explicit ``frame_seeds`` are used verbatim
-    after validation.
+    Picks, greedily in basis order, each basis vector outside the span of
+    the seeds chosen so far and their J-images, and pairs it with its
+    J-image; no orthogonalisation, so the entries stay as small as the
+    input's.  Explicit ``frame_seeds`` are used verbatim after checking
+    that they are g-orthogonal to each other and to their J-images and
+    that they span.  Every metric-free stage runs on this frame; the
+    harmonic layer needs ``orthogonal_frame``.
     """
     n = spec.dim
     m = spec.m
-    g = spec.metric
     J = spec.J
-
-    def j_apply(v):
-        return tuple(sum(J[i][k] * v[k] for k in range(n)) for i in range(n))
-
-    def pairing(u, v):
-        return sum(g[i][k] * u[i] * v[k] for i in range(n) for k in range(n))
-
     seeds = []
-    ortho = []  # running g-orthogonal basis {X_1, JX_1, X_2, JX_2, ...}
+    pairs = []  # {X_1, JX_1, X_2, JX_2, ...}
     if spec.frame_seeds is not None:
         for idx in spec.frame_seeds:
             x = tuple(Fraction(1 if i == idx else 0) for i in range(n))
             seeds.append(x)
         for a, x in enumerate(seeds):
-            jx = j_apply(x)
+            jx = _apply(J, x)
             for b, y in enumerate(seeds):
-                if b > a and pairing(x, y) != 0:
+                if b > a and _pairing(spec.metric, x, y) != 0:
                     raise LieAlgebraError("frame seeds are not g-orthogonal")
-                if pairing(jx, y) != 0 and b != a:
+                if _pairing(spec.metric, jx, y) != 0 and b != a:
                     raise LieAlgebraError("frame seeds are not orthogonal to J-images")
-            ortho.extend([x, jx])
-        span = Subspace.from_columns(n, [_lift_vec(v) for v in ortho])
+            pairs.extend([x, jx])
+        span = Subspace.from_columns(n, [_lift_vec(v) for v in pairs])
         if span.dim != n:
             raise LieAlgebraError("frame seeds do not span (J-independence fails)")
     else:
@@ -252,28 +268,49 @@ def adapted_frame(spec):
             if len(seeds) == m:
                 break
             cand = tuple(Fraction(1 if i == idx else 0) for i in range(n))
-            if ortho:
-                span = Subspace.from_columns(n, [_lift_vec(v) for v in ortho])
+            if pairs:
+                span = Subspace.from_columns(n, [_lift_vec(v) for v in pairs])
                 if span.contains_vector(_lift_vec(cand)):
                     continue
-                for u in ortho:
-                    coeff = pairing(cand, u) / pairing(u, u)
-                    if coeff:
-                        cand = tuple(cv - coeff * uv for cv, uv in zip(cand, u))
             seeds.append(cand)
-            ortho.extend([cand, j_apply(cand)])
+            pairs.extend([cand, _apply(J, cand)])
         if len(seeds) != m:
             raise LieAlgebraError("frame construction failed to span")
+    return _frame(spec, seeds)
 
+
+def orthogonal_frame(spec, frame):
+    """The g-orthogonal frame the harmonic layer needs.
+
+    Gram-Schmidts the seeds of ``frame`` in order against the seeds before
+    them and their J-images, without normalising (g is J-invariant, so
+    X and JX are g-orthogonal already).  Returns ``frame`` itself when its
+    seeds are g-orthogonal already, as explicit ``frame_seeds`` are.
+    """
+    g = spec.metric
+    ortho = []  # running g-orthogonal basis {X_1, JX_1, X_2, JX_2, ...}
+    seeds = []
+    for cand in frame.seeds:
+        for u in ortho:
+            coeff = _pairing(g, cand, u) / _pairing(g, u, u)
+            if coeff:
+                cand = tuple(cv - coeff * uv for cv, uv in zip(cand, u))
+        seeds.append(cand)
+        ortho.extend([cand, _apply(spec.J, cand)])
+    if tuple(seeds) == frame.seeds:
+        return frame
+    return _frame(spec, seeds)
+
+
+def _frame(spec, seeds):
     vectors = []
-    norm_sq = []
     for x in seeds:
-        jx = j_apply(x)
-        z = tuple(from_rational(xc, -jc) for xc, jc in zip(x, jx))
-        vectors.append(z)
-        norm_sq.append(pairing(x, x))
-    return ComplexFrame(m=m, vectors=tuple(vectors), seeds=tuple(seeds),
-                        norm_sq=tuple(norm_sq))
+        jx = _apply(spec.J, x)
+        vectors.append(tuple(from_rational(xc, -jc) for xc, jc in zip(x, jx)))
+    return ComplexFrame(m=spec.m, vectors=tuple(vectors), seeds=tuple(seeds),
+                        norm_sq=tuple(_pairing(spec.metric, x, x)
+                                      for x in seeds),
+                        metric=spec.metric)
 
 
 def _lift_vec(fracs):

@@ -61,7 +61,12 @@ def analyze(spec, max_page=None):
     h_dol = cohomology.dolbeault(cm)
     betti = cohomology.de_rham(cm)
     pages = spectral.frolicher_all(cm, max_page=max_page)
-    hs = harmonic.build_hermitian(cm, frame)
+    # the metric enters only here: the harmonic layer needs a g-orthogonal
+    # frame, whose differential is built anew only when it is another frame
+    hframe = liealg.orthogonal_frame(spec, frame)
+    hcm = cm if hframe == frame else forms.build_differential(
+        liealg.complexify(spec, hframe), basis)
+    hs = harmonic.build_hermitian(hcm, hframe)
     decomposition = harmonic.mub_decomposition(hs)
     for check in decomposition.checks:
         if not check.passed:

@@ -16,7 +16,8 @@ from acdol.cohomology import de_rham, dims_grid, euler_characteristic
 from acdol.forms import build_basis, build_differential, relations_ok
 from acdol.harmonic import (build_hermitian, delb_mub,
                             metric_independence_probe, mub_decomposition)
-from acdol.liealg import adapted_frame, complexify, validate_spec
+from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
+                          validate_spec)
 from acdol.spectral import (decalage_check, explicit_page, frolicher_all,
                             infinity_vs_betti, witness_independent)
 from conftest import (_invert, builtin_analysis, random_nilpotent_spec,
@@ -241,7 +242,7 @@ def test_criterion_9_structural_suite():
     rng = seeded_rng(171717)
     for _ in range(5):
         spec = validate_spec(random_nilpotent_spec(rng, 2))
-        frame = adapted_frame(spec)
+        frame = orthogonal_frame(spec, adapted_frame(spec))
         cm = build_differential(complexify(spec, frame), build_basis(2))
         hs = build_hermitian(cm, frame)
         _structural_battery(cm, hs, dolbeault(cm), de_rham(cm))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from acdol import catalog, docio, harmonic
-from acdol.cohomology import dims_grid
+from acdol.cohomology import ConsistencyError, dims_grid
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential)
 from acdol.harmonic import (build_hermitian, delb_mub, delb_mub_checks,
@@ -16,7 +16,8 @@ from acdol.harmonic import (build_hermitian, delb_mub, delb_mub_checks,
                             mub_decomposition, nearly_kahler_checks,
                             serre_star_check, top_cohomology_is_line)
 from acdol.kernel import ONE, Scalar
-from acdol.liealg import adapted_frame, complexify, make_spec, validate_spec
+from acdol.liealg import (adapted_frame, complexify, make_spec,
+                          orthogonal_frame, validate_spec)
 from acdol.linalg import Matrix
 from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
 
@@ -24,9 +25,9 @@ from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
 def test_star_m1_volume():
     # one pair: [e1, e2] = 0, J e1 = e2, identity metric
     spec = validate_spec(make_spec(2, None, {}, [[0, -1], [1, 0]]))
-    cm = build_differential(complexify(spec, adapted_frame(spec)),
-                            build_basis(1))
-    hs = build_hermitian(cm, adapted_frame(spec))
+    frame = orthogonal_frame(spec, adapted_frame(spec))
+    cm = build_differential(complexify(spec, frame), build_basis(1))
+    hs = build_hermitian(cm, frame)
     assert hs.volume_coeff == Scalar(0, 2)  # 2i times the top monomial
     assert hs.star(0, 0).col(0) == (Scalar(0, 2),)
     assert hs.star(1, 0).col(0) == (Scalar(0, -1),)   # star t = -i t
@@ -52,11 +53,24 @@ def test_star_involution_on_middle_slot():
 def test_star_defining_property_random_metric():
     rng = seeded_rng(9001)
     spec = validate_spec(random_nilpotent_spec(rng, 2))
-    an_frame = adapted_frame(spec)
-    cm = build_differential(complexify(spec, an_frame), build_basis(2))
-    hs = build_hermitian(cm, an_frame)
+    frame = orthogonal_frame(spec, adapted_frame(spec))
+    cm = build_differential(complexify(spec, frame), build_basis(2))
+    hs = build_hermitian(cm, frame)
     for (p, q) in cm.basis.slots:
         assert hs.check_star_defining(p, q)
+
+
+def test_hermitian_structure_rejects_a_frame_that_is_not_g_orthogonal():
+    # negative control for the positive one above: the same random spec, a
+    # non-identity metric, and the plain frame the metric-free stages use
+    spec = validate_spec(random_nilpotent_spec(seeded_rng(9001), 2))
+    assert any(spec.metric[i][j] != (i == j)
+               for i in range(spec.dim) for j in range(spec.dim))
+    frame = adapted_frame(spec)
+    assert orthogonal_frame(spec, frame) != frame
+    cm = build_differential(complexify(spec, frame), build_basis(2))
+    with pytest.raises(ConsistencyError, match="not g-orthogonal"):
+        build_hermitian(cm, frame)
 
 
 def test_adjoints_zero_on_abelian():
@@ -316,7 +330,7 @@ def test_nk_scalar_scales_inversely_with_metric(name):
     for lam in (1, 4, Fraction(1, 9)):
         scaled = spec.with_metric([[lam * x for x in row]
                                    for row in spec.metric])
-        frame = adapted_frame(scaled)
+        frame = orthogonal_frame(scaled, adapted_frame(scaled))
         cm = build_differential(complexify(scaled, frame), build_basis(3))
         _, fitted = nearly_kahler_checks(build_hermitian(cm, frame))
         assert Fraction(fitted) == NK_SCALARS[name] / lam, lam
@@ -332,7 +346,7 @@ def test_nearly_kahler_negative_control():
          [0, 0, 0, 0, 1, 0]]
     spec = validate_spec(make_spec(
         6, None, {(0, 1): {4: 1}, (0, 2): {5: 1}}, J))
-    frame = adapted_frame(spec)
+    frame = orthogonal_frame(spec, adapted_frame(spec))
     cm = build_differential(complexify(spec, frame), build_basis(3))
     hs = build_hermitian(cm, frame)
     checks, _ = nearly_kahler_checks(hs)

@@ -1,5 +1,6 @@
 """Arithmetic kernel tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -146,3 +147,109 @@ def test_matmul(kern):
 def test_matmul_empty_inner(kern):
     out = kern.matmul([[], []], [], 3)
     assert len(out) == 2 and all(e.is_zero() for row in out for e in row)
+
+
+# -- rref against a textbook Gauss-Jordan over Q(i) ---------------------------
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form on (re, im) Fraction pairs, first nonzero
+    pivot, rows scaled by the inverse pivot and cleared above and below."""
+    a = [[(e.re, e.im) for e in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(a)) if a[i][c] != (0, 0)), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        x, y = a[r][c]
+        n = x * x + y * y
+        a[r] = [_cmul((x / n, -y / n), e) for e in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != (0, 0):
+                f = a[i][c]
+                a[i] = [(u[0] - w[0], u[1] - w[1])
+                        for u, w in zip(a[i], (_cmul(f, e) for e in a[r]))]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _entry(rng, bits):
+    top = 1 << bits
+    return kernel.Scalar(rng.randint(-top, top), rng.choice([0, 0, 1]) *
+                         rng.randint(-top, top), rng.randint(1, 4))
+
+
+def _sparse(rng):
+    rows, cols = rng.randint(4, 12), rng.randint(4, 12)
+    return [[_entry(rng, 3) if rng.random() < 0.2 else kernel.ZERO
+             for _ in range(cols)] for _ in range(rows)], cols
+
+
+def _block_diagonal(rng):
+    sizes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(3)]
+    cols = sum(c for _, c in sizes)
+    out = []
+    start = 0
+    for nr, nc in sizes:
+        for _ in range(nr):
+            row = [kernel.ZERO] * cols
+            for j in range(start, start + nc):
+                row[j] = _entry(rng, 4)
+            out.append(row)
+        start += nc
+    rng.shuffle(out)
+    return out, cols
+
+
+def _wide_dependent(rng):
+    cols = rng.randint(5, 9)
+    base = [[_entry(rng, 40) for _ in range(cols)]
+            for _ in range(rng.randint(2, 4))]
+    out = list(base)
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [_entry(rng, 2) for _ in base]
+        out.append([sum((c * row[j] for c, row in zip(coeffs, base)),
+                        kernel.ZERO) for j in range(cols)])
+    rng.shuffle(out)
+    return out, cols
+
+
+def _stale_divisors(rng):
+    """Rows that the first pivot touches, whose next nonzero column comes
+    after a block of columns 1..k that only other rows reach: when column
+    k + 1 touches them again they still carry the first pivot's divisor."""
+    k = rng.randint(2, 4)
+    cols = k + 1 + rng.randint(1, 3)
+    out = []
+    for _ in range(rng.randint(2, 4)):
+        row = [kernel.ZERO] * cols
+        row[0] = _entry(rng, 5)
+        for j in range(k + 1, cols):
+            row[j] = _entry(rng, 5)
+        out.append(row)
+    for _ in range(k):
+        row = [kernel.ZERO] * cols
+        for j in range(1, cols):
+            row[j] = _entry(rng, 5)
+        out.append(row)
+    return out, cols
+
+
+@pytest.mark.parametrize("make", [_sparse, _block_diagonal, _wide_dependent,
+                                  _stale_divisors])
+def test_rref_matches_fraction_gauss_jordan(make):
+    rng = random.Random(make.__name__)
+    for _ in range(12):
+        rows, cols = make(rng)
+        want, want_piv = _gauss_jordan(rows, cols)
+        red, piv = kernel.rref(rows, cols)
+        assert piv == want_piv
+        assert [[(e.re, e.im) for e in row] for row in red] == want
+

@@ -1,12 +1,16 @@
 """Filtrations, spectral-sequence pages, page differentials, and oracles."""
 
 import copy
+import dataclasses
 
 import pytest
 
-from acdol.cohomology import ConsistencyError, de_rham
+from acdol import catalog, docio
+from acdol.cohomology import (ConsistencyError, de_rham, dolbeault,
+                              mub_cohomology)
 from acdol.forms import MUBAR, build_basis, build_differential
-from acdol.liealg import adapted_frame, complexify, validate_spec
+from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
+                          validate_spec)
 from acdol.linalg import Matrix, Subspace
 from acdol.pipeline import reduction_certificate
 from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_page,
@@ -276,6 +280,41 @@ def test_random_specs_spectral_convergence():
         for r in (1, 2, 3):
             assert explicit_page(cm, r) == {
                 k: v for k, v in pages.dims(r).items() if v}
+
+
+def _frame_invariants(spec, frame):
+    m = spec.m
+    cm = build_differential(complexify(spec, frame), build_basis(m))
+    pages = frolicher_all(cm)
+    return (mub_cohomology(cm).dims, dolbeault(cm).dims, de_rham(cm),
+            [pages.dims(r) for r in range(1, 2 * m + 3)])
+
+
+def _frame_specs():
+    rng = seeded_rng(2468)
+    specs = [validate_spec(random_nilpotent_spec(rng, m)) for m in (2, 2, 3)]
+    nk = docio.to_spec(catalog.builtin("su2su2-nk"))
+    greedy = dataclasses.replace(nk, frame_seeds=None)
+    return [(s, []) for s in specs] + [(greedy, [nk.frame_seeds, (0, 2, 1)])]
+
+
+@pytest.mark.parametrize("spec,seed_lists", _frame_specs(),
+                         ids=["random-m2-a", "random-m2-b", "random-m3",
+                              "su2su2-nk"])
+def test_tables_and_pages_do_not_depend_on_the_frame(spec, seed_lists):
+    """h_mub, h_dol, the Betti numbers and every page depend on J alone:
+    the plain frame, its Gram-Schmidt orthogonalisation and explicit frame
+    seeds give the same invariants."""
+    plain = adapted_frame(spec)
+    frames = [plain, orthogonal_frame(spec, plain)]
+    for seeds in seed_lists:
+        seeded = dataclasses.replace(spec, frame_seeds=seeds)
+        frames.append(adapted_frame(validate_spec(seeded)))
+    frames = list(dict.fromkeys(frames))
+    assert len(frames) >= 2
+    want = _frame_invariants(spec, plain)
+    for frame in frames[1:]:
+        assert _frame_invariants(spec, frame) == want
 
 
 def test_random_m4_pages_converge():
