@@ -1,14 +1,23 @@
-"""Cohomology of the bigraded complex: mubar, Dolbeault, and de Rham.
+"""Independent cohomology routes: the oracles of the verification battery.
 
-mubar-cohomology lives slotwise since mubar^2 = 0.  Dolbeault cohomology of
-a non-integrable structure is computed from the zig-zag description
+The production tables of ``pipeline.analyze`` come from the Hodge reduction
+in ``spectral``: h_dol is its first page, the Betti numbers count its
+unpaired generators and h_mub reads the ranks of the mubar blocks.  The
+routes here compute the same tables another way, with representative
+subspaces, and the battery compares them with the reduction:
 
-    H_Dol^{p,q} = {w in Ker mubar : delbar w in Im mubar}
-                  / {w = mubar a + delbar b with mubar b = 0},
+* mubar-cohomology slot by slot, as Ker/Im since mubar^2 = 0;
+* Dolbeault cohomology from the zig-zag description
 
-which reduces to classical delbar-cohomology when mubar = 0.  An independent
-route, the induced delbar acting on mubar-cohomology classes, is exposed for
-cross-checking.  De Rham Betti numbers come from the total complex.
+      H_Dol^{p,q} = {w in Ker mubar : delbar w in Im mubar}
+                    / {w = mubar a + delbar b with mubar b = 0},
+
+  which reduces to classical delbar-cohomology when mubar = 0, and as the
+  cohomology of delbar induced on mubar-classes;
+* de Rham Betti numbers from the ranks of the total complex.
+
+The module also holds the shared ``Check`` record, ``ConsistencyError``,
+``dims_grid`` and the Frolicher/Euler/Serre ``consistency_report``.
 """
 
 from __future__ import annotations
@@ -42,16 +51,6 @@ class CohomologyTable:
 
     def dim(self, p, q):
         return self.dims.get((p, q), 0)
-
-    def row(self, q):
-        return tuple(self.dim(p, q) for p in range(self.m + 1))
-
-    def grid(self):
-        """Rows from q = 0 upward."""
-        return dims_grid(self.dims, self.m)
-
-    def total(self, n):
-        return sum(self.dim(p, n - p) for p in range(self.m + 1))
 
 
 def dims_grid(dims, m):
@@ -147,14 +146,15 @@ def induced_delbar(cm, mub_table):
     return out
 
 
-def cohomology_dims_of_operator(mats, m):
-    """Dims of Ker/Im for a square-zero slotwise operator along q."""
+def cohomology_dims_of_operator(mats):
+    """Dims of Ker/Im for a square-zero slotwise operator along q, zero
+    entries left out."""
     dims = {}
     for (p, q), mat in mats.items():
-        ker = mat.cols - mat.rank()
         prev = mats.get((p, q - 1))
-        img = prev.rank() if prev is not None else 0
-        dims[(p, q)] = ker - img
+        dim = mat.cols - mat.rank() - (prev.rank() if prev is not None else 0)
+        if dim:
+            dims[(p, q)] = dim
     return dims
 
 
@@ -187,21 +187,21 @@ class Check:
 
 
 def consistency_report(dol, betti, m):
-    """Frolicher inequalities, Euler equality, and (if applicable) Serre duality."""
+    """Frolicher inequalities, Euler equality, and (if applicable) Serre
+    duality for the Dolbeault table ``dol`` = {(p, q): dim}."""
     checks = []
     for n in range(2 * m + 1):
-        total = dol.total(n)
+        total = sum(dol.get((p, n - p), 0) for p in range(m + 1))
         checks.append(Check(
             "frolicher_inequality_degree_%d" % n,
             total >= betti[n],
             "sum h^{p,q} = %d >= b^%d = %d" % (total, n, betti[n])))
-    chi_dol = sum((-1 if (p + q) & 1 else 1) * dol.dim(p, q)
-                  for p in range(m + 1) for q in range(m + 1))
+    chi_dol = sum((-1 if (p + q) & 1 else 1) * v for (p, q), v in dol.items())
     chi = euler_characteristic(betti)
     checks.append(Check("euler_characteristic", chi_dol == chi,
                         "alternating Hodge sum %d vs chi %d" % (chi_dol, chi)))
     if betti[2 * m] == 1:
-        ok = all(dol.dim(p, q) == dol.dim(m - p, m - q)
+        ok = all(dol.get((p, q), 0) == dol.get((m - p, m - q), 0)
                  for p in range(m + 1) for q in range(m + 1))
         checks.append(Check("serre_duality_dims", ok))
     else:

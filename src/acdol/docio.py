@@ -233,13 +233,6 @@ def result_to_json(result):
     return json.dumps(result, indent=2) + "\n"
 
 
-def parse_result(text):
-    """Inverse of result_to_json (dicts keyed by strings throughout)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return json.loads(text)
-
-
 def _grid(dims_json, m):
     dims = table_from_json(dims_json)
     return [[dims.get((p, q), 0) for p in range(m + 1)] for q in range(m + 1)]

@@ -361,10 +361,6 @@ def verify_relations(cm):
     return report
 
 
-def relations_ok(cm):
-    return all(ok for _, _, ok in verify_relations(cm))
-
-
 def nijenhuis_operator(cm):
     """Degree-one restriction of mu + mubar as one block matrix.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import forms
-from .cohomology import Check, ConsistencyError
+from .cohomology import Check, ConsistencyError, cohomology_dims_of_operator
 from .forms import BIDEGREE, CONJUGATE_TAG, DELBAR, MU, MUBAR, PARTIAL
 from .kernel import I, ONE, ZERO, from_rational
 from .linalg import Matrix, Subspace, preimage
@@ -374,10 +374,6 @@ def build_hermitian(cm, frame):
     return HermitianStructure(cm, frame)
 
 
-def harmonic_dims(spaces, m):
-    return {k: v.dim for k, v in spaces.items() if v.dim}
-
-
 # -- mubar Hodge decomposition ------------------------------------------------
 
 
@@ -474,16 +470,6 @@ class DelbMub:
                 out[(p, q)] = d
         return out
 
-    def cohomology_dims(self):
-        out = {}
-        for (p, q), mat in self.op.items():
-            ker = mat.cols - mat.rank()
-            prev = self.op.get((p, q - 1))
-            img = prev.rank() if prev is not None else 0
-            if ker - img:
-                out[(p, q)] = ker - img
-        return out
-
 
 def delb_mub(hs, decomposition=None):
     """Build delbar_mub = H_mubar ∘ delbar restricted to mubar-harmonics.
@@ -542,7 +528,7 @@ def delb_mub_checks(dmb, h_dol_dims):
     hs = dmb.hs
     m = hs.m
     checks = []
-    coh = dmb.cohomology_dims()
+    coh = cohomology_dims_of_operator(dmb.op)
     ok = all(coh.get((p, q), 0) == h_dol_dims.get((p, q), 0)
              for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("delbar_mub_cohomology_equals_dolbeault", ok))
@@ -684,7 +670,7 @@ def lefschetz_matrices(hs, scale="metric"):
     return out
 
 
-def _anticommutator(a_blocks, b_blocks, cm, a_bideg, b_bideg, p, q):
+def _anticommutator(a_blocks, b_blocks, a_bideg, b_bideg, p, q):
     """[A, B] = AB + BA on slot (p, q) for odd operators A, B."""
     bp, bq = b_bideg
     ap, aq = a_bideg
@@ -736,9 +722,6 @@ def nearly_kahler_checks(hs):
     bideg = dict(BIDEGREE)
     adj_bideg = {tag: (-dp, -dq) for tag, (dp, dq) in BIDEGREE.items()}
 
-    def anti(a_map, a_bd, b_map, b_bd, p, q):
-        return _anticommutator(a_map, b_map, cm, a_bd, b_bd, p, q)
-
     zero_pairs = [
         ("[mu*, delbar]", adj[MU], adj_bideg[MU], blocks[DELBAR], bideg[DELBAR]),
         ("[mubar*, partial]", adj[MUBAR], adj_bideg[MUBAR],
@@ -752,7 +735,7 @@ def nearly_kahler_checks(hs):
     for name, amap, abd, bmap, bbd in zero_pairs:
         ok = True
         for (p, q) in basis.slots:
-            got = anti(amap, abd, bmap, bbd, p, q)
+            got = _anticommutator(amap, bmap, abd, bbd, p, q)
             if got is not None and not got.is_zero():
                 ok = False
         checks.append(Check("nk_commutator %s = 0" % name, ok,
@@ -775,8 +758,8 @@ def nearly_kahler_checks(hs):
     for name, (am, abd, bm, bbd), (cm_, cbd, dm, dbd), sign in equal_triples:
         ok = True
         for (p, q) in basis.slots:
-            lhs = anti(am, abd, bm, bbd, p, q)
-            rhs = anti(cm_, cbd, dm, dbd, p, q)
+            lhs = _anticommutator(am, bm, abd, bbd, p, q)
+            rhs = _anticommutator(cm_, dm, cbd, dbd, p, q)
             if lhs is None and rhs is None:
                 continue
             if lhs is None or rhs is None:
@@ -831,7 +814,7 @@ def nearly_kahler_checks(hs):
     for (p, q) in sorted(basis.slots):
         if p == q:
             continue
-        mixed = _anticommutator(blocks[PARTIAL], blocks[DELBAR], cm,
+        mixed = _anticommutator(blocks[PARTIAL], blocks[DELBAR],
                                 bideg[PARTIAL], bideg[DELBAR], p, q)
         lmat = lef[(p, q)]
         if mixed is None or lmat.rows == 0:

@@ -54,10 +54,6 @@ class Scalar:
     def conj(self):
         return Scalar(self.xn, -self.yn, self.dn)
 
-    def abs_sq(self):
-        """|s|^2 as a Fraction (always >= 0, zero iff s == 0)."""
-        return Fraction(self.xn * self.xn + self.yn * self.yn, self.dn * self.dn)
-
     def __add__(self, other):
         other = _lift(other)
         if other is None:

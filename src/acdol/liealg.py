@@ -90,16 +90,21 @@ def _freeze3(table):
     return tuple(tuple(tuple(row) for row in plane) for plane in table)
 
 
+def pullback_metric(g, q):
+    """q^t g q for square Fraction matrices given as rows."""
+    n = len(g)
+    gq = [[sum(g[i][k] * q[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    return [[sum(q[k][i] * gq[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
 def averaged_metric(spec):
     """Replace the metric by its J-average (g + J^t g J)/2."""
-    n = spec.dim
     g = spec.metric
-    J = spec.J
-    gJ = [[sum(g[i][k] * J[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    JtgJ = [[sum(J[k][i] * gJ[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-    avg = [[(g[i][j] + JtgJ[i][j]) / 2 for j in range(n)] for i in range(n)]
+    JtgJ = pullback_metric(g, spec.J)
+    avg = [[(a + b) / 2 for a, b in zip(row, jrow)]
+           for row, jrow in zip(g, JtgJ)]
     return spec.with_metric(avg)
 
 

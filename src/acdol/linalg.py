@@ -297,12 +297,6 @@ class Subspace:
             cols.append(self.basis.apply(coeffs))
         return Subspace.from_columns(self.ambient_dim, cols)
 
-    def quotient_dim(self, sub):
-        """dim(self / sub); requires sub to be contained in self."""
-        if not self.contains(sub):
-            raise LinalgError("quotient by a subspace that is not contained")
-        return self.dim - sub.dim
-
     def image_under(self, mat):
         """Span of mat(self) inside k^rows(mat)."""
         if mat.cols != self.ambient_dim:

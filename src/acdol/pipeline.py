@@ -1,11 +1,16 @@
-"""End-to-end orchestration: spec -> tables -> pages -> harmonic -> checks.
+"""End-to-end orchestration: spec -> pages and tables -> harmonic -> checks.
 
-``analyze`` runs the whole pipeline once and bundles every intermediate;
+``analyze`` runs the whole pipeline once and bundles every intermediate.
+It computes each table by one route, the Hodge reduction behind the
+Frolicher pages: h_dol is its first page, the Betti numbers count its
+unpaired generators (E_inf, whatever the page cap) and h_mub reads the
+ranks of the mubar blocks that the reduction's generators already hold.
 ``verification_checks`` evaluates the complete property battery on an
-analysis (exact identities, cross-route oracles, duality symmetries).
-Checks marked ``informational`` describe the input rather than the
-implementation: their failure is an honest finding, not an error, and they
-do not affect process exit codes.
+analysis (exact identities, duality symmetries, and the independent routes
+of ``cohomology`` as labelled oracles, each computed once).  Checks marked
+``informational`` describe the input rather than the implementation: their
+failure is an honest finding, not an error, and they do not affect process
+exit codes.
 """
 
 from __future__ import annotations
@@ -23,13 +28,18 @@ from .linalg import Matrix, Subspace
 
 @dataclass
 class Analysis:
+    """Every intermediate of one run.  ``h_mub`` and ``h_dol`` are
+    {(p, q): dim} with zero entries left out; ``relations`` is the report of
+    ``forms.verify_relations`` on ``cm``."""
+
     spec: object
     frame: object
     csc: object
     cm: object
+    relations: list
     classification: str
-    h_mub: object
-    h_dol: object
+    h_mub: dict
+    h_dol: dict
     betti: tuple
     pages: object
     hs: object
@@ -52,15 +62,22 @@ def analyze(spec, max_page=None):
     csc = liealg.complexify(spec, frame)
     basis = forms.build_basis(spec.m)
     cm = forms.build_differential(csc, basis)
-    bad = [(name, slot) for name, slot, ok in forms.verify_relations(cm)
-           if not ok]
+    relations = forms.verify_relations(cm)
+    bad = [(name, slot) for name, slot, ok in relations if not ok]
     if bad:
         raise ConsistencyError("differential identities failed: %s" % bad[:3])
     classification = forms.classify(cm)
-    h_mub = cohomology.mub_cohomology(cm)
-    h_dol = cohomology.dolbeault(cm)
-    betti = cohomology.de_rham(cm)
     pages = spectral.frolicher_all(cm, max_page=max_page)
+    # one route per table: E_1 is Dolbeault cohomology, the unpaired
+    # generators span E_inf, and the mubar ranks are cached by the reduction
+    h_dol = pages.reduction.page(1)
+    betti = tuple(gaps.count(None) for gaps in pages.reduction.gap)
+    h_mub = {}
+    for (p, q) in basis.slots:
+        dim = (basis.dim(p, q) - cm.block(MUBAR, p, q).rank()
+               - cm.block(MUBAR, p + 1, q - 2).rank())
+        if dim:
+            h_mub[(p, q)] = dim
     # the metric enters only here: the harmonic layer needs a g-orthogonal
     # frame, whose differential is built anew only when it is another frame
     hframe = liealg.orthogonal_frame(spec, frame)
@@ -78,8 +95,8 @@ def analyze(spec, max_page=None):
     nk_scalar = None
     if spec.m == 3:
         nk_checks, nk_scalar = harmonic.nearly_kahler_checks(hs)
-    return Analysis(spec, frame, csc, cm, classification, h_mub, h_dol,
-                    betti, pages, hs, decomposition, dmb, unimodular,
+    return Analysis(spec, frame, csc, cm, relations, classification, h_mub,
+                    h_dol, betti, pages, hs, decomposition, dmb, unimodular,
                     nk_checks, nk_scalar)
 
 
@@ -90,15 +107,9 @@ def analyze_document(doc, max_page=None):
 def probe_metrics(spec):
     """The input metric plus a second compatible one (conjugated by 2I + J)."""
     n = spec.dim
-    g = spec.metric
-    J = spec.J
-    q = [[Fraction(2 if i == j else 0) + J[i][j] for j in range(n)]
+    q = [[Fraction(2 if i == j else 0) + spec.J[i][j] for j in range(n)]
          for i in range(n)]
-    gq = [[sum(g[i][k] * q[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    qtgq = [[sum(q[k][i] * gq[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-    return [g, qtgq]
+    return [spec.metric, liealg.pullback_metric(spec.metric, q)]
 
 
 def verification_checks(an):
@@ -108,8 +119,8 @@ def verification_checks(an):
     basis = cm.basis
     m = an.m
 
-    # the seven differential identities, blockwise
-    rel = forms.verify_relations(cm)
+    # the seven differential identities, blockwise, as analyze found them
+    rel = an.relations
     checks.append(Check("component_relations",
                         all(ok for _, _, ok in rel),
                         "%d identity-slot pairs" % len(rel)))
@@ -141,10 +152,10 @@ def verification_checks(an):
 
     # mubar-cohomology symmetries
     h_mu = cohomology.operator_cohomology(cm, MU)
-    ok = all(an.h_mub.dim(p, q) == h_mu.dim(q, p)
+    ok = all(an.h_mub.get((p, q), 0) == h_mu.dim(q, p)
              for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("h_mub_conjugation_dims", ok))
-    ok = all(an.h_mub.dim(p, q) == an.h_mub.dim(m - p, m - q)
+    ok = all(an.h_mub.get((p, q), 0) == an.h_mub.get((m - p, m - q), 0)
              for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("h_mub_serre_dims", ok))
 
@@ -155,14 +166,16 @@ def verification_checks(an):
             cm.block(DELBAR, p, 0).nullspace_matrix()).intersect(
             Subspace.from_matrix_columns(
                 cm.block(MUBAR, p, 0).nullspace_matrix()))
-        if an.h_dol.dim(p, 0) != ker.dim:
+        if an.h_dol.get((p, 0), 0) != ker.dim:
             ok = False
     checks.append(Check("h_dol_bottom_row", ok))
 
-    # Dolbeault equals the cohomology of delbar induced on mubar-classes
-    idb = cohomology.induced_delbar(cm, an.h_mub)
-    dims2 = cohomology.cohomology_dims_of_operator(idb, m)
-    ok = all(dims2.get((p, q), 0) == an.h_dol.dim(p, q)
+    # the oracles: the zig-zag Dolbeault table with its representatives,
+    # and the cohomology of delbar induced on mubar-classes
+    dol = cohomology.dolbeault(cm)
+    idb = cohomology.induced_delbar(cm, cohomology.mub_cohomology(cm))
+    dims2 = cohomology.cohomology_dims_of_operator(idb)
+    ok = all(dims2.get((p, q), 0) == dol.dim(p, q)
              for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("h_dol_two_route_agreement", ok))
 
@@ -171,15 +184,10 @@ def verification_checks(an):
 
     # spectral pages
     pages = an.pages
-    ok = all(pages.dims(1).get((p, q), 0) == an.h_dol.dim(p, q)
+    ok = all(pages.dims(1).get((p, q), 0) == dol.dim(p, q)
              for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("first_page_equals_dolbeault", ok))
-    full_iteration = pages.limit_page == 2 * m + 2
-    if full_iteration:
-        checks.extend(spectral.infinity_vs_betti(pages, an.betti))
-    else:
-        checks.append(Check("einf_equals_betti", True,
-                            "skipped: page iteration capped", skipped=True))
+    checks.extend(spectral.infinity_vs_betti(pages, cohomology.de_rham(cm)))
     ok = True
     for r in range(1, pages.limit_page):
         for key, val in pages.dims(r + 1).items():
@@ -192,7 +200,8 @@ def verification_checks(an):
     else:
         checks.append(Check("e2_corner_is_one", True,
                             "skipped: page iteration capped", skipped=True))
-    if an.classification == forms.MAXIMALLY_NON_INTEGRABLE and full_iteration:
+    if (an.classification == forms.MAXIMALLY_NON_INTEGRABLE
+            and pages.limit_page == 2 * m + 2):
         checks.append(Check("maximal_implies_e2_degeneration",
                             pages.degeneration_page <= 2,
                             "degenerates at page %d" % pages.degeneration_page))
@@ -216,10 +225,10 @@ def verification_checks(an):
     # the certificate of the reduction behind the pages, with the witness
     # delta_1 as the oracle for the first page differential
     checks.append(reduction_certificate(
-        pages, spectral.dolbeault_delta1(cm, an.h_dol)))
+        pages, spectral.dolbeault_delta1(cm, dol)))
 
     # witness independence of delta_1 on Dolbeault classes
-    ok = all(spectral.witness_independent(cm, an.h_dol, p, q)
+    ok = all(spectral.witness_independent(cm, dol, p, q)
              for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("delta1_witness_independence", ok))
 
@@ -249,7 +258,7 @@ def verification_checks(an):
                         all(c.passed for c in an.decomposition.checks)))
 
     # delbar_mub cohomology / harmonic spaces
-    checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol.dims))
+    checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
     checks.extend(harmonic.serre_star_check(hs, an.dmb))
 
     # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, equality on q = 0
@@ -259,9 +268,9 @@ def verification_checks(an):
     ok_row = True
     for (p, q) in basis.slots:
         inter = h_delbar[(p, q)].intersect(h_mubar[(p, q)])
-        if inter.dim > an.h_dol.dim(p, q):
+        if inter.dim > an.h_dol.get((p, q), 0):
             ok = False
-        if q == 0 and inter.dim != an.h_dol.dim(p, 0):
+        if q == 0 and inter.dim != an.h_dol.get((p, 0), 0):
             ok_row = False
     checks.append(Check("harmonic_inclusion_bound", ok))
     checks.append(Check("harmonic_intersection_bottom_row", ok_row))
@@ -366,8 +375,8 @@ def result_document(an, checks=None):
         "name": an.spec.name,
         "m": m,
         "classification": an.classification,
-        "h_mub": docio.table_to_json(an.h_mub.dims, m),
-        "h_dol": docio.table_to_json(an.h_dol.dims, m),
+        "h_mub": docio.table_to_json(an.h_mub, m),
+        "h_dol": docio.table_to_json(an.h_dol, m),
         "betti": list(an.betti),
         "pages": pages_json,
         "degeneration_page": an.pages.degeneration_page,

@@ -177,7 +177,8 @@ class PageTable:
 
     ``dims(r)`` reads E_r from ``reduction``; pages past ``limit_page``
     repeat it.  ``degeneration_page`` is the least r >= 1 with E_r equal to
-    the limit page.
+    the limit page.  ``infinity()`` is E_inf, the unpaired generators, which
+    the reduction holds whatever ``limit_page`` is.
     """
 
     m: int
@@ -189,7 +190,7 @@ class PageTable:
         return self.reduction.page(min(r, self.limit_page))
 
     def infinity(self):
-        return self.dims(self.limit_page)
+        return self.reduction.page(2 * self.m + 2)
 
     def grid(self, r):
         return dims_grid(self.dims(r), self.m)

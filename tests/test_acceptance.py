@@ -12,8 +12,9 @@ metric (see notes/decisions.md).
 import os
 
 from acdol import docio, pipeline
-from acdol.cohomology import de_rham, dims_grid, euler_characteristic
-from acdol.forms import build_basis, build_differential, relations_ok
+from acdol.cohomology import (cohomology_dims_of_operator, de_rham,
+                              dims_grid, dolbeault, euler_characteristic)
+from acdol.forms import build_basis, build_differential, verify_relations
 from acdol.harmonic import (build_hermitian, delb_mub,
                             metric_independence_probe, mub_decomposition)
 from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
@@ -33,7 +34,7 @@ def _report(n, text):
 
 def test_criterion_1_filiform_J():
     an = builtin_analysis("filiform-J")
-    assert an.h_dol.grid() == ((1, 1, 0), (2, 4, 2), (0, 1, 1))
+    assert dims_grid(an.h_dol, an.m) == ((1, 1, 0), (2, 4, 2), (0, 1, 1))
     assert an.pages.grid(2) == ((1, 1, 0), (1, 2, 1), (0, 1, 1))
     assert an.pages.degeneration_page == 2
     _report(1, "filiform J tables and E2 degeneration")
@@ -42,28 +43,28 @@ def test_criterion_1_filiform_J():
 def test_criterion_2_filiform_Jprime():
     an = builtin_analysis("filiform-Jprime")
     assert an.pages.degeneration_page == 1
-    assert an.h_dol.grid() == ((1, 0, 0), (2, 2, 2), (0, 0, 1))
+    assert dims_grid(an.h_dol, an.m) == ((1, 0, 0), (2, 2, 2), (0, 0, 1))
     _report(2, "filiform J' degenerates at page 1")
 
 
 def test_criterion_3_kodaira_thurston():
     an = builtin_analysis("kt-J")
-    assert an.h_dol.grid() == ((1, 1, 0), (2, 4, 2), (0, 1, 1))
+    assert dims_grid(an.h_dol, an.m) == ((1, 1, 0), (2, 4, 2), (0, 1, 1))
     assert an.pages.degeneration_page == 1  # E1 = Einf
     assert an.pages.dims(1) == an.pages.infinity()
     anp = builtin_analysis("kt-Jprime")
-    assert anp.h_dol.grid() == ((1, 1, 1), (2, 2, 2), (1, 1, 1))
+    assert dims_grid(anp.h_dol, anp.m) == ((1, 1, 1), (2, 2, 2), (1, 1, 1))
     _report(3, "Kodaira-Thurston J and J' tables")
 
 
 def test_criterion_4_su2su2():
     an = builtin_analysis("su2su2-nk")
-    assert an.h_dol.grid() == ((1, 0, 0, 0), (3, 3, 1, 0),
+    assert dims_grid(an.h_dol, an.m) == ((1, 0, 0, 0), (3, 3, 1, 0),
                                (0, 1, 3, 3), (0, 0, 0, 1))
     e2 = {k: v for k, v in an.pages.dims(2).items() if v}
     assert e2 == {(0, 0): 1, (2, 1): 1, (1, 2): 1, (3, 3): 1}
     assert an.pages.degeneration_page == 2
-    assert an.h_mub.grid() == ((1, 0, 0, 0), (3, 8, 6, 0),
+    assert dims_grid(an.h_mub, an.m) == ((1, 0, 0, 0), (3, 8, 6, 0),
                                (0, 6, 8, 3), (0, 0, 0, 1))
     _report(4, "su2su2 Dolbeault, E2, degeneration, mubar tables")
 
@@ -84,11 +85,10 @@ def test_criterion_5_betti_recovery():
     cases = []
     for name in ALL_BUILTINS:
         an = builtin_analysis(name)
-        cases.append((an.m, an.cm, an.pages, an.betti, an.h_dol.dims))
+        cases.append((an.m, an.cm, an.pages, de_rham(an.cm), an.h_dol))
     for spec, cm in _random_analyses():
         pages = frolicher_all(cm)
         betti = de_rham(cm)
-        from acdol.cohomology import dolbeault
         cases.append((spec.m, cm, pages, betti, dolbeault(cm).dims))
     for m, cm, pages, betti, h_dol in cases:
         assert all(c.passed for c in infinity_vs_betti(pages, betti))
@@ -123,7 +123,7 @@ def test_criterion_7_harmonic_isomorphism():
         runs, check = metric_independence_probe(an.spec, metrics)
         assert check.passed, name
         for dims in runs:
-            assert dims_grid(dims, an.m) == an.h_dol.grid(), name
+            assert dims_grid(dims, an.m) == dims_grid(an.h_dol, an.m), name
         probed += len(metrics)
     _report(7, "H_delbar_mub = H_Dol under %d metrics across builtins" % probed)
 
@@ -199,7 +199,7 @@ def test_criterion_8_nearly_kahler_identities():
 
 def _structural_battery(cm, hs, h_dol, betti):
     # seven component relations
-    assert relations_ok(cm)
+    assert all(ok for _, _, ok in verify_relations(cm))
     # star involution is asserted at construction; re-check one slot fully
     m = cm.m
     assert hs.check_star_defining(1, 0)
@@ -209,7 +209,7 @@ def _structural_battery(cm, hs, h_dol, betti):
     assert all(c.passed for c in dec.checks)
     # delbar_mub squares to zero (asserted in delb_mub) and matches Dolbeault
     dmb = delb_mub(hs, dec)
-    coh = dmb.cohomology_dims()
+    coh = cohomology_dims_of_operator(dmb.op)
     for p in range(m + 1):
         for q in range(m + 1):
             assert coh.get((p, q), 0) == h_dol.dim(p, q)
@@ -233,11 +233,10 @@ def _structural_battery(cm, hs, h_dol, betti):
 
 
 def test_criterion_9_structural_suite():
-    from acdol.cohomology import dolbeault
     count = 0
     for name in ALL_BUILTINS:
         an = builtin_analysis(name)
-        _structural_battery(an.cm, an.hs, an.h_dol, an.betti)
+        _structural_battery(an.cm, an.hs, dolbeault(an.cm), an.betti)
         count += 1
     rng = seeded_rng(171717)
     for _ in range(5):

@@ -6,7 +6,7 @@ import pytest
 
 from acdol import catalog, docio, pipeline
 from acdol.docio import (DocumentError, document_to_json, parse_document,
-                         parse_rational, parse_result, render,
+                         parse_rational, render,
                          result_to_json, table_from_json, table_to_json)
 from conftest import builtin_analysis
 
@@ -92,7 +92,7 @@ def test_result_document_json_round_trip():
     an = builtin_analysis("filiform-J")
     result = pipeline.result_document(an)
     text = result_to_json(result)
-    back = parse_result(text)
+    back = json.loads(text)
     assert back == result
     assert result_to_json(back) == text
 

@@ -9,7 +9,7 @@ from acdol.forms import (DELBAR, INTEGRABLE, INTERMEDIATE,
                          MAXIMALLY_NON_INTEGRABLE, MU, MUBAR, PARTIAL,
                          BigradedBasis, build_basis, build_differential,
                          classify, conjugation_matrix, is_integrable,
-                         nijenhuis_operator, relations_ok, verify_relations,
+                         nijenhuis_operator, verify_relations,
                          wedge, wedge_monomials)
 from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import adapted_frame, complexify, validate_spec
@@ -161,7 +161,7 @@ def test_abelian_differential_zero():
 @pytest.mark.parametrize("name", ["filiform-J", "filiform-Jprime", "kt-J",
                                   "kt-Jprime", "su2su2-nk", "abelian-m2"])
 def test_relations_pass_on_builtins(name):
-    assert relations_ok(_cm(name))
+    assert all(ok for _, _, ok in verify_relations(_cm(name)))
 
 
 def test_relations_fail_on_corrupted_block():
@@ -192,7 +192,7 @@ def test_random_specs_relations_hold():
         spec = validate_spec(random_nilpotent_spec(rng, 2))
         csc = complexify(spec, adapted_frame(spec))
         cm = build_differential(csc, build_basis(2))
-        assert relations_ok(cm)
+        assert all(ok for _, _, ok in verify_relations(cm))
 
 
 def test_nijenhuis_examples():

@@ -11,7 +11,7 @@ from acdol.cohomology import ConsistencyError, dims_grid
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential)
 from acdol.harmonic import (build_hermitian, delb_mub, delb_mub_checks,
-                            fundamental_form, harmonic_dims,
+                            fundamental_form,
                             lefschetz_matrices, metric_independence_probe,
                             mub_decomposition, nearly_kahler_checks,
                             serre_star_check, top_cohomology_is_line)
@@ -109,7 +109,7 @@ def test_non_unimodular_detected_and_skipped():
     an = affine_analysis()
     assert not an.unimodular
     assert not top_cohomology_is_line(an.cm)
-    checks = delb_mub_checks(an.dmb, an.h_dol.dims)
+    checks = delb_mub_checks(an.dmb, an.h_dol)
     skipped = [c for c in checks if c.skipped]
     assert len(skipped) == 2
     # delbar is not adjoint to its star formula here
@@ -141,7 +141,7 @@ def test_mub_harmonics_match_mub_cohomology_dims():
         an = builtin_analysis(name)
         spaces = an.hs.harmonic(MUBAR)
         for (p, q), sub in spaces.items():
-            assert sub.dim == an.h_mub.dim(p, q)
+            assert sub.dim == an.h_mub.get((p, q), 0)
 
 
 def test_d_harmonic_su2su2_pure_type_slots():
@@ -169,7 +169,7 @@ def test_kt_harmonic_intersection_is_dolbeault_on_bottom_row():
     h_mubar = an.hs.harmonic(MUBAR)
     for p in range(an.m + 1):
         inter = h_delbar[(p, 0)].intersect(h_mubar[(p, 0)])
-        assert inter.dim == an.h_dol.dim(p, 0)
+        assert inter.dim == an.h_dol.get((p, 0), 0)
 
 
 def test_harmonic_inclusion_bound_all_slots():
@@ -179,7 +179,7 @@ def test_harmonic_inclusion_bound_all_slots():
         h_mubar = an.hs.harmonic(MUBAR)
         for (p, q) in an.cm.basis.slots:
             inter = h_delbar[(p, q)].intersect(h_mubar[(p, q)])
-            assert inter.dim <= an.h_dol.dim(p, q)
+            assert inter.dim <= an.h_dol.get((p, q), 0)
 
 
 def test_top_row_intersection_equals_dolbeault_when_unimodular():
@@ -190,7 +190,7 @@ def test_top_row_intersection_equals_dolbeault_when_unimodular():
         m = an.m
         for p in range(m + 1):
             inter = h_delbar[(p, m)].intersect(h_mubar[(p, m)])
-            assert inter.dim == an.h_dol.dim(p, m)
+            assert inter.dim == an.h_dol.get((p, m), 0)
 
 
 def test_mub_decomposition_builtins():
@@ -232,10 +232,10 @@ def test_delb_mub_squares_to_zero_everywhere():
                                   "su2su2-nk", "abelian-m2", "abelian-m3"])
 def test_delb_mub_cohomology_and_harmonics_match_dolbeault(name):
     an = builtin_analysis(name)
-    checks = delb_mub_checks(an.dmb, an.h_dol.dims)
+    checks = delb_mub_checks(an.dmb, an.h_dol)
     assert all(c.passed for c in checks)
     grid = dims_grid(an.dmb.harmonic_dims(), an.m)
-    assert grid == an.h_dol.grid()
+    assert grid == dims_grid(an.h_dol, an.m)
 
 
 def test_serre_star_checks():
@@ -247,9 +247,9 @@ def test_serre_star_checks():
 
 def test_serre_dims_examples():
     an = builtin_analysis("su2su2-nk")
-    assert an.h_dol.dim(0, 1) == an.h_dol.dim(3, 2) == 3
+    assert an.h_dol.get((0, 1), 0) == an.h_dol.get((3, 2), 0) == 3
     an = builtin_analysis("filiform-J")
-    assert an.h_dol.dim(1, 0) == an.h_dol.dim(1, 2) == 1
+    assert an.h_dol.get((1, 0), 0) == an.h_dol.get((1, 2), 0) == 1
 
 
 def test_metric_independence_filiform():
@@ -258,7 +258,8 @@ def test_metric_independence_filiform():
           for row in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))]
     runs, check = metric_independence_probe(spec, [spec.metric, g2])
     assert check.passed
-    assert dims_grid(runs[0], 2) == builtin_analysis("filiform-J").h_dol.grid()
+    assert dims_grid(runs[0], 2) == dims_grid(
+        builtin_analysis("filiform-J").h_dol, 2)
 
 
 def test_metric_independence_kt():
@@ -351,11 +352,3 @@ def test_nearly_kahler_negative_control():
     hs = build_hermitian(cm, frame)
     checks, _ = nearly_kahler_checks(hs)
     assert any(not c.passed for c in checks)
-
-
-def test_harmonic_dims_helper():
-    an = builtin_analysis("filiform-J")
-    spaces = an.hs.harmonic(MUBAR)
-    dims = harmonic_dims(spaces, an.m)
-    assert all(v > 0 for v in dims.values())
-    assert dims_grid(dims, an.m) == an.h_mub.grid()

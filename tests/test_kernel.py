@@ -37,7 +37,6 @@ def test_parts_in_lowest_terms(kern):
     s = kern.Scalar(2, 3, 2)
     assert s.re == Fraction(1) and s.im == Fraction(3, 2)
     assert s.conj().im == Fraction(-3, 2)
-    assert s.abs_sq() == Fraction(13, 4)
 
 
 def test_from_rational(kern):
@@ -83,8 +82,7 @@ def test_field_axioms(kern):
         assert a - a == kern.ZERO
         assert a.conj().conj() == a
         assert (a * b).conj() == a.conj() * b.conj()
-        assert a.abs_sq() >= 0
-        assert (a.abs_sq() == 0) == a.is_zero()
+        assert a.is_zero() == (a.re == 0 and a.im == 0)
         if not b.is_zero():
             assert (a / b) * b == a
 

@@ -112,17 +112,6 @@ def test_dimension_identity_random(seed):
     assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
 
 
-def test_quotient_dim_and_containment_error():
-    rng = random.Random(31)
-    u = Subspace.from_matrix_columns(rand_matrix(rng, 5, 4))
-    w = u.intersect(Subspace.from_matrix_columns(rand_matrix(rng, 5, 2)))
-    assert u.quotient_dim(w) == u.dim - w.dim
-    outside = Subspace.full(5)
-    if not u.contains(outside):
-        with pytest.raises(LinalgError):
-            u.quotient_dim(outside)
-
-
 def test_complement_in():
     rng = random.Random(37)
     outer = Subspace.from_matrix_columns(rand_matrix(rng, 6, 5))

@@ -1,0 +1,109 @@
+"""One route per table in ``analyze``, and the oracles of the battery.
+
+``analyze`` reads h_dol, the Betti numbers and h_mub from the Hodge
+reduction; the independent routes of ``cohomology`` run only in
+``verification_checks``, once each, and must still catch a reduction that
+is wrong.
+"""
+
+import pytest
+
+from acdol import catalog, cohomology, docio, forms, pipeline, spectral
+from acdol.cohomology import de_rham, dolbeault, mub_cohomology
+from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
+
+ORACLES = ("mub_cohomology", "dolbeault", "de_rham")
+SPECS = {
+    "filiform-J": lambda: docio.to_spec(catalog.builtin("filiform-J")),
+    "random-m3": lambda: random_nilpotent_spec(seeded_rng(1), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_analyze_runs_no_oracle(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("analyze called a battery oracle")
+
+    for fn in ORACLES + ("operator_cohomology",):
+        monkeypatch.setattr(cohomology, fn, refuse)
+    an = pipeline.analyze(SPECS[name]())
+    monkeypatch.undo()
+    assert an.h_mub == {k: v for k, v in mub_cohomology(an.cm).dims.items()
+                        if v}
+    assert an.h_dol == {k: v for k, v in dolbeault(an.cm).dims.items() if v}
+    assert an.betti == de_rham(an.cm)
+
+
+def test_battery_computes_each_oracle_once(monkeypatch):
+    an = builtin_analysis("filiform-J")
+    calls = dict.fromkeys(ORACLES + ("verify_relations",), 0)
+
+    def counted(module, fn):
+        inner = getattr(module, fn)
+
+        def wrapper(*args):
+            calls[fn] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, fn, wrapper)
+
+    for fn in ORACLES:
+        counted(cohomology, fn)
+    counted(forms, "verify_relations")
+    checks = pipeline.verification_checks(an)
+    assert calls == {"mub_cohomology": 1, "dolbeault": 1, "de_rham": 1,
+                     "verify_relations": 0}
+    rel = next(c for c in checks if c.name == "component_relations")
+    assert rel.passed and rel.detail == "%d identity-slot pairs" % len(
+        an.relations)
+
+
+def _tampered_run(monkeypatch, tamper):
+    """analyze + battery on filiform-J with ``tamper`` applied to the
+    reduction, so that the production tables inherit the fault and only the
+    oracles can see it."""
+    frolicher_all = spectral.frolicher_all
+
+    def tampered(cm, max_page=None):
+        pages = frolicher_all(cm, max_page)
+        tamper(pages.reduction)
+        return pages
+
+    monkeypatch.setattr(spectral, "frolicher_all", tampered)
+    an = pipeline.analyze(builtin_analysis("filiform-J").spec)
+    monkeypatch.undo()
+    return an, {c.name: c.passed for c in pipeline.verification_checks(an)}
+
+
+def test_oracles_catch_a_tampered_reduction(monkeypatch):
+    good = builtin_analysis("filiform-J")
+    einf = ["einf_equals_betti_degree_%d" % n for n in range(2 * good.m + 1)]
+    _, got = _tampered_run(monkeypatch, lambda red: None)
+    assert got["first_page_equals_dolbeault"]
+    assert all(got[name] for name in einf)
+
+    # an unpaired degree-1 generator made to die on E_2: E_1 is unchanged,
+    # E_inf and so the Betti numbers lose it
+    def unpaired_to_gap_1(red):
+        red.gap[1][red.gap[1].index(None)] = 1
+
+    an, got = _tampered_run(monkeypatch, unpaired_to_gap_1)
+    assert an.h_dol == good.h_dol
+    assert an.betti[1] == good.betti[1] - 1
+    assert got["first_page_equals_dolbeault"]
+    assert [name for name in einf if not got[name]] == [
+        "einf_equals_betti_degree_1"]
+
+    # a gap-0 pair (a mubar pair of the non-integrable structure) moved to
+    # gap 1: E_1 and so h_dol gain both generators, E_inf is unchanged
+    def gap_0_pair_to_gap_1(red):
+        n, tau = next((n, j) for n, gaps in enumerate(red.gap)
+                      for j, g in enumerate(gaps)
+                      if g == 0 and red.reduced[n][j])
+        red.gap[n][tau] = red.gap[n + 1][min(red.reduced[n][tau])] = 1
+
+    assert good.classification != forms.INTEGRABLE
+    an, got = _tampered_run(monkeypatch, gap_0_pair_to_gap_1)
+    assert sum(an.h_dol.values()) == sum(good.h_dol.values()) + 2
+    assert an.betti == good.betti
+    assert not got["first_page_equals_dolbeault"]
+    assert all(got[name] for name in einf)

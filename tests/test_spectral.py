@@ -6,8 +6,8 @@ import dataclasses
 import pytest
 
 from acdol import catalog, docio
-from acdol.cohomology import (ConsistencyError, de_rham, dolbeault,
-                              mub_cohomology)
+from acdol.cohomology import (ConsistencyError, de_rham, dims_grid,
+                              dolbeault, mub_cohomology)
 from acdol.forms import MUBAR, build_basis, build_differential
 from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
                           validate_spec)
@@ -89,7 +89,7 @@ def test_shifted_filtration_is_column_truncation():
 @pytest.mark.parametrize("name", sorted(DEGENERATION))
 def test_first_page_is_dolbeault(name):
     an = builtin_analysis(name)
-    assert an.pages.grid(1) == an.h_dol.grid()
+    assert an.pages.grid(1) == dims_grid(dolbeault(an.cm).dims, an.m)
 
 
 @pytest.mark.parametrize("name,expected", sorted(E2_TABLES.items()))
@@ -111,7 +111,7 @@ def test_filiform_jprime_infinity_table():
 @pytest.mark.parametrize("name", sorted(DEGENERATION))
 def test_infinity_rows_sum_to_betti(name):
     an = builtin_analysis(name)
-    assert all(c.passed for c in infinity_vs_betti(an.pages, an.betti))
+    assert all(c.passed for c in infinity_vs_betti(an.pages, de_rham(an.cm)))
 
 
 def test_page_dims_weakly_decrease():
@@ -163,7 +163,7 @@ def test_generic_delta1_matches_table_drop():
 
 def test_reduction_certificate_flags_a_wrong_reduction():
     an = builtin_analysis("filiform-J")
-    delta1 = dolbeault_delta1(an.cm, an.h_dol)
+    delta1 = dolbeault_delta1(an.cm, dolbeault(an.cm))
     check = reduction_certificate(an.pages, delta1)
     assert check.passed
     assert check.detail == "r = [1, 2] verified against the next page"
@@ -182,13 +182,13 @@ def test_reduction_certificate_flags_a_wrong_reduction():
 
 def test_su2su2_delta1_injective_on_01():
     an = builtin_analysis("su2su2-nk")
-    mat = dolbeault_delta1(an.cm, an.h_dol)[(0, 1)]
+    mat = dolbeault_delta1(an.cm, dolbeault(an.cm))[(0, 1)]
     assert mat.cols == 3 and mat.rank() == 3
 
 
 def test_witness_delta1_agrees_with_generic_ranks():
     an = builtin_analysis("filiform-J")
-    d1 = dolbeault_delta1(an.cm, an.h_dol)
+    d1 = dolbeault_delta1(an.cm, dolbeault(an.cm))
     assert d1[(1, 1)].rank() == 1
     assert d1[(0, 1)].rank() == 1
     sources = [src for src, _ in an.pages.reduction.pairs(1)]
@@ -207,7 +207,7 @@ def test_witness_delta1_agrees_with_generic_ranks():
 
 def test_delta1_squares_to_zero():
     an = builtin_analysis("su2su2-nk")
-    d1 = dolbeault_delta1(an.cm, an.h_dol)
+    d1 = dolbeault_delta1(an.cm, dolbeault(an.cm))
     for (p, q), mat in d1.items():
         nxt = d1.get((p + 1, q))
         if nxt is not None and mat.cols and nxt.rows:
@@ -217,9 +217,10 @@ def test_delta1_squares_to_zero():
 @pytest.mark.parametrize("name", ["filiform-J", "kt-J", "su2su2-nk"])
 def test_witness_independence(name):
     an = builtin_analysis(name)
+    dol = dolbeault(an.cm)
     for p in range(an.m + 1):
         for q in range(an.m + 1):
-            assert witness_independent(an.cm, an.h_dol, p, q)
+            assert witness_independent(an.cm, dol, p, q)
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATION))
