@@ -16,8 +16,8 @@ subspaces, and the battery compares them with the reduction:
   cohomology of delbar induced on mubar-classes;
 * de Rham Betti numbers from the ranks of the total complex.
 
-The module also holds the shared ``Check`` record, ``ConsistencyError``,
-``dims_grid`` and the Frolicher/Euler/Serre ``consistency_report``.
+The module also holds the shared ``Check`` record, ``ConsistencyError`` and
+the Frolicher/Euler/Serre ``consistency_report``.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ class CohomologyTable:
 
     def dim(self, p, q):
         return self.dims.get((p, q), 0)
-
-
-def dims_grid(dims, m):
-    """A {(p, q): dim} table as rows from q = 0 upward."""
-    return tuple(tuple(dims.get((p, q), 0) for p in range(m + 1))
-                 for q in range(m + 1))
 
 
 def _quotient_table(m, parts):

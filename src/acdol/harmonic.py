@@ -20,6 +20,12 @@ zero and whose cohomology has the Dolbeault dimensions; when the top
 Chevalley-Eilenberg cohomology is a line (compact or nilpotent case) its
 harmonic spaces realise Dolbeault cohomology directly and are
 metric-independent.
+
+The layer is built once per analysis: ``HermitianStructure`` caches every
+operator it forms (Delta_d included, one per degree), ``delb_mub`` stores
+the delbar_mub-harmonic space of every slot on its ``DelbMub``, and the
+battery, the nearly Kahler checks and the metric probe read that
+``DelbMub``; the probe builds a layer only for each other metric.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from . import forms
 from .cohomology import Check, ConsistencyError, cohomology_dims_of_operator
 from .forms import BIDEGREE, CONJUGATE_TAG, DELBAR, MU, MUBAR, PARTIAL
 from .kernel import I, ONE, ZERO, from_rational
-from .linalg import Matrix, Subspace, preimage
+from .linalg import Matrix, Subspace
 
 
 def top_cohomology_is_line(cm):
@@ -67,6 +73,7 @@ class HermitianStructure:
         self._adjoint = {}
         self._gram_adjoint = {}
         self._laplacian = {}
+        self._laplacian_d = {}
         self._harmonic = {}
         self._d_harmonic = None
         full = (1 << self.m) - 1
@@ -318,6 +325,9 @@ class HermitianStructure:
 
     def laplacian_d_total(self, n):
         """Laplacian of the full differential on the degree-n space."""
+        got = self._laplacian_d.get(n)
+        if got is not None:
+            return got
         dn = self.cm.total_matrix(n)
         dprev = self.cm.total_matrix(n - 1) if n > 0 else \
             Matrix.zero(self.basis.total_dim(0), 0)
@@ -326,7 +336,8 @@ class HermitianStructure:
         term1 = (adj_n @ dn) if dn.rows else Matrix.zero(dn.cols, dn.cols)
         adj_prev = self.d_adjoint(n)
         term2 = dprev @ adj_prev
-        return term1 + term2
+        self._laplacian_d[n] = term1 + term2
+        return self._laplacian_d[n]
 
     def harmonic(self, tag):
         """Ker of the slot Laplacian; verified equal to Ker δ ∩ Ker δ*."""
@@ -350,22 +361,19 @@ class HermitianStructure:
         return out
 
     def d_harmonic(self):
-        """Slotwise d-harmonic spaces  Ker(Delta_d) ∩ A^{p,q}."""
+        """Slotwise d-harmonic spaces  Ker(Delta_d) ∩ A^{p,q}: the kernel
+        of the columns of Delta_d on the slot."""
         if self._d_harmonic is not None:
             return self._d_harmonic
-        basis = self.basis
         out = {}
         for n in range(2 * self.m + 1):
             lap = self.laplacian_d_total(n)
-            ker = Subspace.from_matrix_columns(lap.nullspace_matrix())
-            for p, q, off in basis.slot_offsets(n):
-                dim = basis.dim(p, q)
-                embed = Matrix.from_columns(
-                    [[ONE if i == off + j else ZERO
-                      for i in range(basis.total_dim(n))]
-                     for j in range(dim)],
-                    ambient_rows=basis.total_dim(n))
-                out[(p, q)] = preimage(embed, ker)
+            for p, q, off in self.basis.slot_offsets(n):
+                dim = self.basis.dim(p, q)
+                cols = Matrix(lap.rows, dim,
+                              [row[off:off + dim] for row in lap.entries])
+                out[(p, q)] = Subspace.from_matrix_columns(
+                    cols.nullspace_matrix())
         self._d_harmonic = out
         return out
 
@@ -441,34 +449,23 @@ class DelbMub:
     """delbar_mub and its adjoint in the harmonic bases of H_mubar.
 
     ``space[(p, q)]`` is the mubar-harmonic subspace (slot coordinates);
-    ``op``/``op_adj`` act on coordinates in those bases.  ``unimodular``
-    records whether the top cohomology is a line, which is the hypothesis
-    for adjointness and the Hodge decomposition of the operator.
+    ``op``/``op_adj`` act on coordinates in those bases, and
+    ``harmonic[(p, q)]`` is Ker(delbar_mub) ∩ Ker(delbar_mub*) lifted into
+    the slot.  ``unimodular`` records whether the top cohomology is a line,
+    which is the hypothesis for adjointness and the Hodge decomposition of
+    the operator.  ``delb_mub`` builds all of it once; every later stage
+    reads it.
     """
 
     hs: HermitianStructure
     space: dict
     op: dict
     op_adj: dict
+    harmonic: dict
     unimodular: bool
 
-    def harmonic_space(self, p, q):
-        """Ker(delbar_mub) ∩ Ker(delbar_mub*) as a subspace of the slot."""
-        onward = self.op[(p, q)]
-        back = self.op_adj[(p, q)]
-        ker = Subspace.from_matrix_columns(onward.nullspace_matrix()).intersect(
-            Subspace.from_matrix_columns(back.nullspace_matrix()))
-        cols = [self.space[(p, q)].basis.apply(ker.basis.col(j))
-                for j in range(ker.dim)]
-        return Subspace.from_columns(self.space[(p, q)].ambient_dim, cols)
-
     def harmonic_dims(self):
-        out = {}
-        for (p, q) in self.space:
-            d = self.harmonic_space(p, q).dim
-            if d:
-                out[(p, q)] = d
-        return out
+        return {k: v.dim for k, v in self.harmonic.items() if v.dim}
 
 
 def delb_mub(hs, decomposition=None):
@@ -500,8 +497,19 @@ def delb_mub(hs, decomposition=None):
         if nxt is not None and mat.cols and nxt.rows:
             if not (nxt @ mat).is_zero():
                 raise ConsistencyError("delbar_mub does not square to zero")
-    return DelbMub(hs, dict(harm), op, op_adj,
+    harmonic = {}
+    for pq, mat in op.items():
+        ker = Subspace.from_matrix_columns(mat.nullspace_matrix()).intersect(
+            Subspace.from_matrix_columns(op_adj[pq].nullspace_matrix()))
+        harmonic[pq] = _lift(harm[pq], ker.basis)
+    return DelbMub(hs, dict(harm), op, op_adj, harmonic,
                    top_cohomology_is_line(cm))
+
+
+def _lift(space, coords):
+    """The span of the coordinate columns ``coords`` in the basis of
+    ``space``, as a subspace of the slot."""
+    return Subspace.from_matrix_columns(space.basis @ coords)
 
 
 def _projected_operator(block, src, tgt, projector):
@@ -540,86 +548,55 @@ def delb_mub_checks(dmb, h_dol_dims):
                             "skipped: top cohomology is not a line",
                             skipped=True))
         return checks
-    ok_h = all(dmb.harmonic_dims().get((p, q), 0) == h_dol_dims.get((p, q), 0)
+    dims = dmb.harmonic_dims()
+    ok_h = all(dims.get((p, q), 0) == h_dol_dims.get((p, q), 0)
                for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("delbar_mub_harmonic_equals_dolbeault", ok_h))
     ok_dec = True
     for (p, q), space in dmb.space.items():
-        img = Subspace.from_matrix_columns(dmb.op.get((p, q - 1),
-                                                      Matrix.zero(space.dim, 0)))
-        img_adj = Subspace.from_matrix_columns(
-            dmb.op_adj.get((p, q + 1), Matrix.zero(space.dim, 0)))
-        harm_coords = _coords_subspace(dmb, p, q)
-        total = img + harm_coords + img_adj
-        if (img.dim + harm_coords.dim + img_adj.dim != space.dim
-                or total.dim != space.dim):
-            ok_dec = False
-        if not _restricted_orthogonal(dmb, p, q, (img, harm_coords, img_adj)):
+        img = _lift(space, dmb.op.get((p, q - 1), Matrix.zero(space.dim, 0)))
+        img_adj = _lift(space, dmb.op_adj.get((p, q + 1),
+                                              Matrix.zero(space.dim, 0)))
+        parts = (img, dmb.harmonic[(p, q)], img_adj)
+        if (sum(sub.dim for sub in parts) != space.dim
+                or (img + parts[1] + img_adj).dim != space.dim
+                or not _pairwise_orthogonal(hs, p, q, parts)):
             ok_dec = False
     checks.append(Check("delbar_mub_hodge_decomposition", ok_dec))
     return checks
 
 
-def _coords_subspace(dmb, p, q):
-    onward = dmb.op[(p, q)]
-    back = dmb.op_adj[(p, q)]
-    return Subspace.from_matrix_columns(onward.nullspace_matrix()).intersect(
-        Subspace.from_matrix_columns(back.nullspace_matrix()))
-
-
-def _restricted_orthogonal(dmb, p, q, subs):
-    hs = dmb.hs
-    space = dmb.space[(p, q)]
-    lifted = []
-    for sub in subs:
-        lifted.append([space.basis.apply(sub.basis.col(j))
-                       for j in range(sub.dim)])
-    for a in range(len(lifted)):
-        for b in range(a + 1, len(lifted)):
-            for u in lifted[a]:
-                for v in lifted[b]:
-                    if hs.inner(p, q, u, v):
-                        return False
-    return True
-
-
 # -- Serre duality by bar-star --------------------------------------------------
 
 
-def serre_star_check(hs, dmb=None):
+def serre_star_check(dmb):
     """bar-star maps H_mubar^{p,q} onto H_mubar^{m-p,m-q}, ditto delbar_mub."""
+    hs = dmb.hs
     m = hs.m
     harm = hs.harmonic(MUBAR)
-    checks = []
-    ok = True
-    for (p, q), sub in harm.items():
-        image = hs.bar_star_image(p, q, sub)
-        if image != harm[(m - p, m - q)]:
-            ok = False
-    checks.append(Check("serre_bar_star_mubar_harmonics", ok))
-    if dmb is not None:
-        ok2 = True
-        for (p, q) in dmb.space:
-            image = hs.bar_star_image(p, q, dmb.harmonic_space(p, q))
-            if image != dmb.harmonic_space(m - p, m - q):
-                ok2 = False
-        checks.append(Check("serre_bar_star_delbar_mub_harmonics", ok2))
-    return checks
+    ok = all(hs.bar_star_image(p, q, sub) == harm[(m - p, m - q)]
+             for (p, q), sub in harm.items())
+    ok2 = all(hs.bar_star_image(p, q, sub) == dmb.harmonic[(m - p, m - q)]
+              for (p, q), sub in dmb.harmonic.items())
+    return [Check("serre_bar_star_mubar_harmonics", ok),
+            Check("serre_bar_star_delbar_mub_harmonics", ok2)]
 
 
 # -- metric independence ---------------------------------------------------------
 
 
-def metric_independence_probe(spec, metrics):
-    """Recompute the delbar_mub harmonic dimensions under each metric.
+def metric_independence_probe(spec, dmb, metrics):
+    """Compare the delbar_mub harmonic dimensions of ``dmb``, the layer of
+    the input metric, with those of a layer built for each of ``metrics``.
 
-    Returns (list of dims dicts, Check).  All dims agree on unimodular
-    algebras; the probe validates each metric first.
+    Returns (list of dims dicts, the input metric's first; Check).  All
+    dims agree on unimodular algebras; the probe validates each metric
+    first.
     """
     from . import liealg
     from .forms import build_basis, build_differential
 
-    runs = []
+    runs = [dmb.harmonic_dims()]
     for g in metrics:
         variant = liealg.validate_spec(spec.with_metric(g))
         frame = liealg.orthogonal_frame(variant, liealg.adapted_frame(variant))
@@ -629,32 +606,28 @@ def metric_independence_probe(spec, metrics):
         runs.append(delb_mub(hs).harmonic_dims())
     agree = all(r == runs[0] for r in runs[1:])
     return runs, Check("metric_independent_harmonic_dims", agree,
-                       "%d metrics probed" % len(metrics))
+                       "%d metrics probed" % len(runs))
 
 
 # -- fundamental form and nearly Kahler identities -------------------------------
 
 
-def fundamental_form(hs, scale="metric"):
-    """The (1,1)-form w(x, y) = <Jx, y> as a slot coordinate vector.
-
-    ``scale="metric"`` uses the input Gram data (coefficient 2i |X_a|^2 on
-    t^a tbar^a); ``scale="unit_seeds"`` normalises every seed length to 1.
-    """
+def fundamental_form(hs):
+    """The (1,1)-form w(x, y) = <Jx, y> as a slot coordinate vector: the
+    coefficient 2i |X_a|^2 on t^a tbar^a."""
     basis = hs.basis
     vec = [ZERO] * basis.dim(1, 1)
     idx = basis.index[(1, 1)]
     for a in range(hs.m):
-        coeff = (I + I) if scale == "unit_seeds" else \
-            (I + I) * from_rational(hs.frame.norm_sq[a])
-        vec[idx[(1 << a, 1 << a)]] = coeff
+        vec[idx[(1 << a, 1 << a)]] = (I + I) * from_rational(
+            hs.frame.norm_sq[a])
     return tuple(vec)
 
 
-def lefschetz_matrices(hs, scale="metric"):
+def lefschetz_matrices(hs):
     """Wedge-with-fundamental-form matrices L : (p, q) -> (p+1, q+1)."""
     basis = hs.basis
-    omega = fundamental_form(hs, scale)
+    omega = fundamental_form(hs)
     out = {}
     for (p, q) in basis.slots:
         if p + 1 > hs.m or q + 1 > hs.m:
@@ -693,8 +666,9 @@ def _anticommutator(a_blocks, b_blocks, a_bideg, b_bideg, p, q):
     return term1 + term2
 
 
-def nearly_kahler_checks(hs):
-    """Exact operator identities characteristic of nearly Kahler structures.
+def nearly_kahler_checks(dmb):
+    """Exact operator identities characteristic of nearly Kahler structures,
+    read from the harmonic layer ``dmb`` and its ``hs``.
 
     Only meaningful for m = 3.  Evaluates the graded commutator relations
     among the components and their adjoints, the Laplacian identity
@@ -710,6 +684,7 @@ def nearly_kahler_checks(hs):
     of the input are not nearly Kahler, which is how the battery detects
     non-nearly-Kahler structures.
     """
+    hs = dmb.hs
     if hs.m != 3:
         raise ValueError("nearly Kahler identities are specific to m = 3")
     cm = hs.cm
@@ -795,14 +770,13 @@ def nearly_kahler_checks(hs):
 
     grey = {(p, 0) for p in range(4)} | {(p, 3) for p in range(4)} \
         | {(0, 2), (1, 2), (2, 1), (3, 1)}
-    dmb = delb_mub(hs)
     h_delbar = hs.harmonic(DELBAR)
     h_mubar = hs.harmonic(MUBAR)
     h_d = hs.d_harmonic()
     ok_three = True
     for (p, q) in grey:
         inter = h_delbar[(p, q)].intersect(h_mubar[(p, q)])
-        if h_d[(p, q)] != inter or inter != dmb.harmonic_space(p, q):
+        if h_d[(p, q)] != inter or inter != dmb.harmonic[(p, q)]:
             ok_three = False
     checks.append(Check(
         "nk_three_space_equality on the stated bidegree range", ok_three,

@@ -94,7 +94,7 @@ def analyze(spec, max_page=None):
     nk_checks = []
     nk_scalar = None
     if spec.m == 3:
-        nk_checks, nk_scalar = harmonic.nearly_kahler_checks(hs)
+        nk_checks, nk_scalar = harmonic.nearly_kahler_checks(dmb)
     return Analysis(spec, frame, csc, cm, relations, classification, h_mub,
                     h_dol, betti, pages, hs, decomposition, dmb, unimodular,
                     nk_checks, nk_scalar)
@@ -105,11 +105,12 @@ def analyze_document(doc, max_page=None):
 
 
 def probe_metrics(spec):
-    """The input metric plus a second compatible one (conjugated by 2I + J)."""
+    """The metrics the probe compares with the input's: one other
+    compatible metric, the input's conjugated by 2I + J."""
     n = spec.dim
     q = [[Fraction(2 if i == j else 0) + spec.J[i][j] for j in range(n)]
          for i in range(n)]
-    return [spec.metric, liealg.pullback_metric(spec.metric, q)]
+    return [liealg.pullback_metric(spec.metric, q)]
 
 
 def verification_checks(an):
@@ -200,11 +201,13 @@ def verification_checks(an):
     else:
         checks.append(Check("e2_corner_is_one", True,
                             "skipped: page iteration capped", skipped=True))
-    if (an.classification == forms.MAXIMALLY_NON_INTEGRABLE
-            and pages.limit_page == 2 * m + 2):
-        checks.append(Check("maximal_implies_e2_degeneration",
-                            pages.degeneration_page <= 2,
-                            "degenerates at page %d" % pages.degeneration_page))
+    if an.classification == forms.MAXIMALLY_NON_INTEGRABLE:
+        # the reduction holds every page whatever the cap
+        einf = pages.infinity()
+        degen = next(r for r in range(1, 2 * m + 3)
+                     if pages.reduction.page(r) == einf)
+        checks.append(Check("maximal_implies_e2_degeneration", degen <= 2,
+                            "degenerates at page %d" % degen))
 
     # explicit witness systems against the generic filtered route
     ok = True
@@ -259,7 +262,7 @@ def verification_checks(an):
 
     # delbar_mub cohomology / harmonic spaces
     checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
-    checks.extend(harmonic.serre_star_check(hs, an.dmb))
+    checks.extend(harmonic.serre_star_check(an.dmb))
 
     # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, equality on q = 0
     h_delbar = hs.harmonic(DELBAR)
@@ -292,7 +295,7 @@ def verification_checks(an):
     # metric independence of the harmonic Dolbeault dimensions
     if an.unimodular:
         _, probe = harmonic.metric_independence_probe(
-            an.spec, probe_metrics(an.spec))
+            an.spec, an.dmb, probe_metrics(an.spec))
         checks.append(probe)
     else:
         checks.append(Check("metric_independent_harmonic_dims", True,

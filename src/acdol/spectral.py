@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import forms
-from .cohomology import Check, ConsistencyError, dims_grid
+from .cohomology import Check, ConsistencyError
 from .forms import DELBAR, MU, MUBAR, PARTIAL
 from .linalg import Matrix, Subspace, preimage
 
@@ -191,9 +191,6 @@ class PageTable:
 
     def infinity(self):
         return self.reduction.page(2 * self.m + 2)
-
-    def grid(self, r):
-        return dims_grid(self.dims(r), self.m)
 
 
 def frolicher_all(cm, max_page=None):

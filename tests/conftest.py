@@ -22,6 +22,12 @@ def analysis():
     return builtin_analysis
 
 
+def dims_grid(dims, m):
+    """A {(p, q): dim} table as rows from q = 0 upward."""
+    return tuple(tuple(dims.get((p, q), 0) for p in range(m + 1))
+                 for q in range(m + 1))
+
+
 def golden_dir():
     override = os.environ.get("ACDOL_TEST_DATA")
     if override:

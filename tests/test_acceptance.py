@@ -13,7 +13,7 @@ import os
 
 from acdol import docio, pipeline
 from acdol.cohomology import (cohomology_dims_of_operator, de_rham,
-                              dims_grid, dolbeault, euler_characteristic)
+                              dolbeault, euler_characteristic)
 from acdol.forms import build_basis, build_differential, verify_relations
 from acdol.harmonic import (build_hermitian, delb_mub,
                             metric_independence_probe, mub_decomposition)
@@ -21,8 +21,8 @@ from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
                           validate_spec)
 from acdol.spectral import (decalage_check, explicit_page, frolicher_all,
                             infinity_vs_betti, witness_independent)
-from conftest import (_invert, builtin_analysis, random_nilpotent_spec,
-                      seeded_rng)
+from conftest import (_invert, builtin_analysis, dims_grid,
+                      random_nilpotent_spec, seeded_rng)
 
 ALL_BUILTINS = ("abelian-m2", "abelian-m3", "filiform-J", "filiform-Jprime",
                 "kt-J", "kt-Jprime", "su2su2-nk")
@@ -35,7 +35,8 @@ def _report(n, text):
 def test_criterion_1_filiform_J():
     an = builtin_analysis("filiform-J")
     assert dims_grid(an.h_dol, an.m) == ((1, 1, 0), (2, 4, 2), (0, 1, 1))
-    assert an.pages.grid(2) == ((1, 1, 0), (1, 2, 1), (0, 1, 1))
+    assert dims_grid(an.pages.dims(2), an.m) == ((1, 1, 0), (1, 2, 1),
+                                                 (0, 1, 1))
     assert an.pages.degeneration_page == 2
     _report(1, "filiform J tables and E2 degeneration")
 
@@ -119,12 +120,14 @@ def test_criterion_7_harmonic_isomorphism():
         an = builtin_analysis(name)
         assert an.unimodular
         metrics = pipeline.probe_metrics(an.spec)
-        assert len(metrics) >= 2 and metrics[0] != metrics[1]
-        runs, check = metric_independence_probe(an.spec, metrics)
+        assert metrics and all(g != [list(row) for row in an.spec.metric]
+                               for g in metrics)
+        runs, check = metric_independence_probe(an.spec, an.dmb, metrics)
         assert check.passed, name
+        assert len(runs) == len(metrics) + 1
         for dims in runs:
             assert dims_grid(dims, an.m) == dims_grid(an.h_dol, an.m), name
-        probed += len(metrics)
+        probed += len(runs)
     _report(7, "H_delbar_mub = H_Dol under %d metrics across builtins" % probed)
 
 

@@ -142,6 +142,18 @@ def test_max_page_flag():
     assert list(doc["pages"]) == ["1"]
 
 
+@pytest.mark.parametrize("max_page", ["1", "2"])
+def test_max_page_keeps_maximal_degeneration_check(max_page):
+    # the reduction holds E_2 and E_inf whatever the cap, so the capped
+    # battery has the check, with the uncapped detail, and all 59 checks
+    code, out, err = run_cli(["verify", "--example", "su2su2-nk",
+                              "--max-page", max_page])
+    assert code == 0
+    assert ("PASS maximal_implies_e2_degeneration  (degenerates at page 2)"
+            in out.splitlines())
+    assert "59 checks: 0 hard failures" in err
+
+
 def test_pages_and_harmonic_subcommands():
     code, out, _ = run_cli(["pages", "--example", "filiform-J"])
     assert code == 0

@@ -2,13 +2,14 @@
 
 import pytest
 
-from acdol.cohomology import (consistency_report, de_rham, dims_grid,
-                              dolbeault, euler_characteristic, induced_delbar,
+from acdol.cohomology import (consistency_report, de_rham, dolbeault,
+                              euler_characteristic, induced_delbar,
                               mub_cohomology, operator_cohomology,
                               cohomology_dims_of_operator)
 from acdol.forms import MU, build_basis, build_differential
 from acdol.liealg import adapted_frame, complexify, validate_spec
-from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
+from conftest import (builtin_analysis, dims_grid, random_nilpotent_spec,
+                      seeded_rng)
 
 # grids are rows q = 0, 1, ..., m (bottom row first)
 H_MUB_TABLES = {

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from acdol import catalog, docio, harmonic
-from acdol.cohomology import ConsistencyError, dims_grid
+from acdol.cohomology import ConsistencyError
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential)
 from acdol.harmonic import (build_hermitian, delb_mub, delb_mub_checks,
@@ -19,7 +19,8 @@ from acdol.kernel import ONE, Scalar
 from acdol.liealg import (adapted_frame, complexify, make_spec,
                           orthogonal_frame, validate_spec)
 from acdol.linalg import Matrix
-from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
+from conftest import (builtin_analysis, dims_grid, random_nilpotent_spec,
+                      seeded_rng)
 
 
 def test_star_m1_volume():
@@ -241,7 +242,7 @@ def test_delb_mub_cohomology_and_harmonics_match_dolbeault(name):
 def test_serre_star_checks():
     for name in ("filiform-J", "su2su2-nk", "abelian-m2"):
         an = builtin_analysis(name)
-        checks = serre_star_check(an.hs, an.dmb)
+        checks = serre_star_check(an.dmb)
         assert all(c.passed for c in checks)
 
 
@@ -253,19 +254,19 @@ def test_serre_dims_examples():
 
 
 def test_metric_independence_filiform():
-    spec = docio.to_spec(catalog.builtin("filiform-J"))
+    an = builtin_analysis("filiform-J")
     g2 = [[Fraction(v) for v in row]
           for row in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))]
-    runs, check = metric_independence_probe(spec, [spec.metric, g2])
+    runs, check = metric_independence_probe(an.spec, an.dmb, [g2])
     assert check.passed
-    assert dims_grid(runs[0], 2) == dims_grid(
-        builtin_analysis("filiform-J").h_dol, 2)
+    assert dims_grid(runs[0], 2) == dims_grid(an.h_dol, 2)
 
 
 def test_metric_independence_kt():
-    spec = docio.to_spec(catalog.builtin("kt-J"))
+    an = builtin_analysis("kt-J")
     from acdol.pipeline import probe_metrics
-    runs, check = metric_independence_probe(spec, probe_metrics(spec))
+    runs, check = metric_independence_probe(an.spec, an.dmb,
+                                            probe_metrics(an.spec))
     assert check.passed
 
 
@@ -277,18 +278,17 @@ def test_fundamental_form_and_lefschetz():
     assert tuple(back) == tuple(omega)  # the fundamental form is real
     lef = lefschetz_matrices(an.hs)
     assert lef[(1, 1)].rank() > 0
-    assert fundamental_form(an.hs, "unit_seeds") == omega  # unit norms here
 
 
 def test_nearly_kahler_requires_m3():
     an = builtin_analysis("filiform-J")
     with pytest.raises(ValueError):
-        nearly_kahler_checks(an.hs)
+        nearly_kahler_checks(an.dmb)
 
 
 def test_nearly_kahler_trivial_on_abelian():
     an = builtin_analysis("abelian-m3")
-    checks, scalar = nearly_kahler_checks(an.hs)
+    checks, scalar = nearly_kahler_checks(an.dmb)
     assert all(c.passed for c in checks)
 
 
@@ -333,7 +333,7 @@ def test_nk_scalar_scales_inversely_with_metric(name):
                                    for row in spec.metric])
         frame = orthogonal_frame(scaled, adapted_frame(scaled))
         cm = build_differential(complexify(scaled, frame), build_basis(3))
-        _, fitted = nearly_kahler_checks(build_hermitian(cm, frame))
+        _, fitted = nearly_kahler_checks(delb_mub(build_hermitian(cm, frame)))
         assert Fraction(fitted) == NK_SCALARS[name] / lam, lam
 
 
@@ -350,5 +350,5 @@ def test_nearly_kahler_negative_control():
     frame = orthogonal_frame(spec, adapted_frame(spec))
     cm = build_differential(complexify(spec, frame), build_basis(3))
     hs = build_hermitian(cm, frame)
-    checks, _ = nearly_kahler_checks(hs)
+    checks, _ = nearly_kahler_checks(delb_mub(hs))
     assert any(not c.passed for c in checks)

@@ -3,12 +3,14 @@
 ``analyze`` reads h_dol, the Betti numbers and h_mub from the Hodge
 reduction; the independent routes of ``cohomology`` run only in
 ``verification_checks``, once each, and must still catch a reduction that
-is wrong.
+is wrong.  The harmonic layer is built once, in ``analyze``, and read by
+the battery and the result document.
 """
 
 import pytest
 
-from acdol import catalog, cohomology, docio, forms, pipeline, spectral
+from acdol import (catalog, cohomology, docio, forms, harmonic, linalg,
+                   pipeline, spectral)
 from acdol.cohomology import de_rham, dolbeault, mub_cohomology
 from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
 
@@ -55,6 +57,48 @@ def test_battery_computes_each_oracle_once(monkeypatch):
     rel = next(c for c in checks if c.name == "component_relations")
     assert rel.passed and rel.detail == "%d identity-slot pairs" % len(
         an.relations)
+
+
+def test_analysis_builds_one_harmonic_layer(monkeypatch):
+    """analyze, the battery and the result document build the mubar
+    decomposition and delbar_mub once for the input metric and once for the
+    probe's other metric, and Delta_d once per degree; d_harmonic never
+    takes the kernel of a whole Delta_d."""
+    calls = {"mub_decomposition": 0, "delb_mub": 0}
+    laplacians = {}  # (hs, n) -> every Delta_d returned
+
+    def counted(fn):
+        inner = getattr(harmonic, fn)
+
+        def wrapper(*args):
+            calls[fn] += 1
+            return inner(*args)
+        monkeypatch.setattr(harmonic, fn, wrapper)
+
+    for fn in calls:
+        counted(fn)
+    laplacian_d_total = harmonic.HermitianStructure.laplacian_d_total
+
+    def recorded(hs, n):
+        lap = laplacian_d_total(hs, n)
+        laplacians.setdefault((hs, n), []).append(lap)
+        return lap
+
+    nullspace_matrix = linalg.Matrix.nullspace_matrix
+
+    def kernel(mat):
+        assert not any(mat is lap for laps in laplacians.values()
+                       for lap in laps), "kernel of a whole Delta_d"
+        return nullspace_matrix(mat)
+
+    monkeypatch.setattr(harmonic.HermitianStructure, "laplacian_d_total",
+                        recorded)
+    monkeypatch.setattr(linalg.Matrix, "nullspace_matrix", kernel)
+    an = pipeline.analyze(docio.to_spec(catalog.builtin("su2su2-nk")))
+    pipeline.result_document(an, pipeline.verification_checks(an))
+    assert calls == {"mub_decomposition": 2, "delb_mub": 2}
+    assert set(laplacians) == {(an.hs, n) for n in range(2 * an.m + 1)}
+    assert all(lap is laps[0] for laps in laplacians.values() for lap in laps)
 
 
 def _tampered_run(monkeypatch, tamper):

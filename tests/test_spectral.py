@@ -6,8 +6,8 @@ import dataclasses
 import pytest
 
 from acdol import catalog, docio
-from acdol.cohomology import (ConsistencyError, de_rham, dims_grid,
-                              dolbeault, mub_cohomology)
+from acdol.cohomology import (ConsistencyError, de_rham, dolbeault,
+                              mub_cohomology)
 from acdol.forms import MUBAR, build_basis, build_differential
 from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
                           validate_spec)
@@ -17,7 +17,8 @@ from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_page,
                             frolicher_all, hodge_generators, infinity_vs_betti,
                             reduce_filtration, shifted_generators,
                             witness_independent)
-from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
+from conftest import (builtin_analysis, dims_grid, random_nilpotent_spec,
+                      seeded_rng)
 
 E2_TABLES = {
     "filiform-J": ((1, 1, 0), (1, 2, 1), (0, 1, 1)),
@@ -89,12 +90,14 @@ def test_shifted_filtration_is_column_truncation():
 @pytest.mark.parametrize("name", sorted(DEGENERATION))
 def test_first_page_is_dolbeault(name):
     an = builtin_analysis(name)
-    assert an.pages.grid(1) == dims_grid(dolbeault(an.cm).dims, an.m)
+    assert dims_grid(an.pages.dims(1), an.m) == dims_grid(
+        dolbeault(an.cm).dims, an.m)
 
 
 @pytest.mark.parametrize("name,expected", sorted(E2_TABLES.items()))
 def test_second_page_tables(name, expected):
-    assert builtin_analysis(name).pages.grid(2) == expected
+    an = builtin_analysis(name)
+    assert dims_grid(an.pages.dims(2), an.m) == expected
 
 
 @pytest.mark.parametrize("name,page", sorted(DEGENERATION.items()))
@@ -104,7 +107,8 @@ def test_degeneration_pages(name, page):
 
 def test_filiform_jprime_infinity_table():
     an = builtin_analysis("filiform-Jprime")
-    assert an.pages.grid(1) == ((1, 0, 0), (2, 2, 2), (0, 0, 1))
+    assert dims_grid(an.pages.dims(1), an.m) == ((1, 0, 0), (2, 2, 2),
+                                                 (0, 0, 1))
     assert an.pages.infinity() == an.pages.dims(1)
 
 
