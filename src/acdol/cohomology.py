@@ -39,14 +39,13 @@ class CohomologyTable:
 
     ``representatives[(p, q)]`` spans a complement of the coboundaries
     inside the cocycles, so its columns represent a basis of the quotient.
-    ``numerators``/``denominators`` retain the cocycle and coboundary
-    subspaces for downstream class computations (slot coordinates).
+    ``denominators`` retains the coboundary subspaces for downstream class
+    computations (slot coordinates).
     """
 
     m: int
     dims: dict
     representatives: dict
-    numerators: dict
     denominators: dict
 
     def dim(self, p, q):
@@ -56,7 +55,6 @@ class CohomologyTable:
 def _quotient_table(m, parts):
     dims = {}
     reps = {}
-    nums = {}
     dens = {}
     for (p, q), (num, den) in parts.items():
         if not num.contains(den):
@@ -64,9 +62,8 @@ def _quotient_table(m, parts):
                 "coboundaries are not cocycles on slot (%d, %d)" % (p, q))
         dims[(p, q)] = num.dim - den.dim
         reps[(p, q)] = complement_in(den, num)
-        nums[(p, q)] = num
         dens[(p, q)] = den
-    return CohomologyTable(m, dims, reps, nums, dens)
+    return CohomologyTable(m, dims, reps, dens)
 
 
 def operator_cohomology(cm, tag):
@@ -135,8 +132,7 @@ def induced_delbar(cm, mub_table):
                     "delbar image not mubar-closed modulo boundaries at "
                     "(%d, %d)" % (p, q))
             cols.append(tuple(x[:tgt_reps.dim]))
-        out[(p, q)] = Matrix.from_columns(cols, ambient_rows=tgt_reps.dim) \
-            if cols else Matrix.zero(tgt_reps.dim, 0)
+        out[(p, q)] = Matrix.from_columns(cols, ambient_rows=tgt_reps.dim)
     return out
 
 

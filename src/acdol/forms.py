@@ -421,8 +421,7 @@ def conjugation_matrix(basis, p, q):
         col = [ZERO] * basis.dim(q, p)
         col[idx[(t_mask, s_mask)]] = sign
         cols.append(col)
-    return Matrix.from_columns(cols, ambient_rows=basis.dim(q, p)) if cols \
-        else Matrix.zero(basis.dim(q, p), 0)
+    return Matrix.from_columns(cols, ambient_rows=basis.dim(q, p))
 
 
 def conjugate_vector(basis, p, q, vec):

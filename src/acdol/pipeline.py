@@ -34,7 +34,6 @@ class Analysis:
 
     spec: object
     frame: object
-    csc: object
     cm: object
     relations: list
     classification: str
@@ -59,9 +58,8 @@ def analyze(spec, max_page=None):
     on any internal exact-identity failure."""
     spec = liealg.validate_spec(spec)
     frame = liealg.adapted_frame(spec)
-    csc = liealg.complexify(spec, frame)
     basis = forms.build_basis(spec.m)
-    cm = forms.build_differential(csc, basis)
+    cm = forms.build_differential(liealg.complexify(spec, frame), basis)
     relations = forms.verify_relations(cm)
     bad = [(name, slot) for name, slot, ok in relations if not ok]
     if bad:
@@ -95,7 +93,7 @@ def analyze(spec, max_page=None):
     nk_scalar = None
     if spec.m == 3:
         nk_checks, nk_scalar = harmonic.nearly_kahler_checks(dmb)
-    return Analysis(spec, frame, csc, cm, relations, classification, h_mub,
+    return Analysis(spec, frame, cm, relations, classification, h_mub,
                     h_dol, betti, pages, hs, decomposition, dmb, unimodular,
                     nk_checks, nk_scalar)
 

@@ -6,8 +6,9 @@ from acdol.cohomology import (consistency_report, de_rham, dolbeault,
                               euler_characteristic, induced_delbar,
                               mub_cohomology, operator_cohomology,
                               cohomology_dims_of_operator)
-from acdol.forms import MU, build_basis, build_differential
+from acdol.forms import DELBAR, MU, MUBAR, build_basis, build_differential
 from acdol.liealg import adapted_frame, complexify, validate_spec
+from acdol.linalg import Subspace, preimage
 from conftest import (builtin_analysis, dims_grid, random_nilpotent_spec,
                       seeded_rng)
 
@@ -78,9 +79,14 @@ def test_b0_always_one():
 
 def test_representatives_span_quotients():
     an = builtin_analysis("filiform-J")
-    dol = dolbeault(an.cm)
+    cm = an.cm
+    dol = dolbeault(cm)
     for (p, q), rep in dol.representatives.items():
-        num = dol.numerators[(p, q)]
+        # the cocycles: Ker mubar whose delbar lands in Im mubar
+        num = Subspace.from_matrix_columns(
+            cm.block(MUBAR, p, q).nullspace_matrix()).intersect(preimage(
+                cm.block(DELBAR, p, q),
+                Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 1))))
         den = dol.denominators[(p, q)]
         assert num.contains(den)
         assert rep.dim == an.h_dol.get((p, q), 0)

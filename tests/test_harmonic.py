@@ -15,10 +15,10 @@ from acdol.harmonic import (build_hermitian, delb_mub, delb_mub_checks,
                             lefschetz_matrices, metric_independence_probe,
                             mub_decomposition, nearly_kahler_checks,
                             serre_star_check, top_cohomology_is_line)
-from acdol.kernel import ONE, Scalar
+from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import (adapted_frame, complexify, make_spec,
                           orthogonal_frame, validate_spec)
-from acdol.linalg import Matrix
+from acdol.linalg import Matrix, Subspace
 from conftest import (builtin_analysis, dims_grid, random_nilpotent_spec,
                       seeded_rng)
 
@@ -43,6 +43,37 @@ def test_star_defining_property_exhaustive(name):
     for (p, q) in an.cm.basis.slots:
         assert an.hs.check_star_defining(p, q)
         assert an.hs.check_star_isometry(p, q)
+
+
+def test_star_checks_flag_a_scaled_entry(monkeypatch):
+    # negative control: doubling one entry of ⋆ on slot (1, 0) must break
+    # the isometry there and the defining property on slot (0, 1)
+    spec = docio.to_spec(catalog.builtin("filiform-J"))
+    frame = orthogonal_frame(spec, adapted_frame(spec))
+    hs = build_hermitian(build_differential(complexify(spec, frame),
+                                            build_basis(2)), frame)
+    assert hs.check_star_isometry(1, 0) and hs.check_star_defining(0, 1)
+    good = hs.star(1, 0)
+    i, j = next((i, j) for i in range(good.rows) for j in range(good.cols)
+                if good.entries[i][j])
+    rows = [list(row) for row in good.entries]
+    rows[i][j] = rows[i][j] + rows[i][j]
+    bad = Matrix(good.rows, good.cols, rows)
+    star = hs.star
+    monkeypatch.setattr(hs, "star",
+                        lambda p, q: bad if (p, q) == (1, 0) else star(p, q))
+    assert not hs.check_star_isometry(1, 0)
+    assert not hs.check_star_defining(0, 1)
+
+
+def test_pairwise_orthogonal_flags_a_non_orthogonal_pair():
+    hs = builtin_analysis("filiform-J").hs
+    e1 = Subspace.from_columns(2, [(ONE, ZERO)])
+    e2 = Subspace.from_columns(2, [(ZERO, ONE)])
+    diagonal = Subspace.from_columns(2, [(ONE, ONE)])
+    assert harmonic._pairwise_orthogonal(hs, 1, 0, (e1, e2))
+    assert not harmonic._pairwise_orthogonal(hs, 1, 0, (e1, diagonal))
+    assert not harmonic._pairwise_orthogonal(hs, 1, 0, (e1, e2, diagonal))
 
 
 def test_star_involution_on_middle_slot():
@@ -202,9 +233,10 @@ def test_mub_decomposition_builtins():
 
 def test_mub_decomposition_su2su2_middle_slot():
     an = builtin_analysis("su2su2-nk")
-    im_mub, h, im_adj = an.decomposition.parts[(1, 1)]
-    assert (im_mub.dim, h.dim, im_adj.dim) == (0, 8, 1)
-    assert im_mub.dim + h.dim + im_adj.dim == 9
+    by_name = {c.name: c for c in an.decomposition.checks}
+    assert by_name["mubar_decomposition_1_1"].detail == \
+        "dims 0 + 8 + 1 vs slot 9"
+    assert an.hs.harmonic(MUBAR)[(1, 1)].dim == 8
 
 
 def test_mub_decomposition_projector():
@@ -213,7 +245,7 @@ def test_mub_decomposition_projector():
         if proj.rows == 0:
             continue
         assert proj @ proj == proj
-        h = an.decomposition.parts[(p, q)][1]
+        h = an.hs.harmonic(MUBAR)[(p, q)]
         for j in range(h.dim):
             col = h.basis.col(j)
             assert proj.apply(col) == col

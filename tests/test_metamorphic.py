@@ -1,12 +1,14 @@
-"""Metamorphic invariants of the analysis: J -> -J and g -> lam g leave
-every table alone.
+"""Metamorphic invariants of the analysis: J -> -J, g -> lam g and a
+change of basis leave every table alone.
 
 J -> -J swaps the types (p, q) <-> (q, p), and conjugation maps each table
 of J onto the same table of -J, so the tables read slot by slot agree.
 Rescaling a compatible metric rescales every Hodge star and adjoint by a
 power of lam per slot, which leaves every kernel, and so every harmonic
-space, where it was.  The negative control swaps in another J and must
-change the tables.
+space, where it was.  Writing the brackets, J and g in another basis of the
+same Lie algebra gives an isomorphic input.  The negative controls swap in
+another J, or change the basis of J and g but not of the brackets, and
+must change the tables.
 """
 
 import dataclasses
@@ -16,11 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acdol import catalog, docio, pipeline
-from conftest import random_nilpotent_spec, seeded_rng
+from conftest import _invert, _matmul, random_nilpotent_spec, seeded_rng
 
 TABLES = ("h_mub", "h_dol", "betti", "pages", "degeneration_page")
 HARMONIC = ("h_mub_harmonic", "h_delb_mub", "h_d")
 SCALES = st.sampled_from([Fraction(2), Fraction(1, 3), Fraction(5, 2)])
+ENTRIES = st.sampled_from([Fraction(x) for x in (-2, -1, 0, 0, 1, 2)]
+                          + [Fraction(1, 2), Fraction(-1, 3)])
+PIVOTS = st.sampled_from([Fraction(x) for x in (-2, -1, 1, 2)]
+                         + [Fraction(1, 2), Fraction(-3, 2)])
 
 
 def tables(spec):
@@ -38,6 +44,46 @@ def negated_j(spec):
 
 def scaled_metric(spec, lam):
     return spec.with_metric([[lam * x for x in row] for row in spec.metric])
+
+
+def j_and_metric_in_basis(spec, P):
+    """J and g written in the basis f_a = sum_i P[i][a] e_i:
+    P^-1 J P and P^t g P; the brackets are left alone."""
+    Pt = [list(row) for row in zip(*P)]
+    return dataclasses.replace(
+        spec, J=_freeze(_matmul(_matmul(_invert(P), spec.J), P)),
+        metric=_freeze(_matmul(_matmul(Pt, spec.metric), P)),
+        frame_seeds=None)
+
+
+def in_basis(spec, P):
+    """``spec`` written in the basis f_a = sum_i P[i][a] e_i: the brackets
+    [f_a, f_b] = sum_c c'^c_ab f_c with c' = P^-1 c(P., P.), and J and g
+    as in ``j_and_metric_in_basis``."""
+    n, c, Pinv = spec.dim, spec.brackets, _invert(P)
+    rng = range(n)
+    left = [[[sum(P[i][a] * c[i][j][k] for i in rng) for k in rng]
+             for j in rng] for a in rng]
+    both = [[[sum(P[j][b] * left[a][j][k] for j in rng) for k in rng]
+             for b in rng] for a in rng]
+    brackets = tuple(tuple(tuple(sum(Pinv[d][k] * both[a][b][k] for k in rng)
+                                 for d in rng) for b in rng) for a in rng)
+    return dataclasses.replace(j_and_metric_in_basis(spec, P),
+                               brackets=brackets)
+
+
+def _freeze(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+@st.composite
+def invertible(draw, n):
+    """A random rational L U with L unit lower and U upper triangular."""
+    L = [[Fraction(i == j) if j >= i else draw(ENTRIES) for j in range(n)]
+         for i in range(n)]
+    U = [[draw(PIVOTS) if i == j else draw(ENTRIES) if j > i else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    return _matmul(L, U)
 
 
 def builtin_spec(name):
@@ -73,3 +119,36 @@ def test_another_j_changes_the_tables():
     got = tables(dataclasses.replace(spec, J=other.J))
     changed = {key for key in want if got[key] != want[key]}
     assert {"h_mub", "h_dol", "pages"} | set(HARMONIC) <= changed
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), data=st.data())
+def test_random_tables_invariant_under_a_change_of_basis(seed, data):
+    spec = random_nilpotent_spec(seeded_rng(seed), 2)
+    P = data.draw(invertible(spec.dim))
+    assert tables(in_basis(spec, P)) == tables(spec)
+
+
+@pytest.mark.parametrize("name", ["filiform-J", "kt-J", "su2su2-nk"])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_builtin_tables_invariant_under_a_change_of_basis(name, data):
+    spec = builtin_spec(name)
+    P = data.draw(invertible(spec.dim))
+    assert tables(in_basis(spec, P)) == tables(spec)
+
+
+def test_a_change_of_basis_of_j_and_g_alone_changes_the_tables():
+    # negative control: the same P applied to J and g but not to the
+    # brackets puts another almost complex structure on filiform-J
+    L = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]]
+    U = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
+    P = _matmul([[Fraction(x) for x in row] for row in L],
+                [[Fraction(x) for x in row] for row in U])
+    spec = builtin_spec("filiform-J")
+    want = tables(spec)
+    assert tables(in_basis(spec, P)) == want
+    got = tables(j_and_metric_in_basis(spec, P))
+    changed = {key for key in want if got[key] != want[key]}
+    assert {"h_dol", "pages", "degeneration_page", "h_d",
+            "h_delb_mub"} <= changed

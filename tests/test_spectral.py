@@ -8,7 +8,7 @@ import pytest
 from acdol import catalog, docio
 from acdol.cohomology import (ConsistencyError, de_rham, dolbeault,
                               mub_cohomology)
-from acdol.forms import MUBAR, build_basis, build_differential
+from acdol.forms import DELBAR, MUBAR, build_basis, build_differential
 from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
                           validate_spec)
 from acdol.linalg import Matrix, Subspace
@@ -225,6 +225,33 @@ def test_witness_independence(name):
     for p in range(an.m + 1):
         for q in range(an.m + 1):
             assert witness_independent(an.cm, dol, p, q)
+
+
+def test_witness_independence_flags_a_missing_coboundary():
+    # negative control: drop from the coboundaries of slot (p + 1, q) a
+    # direction that delbar(Ker mubar_{p+1,q-1}) needs
+    an = builtin_analysis("su2su2-nk")
+    cm = an.cm
+    dol = dolbeault(cm)
+    for (p, q), rep in sorted(dol.representatives.items()):
+        den = dol.denominators.get((p + 1, q))
+        shifts = Subspace.from_matrix_columns(
+            cm.block(DELBAR, p + 1, q - 1)
+            @ cm.block(MUBAR, p + 1, q - 1).nullspace_matrix())
+        if rep.dim and den is not None and shifts.dim:
+            break
+    else:
+        pytest.fail("no slot where the witness can move the image")
+    assert witness_independent(cm, dol, p, q)
+    cols = den.basis.columns()
+    smaller = next(
+        sub for sub in (Subspace.from_columns(den.ambient_dim,
+                                              cols[:k] + cols[k + 1:])
+                        for k in range(len(cols)))
+        if not sub.contains(shifts))
+    tampered = dataclasses.replace(
+        dol, denominators={**dol.denominators, (p + 1, q): smaller})
+    assert not witness_independent(cm, tampered, p, q)
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATION))
