@@ -109,30 +109,25 @@ def induced_delbar(cm, mub_table):
     """Matrix of delbar on mubar-cohomology classes, per slot.
 
     Classes are written in the representative bases of ``mub_table``; the
-    image class is extracted by solving against [representatives | Im mubar].
-    Cross-checks the Dolbeault computation: the cohomology of this operator
-    has the same dimensions.
+    image classes are extracted by one solve against [representatives |
+    Im mubar].  Cross-checks the Dolbeault computation: the cohomology of
+    this operator has the same dimensions.
     """
     basis = cm.basis
     out = {}
     for (p, q) in basis.slots:
         src = mub_table.representatives[(p, q)]
         tgt_reps = mub_table.representatives.get((p, q + 1))
-        tgt_den = mub_table.denominators.get((p, q + 1))
         if tgt_reps is None:
             out[(p, q)] = Matrix.zero(0, src.dim)
             continue
-        solver = tgt_reps.basis.hstack(tgt_den.basis)
-        cols = []
-        for j in range(src.dim):
-            w = cm.block(DELBAR, p, q).apply(src.basis.col(j))
-            x = solver.solve(w)
-            if x is None:
-                raise ConsistencyError(
-                    "delbar image not mubar-closed modulo boundaries at "
-                    "(%d, %d)" % (p, q))
-            cols.append(tuple(x[:tgt_reps.dim]))
-        out[(p, q)] = Matrix.from_columns(cols, ambient_rows=tgt_reps.dim)
+        solver = tgt_reps.basis.hstack(mub_table.denominators[(p, q + 1)].basis)
+        x = solver.solve(cm.block(DELBAR, p, q) @ src.basis)
+        if x is None:
+            raise ConsistencyError(
+                "delbar image not mubar-closed modulo boundaries at "
+                "(%d, %d)" % (p, q))
+        out[(p, q)] = Matrix(tgt_reps.dim, src.dim, x.entries[:tgt_reps.dim])
     return out
 
 
@@ -155,9 +150,7 @@ def de_rham(cm):
     betti = []
     for n in range(two_m + 1):
         dn = cm.total_matrix(n)
-        ker = dn.cols - dn.rank() if dn.cols else 0
-        img = cm.total_matrix(n - 1).rank() if n > 0 else 0
-        betti.append(ker - img)
+        betti.append(dn.cols - dn.rank() - cm.total_matrix(n - 1).rank())
     return tuple(betti)
 
 

@@ -409,9 +409,8 @@ def classify(cm):
 def conjugation_matrix(basis, p, q):
     """Signed permutation (p, q) -> (q, p) induced by conjugating monomials.
 
-    conj(t^S tbar^T) = (-1)^{pq} t^T tbar^S on monomials; applying it to a
-    coordinate vector additionally conjugates the coefficients (see
-    ``conjugate_vector``).
+    conj(t^S tbar^T) = (-1)^{pq} t^T tbar^S on monomials; the conjugate of
+    the form with coordinate columns V has the coordinates C conj(V).
     """
     src = basis.monomials(p, q)
     idx = basis.index[(q, p)]
@@ -422,9 +421,3 @@ def conjugation_matrix(basis, p, q):
         col[idx[(t_mask, s_mask)]] = sign
         cols.append(col)
     return Matrix.from_columns(cols, ambient_rows=basis.dim(q, p))
-
-
-def conjugate_vector(basis, p, q, vec):
-    """Coordinates of the conjugate form, in slot (q, p)."""
-    mat = conjugation_matrix(basis, p, q)
-    return mat.apply([v.conj() for v in vec])

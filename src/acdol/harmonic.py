@@ -27,13 +27,17 @@ operator  delbar_mub = (harmonic projection) ∘ delbar, which squares to
 zero and whose cohomology has the Dolbeault dimensions; when the top
 Chevalley-Eilenberg cohomology is a line (compact or nilpotent case) its
 harmonic spaces realise Dolbeault cohomology directly and are
-metric-independent.
+metric-independent.  The decomposition gives each slot its harmonic
+coordinates, the H_mubar rows of B^{-1} with B = [Im mubar | H_mubar |
+Im mubar*], so delbar_mub on a slot is one product: those coordinates of
+the target slot times delbar times the harmonic basis.
 
 The layer is built once per analysis: ``HermitianStructure`` caches every
 operator it forms (Delta_d included, one per degree), ``delb_mub`` stores
-the delbar_mub-harmonic space of every slot on its ``DelbMub``, and the
-battery, the nearly Kahler checks and the metric probe read that
-``DelbMub``; the probe builds a layer only for each other metric.
+the mubar decomposition and the delbar_mub-harmonic space of every slot on
+its ``DelbMub``, and the battery, the nearly Kahler checks and the metric
+probe read that ``DelbMub``; the probe builds a layer only for each other
+metric.
 """
 
 from __future__ import annotations
@@ -222,16 +226,13 @@ class HermitianStructure:
         return (st.conj_transpose() @ self.gram(self.m - q, self.m - p) @ st
                 == self.gram(p, q))
 
-    def bar_star(self, p, q, vec):
-        """⋆ followed by conjugation: (p, q) -> (m-p, m-q)."""
-        sv = self.star(p, q).apply(vec)
-        return forms.conjugate_vector(self.basis, self.m - q, self.m - p, sv)
-
     def bar_star_image(self, p, q, sub):
-        """Image of a slot subspace under bar-star (an antilinear bijection)."""
-        cols = [self.bar_star(p, q, sub.basis.col(j)) for j in range(sub.dim)]
-        return Subspace.from_columns(self.basis.dim(self.m - p, self.m - q),
-                                     cols)
+        """Image of a slot subspace under bar-star, ⋆ followed by
+        conjugation (p, q) -> (m-p, m-q): the span of C conj(⋆ basis)."""
+        m = self.m
+        return Subspace.from_matrix_columns(
+            forms.conjugation_matrix(self.basis, m - q, m - p)
+            @ (self.star(p, q) @ sub.basis).conj())
 
     # -- adjoints and Laplacians ----------------------------------------------
 
@@ -263,13 +264,9 @@ class HermitianStructure:
         out = {}
         for (p, q) in basis.slots:
             sp, sq = p - dp, q - dq
-            if not (0 <= sp <= basis.m and 0 <= sq <= basis.m):
-                out[(p, q)] = Matrix.zero(0, basis.dim(p, q))
-                continue
-            block = self.cm.block(tag, sp, sq)
             src_diag = self.gram_diag(sp, sq)
             tgt_diag = self.gram_diag(p, q)
-            ah = block.conj_transpose()
+            ah = self.cm.block(tag, sp, sq).conj_transpose()
             data = [[ah.entries[i][j] * from_rational(tgt_diag[j] / src_diag[i])
                      for j in range(ah.cols)] for i in range(ah.rows)]
             out[(p, q)] = Matrix(ah.rows, ah.cols, data)
@@ -300,16 +297,10 @@ class HermitianStructure:
         got = self._laplacian_d.get(n)
         if got is not None:
             return got
-        dn = self.cm.total_matrix(n)
-        dprev = self.cm.total_matrix(n - 1) if n > 0 else \
-            Matrix.zero(self.basis.total_dim(0), 0)
-        adj_n = self.d_adjoint(n + 1) if n < 2 * self.m else \
-            Matrix.zero(self.basis.total_dim(n), 0)
-        term1 = (adj_n @ dn) if dn.rows else Matrix.zero(dn.cols, dn.cols)
-        adj_prev = self.d_adjoint(n)
-        term2 = dprev @ adj_prev
-        self._laplacian_d[n] = term1 + term2
-        return self._laplacian_d[n]
+        got = (self.d_adjoint(n + 1) @ self.cm.total_matrix(n)
+               + self.cm.total_matrix(n - 1) @ self.d_adjoint(n))
+        self._laplacian_d[n] = got
+        return got
 
     def harmonic(self, tag):
         """Ker of the slot Laplacian; verified equal to Ker δ ∩ Ker δ*."""
@@ -359,17 +350,26 @@ def build_hermitian(cm, frame):
 
 @dataclass
 class MubDecomposition:
-    """Per slot: Im(mubar) ⊕ H_mubar ⊕ Im(mubar*) with harmonic projectors."""
+    """Per slot: A^{p,q} = Im(mubar) ⊕ H_mubar ⊕ Im(mubar*), orthogonal.
 
-    projector: dict    # (p, q) -> Matrix projecting onto the harmonic part
+    ``coords[(p, q)]`` gives the coordinates of the harmonic part of a form
+    in the basis of H_mubar: it is the H_mubar rows of B^{-1}, B = [Im mubar
+    | H_mubar | Im mubar*], so coords H_mubar = I and coords kills both
+    images.  ``checks`` holds one passed check per slot.
+    """
+
+    coords: dict
     checks: list
 
 
 def mub_decomposition(hs):
+    """The mubar Hodge decomposition of every slot with its harmonic
+    coordinates.  Raises ConsistencyError naming the check of the first
+    slot whose parts do not split it orthogonally, with their dims."""
     cm = hs.cm
     basis = hs.basis
     harm = hs.harmonic(MUBAR)
-    projector = {}
+    coords = {}
     checks = []
     for (p, q) in sorted(basis.slots):
         dim = basis.dim(p, q)
@@ -377,20 +377,21 @@ def mub_decomposition(hs):
         im_adj = Subspace.from_matrix_columns(
             hs.adjoint_block(MUBAR, p - 1, q + 2))
         h = harm[(p, q)]
-        ok_dim = im_mub.dim + h.dim + im_adj.dim == dim
-        ortho = _pairwise_orthogonal(hs, p, q, (im_mub, h, im_adj))
-        full = im_mub + h + im_adj
-        ok_span = full.dim == dim
-        checks.append(Check(
-            "mubar_decomposition_%d_%d" % (p, q), ok_dim and ortho and ok_span,
-            "dims %d + %d + %d vs slot %d" % (im_mub.dim, h.dim, im_adj.dim, dim)))
-        cols = (im_mub.basis.columns() + h.basis.columns()
-                + im_adj.basis.columns())
-        B = Matrix.from_columns(cols, ambient_rows=dim)
-        sel = [[ONE if (i == j and im_mub.dim <= i < im_mub.dim + h.dim)
-                else ZERO for j in range(dim)] for i in range(dim)]
-        projector[(p, q)] = B @ (Matrix(dim, dim, sel) @ B.inverse())
-    return MubDecomposition(projector, checks)
+        parts = (im_mub, h, im_adj)
+        check = Check(
+            "mubar_decomposition_%d_%d" % (p, q),
+            sum(sub.dim for sub in parts) == dim
+            and (im_mub + h + im_adj).dim == dim
+            and _pairwise_orthogonal(hs, p, q, parts),
+            "dims %d + %d + %d vs slot %d" % (im_mub.dim, h.dim, im_adj.dim, dim))
+        if not check.passed:
+            raise ConsistencyError("mubar Hodge decomposition failed: %s (%s)"
+                                   % (check.name, check.detail))
+        checks.append(check)
+        inv = im_mub.basis.hstack(h.basis).hstack(im_adj.basis).inverse()
+        coords[(p, q)] = Matrix(h.dim, dim,
+                                inv.entries[im_mub.dim:im_mub.dim + h.dim])
+    return MubDecomposition(coords, checks)
 
 
 def _pairwise_orthogonal(hs, p, q, subs):
@@ -413,8 +414,9 @@ class DelbMub:
     ``harmonic[(p, q)]`` is Ker(delbar_mub) ∩ Ker(delbar_mub*) lifted into
     the slot.  ``unimodular`` records whether the top cohomology is a line,
     which is the hypothesis for adjointness and the Hodge decomposition of
-    the operator.  ``delb_mub`` builds all of it once; every later stage
-    reads it.
+    the operator; ``decomposition`` is the mubar Hodge decomposition the
+    operators are read from.  ``delb_mub`` builds all of it once; every
+    later stage reads it.
     """
 
     hs: HermitianStructure
@@ -423,66 +425,50 @@ class DelbMub:
     op_adj: dict
     harmonic: dict
     unimodular: bool
+    decomposition: MubDecomposition
 
     def harmonic_dims(self):
         return {k: v.dim for k, v in self.harmonic.items() if v.dim}
 
 
-def delb_mub(hs, decomposition=None):
+def delb_mub(hs):
     """Build delbar_mub = H_mubar ∘ delbar restricted to mubar-harmonics.
 
-    Asserts delbar_mub^2 = 0.  The adjoint-side operator is the harmonic
-    projection of delbar*; when the top cohomology is a line it is the true
-    adjoint with respect to the restricted Gram pairing.
+    On each slot it is one product, the harmonic coordinates of the target
+    slot times delbar times the harmonic basis; off the grid the
+    coordinates are 0 x 0.  Asserts delbar_mub^2 = 0.  The adjoint-side
+    operator is the harmonic projection of delbar*; when the top cohomology
+    is a line it is the true adjoint with respect to the restricted Gram
+    pairing.
     """
     cm = hs.cm
-    basis = hs.basis
-    if decomposition is None:
-        decomposition = mub_decomposition(hs)
-    proj = decomposition.projector
+    decomposition = mub_decomposition(hs)
+    coords = decomposition.coords
+    off_grid = Matrix.zero(0, 0)
     harm = hs.harmonic(MUBAR)
     op = {}
     op_adj = {}
-    for (p, q) in sorted(basis.slots):
-        src = harm[(p, q)]
-        op[(p, q)] = _projected_operator(
-            cm.block(DELBAR, p, q), src, harm.get((p, q + 1)),
-            proj.get((p, q + 1)))
-        op_adj[(p, q)] = _projected_operator(
-            hs.adjoint_block(DELBAR, p, q), src, harm.get((p, q - 1)),
-            proj.get((p, q - 1)))
+    for (p, q), src in harm.items():
+        op[(p, q)] = coords.get((p, q + 1), off_grid) @ (
+            cm.block(DELBAR, p, q) @ src.basis)
+        op_adj[(p, q)] = coords.get((p, q - 1), off_grid) @ (
+            hs.adjoint_block(DELBAR, p, q) @ src.basis)
     for (p, q), mat in op.items():
-        nxt = op.get((p, q + 1))
-        if nxt is not None and mat.cols and nxt.rows:
-            if not (nxt @ mat).is_zero():
-                raise ConsistencyError("delbar_mub does not square to zero")
+        if (p, q + 1) in op and not (op[(p, q + 1)] @ mat).is_zero():
+            raise ConsistencyError("delbar_mub does not square to zero")
     harmonic = {}
     for pq, mat in op.items():
         ker = Subspace.from_matrix_columns(mat.nullspace_matrix()).intersect(
             Subspace.from_matrix_columns(op_adj[pq].nullspace_matrix()))
         harmonic[pq] = _lift(harm[pq], ker.basis)
     return DelbMub(hs, dict(harm), op, op_adj, harmonic,
-                   top_cohomology_is_line(cm))
+                   top_cohomology_is_line(cm), decomposition)
 
 
 def _lift(space, coords):
     """The span of the coordinate columns ``coords`` in the basis of
     ``space``, as a subspace of the slot."""
     return Subspace.from_matrix_columns(space.basis @ coords)
-
-
-def _projected_operator(block, src, tgt, projector):
-    if tgt is None or projector is None:
-        return Matrix.zero(0, src.dim)
-    cols = []
-    for j in range(src.dim):
-        v = block.apply(src.basis.col(j))
-        w = projector.apply(v)
-        x = tgt.basis.solve(w)
-        if x is None:
-            raise ConsistencyError("harmonic projection left the harmonic space")
-        cols.append(tuple(x))
-    return Matrix.from_columns(cols, ambient_rows=tgt.dim)
 
 
 def delb_mub_checks(dmb, h_dol_dims):
@@ -588,9 +574,6 @@ def lefschetz_matrices(hs):
     omega = fundamental_form(hs)
     out = {}
     for (p, q) in basis.slots:
-        if p + 1 > hs.m or q + 1 > hs.m:
-            out[(p, q)] = Matrix.zero(0, basis.dim(p, q))
-            continue
         cols = []
         dim = basis.dim(p, q)
         for j in range(dim):

@@ -194,20 +194,18 @@ class Matrix:
             cols.append(v)
         return Matrix.from_columns(cols, ambient_rows=self.cols)
 
-    def solve(self, b):
-        """Some x with self @ x = b, or None when b is outside the image."""
-        b = list(b)
-        if len(b) != self.rows:
-            raise LinalgError("rhs length %d does not match %d rows"
-                              % (len(b), self.rows))
-        aug = self.hstack(Matrix.column(b))
-        red, pivots = aug.rref()
-        if pivots and pivots[-1] == self.cols:
+    def solve(self, rhs):
+        """X with self @ X = rhs from one rref of [self | rhs], or None when
+        a column of the Matrix ``rhs`` is outside the image."""
+        if rhs.rows != self.rows:
+            raise LinalgError("rhs has %d rows, not %d" % (rhs.rows, self.rows))
+        red, pivots = self.hstack(rhs).rref()
+        if pivots and pivots[-1] >= self.cols:
             return None
-        x = [ZERO] * self.cols
+        data = [[ZERO] * rhs.cols for _ in range(self.cols)]
         for k, pc in enumerate(pivots):
-            x[pc] = red.entries[k][self.cols]
-        return tuple(x)
+            data[pc] = red.entries[k][self.cols:]
+        return Matrix(self.cols, rhs.cols, data)
 
     def inverse(self):
         if self.rows != self.cols:
@@ -272,7 +270,7 @@ class Subspace:
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)
 
     def contains_vector(self, vec):
-        return self.basis.solve(vec) is not None
+        return self.basis.solve(Matrix.column(vec)) is not None
 
     def contains(self, other):
         """Whether other is contained in self."""
@@ -291,11 +289,8 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         ker = self.basis.hstack(-other.basis).nullspace_matrix()
-        cols = []
-        for j in range(ker.cols):
-            coeffs = [ker.entries[i][j] for i in range(self.dim)]
-            cols.append(self.basis.apply(coeffs))
-        return Subspace.from_columns(self.ambient_dim, cols)
+        return Subspace.from_matrix_columns(
+            self.basis @ Matrix(self.dim, ker.cols, ker.entries[:self.dim]))
 
     def image_under(self, mat):
         """Span of mat(self) inside k^rows(mat)."""
@@ -316,10 +311,8 @@ def preimage(mat, sub):
     if sub.dim == 0:
         return Subspace.from_matrix_columns(mat.nullspace_matrix())
     ker = mat.hstack(-sub.basis).nullspace_matrix()
-    cols = []
-    for j in range(ker.cols):
-        cols.append(tuple(ker.entries[i][j] for i in range(mat.cols)))
-    return Subspace.from_columns(mat.cols, cols)
+    return Subspace.from_matrix_columns(
+        Matrix(mat.cols, ker.cols, ker.entries[:mat.cols]))
 
 
 def complement_in(inner, outer):

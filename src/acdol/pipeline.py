@@ -42,9 +42,7 @@ class Analysis:
     betti: tuple
     pages: object
     hs: object
-    decomposition: object
     dmb: object
-    unimodular: bool
     nk_checks: list
     nk_scalar: object
 
@@ -82,20 +80,13 @@ def analyze(spec, max_page=None):
     hcm = cm if hframe == frame else forms.build_differential(
         liealg.complexify(spec, hframe), basis)
     hs = harmonic.build_hermitian(hcm, hframe)
-    decomposition = harmonic.mub_decomposition(hs)
-    for check in decomposition.checks:
-        if not check.passed:
-            raise ConsistencyError("mubar Hodge decomposition failed: %s"
-                                   % check.name)
-    dmb = harmonic.delb_mub(hs, decomposition)
-    unimodular = dmb.unimodular
+    dmb = harmonic.delb_mub(hs)
     nk_checks = []
     nk_scalar = None
     if spec.m == 3:
         nk_checks, nk_scalar = harmonic.nearly_kahler_checks(dmb)
     return Analysis(spec, frame, cm, relations, classification, h_mub,
-                    h_dol, betti, pages, hs, decomposition, dmb, unimodular,
-                    nk_checks, nk_scalar)
+                    h_dol, betti, pages, hs, dmb, nk_checks, nk_scalar)
 
 
 def analyze_document(doc, max_page=None):
@@ -244,7 +235,7 @@ def verification_checks(an):
     ga = hs.gram_adjoint(MUBAR)
     checks.append(Check("mubar_adjoint_is_metric_adjoint",
                         all(sa[k] == ga[k] for k in sa)))
-    if an.unimodular:
+    if an.dmb.unimodular:
         sa = hs.adjoint(DELBAR)
         ga = hs.gram_adjoint(DELBAR)
         checks.append(Check("delbar_adjointness",
@@ -256,7 +247,7 @@ def verification_checks(an):
 
     # mubar Hodge decomposition (recorded during analyze)
     checks.append(Check("mubar_hodge_decomposition",
-                        all(c.passed for c in an.decomposition.checks)))
+                        all(c.passed for c in an.dmb.decomposition.checks)))
 
     # delbar_mub cohomology / harmonic spaces
     checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
@@ -277,7 +268,7 @@ def verification_checks(an):
     checks.append(Check("harmonic_intersection_bottom_row", ok_row))
 
     # d-harmonic forms realise the Betti numbers when adjointness holds
-    if an.unimodular:
+    if an.dmb.unimodular:
         ok = True
         for n in range(2 * m + 1):
             lap = hs.laplacian_d_total(n)
@@ -291,7 +282,7 @@ def verification_checks(an):
                             skipped=True))
 
     # metric independence of the harmonic Dolbeault dimensions
-    if an.unimodular:
+    if an.dmb.unimodular:
         _, probe = harmonic.metric_independence_probe(
             an.spec, an.dmb, probe_metrics(an.spec))
         checks.append(probe)
@@ -364,7 +355,7 @@ def result_document(an, checks=None):
             break
         pages_json[str(r)] = docio.table_to_json(an.pages.dims(r), m)
     harm = {
-        "unimodular": an.unimodular,
+        "unimodular": an.dmb.unimodular,
         "h_mub_harmonic": docio.table_to_json(
             {k: v.dim for k, v in an.hs.harmonic(MUBAR).items()}, m),
         "h_delb_mub": docio.table_to_json(an.dmb.harmonic_dims(), m),

@@ -128,7 +128,7 @@ def reduce_filtration(cm, generators):
     gap = [[None] * len(v) for v in values]
     ds, ops, reduced = [], [], []
     for n, (src, tgt) in enumerate(zip(gens, gens[1:])):
-        d = cm.total_matrix(n) if tgt[0] else Matrix.zero(0, len(src[0]))
+        d = cm.total_matrix(n)
         d = d if src[1] is None else d @ src[1]
         d = d if tgt[2] is None else tgt[2] @ d
         cols = [{i: row[j] for i, row in enumerate(d.entries) if row[j]}
@@ -271,10 +271,8 @@ def _project_solutions(system, offsets, var_dims, var):
     """Project the solution space of ``system`` to one variable block."""
     ker = system.nullspace_matrix()
     off = offsets[var]
-    dim = var_dims[var]
-    cols = [tuple(ker.entries[off + i][j] for i in range(dim))
-            for j in range(ker.cols)]
-    return Subspace.from_columns(dim, cols)
+    return Subspace.from_matrix_columns(
+        Matrix(var_dims[var], ker.cols, ker.entries[off:off + var_dims[var]]))
 
 
 def explicit_cycles(cm, r, p, q):
@@ -303,20 +301,12 @@ def explicit_boundaries(cm, r, p, q):
                   if j + t <= r] for j in range(1, r + 1)]
     system, offsets, var_dims = _block_system(cm, equations, variables)
     ker = system.nullspace_matrix()
-    out_dim = cm.basis.dim(p, q)
-    cols = []
-    for j in range(ker.cols):
-        acc = [forms.ZERO] * out_dim
-        for var in range(min(4, len(variables))):
-            if var_dims[var] == 0:
-                continue
-            mat = cm.block(_CHAIN_TAGS[var], *variables[var])
-            off = offsets[var]
-            comp = mat.apply([ker.entries[off + i][j]
-                              for i in range(var_dims[var])])
-            acc = [a + b for a, b in zip(acc, comp)]
-        cols.append(tuple(acc))
-    return Subspace.from_columns(out_dim, cols)
+    form = Matrix.zero(cm.basis.dim(p, q), ker.cols)
+    for var, (tag, slot) in enumerate(zip(_CHAIN_TAGS, variables)):
+        off = offsets[var]
+        form += cm.block(tag, *slot) @ Matrix(
+            var_dims[var], ker.cols, ker.entries[off:off + var_dims[var]])
+    return Subspace.from_matrix_columns(form)
 
 
 def explicit_page(cm, r):
@@ -348,6 +338,8 @@ def dolbeault_delta1(cm, dol):
     on the witness eta: another witness differs by k in Ker(mubar) and moves
     the image by delbar k, a Dolbeault coboundary, which
     ``witness_independent`` re-verifies for the whole of Ker(mubar) at once.
+    Per slot, one solve gives the witnesses of every representative and one
+    more their classes.
     """
     basis = cm.basis
     mats = {}
@@ -357,31 +349,22 @@ def dolbeault_delta1(cm, dol):
         if tgt_reps is None:
             mats[(p, q)] = Matrix.zero(0, src.dim)
             continue
-        tgt_den = dol.denominators[(p + 1, q)]
-        solver = tgt_reps.basis.hstack(tgt_den.basis)
-        cols = []
-        for j in range(src.dim):
-            w = src.basis.col(j)
-            out = _delta1_image(cm, p, q, w)
-            x = solver.solve(out)
-            if x is None:
-                raise ConsistencyError(
-                    "delta_1 image is not a Dolbeault cocycle at (%d, %d)"
-                    % (p, q))
-            cols.append(tuple(x[:tgt_reps.dim]))
-        mats[(p, q)] = Matrix.from_columns(cols, ambient_rows=tgt_reps.dim)
+        eta = cm.block(MUBAR, p + 1, q - 1).solve(
+            cm.block(DELBAR, p, q) @ src.basis)
+        if eta is None:
+            raise ConsistencyError(
+                "no mubar-witness at (%d, %d): a representative is not a "
+                "page-1 cycle" % (p, q))
+        image = (cm.block(PARTIAL, p, q) @ src.basis
+                 - cm.block(DELBAR, p + 1, q - 1) @ eta)
+        x = tgt_reps.basis.hstack(dol.denominators[(p + 1, q)].basis).solve(
+            image)
+        if x is None:
+            raise ConsistencyError(
+                "delta_1 image is not a Dolbeault cocycle at (%d, %d)"
+                % (p, q))
+        mats[(p, q)] = Matrix(tgt_reps.dim, src.dim, x.entries[:tgt_reps.dim])
     return mats
-
-
-def _delta1_image(cm, p, q, w):
-    mub_wit = cm.block(MUBAR, p + 1, q - 1)
-    rhs = cm.block(DELBAR, p, q).apply(w)
-    eta = mub_wit.solve(rhs)
-    if eta is None:
-        raise ConsistencyError("no mubar-witness: form is not a page-1 cycle")
-    part = cm.block(PARTIAL, p, q).apply(w)
-    corr = cm.block(DELBAR, p + 1, q - 1).apply(eta)
-    return tuple(a - b for a, b in zip(part, corr))
 
 
 def witness_independent(cm, dol, p, q):

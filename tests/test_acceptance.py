@@ -16,7 +16,7 @@ from acdol.cohomology import (cohomology_dims_of_operator, de_rham,
                               dolbeault, euler_characteristic)
 from acdol.forms import build_basis, build_differential, verify_relations
 from acdol.harmonic import (build_hermitian, delb_mub,
-                            metric_independence_probe, mub_decomposition)
+                            metric_independence_probe)
 from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
                           validate_spec)
 from acdol.spectral import (decalage_check, explicit_page, frolicher_all,
@@ -118,7 +118,7 @@ def test_criterion_7_harmonic_isomorphism():
     probed = 0
     for name in ALL_BUILTINS:
         an = builtin_analysis(name)
-        assert an.unimodular
+        assert an.dmb.unimodular
         metrics = pipeline.probe_metrics(an.spec)
         assert metrics and all(g != [list(row) for row in an.spec.metric]
                                for g in metrics)
@@ -207,11 +207,10 @@ def _structural_battery(cm, hs, h_dol, betti):
     m = cm.m
     assert hs.check_star_defining(1, 0)
     assert hs.check_star_isometry(0, 1)
-    # mubar Hodge decomposition
-    dec = mub_decomposition(hs)
-    assert all(c.passed for c in dec.checks)
+    # mubar Hodge decomposition, built by delb_mub
+    dmb = delb_mub(hs)
+    assert all(c.passed for c in dmb.decomposition.checks)
     # delbar_mub squares to zero (asserted in delb_mub) and matches Dolbeault
-    dmb = delb_mub(hs, dec)
     coh = cohomology_dims_of_operator(dmb.op)
     for p in range(m + 1):
         for q in range(m + 1):

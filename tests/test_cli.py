@@ -9,6 +9,9 @@ import pytest
 
 from acdol import catalog, docio, pipeline
 from acdol.cli import main
+from acdol.forms import MUBAR
+from acdol.harmonic import HermitianStructure
+from acdol.linalg import Matrix, Subspace
 from conftest import builtin_analysis, golden_dir
 
 
@@ -117,6 +120,27 @@ def test_verify_jacobi_violation_exit_1(tmp_path):
     code, out, err = run_cli(["verify", str(path)])
     assert code == 1
     assert "Jacobi" in err and "X2" in err
+    assert out == ""
+
+
+def test_failed_mubar_decomposition_exit_2_names_the_slot(monkeypatch):
+    # drop one vector of H_mubar(1, 1) on su2su2-nk: the three parts of
+    # the slot's decomposition no longer span it
+    spaces = HermitianStructure.harmonic
+
+    def one_short(hs, tag):
+        out = spaces(hs, tag)
+        if tag != MUBAR:
+            return out
+        h = out[(1, 1)]
+        basis = Matrix(h.ambient_dim, h.dim - 1,
+                       [row[1:] for row in h.basis.entries])
+        return {**out, (1, 1): Subspace(h.ambient_dim, basis)}
+
+    monkeypatch.setattr(HermitianStructure, "harmonic", one_short)
+    code, out, err = run_cli(["analyze", "--example", "su2su2-nk"])
+    assert code == 2
+    assert "mubar_decomposition_1_1 (dims 0 + 7 + 1 vs slot 9)" in err
     assert out == ""
 
 

@@ -1,8 +1,11 @@
 """mubar-cohomology, Dolbeault cohomology, Betti numbers, consistency."""
 
+import dataclasses
+
 import pytest
 
-from acdol.cohomology import (consistency_report, de_rham, dolbeault,
+from acdol.cohomology import (ConsistencyError, consistency_report, de_rham,
+                              dolbeault,
                               euler_characteristic, induced_delbar,
                               mub_cohomology, operator_cohomology,
                               cohomology_dims_of_operator)
@@ -106,6 +109,20 @@ def test_dolbeault_two_routes_agree_on_random_specs():
         for p in range(3):
             for q in range(3):
                 assert route1.get((p, q), 0) == route2.get((p, q), 0)
+
+
+def test_induced_delbar_flags_an_image_outside_the_classes():
+    # negative control: without Im mubar in slot (0, 2) of filiform-J the
+    # delbar images of the (0, 1) classes have no class coordinates
+    cm = builtin_analysis("filiform-J").cm
+    hm = mub_cohomology(cm)
+    induced_delbar(cm, hm)
+    den = hm.denominators[(0, 2)]
+    assert den.dim
+    tampered = dataclasses.replace(hm, denominators={
+        **hm.denominators, (0, 2): Subspace.zero(den.ambient_dim)})
+    with pytest.raises(ConsistencyError, match=r"at \(0, 1\)"):
+        induced_delbar(cm, tampered)
 
 
 def test_mub_conjugation_and_serre_dims():

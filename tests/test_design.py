@@ -1,13 +1,14 @@
 """Design guards: no helper without a caller, no field without a reader.
 
-Every function, method and class defined in ``src/acdol`` must be named at
-least twice, as a whole word, across ``src/acdol``, ``perfbench`` and
-``benchmarks``: its definition and one use.  Every field of a dataclass
-defined there must be read as ``.field`` somewhere in those directories.
-Tests do not count as a use.  The checks are by name, so they are only a
-floor: a name shared by two definitions, or mentioned in a docstring,
-passes.  Special methods (``__add__`` and the like) are called by the
-interpreter, not by name, and are left out.
+Every function, method and class defined in ``src/acdol`` must be used in
+``src/acdol``, ``perfbench`` or ``benchmarks``, and every field of a
+dataclass defined there must be read as ``.field`` there.  Uses are read
+from the syntax tree: a name, an attribute, an imported name, or a word of
+a string that is not a docstring (``perfbench/tracing.py`` names the
+functions it times by string).  Docstrings and comments are not uses, and
+tests do not count.  The checks are by name, so they are only a floor: a
+name shared by two definitions passes.  Special methods (``__add__`` and
+the like) are called by the interpreter, not by name, and are left out.
 """
 
 import ast
@@ -17,52 +18,124 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 USE_DIRS = ("src/acdol", "perfbench", "benchmarks")
 
-
-def _source_nodes():
-    for path in sorted((ROOT / "src" / "acdol").glob("*.py")):
-        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-
-
-def _use_text():
-    return "\n".join(path.read_text(encoding="utf-8")
-                     for d in USE_DIRS
-                     for path in sorted((ROOT / d).rglob("*.py")))
+# A negative control: the guards must flag the helpers named only in a
+# docstring or a comment and the field named only in a docstring, and
+# nothing else.
+SYNTHETIC = '''
+"""Mentions helper_in_docstring."""
+import dataclasses
 
 
-def _defined_names():
+@dataclasses.dataclass
+class Record:
+    """Its field ``rec.unread`` is named only here."""
+    read: int
+    unread: int
+
+
+def used(rec):
+    return rec.read
+
+
+def helper_in_docstring():
+    pass  # helper_in_comment
+
+
+def helper_in_comment():
+    pass
+
+
+def timed_by_string():
+    pass
+
+
+TIMED = {"module.timed_s": ("module.timed_by_string",)}
+print(used(Record(1, 2)))
+'''
+
+
+def _trees(dirs):
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for d in dirs for path in sorted((ROOT / d).rglob("*.py"))]
+
+
+def _docstrings(tree):
+    """The string nodes of ``tree`` that are docstrings."""
+    return {node.body[0].value for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+def _uses(trees):
+    """(names, attributes) used in ``trees``: each name, imported name and
+    word of a string that is not a docstring, and each attribute."""
+    names, attrs = set(), set()
+    for tree in trees:
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and node not in docs):
+                names.update(re.findall(r"\w+", node.value))
+    return names, attrs
+
+
+def _defined_names(trees):
     names = set()
-    for node in _source_nodes():
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            if not (node.name.startswith("__")
-                    and node.name.endswith("__")):
-                names.add(node.name)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    names.add(node.name)
     return names
 
 
-def _dataclass_fields():
-    """{"Class.field"} for every field of every dataclass in src/acdol."""
+def _dataclass_fields(trees):
+    """{"Class.field"} for every field of every dataclass in ``trees``."""
     fields = set()
-    for node in _source_nodes():
-        if isinstance(node, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(dec)
-                for dec in node.decorator_list):
-            fields.update("%s.%s" % (node.name, stmt.target.id)
-                          for stmt in node.body
-                          if isinstance(stmt, ast.AnnAssign))
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(dec)
+                    for dec in node.decorator_list):
+                fields.update("%s.%s" % (node.name, stmt.target.id)
+                              for stmt in node.body
+                              if isinstance(stmt, ast.AnnAssign))
     return fields
 
 
+def _unused(defining, using):
+    names, attrs = _uses(using)
+    return sorted(name for name in _defined_names(defining)
+                  if name not in names and name not in attrs)
+
+
+def _unread(defining, using):
+    _, attrs = _uses(using)
+    return sorted(field for field in _dataclass_fields(defining)
+                  if field.split(".")[1] not in attrs)
+
+
 def test_every_definition_has_a_use():
-    text = _use_text()
-    unused = sorted(name for name in _defined_names()
-                    if len(re.findall(r"\b%s\b" % re.escape(name), text)) < 2)
-    assert unused == []
+    assert _unused(_trees(["src/acdol"]), _trees(USE_DIRS)) == []
 
 
 def test_every_dataclass_field_is_read():
-    text = _use_text()
-    unread = sorted(
-        field for field in _dataclass_fields()
-        if not re.search(r"\.%s\b" % re.escape(field.split(".")[1]), text))
-    assert unread == []
+    assert _unread(_trees(["src/acdol"]), _trees(USE_DIRS)) == []
+
+
+def test_guards_do_not_count_docstrings_and_comments():
+    trees = [ast.parse(SYNTHETIC)]
+    assert _unused(trees, trees) == ["helper_in_comment",
+                                     "helper_in_docstring"]
+    assert _unread(trees, trees) == ["Record.unread"]

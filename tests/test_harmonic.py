@@ -9,7 +9,7 @@ import pytest
 from acdol import catalog, docio, harmonic
 from acdol.cohomology import ConsistencyError
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
-                         build_differential)
+                         build_differential, conjugation_matrix)
 from acdol.harmonic import (build_hermitian, delb_mub, delb_mub_checks,
                             fundamental_form,
                             lefschetz_matrices, metric_independence_probe,
@@ -123,7 +123,7 @@ def test_mubar_star_adjoint_equals_gram_adjoint(name):
 @pytest.mark.parametrize("name", ["filiform-J", "su2su2-nk"])
 def test_delbar_adjointness_unimodular(name):
     an = builtin_analysis(name)
-    assert an.unimodular
+    assert an.dmb.unimodular
     sa = an.hs.adjoint(DELBAR)
     ga = an.hs.gram_adjoint(DELBAR)
     assert all(sa[k] == ga[k] for k in sa)
@@ -139,7 +139,7 @@ def affine_analysis():
 
 def test_non_unimodular_detected_and_skipped():
     an = affine_analysis()
-    assert not an.unimodular
+    assert not an.dmb.unimodular
     assert not top_cohomology_is_line(an.cm)
     checks = delb_mub_checks(an.dmb, an.h_dol)
     skipped = [c for c in checks if c.skipped]
@@ -228,27 +228,28 @@ def test_top_row_intersection_equals_dolbeault_when_unimodular():
 def test_mub_decomposition_builtins():
     for name in ("filiform-J", "su2su2-nk", "abelian-m2"):
         an = builtin_analysis(name)
-        assert all(c.passed for c in an.decomposition.checks)
+        assert all(c.passed for c in an.dmb.decomposition.checks)
 
 
 def test_mub_decomposition_su2su2_middle_slot():
     an = builtin_analysis("su2su2-nk")
-    by_name = {c.name: c for c in an.decomposition.checks}
+    by_name = {c.name: c for c in an.dmb.decomposition.checks}
     assert by_name["mubar_decomposition_1_1"].detail == \
         "dims 0 + 8 + 1 vs slot 9"
     assert an.hs.harmonic(MUBAR)[(1, 1)].dim == 8
 
 
 def test_mub_decomposition_projector():
+    """H C is the projector onto H_mubar along the two images: the harmonic
+    coordinates C give C H = I, C Im mubar = 0 and C Im mubar* = 0 on
+    every slot."""
     an = builtin_analysis("su2su2-nk")
-    for (p, q), proj in an.decomposition.projector.items():
-        if proj.rows == 0:
-            continue
-        assert proj @ proj == proj
-        h = an.hs.harmonic(MUBAR)[(p, q)]
-        for j in range(h.dim):
-            col = h.basis.col(j)
-            assert proj.apply(col) == col
+    hs = an.hs
+    for (p, q), coords in an.dmb.decomposition.coords.items():
+        h = hs.harmonic(MUBAR)[(p, q)]
+        assert coords @ h.basis == Matrix.identity(h.dim)
+        assert (coords @ an.cm.block(MUBAR, p + 1, q - 2)).is_zero()
+        assert (coords @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
 
 
 def test_delb_mub_squares_to_zero_everywhere():
@@ -305,9 +306,8 @@ def test_metric_independence_kt():
 def test_fundamental_form_and_lefschetz():
     an = builtin_analysis("su2su2-nk")
     omega = fundamental_form(an.hs)
-    conj = __import__("acdol.forms", fromlist=["conjugate_vector"])
-    back = conj.conjugate_vector(an.cm.basis, 1, 1, omega)
-    assert tuple(back) == tuple(omega)  # the fundamental form is real
+    back = conjugation_matrix(an.cm.basis, 1, 1) @ Matrix.column(omega).conj()
+    assert back == Matrix.column(omega)  # the fundamental form is real
     lef = lefschetz_matrices(an.hs)
     assert lef[(1, 1)].rank() > 0
 

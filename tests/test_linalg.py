@@ -54,9 +54,9 @@ def test_nullspace_rank_nullity_and_annihilation():
 
 def test_solve_trivial():
     eye = Matrix.identity(3)
-    b = (ONE, I, -ONE)
+    b = Matrix.column((ONE, I, -ONE))
     assert eye.solve(b) == b
-    assert Matrix.zero(3, 3).solve((ONE, ZERO, ZERO)) is None
+    assert Matrix.zero(3, 3).solve(Matrix.column((ONE, ZERO, ZERO))) is None
 
 
 def test_solve_substitution_residual_zero():
@@ -65,14 +65,38 @@ def test_solve_substitution_residual_zero():
         m = rand_matrix(rng, 4, 5)
         x = tuple(rand_scalar(rng) for _ in range(5))
         b = m.apply(x)
-        sol = m.solve(b)
+        sol = m.solve(Matrix.column(b))
         assert sol is not None
-        assert m.apply(sol) == tuple(b)
+        assert m.apply(sol.col(0)) == tuple(b)
+
+
+def test_solve_many_columns_equals_column_by_column():
+    # A has rank 3 < 6 columns, so each solution is one choice among many:
+    # the one rref of [A | B] picks the same one as each column's own
+    rng = random.Random(17)
+    for _ in range(10):
+        a = rand_matrix(rng, 5, 3) @ rand_matrix(rng, 3, 6)
+        rhs = a @ rand_matrix(rng, 6, 4)
+        x = a.solve(rhs)
+        assert a @ x == rhs
+        assert x.columns() == [a.solve(Matrix.column(rhs.col(j))).col(0)
+                               for j in range(rhs.cols)]
+
+
+def test_solve_many_columns_one_outside_the_image():
+    rng = random.Random(19)
+    # the image of A lies in the hyperplane of a zero last coordinate
+    a = Matrix.from_rows([[rand_scalar(rng) for _ in range(3)]
+                          for _ in range(4)] + [[ZERO] * 3])
+    inside = a @ rand_matrix(rng, 3, 2)
+    outside = Matrix.column((ZERO, ZERO, ZERO, ZERO, ONE))
+    assert a.solve(inside) is not None
+    assert a.solve(inside.hstack(outside).hstack(inside)) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(LinalgError):
-        Matrix.identity(3).solve((ONE, ONE))
+        Matrix.identity(3).solve(Matrix.column((ONE, ONE)))
 
 
 def test_subspace_idempotence_and_canonical_form():

@@ -254,6 +254,22 @@ def test_witness_independence_flags_a_missing_coboundary():
     assert not witness_independent(cm, tampered, p, q)
 
 
+def test_delta1_flags_an_image_outside_the_cocycles():
+    # negative control: without the Dolbeault coboundaries of slot (2, 2)
+    # of su2su2-nk the delta_1 images of the (1, 2) classes have no class
+    # coordinates
+    cm = builtin_analysis("su2su2-nk").cm
+    dol = dolbeault(cm)
+    dolbeault_delta1(cm, dol)
+    den = dol.denominators[(2, 2)]
+    assert den.dim
+    tampered = dataclasses.replace(dol, denominators={
+        **dol.denominators, (2, 2): Subspace.zero(den.ambient_dim)})
+    with pytest.raises(ConsistencyError,
+                       match=r"not a Dolbeault cocycle at \(1, 2\)"):
+        dolbeault_delta1(cm, tampered)
+
+
 @pytest.mark.parametrize("name", sorted(DEGENERATION))
 def test_explicit_pages_match_generic(name):
     an = builtin_analysis(name)
