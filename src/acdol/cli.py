@@ -1,15 +1,20 @@
 """Command line front end.
 
-Subcommands:
+Subcommands; each computes only what it prints, with its own checks:
 
-    analyze   full pipeline, rendered result document on stdout
-    verify    full property battery, one PASS/FAIL/SKIP line per check
-    pages     spectral-sequence pages only
-    harmonic  harmonic dimension tables only
+    analyze   the result document, with the full property battery
+    verify    the full property battery, one PASS/FAIL/SKIP line per check
+    pages     spectral-sequence pages only, certified by the Frolicher,
+              Euler and Serre checks and the reduction certificate; it
+              never builds the harmonic layer
+    harmonic  harmonic dimension tables only, certified by the checks of
+              pages and the delbar_mub checks
     example   print a built-in input document as JSON
     list      list built-in example names
 
-Exit codes: 0 success, 1 invalid input, 2 internal consistency failure.
+Exit codes: 0 success, 1 invalid input, 2 internal consistency failure (a
+failed check of the command, or an exact identity that fails while
+computing what it prints).
 Diagnostics go to stderr; stdout carries only the rendered data.
 """
 
@@ -18,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import catalog, docio, pipeline
+from . import catalog, cohomology, docio, harmonic, pipeline
 from .catalog import UnknownExampleError
 from .cohomology import ConsistencyError
 from .docio import DocumentError
@@ -78,15 +83,27 @@ def main(argv=None):
         return 2
 
 
-def _section_document(result, command):
-    """The result document with only the section ``command`` prints: the
-    pages or the harmonic tables, and no checks."""
-    doc = {key: result[key] for key in (
+def _section_document(an, command):
+    """The tables and the section of ``command``, the other section and
+    the checks empty, in the key order ``pages`` and ``harmonic`` print."""
+    doc = pipeline.document(
+        an, pipeline.pages_section(an) if command == "pages" else {},
+        pipeline.harmonic_section(an) if command == "harmonic" else {}, [])
+    return {key: doc[key] for key in (
         "name", "m", "classification", "betti", "degeneration_page",
-        "pages", "h_mub", "h_dol", "harmonic")}
-    doc["pages" if command == "harmonic" else "harmonic"] = {}
-    doc["checks"] = []
-    return doc
+        "pages", "h_mub", "h_dol", "harmonic", "checks")}
+
+
+def _certificate(an, command):
+    """The checks behind what ``command`` prints; the witness delta_1 of
+    the reduction certificate is an oracle of the battery only."""
+    if command in ("analyze", "verify"):
+        return pipeline.verification_checks(an)
+    checks = cohomology.consistency_report(an.h_dol, an.betti, an.m)
+    checks.append(pipeline.reduction_certificate(an.pages, {}))
+    if command == "harmonic":
+        checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
+    return checks
 
 
 def _dispatch(args):
@@ -101,7 +118,7 @@ def _dispatch(args):
 
     spec = _load_spec(args)
     an = pipeline.analyze(spec, max_page=args.max_page)
-    checks = pipeline.verification_checks(an)
+    checks = _certificate(an, args.command)
     failures = pipeline.hard_failures(checks)
 
     if args.command == "analyze":
@@ -122,8 +139,7 @@ def _dispatch(args):
         summary = "%d checks: %d hard failures" % (len(checks), len(failures))
         print(summary, file=sys.stderr)
     elif args.command in ("pages", "harmonic"):
-        result = pipeline.result_document(an, checks)
-        sys.stdout.write(docio.render(_section_document(result, args.command),
+        sys.stdout.write(docio.render(_section_document(an, args.command),
                                       args.format))
     if failures:
         for c in failures:

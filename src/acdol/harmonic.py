@@ -32,9 +32,10 @@ coordinates, the H_mubar rows of B^{-1} with B = [Im mubar | H_mubar |
 Im mubar*], so delbar_mub on a slot is one product: those coordinates of
 the target slot times delbar times the harmonic basis.
 
-The layer is built once per analysis: ``HermitianStructure`` caches every
-operator it forms (Delta_d included, one per degree), ``delb_mub`` stores
-the mubar decomposition and the delbar_mub-harmonic space of every slot on
+The layer is built once per analysis: ``_memoized`` caches every operator
+of ``HermitianStructure`` (Delta_d included, one per degree) in the
+instance, so a layer's cache is freed with it; ``delb_mub`` stores the
+harmonic coordinates and the delbar_mub-harmonic space of every slot on
 its ``DelbMub``, and the battery, the nearly Kahler checks and the metric
 probe read that ``DelbMub``; the probe builds a layer only for each other
 metric.
@@ -62,6 +63,17 @@ def _real_frame_name(k):
     return ("X%d" if k % 2 == 0 else "JX%d") % (k // 2 + 1)
 
 
+def _memoized(method):
+    """Cache ``method`` per instance and arguments, in the instance."""
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__,) + args
+        if key not in self._cache:
+            self._cache[key] = method(self, *args)
+        return self._cache[key]
+    return cached
+
+
 class HermitianStructure:
     """Slotwise Gram data, Hodge star, adjoints and Laplacians (all cached)."""
 
@@ -80,15 +92,7 @@ class HermitianStructure:
                         % (_real_frame_name(a), _real_frame_name(b), row[b]))
         # dual generator weights: |t^j|^2 = 1/(2 |X_j|^2)
         self.weights = tuple(Fraction(1, 2) / n for n in frame.norm_sq)
-        self._gram = {}
-        self._star = {}
-        self._star_total = {}
-        self._adjoint = {}
-        self._gram_adjoint = {}
-        self._laplacian = {}
-        self._laplacian_d = {}
-        self._harmonic = {}
-        self._d_harmonic = None
+        self._cache = {}
         full = (1 << self.m) - 1
         self.top_monomial = (full, full)
         eps = -1 if (self.m * (self.m - 1) // 2) % 2 else 1
@@ -104,11 +108,8 @@ class HermitianStructure:
 
     # -- Gram ----------------------------------------------------------------
 
+    @_memoized
     def gram_diag(self, p, q):
-        key = (p, q)
-        got = self._gram.get(key)
-        if got is not None:
-            return got
         diag = []
         for s_mask, t_mask in self.basis.monomials(p, q):
             w = Fraction(1)
@@ -118,7 +119,6 @@ class HermitianStructure:
                 if (t_mask >> j) & 1:
                     w *= self.weights[j]
             diag.append(w)
-        self._gram[key] = diag
         return diag
 
     def gram(self, p, q):
@@ -130,12 +130,9 @@ class HermitianStructure:
 
     # -- Hodge star ----------------------------------------------------------
 
+    @_memoized
     def star(self, p, q):
         """Matrix of ⋆ : (p, q) -> (m-q, m-p); zero-shaped off the grid."""
-        key = (p, q)
-        got = self._star.get(key)
-        if got is not None:
-            return got
         basis = self.basis
         m = self.m
         full = (1 << m) - 1
@@ -157,14 +154,11 @@ class HermitianStructure:
             col = [ZERO] * rows
             col[basis.index[(m - q, m - p)][comp]] = x
             cols.append(col)
-        mat = Matrix.from_columns(cols, ambient_rows=rows)
-        self._star[key] = mat
-        return mat
+        return Matrix.from_columns(cols, ambient_rows=rows)
 
+    @_memoized
     def star_total(self, n):
         """Block-diagonal ⋆ on the whole degree-n space, landing in 2m-n."""
-        if n in self._star_total:
-            return self._star_total[n]
         basis = self.basis
         m = self.m
         rows = basis.total_dim(2 * m - n)
@@ -178,9 +172,7 @@ class HermitianStructure:
                 for j in range(blk.cols):
                     if blk.entries[i][j]:
                         data[toff + i][off + j] = blk.entries[i][j]
-        out = Matrix(rows, cols, data)
-        self._star_total[n] = out
-        return out
+        return Matrix(rows, cols, data)
 
     def _verify_star(self):
         basis = self.basis
@@ -240,25 +232,18 @@ class HermitianStructure:
         """delta* = -⋆ (conj delta) ⋆ on every slot: (p, q) -> (p-dp, q-dq)."""
         return {pq: self.adjoint_block(tag, *pq) for pq in self.basis.slots}
 
+    @_memoized
     def adjoint_block(self, tag, p, q):
         """delta* on slot (p, q), zero-shaped off the grid like cm.block."""
-        key = (tag, p, q)
-        got = self._adjoint.get(key)
-        if got is not None:
-            return got
         m = self.m
         conj_tag = CONJUGATE_TAG[tag]
         tp, tq = self.cm.target(conj_tag, m - q, m - p)
-        got = -(self.star(tp, tq) @ (self.cm.block(conj_tag, m - q, m - p)
-                                     @ self.star(p, q)))
-        self._adjoint[key] = got
-        return got
+        return -(self.star(tp, tq) @ (self.cm.block(conj_tag, m - q, m - p)
+                                      @ self.star(p, q)))
 
+    @_memoized
     def gram_adjoint(self, tag):
         """Plain metric adjoint G_src^{-1} A^H G_tgt of each block."""
-        got = self._gram_adjoint.get(tag)
-        if got is not None:
-            return got
         basis = self.basis
         dp, dq = BIDEGREE[tag]
         out = {}
@@ -270,7 +255,6 @@ class HermitianStructure:
             data = [[ah.entries[i][j] * from_rational(tgt_diag[j] / src_diag[i])
                      for j in range(ah.cols)] for i in range(ah.rows)]
             out[(p, q)] = Matrix(ah.rows, ah.cols, data)
-        self._gram_adjoint[tag] = out
         return out
 
     def d_adjoint(self, n):
@@ -281,32 +265,22 @@ class HermitianStructure:
         second = self.star_total(2 * m - n + 1)
         return -(second @ (mid @ first))
 
+    @_memoized
     def laplacian(self, tag):
         """Slotwise Laplacian [delta, delta*] = delta delta* + delta* delta."""
-        got = self._laplacian.get(tag)
-        if got is not None:
-            return got
         ops = _operators(self)
-        out = {pq: _anticommutator(ops[tag], ops[tag + "*"], *pq)
-               for pq in self.basis.slots}
-        self._laplacian[tag] = out
-        return out
+        return {pq: _anticommutator(ops[tag], ops[tag + "*"], *pq)
+                for pq in self.basis.slots}
 
+    @_memoized
     def laplacian_d_total(self, n):
         """Laplacian of the full differential on the degree-n space."""
-        got = self._laplacian_d.get(n)
-        if got is not None:
-            return got
-        got = (self.d_adjoint(n + 1) @ self.cm.total_matrix(n)
-               + self.cm.total_matrix(n - 1) @ self.d_adjoint(n))
-        self._laplacian_d[n] = got
-        return got
+        return (self.d_adjoint(n + 1) @ self.cm.total_matrix(n)
+                + self.cm.total_matrix(n - 1) @ self.d_adjoint(n))
 
+    @_memoized
     def harmonic(self, tag):
         """Ker of the slot Laplacian; verified equal to Ker δ ∩ Ker δ*."""
-        got = self._harmonic.get(tag)
-        if got is not None:
-            return got
         lap = self.laplacian(tag)
         out = {}
         for (p, q) in self.basis.slots:
@@ -320,14 +294,12 @@ class HermitianStructure:
                     "Ker Laplacian != Ker delta ∩ Ker delta* on (%d, %d)"
                     % (p, q))
             out[(p, q)] = ker_lap
-        self._harmonic[tag] = out
         return out
 
+    @_memoized
     def d_harmonic(self):
         """Slotwise d-harmonic spaces  Ker(Delta_d) ∩ A^{p,q}: the kernel
         of the columns of Delta_d on the slot."""
-        if self._d_harmonic is not None:
-            return self._d_harmonic
         out = {}
         for n in range(2 * self.m + 1):
             lap = self.laplacian_d_total(n)
@@ -337,7 +309,6 @@ class HermitianStructure:
                               [row[off:off + dim] for row in lap.entries])
                 out[(p, q)] = Subspace.from_matrix_columns(
                     cols.nullspace_matrix())
-        self._d_harmonic = out
         return out
 
 
@@ -348,29 +319,18 @@ def build_hermitian(cm, frame):
 # -- mubar Hodge decomposition ------------------------------------------------
 
 
-@dataclass
-class MubDecomposition:
-    """Per slot: A^{p,q} = Im(mubar) ⊕ H_mubar ⊕ Im(mubar*), orthogonal.
-
-    ``coords[(p, q)]`` gives the coordinates of the harmonic part of a form
-    in the basis of H_mubar: it is the H_mubar rows of B^{-1}, B = [Im mubar
-    | H_mubar | Im mubar*], so coords H_mubar = I and coords kills both
-    images.  ``checks`` holds one passed check per slot.
-    """
-
-    coords: dict
-    checks: list
-
-
 def mub_decomposition(hs):
-    """The mubar Hodge decomposition of every slot with its harmonic
-    coordinates.  Raises ConsistencyError naming the check of the first
-    slot whose parts do not split it orthogonally, with their dims."""
+    """The mubar Hodge decomposition A^{p,q} = Im(mubar) ⊕ H_mubar ⊕
+    Im(mubar*), orthogonal, of every slot, as its harmonic coordinates
+    {(p, q): C}.  C gives the coordinates of the harmonic part of a form in
+    the basis of H_mubar: it is the H_mubar rows of B^{-1}, B = [Im mubar |
+    H_mubar | Im mubar*], so C H_mubar = I and C kills both images.  Raises
+    ConsistencyError naming the first slot whose parts do not split it
+    orthogonally, with their dims."""
     cm = hs.cm
     basis = hs.basis
     harm = hs.harmonic(MUBAR)
     coords = {}
-    checks = []
     for (p, q) in sorted(basis.slots):
         dim = basis.dim(p, q)
         im_mub = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2))
@@ -378,20 +338,17 @@ def mub_decomposition(hs):
             hs.adjoint_block(MUBAR, p - 1, q + 2))
         h = harm[(p, q)]
         parts = (im_mub, h, im_adj)
-        check = Check(
-            "mubar_decomposition_%d_%d" % (p, q),
-            sum(sub.dim for sub in parts) == dim
-            and (im_mub + h + im_adj).dim == dim
-            and _pairwise_orthogonal(hs, p, q, parts),
-            "dims %d + %d + %d vs slot %d" % (im_mub.dim, h.dim, im_adj.dim, dim))
-        if not check.passed:
-            raise ConsistencyError("mubar Hodge decomposition failed: %s (%s)"
-                                   % (check.name, check.detail))
-        checks.append(check)
+        if not (sum(sub.dim for sub in parts) == dim
+                and (im_mub + h + im_adj).dim == dim
+                and _pairwise_orthogonal(hs, p, q, parts)):
+            raise ConsistencyError(
+                "mubar Hodge decomposition failed: mubar_decomposition_%d_%d "
+                "(dims %d + %d + %d vs slot %d)"
+                % (p, q, im_mub.dim, h.dim, im_adj.dim, dim))
         inv = im_mub.basis.hstack(h.basis).hstack(im_adj.basis).inverse()
         coords[(p, q)] = Matrix(h.dim, dim,
                                 inv.entries[im_mub.dim:im_mub.dim + h.dim])
-    return MubDecomposition(coords, checks)
+    return coords
 
 
 def _pairwise_orthogonal(hs, p, q, subs):
@@ -414,9 +371,9 @@ class DelbMub:
     ``harmonic[(p, q)]`` is Ker(delbar_mub) ∩ Ker(delbar_mub*) lifted into
     the slot.  ``unimodular`` records whether the top cohomology is a line,
     which is the hypothesis for adjointness and the Hodge decomposition of
-    the operator; ``decomposition`` is the mubar Hodge decomposition the
-    operators are read from.  ``delb_mub`` builds all of it once; every
-    later stage reads it.
+    the operator; ``coords`` are the harmonic coordinates of
+    ``mub_decomposition`` the operators are read from.  ``delb_mub`` builds
+    all of it once; every later stage reads it.
     """
 
     hs: HermitianStructure
@@ -425,7 +382,7 @@ class DelbMub:
     op_adj: dict
     harmonic: dict
     unimodular: bool
-    decomposition: MubDecomposition
+    coords: dict
 
     def harmonic_dims(self):
         return {k: v.dim for k, v in self.harmonic.items() if v.dim}
@@ -442,8 +399,7 @@ def delb_mub(hs):
     pairing.
     """
     cm = hs.cm
-    decomposition = mub_decomposition(hs)
-    coords = decomposition.coords
+    coords = mub_decomposition(hs)
     off_grid = Matrix.zero(0, 0)
     harm = hs.harmonic(MUBAR)
     op = {}
@@ -462,7 +418,7 @@ def delb_mub(hs):
             Subspace.from_matrix_columns(op_adj[pq].nullspace_matrix()))
         harmonic[pq] = _lift(harm[pq], ker.basis)
     return DelbMub(hs, dict(harm), op, op_adj, harmonic,
-                   top_cohomology_is_line(cm), decomposition)
+                   top_cohomology_is_line(cm), coords)
 
 
 def _lift(space, coords):

@@ -1,10 +1,12 @@
 """End-to-end orchestration: spec -> pages and tables -> harmonic -> checks.
 
-``analyze`` runs the whole pipeline once and bundles every intermediate.
-It computes each table by one route, the Hodge reduction behind the
-Frolicher pages: h_dol is its first page, the Betti numbers count its
-unpaired generators (E_inf, whatever the page cap) and h_mub reads the
-ranks of the mubar blocks that the reduction's generators already hold.
+``analyze`` computes the metric-free stages: validation, the frame, the
+differential, the Frolicher pages and the three tables.  It computes each
+table by one route, the Hodge reduction behind the pages: h_dol is its
+first page, the Betti numbers count its unpaired generators (E_inf,
+whatever the page cap) and h_mub reads the ranks of the mubar blocks that
+the reduction's generators already hold.  The harmonic layer, the one
+stage that needs the metric, is built on the first read of ``Analysis.dmb``.
 ``verification_checks`` evaluates the complete property battery on an
 analysis (exact identities, duality symmetries, and the independent routes
 of ``cohomology`` as labelled oracles, each computed once).  Checks marked
@@ -15,6 +17,7 @@ exit codes.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,9 +31,10 @@ from .linalg import Matrix, Subspace
 
 @dataclass
 class Analysis:
-    """Every intermediate of one run.  ``h_mub`` and ``h_dol`` are
-    {(p, q): dim} with zero entries left out; ``relations`` is the report of
-    ``forms.verify_relations`` on ``cm``."""
+    """The metric-free stages of one run; the harmonic layer and the
+    nearly Kahler checks are built on first read.  ``h_mub`` and ``h_dol``
+    are {(p, q): dim} with zero entries left out; ``relations`` is the
+    report of ``forms.verify_relations`` on ``cm``."""
 
     spec: object
     frame: object
@@ -41,19 +45,36 @@ class Analysis:
     h_dol: dict
     betti: tuple
     pages: object
-    hs: object
-    dmb: object
-    nk_checks: list
-    nk_scalar: object
 
     @property
     def m(self):
         return self.spec.m
 
+    @functools.cached_property
+    def dmb(self):
+        """delbar_mub on the Hermitian structure of a g-orthogonal frame,
+        whose differential is built anew only when it is another frame."""
+        hframe = liealg.orthogonal_frame(self.spec, self.frame)
+        hcm = self.cm if hframe == self.frame else forms.build_differential(
+            liealg.complexify(self.spec, hframe), self.cm.basis)
+        return harmonic.delb_mub(harmonic.build_hermitian(hcm, hframe))
+
+    @property
+    def hs(self):
+        return self.dmb.hs
+
+    @functools.cached_property
+    def nearly_kahler(self):
+        """(checks, fitted scalar) of the nearly Kahler identities; ([],
+        None) unless m = 3."""
+        if self.m != 3:
+            return [], None
+        return harmonic.nearly_kahler_checks(self.dmb)
+
 
 def analyze(spec, max_page=None):
-    """Run validation through harmonic theory; raises on invalid input or
-    on any internal exact-identity failure."""
+    """Run the metric-free stages; raises on invalid input or on any
+    internal exact-identity failure among them."""
     spec = liealg.validate_spec(spec)
     frame = liealg.adapted_frame(spec)
     basis = forms.build_basis(spec.m)
@@ -74,19 +95,8 @@ def analyze(spec, max_page=None):
                - cm.block(MUBAR, p + 1, q - 2).rank())
         if dim:
             h_mub[(p, q)] = dim
-    # the metric enters only here: the harmonic layer needs a g-orthogonal
-    # frame, whose differential is built anew only when it is another frame
-    hframe = liealg.orthogonal_frame(spec, frame)
-    hcm = cm if hframe == frame else forms.build_differential(
-        liealg.complexify(spec, hframe), basis)
-    hs = harmonic.build_hermitian(hcm, hframe)
-    dmb = harmonic.delb_mub(hs)
-    nk_checks = []
-    nk_scalar = None
-    if spec.m == 3:
-        nk_checks, nk_scalar = harmonic.nearly_kahler_checks(dmb)
     return Analysis(spec, frame, cm, relations, classification, h_mub,
-                    h_dol, betti, pages, hs, dmb, nk_checks, nk_scalar)
+                    h_dol, betti, pages)
 
 
 def analyze_document(doc, max_page=None):
@@ -245,9 +255,14 @@ def verification_checks(an):
                             "skipped: top cohomology is not a line",
                             skipped=True))
 
-    # mubar Hodge decomposition (recorded during analyze)
-    checks.append(Check("mubar_hodge_decomposition",
-                        all(c.passed for c in an.dmb.decomposition.checks)))
+    # mubar Hodge decomposition: on every slot the harmonic coordinates C
+    # give C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0]
+    h_mubar = hs.harmonic(MUBAR)
+    ok = all((c @ hs.cm.block(MUBAR, p + 1, q - 2)).is_zero()
+             and c @ h_mubar[(p, q)].basis == Matrix.identity(c.rows)
+             and (c @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
+             for (p, q), c in an.dmb.coords.items())
+    checks.append(Check("mubar_hodge_decomposition", ok))
 
     # delbar_mub cohomology / harmonic spaces
     checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
@@ -255,7 +270,6 @@ def verification_checks(an):
 
     # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, equality on q = 0
     h_delbar = hs.harmonic(DELBAR)
-    h_mubar = hs.harmonic(MUBAR)
     ok = True
     ok_row = True
     for (p, q) in basis.slots:
@@ -292,8 +306,9 @@ def verification_checks(an):
                             skipped=True))
 
     # nearly Kahler identity battery (descriptive for m = 3 inputs)
-    if an.nk_checks:
-        checks.extend(an.nk_checks)
+    nk_checks, _ = an.nearly_kahler
+    if nk_checks:
+        checks.extend(nk_checks)
     else:
         checks.append(Check("nearly_kahler_identities", True,
                             "skipped: requires m = 3", skipped=True,
@@ -344,25 +359,32 @@ def reduction_certificate(table, delta1):
                  or "r = %s verified against the next page" % verified)
 
 
-def result_document(an, checks=None):
-    """Assemble the JSON-ready result document (stable key order)."""
+def pages_section(an):
+    """The printed pages: E_1 up to the degeneration page, at least E_2,
+    within the page cap."""
+    last = min(max(2, an.pages.degeneration_page), an.pages.limit_page)
+    return {str(r): docio.table_to_json(an.pages.dims(r), an.m)
+            for r in range(1, last + 1)}
+
+
+def harmonic_section(an):
+    """The harmonic tables; reading them builds the harmonic layer."""
     m = an.m
-    if checks is None:
-        checks = verification_checks(an)
-    pages_json = {}
-    for r in range(1, max(2, an.pages.degeneration_page) + 1):
-        if r > an.pages.limit_page:
-            break
-        pages_json[str(r)] = docio.table_to_json(an.pages.dims(r), m)
-    harm = {
+    return {
         "unimodular": an.dmb.unimodular,
         "h_mub_harmonic": docio.table_to_json(
             {k: v.dim for k, v in an.hs.harmonic(MUBAR).items()}, m),
         "h_delb_mub": docio.table_to_json(an.dmb.harmonic_dims(), m),
         "h_d": docio.table_to_json(
             {k: v.dim for k, v in an.hs.d_harmonic().items()}, m),
-        "nk_scalar": str(an.nk_scalar) if an.nk_scalar is not None else None,
+        "nk_scalar": an.nearly_kahler[1],
     }
+
+
+def document(an, pages, harm, checks):
+    """The JSON-ready document of the metric-free tables with the sections
+    ``pages`` and ``harm`` and the ``checks`` (stable key order)."""
+    m = an.m
     return {
         "name": an.spec.name,
         "m": m,
@@ -370,7 +392,7 @@ def result_document(an, checks=None):
         "h_mub": docio.table_to_json(an.h_mub, m),
         "h_dol": docio.table_to_json(an.h_dol, m),
         "betti": list(an.betti),
-        "pages": pages_json,
+        "pages": pages,
         "degeneration_page": an.pages.degeneration_page,
         "harmonic": harm,
         "checks": [
@@ -379,6 +401,11 @@ def result_document(an, checks=None):
             for c in checks
         ],
     }
+
+
+def result_document(an, checks):
+    """The document ``analyze`` prints: both sections and ``checks``."""
+    return document(an, pages_section(an), harmonic_section(an), checks)
 
 
 def hard_failures(checks):

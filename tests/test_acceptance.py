@@ -14,11 +14,14 @@ import os
 from acdol import docio, pipeline
 from acdol.cohomology import (cohomology_dims_of_operator, de_rham,
                               dolbeault, euler_characteristic)
-from acdol.forms import build_basis, build_differential, verify_relations
+from acdol.forms import (MUBAR, build_basis, build_differential,
+                         verify_relations)
 from acdol.harmonic import (build_hermitian, delb_mub,
                             metric_independence_probe)
 from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
                           validate_spec)
+from acdol.linalg import Matrix
+from acdol.linalg import Matrix
 from acdol.spectral import (decalage_check, explicit_page, frolicher_all,
                             infinity_vs_betti, witness_independent)
 from conftest import (_invert, builtin_analysis, dims_grid,
@@ -177,8 +180,9 @@ def test_criterion_8_nearly_kahler_identities():
     t = _nabla_J(nk.spec)
     assert _nabla_J_skew(t), "s3s3-nk is not nearly Kahler"
     assert any(x for row in t for vec in row for x in vec), "s3s3-nk is Kahler"
-    assert len(nk.nk_checks) == 14
-    failed = [c.name for c in nk.nk_checks if not c.passed]
+    nk_checks, _ = nk.nearly_kahler
+    assert len(nk_checks) == 14
+    failed = [c.name for c in nk_checks if not c.passed]
     assert not failed, "identities false on a nearly Kahler structure: %s" \
         % ", ".join(failed)
 
@@ -186,9 +190,10 @@ def test_criterion_8_nearly_kahler_identities():
     # metric, so the battery must flag it (see notes/decisions.md)
     an = builtin_analysis("su2su2-nk")
     assert not _nabla_J_skew(_nabla_J(an.spec))
-    assert [c.name for c in an.nk_checks] == [c.name for c in nk.nk_checks]
-    by_name = {c.name: c for c in an.nk_checks}
-    mixed = [c for c in an.nk_checks if c.name.startswith("nk_commutator")
+    an_checks, _ = an.nearly_kahler
+    assert [c.name for c in an_checks] == [c.name for c in nk_checks]
+    by_name = {c.name: c for c in an_checks}
+    mixed = [c for c in an_checks if c.name.startswith("nk_commutator")
              and c.name not in NK_CONJUGATION_SYMMETRIC]
     assert len(mixed) == 8
     undetected = [c.name for c in mixed if c.passed]
@@ -207,9 +212,14 @@ def _structural_battery(cm, hs, h_dol, betti):
     m = cm.m
     assert hs.check_star_defining(1, 0)
     assert hs.check_star_isometry(0, 1)
-    # mubar Hodge decomposition, built by delb_mub
+    # mubar Hodge decomposition, built by delb_mub: its harmonic
+    # coordinates C give C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0]
     dmb = delb_mub(hs)
-    assert all(c.passed for c in dmb.decomposition.checks)
+    for (p, q), coords in dmb.coords.items():
+        assert (coords @ hs.cm.block(MUBAR, p + 1, q - 2)).is_zero()
+        assert coords @ hs.harmonic(MUBAR)[(p, q)].basis == \
+            Matrix.identity(coords.rows)
+        assert (coords @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
     # delbar_mub squares to zero (asserted in delb_mub) and matches Dolbeault
     coh = cohomology_dims_of_operator(dmb.op)
     for p in range(m + 1):

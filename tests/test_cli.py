@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from acdol import catalog, docio, pipeline
+from acdol import catalog, docio, harmonic, pipeline, spectral
 from acdol.cli import main
 from acdol.forms import MUBAR
 from acdol.harmonic import HermitianStructure
@@ -123,7 +123,7 @@ def test_verify_jacobi_violation_exit_1(tmp_path):
     assert out == ""
 
 
-def test_failed_mubar_decomposition_exit_2_names_the_slot(monkeypatch):
+def _drop_one_mubar_harmonic(monkeypatch):
     # drop one vector of H_mubar(1, 1) on su2su2-nk: the three parts of
     # the slot's decomposition no longer span it
     spaces = HermitianStructure.harmonic
@@ -138,10 +138,31 @@ def test_failed_mubar_decomposition_exit_2_names_the_slot(monkeypatch):
         return {**out, (1, 1): Subspace(h.ambient_dim, basis)}
 
     monkeypatch.setattr(HermitianStructure, "harmonic", one_short)
+
+
+def test_failed_mubar_decomposition_exit_2_names_the_slot(monkeypatch):
+    _drop_one_mubar_harmonic(monkeypatch)
     code, out, err = run_cli(["analyze", "--example", "su2su2-nk"])
     assert code == 2
     assert "mubar_decomposition_1_1 (dims 0 + 7 + 1 vs slot 9)" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "harmonic"])
+def test_failed_mubar_decomposition_fails_every_reader(command, monkeypatch):
+    # the commands that read the harmonic layer exit 2 as analyze does
+    _drop_one_mubar_harmonic(monkeypatch)
+    code, out, err = run_cli([command, "--example", "su2su2-nk"])
+    assert code == 2
+    assert "mubar_decomposition_1_1 (dims 0 + 7 + 1 vs slot 9)" in err
+    assert out == ""
+
+
+def test_pages_never_reads_the_mubar_decomposition(monkeypatch):
+    expected = run_cli(["pages", "--example", "su2su2-nk"])
+    _drop_one_mubar_harmonic(monkeypatch)
+    assert run_cli(["pages", "--example", "su2su2-nk"]) == expected
+    assert expected[0] == 0
 
 
 def test_averaged_metric_flag(tmp_path):
@@ -187,6 +208,41 @@ def test_pages_and_harmonic_subcommands():
     assert "h_delb_mub:" in out and "E_1:" not in out
 
 
+def test_pages_and_harmonic_compute_only_what_they_print(monkeypatch):
+    """pages builds neither the battery nor the harmonic layer, harmonic
+    not the battery; their output is what it was with both."""
+    argv = {cmd: [cmd, "--example", "su2su2-nk", "--format", "json"]
+            for cmd in ("pages", "harmonic")}
+    expected = {cmd: run_cli(args) for cmd, args in argv.items()}
+
+    def refuse(*args):
+        raise AssertionError("computed something it does not print")
+
+    monkeypatch.setattr(pipeline, "verification_checks", refuse)
+    assert run_cli(argv["harmonic"]) == expected["harmonic"]
+    monkeypatch.setattr(harmonic, "delb_mub", refuse)
+    assert run_cli(argv["pages"]) == expected["pages"]
+    assert expected["pages"][0] == expected["harmonic"][0] == 0
+
+
+@pytest.mark.parametrize("command", ["pages", "harmonic"])
+def test_tampered_reduction_fails_the_certificate(command, monkeypatch):
+    # an unpaired degree-1 generator made to die on E_2: only the pages'
+    # certificate sees that E_2 is no longer E_1 minus its pairs
+    frolicher_all = spectral.frolicher_all
+
+    def tampered(cm, max_page=None):
+        pages = frolicher_all(cm, max_page)
+        gaps = pages.reduction.gap[1]
+        gaps[gaps.index(None)] = 1
+        return pages
+
+    monkeypatch.setattr(spectral, "frolicher_all", tampered)
+    code, _, err = run_cli([command, "--example", "filiform-J"])
+    assert code == 2
+    assert "FAILED CHECK: page_differentials_consistent" in err
+
+
 def test_output_deterministic():
     runs = [run_cli(["analyze", "--example", "su2su2-nk", "--format", "json"])
             for _ in range(2)]
@@ -207,4 +263,27 @@ def test_golden_result_documents(name):
     with open(path, "rb") as fh:
         golden = json.load(fh)
     an = builtin_analysis(name)
-    assert pipeline.result_document(an) == golden
+    assert pipeline.result_document(
+        an, pipeline.verification_checks(an)) == golden
+
+
+SECTION_KEYS = ("name", "m", "classification", "betti", "degeneration_page",
+                "pages", "h_mub", "h_dol", "harmonic", "checks")
+
+
+@pytest.mark.parametrize("name", catalog.builtin_names())
+def test_cli_json_bytes_match_golden(name):
+    """analyze prints the golden file's bytes; pages and harmonic print its
+    tables and their own section, the other section and the checks
+    empty."""
+    with open(os.path.join(golden_dir(), "%s.json" % name), "rb") as fh:
+        raw = fh.read()
+    golden = json.loads(raw)
+    argv = ["--example", name, "--format", "json"]
+    assert run_cli(["analyze"] + argv) == (0, raw.decode(), "")
+    for command, blank in (("pages", "harmonic"), ("harmonic", "pages")):
+        doc = {key: golden[key] for key in SECTION_KEYS}
+        doc[blank] = {}
+        doc["checks"] = []
+        assert run_cli([command] + argv) == (
+            0, json.dumps(doc, indent=2) + "\n", "")

@@ -90,7 +90,7 @@ def test_unknown_builtin():
 
 def test_result_document_json_round_trip():
     an = builtin_analysis("filiform-J")
-    result = pipeline.result_document(an)
+    result = pipeline.result_document(an, pipeline.verification_checks(an))
     text = result_to_json(result)
     back = json.loads(text)
     assert back == result
@@ -99,7 +99,7 @@ def test_result_document_json_round_trip():
 
 def test_result_document_internal_consistency():
     an = builtin_analysis("filiform-J")
-    result = pipeline.result_document(an)
+    result = pipeline.result_document(an, pipeline.verification_checks(an))
     assert result["h_dol"] == result["pages"]["1"]
     inf = table_from_json(result["pages"][str(result["degeneration_page"])])
     for n in range(2 * an.m + 1):
@@ -114,7 +114,7 @@ def test_table_json_round_trip():
 
 def test_render_text_filiform():
     an = builtin_analysis("filiform-J")
-    result = pipeline.result_document(an)
+    result = pipeline.result_document(an, pipeline.verification_checks(an))
     text = render(result, "text")
     lines = text.splitlines()
     idx = lines.index("h_dol:")
@@ -127,7 +127,7 @@ def test_render_text_filiform():
 
 def test_render_latex_su2su2():
     an = builtin_analysis("su2su2-nk")
-    result = pipeline.result_document(an)
+    result = pipeline.result_document(an, pipeline.verification_checks(an))
     tex = render(result, "latex")
     block = tex.split("% h_dol\n")[1].split("\\end{array}")[0]
     rows = [line for line in block.splitlines() if line.endswith("\\\\")]
@@ -138,7 +138,7 @@ def test_render_latex_su2su2():
 
 def test_render_json_matches_result():
     an = builtin_analysis("abelian-m2")
-    result = pipeline.result_document(an)
+    result = pipeline.result_document(an, pipeline.verification_checks(an))
     assert render(result, "json") == result_to_json(result)
     with pytest.raises(ValueError):
         render(result, "html")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from acdol import catalog, docio, harmonic
+from acdol import catalog, docio, harmonic, pipeline
 from acdol.cohomology import ConsistencyError
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential, conjugation_matrix)
@@ -228,14 +228,17 @@ def test_top_row_intersection_equals_dolbeault_when_unimodular():
 def test_mub_decomposition_builtins():
     for name in ("filiform-J", "su2su2-nk", "abelian-m2"):
         an = builtin_analysis(name)
-        assert all(c.passed for c in an.dmb.decomposition.checks)
+        checks = {c.name: c for c in pipeline.verification_checks(an)}
+        assert checks["mubar_hodge_decomposition"].passed
 
 
 def test_mub_decomposition_su2su2_middle_slot():
+    # dims 0 + 8 + 1 vs slot 9: Im mubar, H_mubar, Im mubar* of slot (1, 1)
     an = builtin_analysis("su2su2-nk")
-    by_name = {c.name: c for c in an.dmb.decomposition.checks}
-    assert by_name["mubar_decomposition_1_1"].detail == \
-        "dims 0 + 8 + 1 vs slot 9"
+    hs = an.hs
+    assert hs.cm.block(MUBAR, 2, -1).rank() == 0
+    assert (an.dmb.coords[(1, 1)].rows, an.dmb.coords[(1, 1)].cols) == (8, 9)
+    assert hs.adjoint_block(MUBAR, 0, 3).rank() == 1
     assert an.hs.harmonic(MUBAR)[(1, 1)].dim == 8
 
 
@@ -245,10 +248,10 @@ def test_mub_decomposition_projector():
     every slot."""
     an = builtin_analysis("su2su2-nk")
     hs = an.hs
-    for (p, q), coords in an.dmb.decomposition.coords.items():
+    for (p, q), coords in an.dmb.coords.items():
         h = hs.harmonic(MUBAR)[(p, q)]
         assert coords @ h.basis == Matrix.identity(h.dim)
-        assert (coords @ an.cm.block(MUBAR, p + 1, q - 2)).is_zero()
+        assert (coords @ hs.cm.block(MUBAR, p + 1, q - 2)).is_zero()
         assert (coords @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
 
 
@@ -330,16 +333,17 @@ def test_nearly_kahler_su2su2_honest_outcomes():
     identities and the Laplacian identity fail while the
     conjugation-symmetric ones hold (see notes/decisions.md)."""
     an = builtin_analysis("su2su2-nk")
-    by_name = {c.name: c for c in an.nk_checks}
+    nk_checks, nk_scalar = an.nearly_kahler
+    by_name = {c.name: c for c in nk_checks}
     assert by_name["nk_laplacian equalities on p = q and p + q = 3"].passed
     assert by_name["nk_commutator [mu, mubar*] = 0"].passed
     assert by_name["nk_commutator [mubar, mu*] = 0"].passed
     fit = by_name["nk_mixed_laplacian_scalar single constant"]
     assert fit.passed
-    assert an.nk_scalar == "1"
+    assert nk_scalar == "1"
     assert not by_name["nk_laplacian delbar + 2 mubar = partial + 2 mu"].passed
     assert not by_name["nk_commutator [mu*, delbar] = 0"].passed
-    assert all(c.informational for c in an.nk_checks)
+    assert all(c.informational for c in nk_checks)
 
 
 def _nk_document(name):

@@ -3,8 +3,8 @@
 ``analyze`` reads h_dol, the Betti numbers and h_mub from the Hodge
 reduction; the independent routes of ``cohomology`` run only in
 ``verification_checks``, once each, and must still catch a reduction that
-is wrong.  The harmonic layer is built once, in ``analyze``, and read by
-the battery and the result document.
+is wrong.  ``analyze`` builds no harmonic layer; it is built once, on
+first read, and read by the battery and the result document.
 """
 
 import pytest
@@ -12,6 +12,7 @@ import pytest
 from acdol import (catalog, cohomology, docio, forms, harmonic, linalg,
                    pipeline, spectral)
 from acdol.cohomology import de_rham, dolbeault, mub_cohomology
+from acdol.kernel import from_rational
 from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
 
 ORACLES = ("mub_cohomology", "dolbeault", "de_rham")
@@ -34,6 +35,36 @@ def test_analyze_runs_no_oracle(name, monkeypatch):
                         if v}
     assert an.h_dol == {k: v for k, v in dolbeault(an.cm).dims.items() if v}
     assert an.betti == de_rham(an.cm)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_analyze_builds_no_harmonic_layer(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("analyze built the harmonic layer")
+
+    for fn in ("build_hermitian", "mub_decomposition", "delb_mub"):
+        monkeypatch.setattr(harmonic, fn, refuse)
+    an = pipeline.analyze(SPECS[name]())
+    monkeypatch.undo()
+    assert an.hs is an.dmb.hs  # built on the first read
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_mubar_hodge_decomposition_entry_can_fail(name):
+    """The entry checks C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0] on
+    every slot, in the harmonic frame (random-m3's is not its plain
+    frame): it passes as built and fails on one tampered slot."""
+    an = pipeline.analyze(SPECS[name]())
+
+    def entry():
+        return next(c for c in pipeline.verification_checks(an)
+                    if c.name == "mubar_hodge_decomposition")
+
+    assert entry().passed
+    coords = an.dmb.coords
+    pq = next(pq for pq, c in sorted(coords.items()) if c.rows)
+    coords[pq] = coords[pq].scale(from_rational(2))
+    assert not entry().passed
 
 
 def test_battery_computes_each_oracle_once(monkeypatch):
