@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the arithmetic kernel.
 
-Times exact Gauss-Jordan elimination (rref) and dense products (matmul) on
-random Gaussian-rational matrices, plus one end-to-end pipeline run
+Times exact Gauss-Jordan elimination (rref) and products (matmul) on
+random Gaussian-rational matrices, dense and in the pipeline's profile
+(sparse, small denominators), plus one end-to-end pipeline run
 (analyze, the verification battery and the result document).  Run
 from the repository root:
 
@@ -63,19 +64,21 @@ def time_op(fn, trials):
 
 
 def bench_sizes(sizes, trials, seed):
-    print("%-12s %-8s %12s" % ("op", "size", "best[s]"))
+    print("%-13s %-8s %12s" % ("op", "size", "best[s]"))
     for size in sizes:
         for label, gen in (("rref/dense", random_entries),
                            ("rref/sparse", sparse_entries),
                            ("rref/block", block_entries)):
             rows = lift(gen(random.Random(seed), size, size))
             best = time_op(lambda: kernel.rref(rows, size), trials)
-            print("%-12s %-8d %12.4f" % (label, size, best))
-        rng = random.Random(seed + 1)
-        a = lift(random_entries(rng, size, size))
-        b = lift(random_entries(rng, size, size))
-        best = time_op(lambda: kernel.matmul(a, b, size), trials)
-        print("%-12s %-8d %12.4f" % ("matmul", size, best))
+            print("%-13s %-8d %12.4f" % (label, size, best))
+        for label, gen in (("matmul/dense", random_entries),
+                           ("matmul/sparse", sparse_entries)):
+            rng = random.Random(seed + 1)
+            a = lift(gen(rng, size, size))
+            b = lift(gen(rng, size, size))
+            best = time_op(lambda: kernel.matmul(a, b, size), trials)
+            print("%-13s %-8d %12.4f" % (label, size, best))
 
 
 def bench_pipeline(trials):

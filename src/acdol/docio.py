@@ -70,7 +70,8 @@ def parse_document(text, validate=True):
 
     Syntax errors carry line/column from the JSON parser; schema errors name
     the offending path.  The parsed algebra is fully validated unless
-    ``validate`` is false (used when a metric repair is applied afterwards).
+    ``validate`` is false, for a caller that validates through ``to_spec``
+    itself, after any metric repair.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")

@@ -6,7 +6,7 @@ precision integers ``xn``, ``yn`` and ``dn > 0``, normalised so that
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class Scalar:
@@ -281,19 +281,59 @@ def _divide_row(row, divisor, start):
 
 
 def matmul(a_rows, b_rows, bcols):
-    """Product of dense Scalar matrices given as lists of row lists."""
-    out = []
+    """Product of Scalar matrices given as lists of row lists.
+
+    Only nonzero terms are visited: a zero entry of A, or one whose row of
+    B is zero, costs nothing.  The rows of B that A reaches are cleared
+    over the common denominator of each column, and each row of A over its
+    own, so the products are summed as Gaussian integers; each nonzero
+    entry of the product is normalised once, over its row's denominator
+    times its column's.
+    """
+    b_terms = [None] * len(b_rows)  # the nonzero (j, b) of each row reached
+    col_den = [1] * bcols
+    a_terms = []  # per row of A: its denominator and its nonzero (a, k)
     for arow in a_rows:
-        acc = [ZERO] * bcols
-        for k, aik in enumerate(arow):
-            if not aik:
-                continue
-            brow = b_rows[k]
-            for j in range(bcols):
-                bkj = brow[j]
-                if bkj:
-                    acc[j] = acc[j] + aik * bkj
-        out.append(acc)
+        row = []
+        den = 1
+        for k, a in enumerate(arow):
+            if a.xn or a.yn:
+                terms = b_terms[k]
+                if terms is None:
+                    terms = b_terms[k] = []
+                    for j, b in enumerate(b_rows[k]):
+                        if b.xn or b.yn:
+                            terms.append((j, b))
+                            if col_den[j] % b.dn:
+                                col_den[j] = lcm(col_den[j], b.dn)
+                if terms:
+                    row.append((a, k))
+                    if den % a.dn:
+                        den = lcm(den, a.dn)
+        a_terms.append((den, row))
+    for k, terms in enumerate(b_terms):
+        if terms:
+            b_terms[k] = [(j, b.xn * (col_den[j] // b.dn),
+                           b.yn * (col_den[j] // b.dn)) for j, b in terms]
+    out = []
+    for den, row in a_terms:
+        out_row = [ZERO] * bcols
+        out.append(out_row)
+        if not row:
+            continue
+        acc = {}
+        for a, k in row:
+            q = den // a.dn
+            ax, ay = a.xn * q, a.yn * q
+            for j, bx, by in b_terms[k]:
+                if j in acc:
+                    x, y = acc[j]
+                    acc[j] = (x + ax * bx - ay * by, y + ax * by + ay * bx)
+                else:
+                    acc[j] = (ax * bx - ay * by, ax * by + ay * bx)
+        for j, (x, y) in acc.items():
+            if x or y:
+                out_row[j] = Scalar(x, y, den * col_den[j])
     return out
 
 

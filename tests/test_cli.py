@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from acdol import catalog, docio, harmonic, pipeline, spectral
+from acdol import catalog, docio, harmonic, liealg, pipeline, spectral
 from acdol.cli import main
 from acdol.forms import MUBAR
 from acdol.harmonic import HermitianStructure
@@ -121,6 +121,52 @@ def test_verify_jacobi_violation_exit_1(tmp_path):
     assert code == 1
     assert "Jacobi" in err and "X2" in err
     assert out == ""
+
+
+def test_pages_validates_its_file_twice(tmp_path, monkeypatch):
+    # once in to_spec, once in analyze: parsing does not validate again
+    calls = []
+    validate = liealg.validate_spec
+
+    def counted(spec):
+        calls.append(spec.name)
+        return validate(spec)
+
+    monkeypatch.setattr(liealg, "validate_spec", counted)
+    monkeypatch.setattr(docio, "validate_spec", counted)
+    path = tmp_path / "kt.json"
+    path.write_text(json.dumps(catalog.builtin("kt-J")))
+    code, _, _ = run_cli(["pages", str(path), "--format", "json"])
+    assert code == 0
+    assert calls == ["kt-J", "kt-J"]
+
+
+def test_pages_jacobi_violation_exit_1_names_the_triple(tmp_path):
+    doc = catalog.builtin("filiform-J")
+    doc["brackets"].append({"i": 2, "j": 3, "coeffs": {"2": "1"}})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["pages", str(path)])
+    assert code == 1
+    assert err == "error: Jacobi identity fails on triple (X1, X2, X3)\n"
+    assert out == ""
+
+
+def test_pages_averaged_metric_repairs_the_file(tmp_path):
+    doc = catalog.builtin("kt-J")
+    doc["metric"] = [["2", "0", "0", "0"],
+                     ["0", "1", "0", "0"],
+                     ["0", "0", "1", "0"],
+                     ["0", "0", "0", "1"]]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["pages", str(path)])
+    assert code == 1 and "J-compatible" in err
+    code, out, _ = run_cli(["pages", str(path), "--averaged-metric",
+                            "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["pages"] == json.loads(
+        run_cli(["pages", "--example", "kt-J", "--format", "json"])[1])["pages"]
 
 
 def _drop_one_mubar_harmonic(monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,54 @@ def test_matmul(kern):
 def test_matmul_empty_inner(kern):
     out = kern.matmul([[], []], [], 3)
     assert len(out) == 2 and all(e.is_zero() for row in out for e in row)
+
+
+# -- matmul against a product over (re, im) Fraction pairs --------------------
+
+
+def _pair_product(a_rows, b_rows, bcols):
+    """Oracle: the schoolbook product on (re, im) Fraction pairs."""
+    out = []
+    for arow in a_rows:
+        row = []
+        for j in range(bcols):
+            re = im = Fraction(0)
+            for a, brow in zip(arow, b_rows):
+                x, y = _cmul((a.re, a.im), (brow[j].re, brow[j].im))
+                re += x
+                im += y
+            row.append((re, im))
+        out.append(row)
+    return out
+
+
+def _mixed(rng, rows, cols, density=0.6):
+    """Complex entries over denominators 1..12, some rows and columns zero."""
+    zero_rows = {i for i in range(rows) if rng.random() < 0.2}
+    zero_cols = {j for j in range(cols) if rng.random() < 0.2}
+    return [[kernel.Scalar(rng.randint(-20, 20), rng.choice([0, 1]) *
+                           rng.randint(-20, 20), rng.randint(1, 12))
+             if i not in zero_rows and j not in zero_cols
+             and rng.random() < density else kernel.ZERO
+             for j in range(cols)] for i in range(rows)]
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (6, 6, 6), (1, 7, 2), (5, 1, 4),
+                                   (0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)],
+                         ids=lambda s: "%dx%dx%d" % s)
+def test_matmul_matches_fraction_pair_product(shape):
+    rows, inner, cols = shape
+    rng = random.Random("matmul%d%d%d" % shape)
+    for trial in range(20):
+        density = (0.15, 0.6, 1.0)[trial % 3]
+        a = _mixed(rng, rows, inner, density)
+        b = _mixed(rng, inner, cols, density)
+        out = kernel.matmul(a, b, cols)
+        assert [[(e.re, e.im) for e in row] for row in out] == \
+            _pair_product(a, b, cols)
+        # lowest terms with a positive denominator, so == compares values
+        for e in (e for row in out for e in row):
+            assert e.dn > 0 and gcd(gcd(e.xn, e.yn), e.dn) == 1
 
 
 # -- rref against a textbook Gauss-Jordan over Q(i) ---------------------------

@@ -1,5 +1,7 @@
 """Lie algebra validation, adapted frames, and complex structure constants."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,6 +60,158 @@ def test_indefinite_metric_rejected():
     g = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(LieAlgebraError, match="positive definite"):
         validate_spec(make_spec(4, None, {}, J_PAIRS_4, metric=g))
+
+
+# -- validate_spec against the textbook formulas ----------------------------
+
+
+def _validation_oracle(spec):
+    """Oracle: the first failure message of the O(n^4) textbook checks
+    (full Jacobiator sums, J^2 and J^t g J entry by entry, leading minors
+    by determinant), or None when the spec is valid."""
+    n = spec.dim
+    if n < 2 or n % 2 != 0:
+        return "dimension must be even and at least 2, got %d" % n
+    if len(spec.basis_names) != n:
+        return "expected %d basis names" % n
+    c = spec.brackets
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if c[i][j][k] != -c[j][i][k]:
+                    return ("structure constants not antisymmetric at "
+                            "(%d, %d, %d)" % (i + 1, j + 1, k + 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for mdx in range(n):
+                    acc = sum(c[i][j][l] * c[l][k][mdx]
+                              + c[j][k][l] * c[l][i][mdx]
+                              + c[k][i][l] * c[l][j][mdx] for l in range(n))
+                    if acc != 0:
+                        return ("Jacobi identity fails on triple (%s, %s, %s)"
+                                % (spec.basis_names[i], spec.basis_names[j],
+                                   spec.basis_names[k]))
+    J = spec.J
+    if len(J) != n or any(len(row) != n for row in J):
+        return "J must be a %d x %d matrix" % (n, n)
+    for i in range(n):
+        for j in range(n):
+            jj = sum(J[i][k] * J[k][j] for k in range(n))
+            if jj != (-1 if i == j else 0):
+                return "J^2 != -Identity at entry (%d, %d)" % (i + 1, j + 1)
+    g = spec.metric
+    if len(g) != n or any(len(row) != n for row in g):
+        return "metric must be a %d x %d matrix" % (n, n)
+    for i in range(n):
+        for j in range(n):
+            if g[i][j] != g[j][i]:
+                return "metric is not symmetric at (%d, %d)" % (i + 1, j + 1)
+    for k in range(1, n + 1):
+        if _det([row[:k] for row in g[:k]]) <= 0:
+            return "metric is not positive definite (leading minor %d)" % k
+    for i in range(n):
+        for j in range(n):
+            if sum(J[k][i] * g[k][l] * J[l][j] for k in range(n)
+                   for l in range(n)) != g[i][j]:
+                return ("metric is not J-compatible; rerun with the averaged "
+                        "metric (g + J^t g J)/2 if that is acceptable")
+    return None
+
+
+def _det(rows):
+    """Determinant by Gaussian elimination with row swaps."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[p], a[c] = a[c], a[p]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def _validation_message(spec):
+    try:
+        validate_spec(spec)
+    except LieAlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(spec, rng):
+    """Copies of ``spec`` with one bracket coefficient (on one side or on
+    both), one J entry or one metric entry (on one side, on both, or on
+    the diagonal to zero or below) changed, at random places."""
+    n = spec.dim
+    out = []
+    for _ in range(4):
+        delta = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        for both in (False, True):
+            table = [[list(row) for row in plane] for plane in spec.brackets]
+            table[i][j][k] += delta
+            if both:
+                table[j][i][k] -= delta
+            out.append(dataclasses.replace(spec, brackets=tuple(
+                tuple(tuple(row) for row in plane) for plane in table)))
+        J = [list(row) for row in spec.J]
+        J[i][j] += delta
+        out.append(dataclasses.replace(spec, J=tuple(map(tuple, J))))
+        for both in (False, True):
+            g = [list(row) for row in spec.metric]
+            g[i][j] += delta * spec.metric[i][i]
+            if both and i != j:
+                g[j][i] += delta * spec.metric[i][i]
+            out.append(spec.with_metric(g))
+        g = [list(row) for row in spec.metric]
+        g[i][i] -= rng.randint(1, 2) * g[i][i]
+        out.append(spec.with_metric(g))
+    return out
+
+
+FIRST_FAILURES = ("structure constants not antisymmetric",
+                  "Jacobi identity fails", "J^2 != -Identity",
+                  "metric is not symmetric", "metric is not positive definite",
+                  "metric is not J-compatible")
+
+
+def test_validate_spec_agrees_with_textbook_oracle():
+    rng = random.Random(20261018)
+    seen = set()
+    for m in (2, 3):
+        for seed in range(1, 9):
+            spec = random_nilpotent_spec(seeded_rng(seed), m)
+            assert _validation_oracle(spec) is None
+            assert _validation_message(spec) is None
+            for bad in _perturbed(spec, rng):
+                want = _validation_oracle(bad)
+                assert _validation_message(bad) == want
+                seen.add(next((kind for kind in FIRST_FAILURES
+                               if want and want.startswith(kind)), want))
+    # every kind of first failure is reached, and some perturbations stay
+    # valid
+    assert seen == set(FIRST_FAILURES) | {None}
+
+
+@pytest.mark.parametrize("row3, minor", [([1, 2, 2, 0], "0"),
+                                         ([1, 2, 1, 0], "-1")],
+                         ids=["zero", "negative"])
+def test_first_nonpositive_leading_minor_is_minor_3(row3, minor):
+    # leading minors 1, 1 and 0 or -1, with a positive diagonal
+    g = [[1, 1, 1, 0], [1, 2, 2, 0], row3, [0, 0, 0, 1]]
+    spec = make_spec(4, None, {}, J_PAIRS_4, metric=g)
+    assert _det([r[:3] for r in spec.metric[:3]]) == Fraction(minor)
+    want = "metric is not positive definite (leading minor 3)"
+    assert _validation_oracle(spec) == want
+    assert _validation_message(spec) == want
 
 
 def test_filiform_frame():
