@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import forms
 from .forms import DELBAR, MUBAR
-from .linalg import Matrix, Subspace, complement_in, preimage
+from .linalg import Matrix, Subspace, complement_in
 
 
 class ConsistencyError(RuntimeError):
@@ -72,7 +72,7 @@ def operator_cohomology(cm, tag):
     dp, dq = forms.BIDEGREE[tag]
     parts = {}
     for (p, q) in basis.slots:
-        ker = Subspace.from_matrix_columns(cm.block(tag, p, q).nullspace_matrix())
+        ker = Subspace.kernel(cm.block(tag, p, q))
         img = Subspace.from_matrix_columns(cm.block(tag, p - dp, q - dq))
         parts[(p, q)] = (ker, img)
     return _quotient_table(basis.m, parts)
@@ -86,22 +86,22 @@ def mub_cohomology(cm):
 def dolbeault(cm):
     """Dolbeault cohomology via the witness description.
 
-    Numerator: forms in Ker(mubar) whose delbar lands in Im(mubar).
-    Denominator: Im(mubar) + delbar(Ker(mubar) one row down).
+    Numerator: forms in Ker(mubar) whose delbar lands in Im(mubar), the
+    kernel of mubar stacked on the equations of Im(mubar) after delbar.
+    Denominator: Im(mubar) + delbar(Ker(mubar) one row down), the span of
+    [mubar | delbar N] for a kernel basis N.
     """
     basis = cm.basis
     parts = {}
     for (p, q) in basis.slots:
-        ker_mub = Subspace.from_matrix_columns(
-            cm.block(MUBAR, p, q).nullspace_matrix())
         im_mub_above = Subspace.from_matrix_columns(
             cm.block(MUBAR, p + 1, q - 1))
-        num = ker_mub.intersect(preimage(cm.block(DELBAR, p, q), im_mub_above))
-        im_mub_here = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2))
-        ker_below = Subspace.from_matrix_columns(
-            cm.block(MUBAR, p, q - 1).nullspace_matrix())
-        db_ker = ker_below.image_under(cm.block(DELBAR, p, q - 1))
-        parts[(p, q)] = (num, im_mub_here + db_ker)
+        num = Subspace.kernel(cm.block(MUBAR, p, q).vstack(
+            im_mub_above.equations() @ cm.block(DELBAR, p, q)))
+        ker_below = cm.block(MUBAR, p, q - 1).nullspace_matrix()
+        den = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2).hstack(
+            cm.block(DELBAR, p, q - 1) @ ker_below))
+        parts[(p, q)] = (num, den)
     return _quotient_table(basis.m, parts)
 
 

@@ -284,12 +284,9 @@ class HermitianStructure:
         lap = self.laplacian(tag)
         out = {}
         for (p, q) in self.basis.slots:
-            ker_lap = Subspace.from_matrix_columns(lap[(p, q)].nullspace_matrix())
-            ker_d = Subspace.from_matrix_columns(
-                self.cm.block(tag, p, q).nullspace_matrix())
-            ker_a = Subspace.from_matrix_columns(
-                self.adjoint_block(tag, p, q).nullspace_matrix())
-            if ker_lap != ker_d.intersect(ker_a):
+            ker_lap = Subspace.kernel(lap[(p, q)])
+            if ker_lap != Subspace.kernel(self.cm.block(tag, p, q).vstack(
+                    self.adjoint_block(tag, p, q))):
                 raise ConsistencyError(
                     "Ker Laplacian != Ker delta ∩ Ker delta* on (%d, %d)"
                     % (p, q))
@@ -307,8 +304,7 @@ class HermitianStructure:
                 dim = self.basis.dim(p, q)
                 cols = Matrix(lap.rows, dim,
                               [row[off:off + dim] for row in lap.entries])
-                out[(p, q)] = Subspace.from_matrix_columns(
-                    cols.nullspace_matrix())
+                out[(p, q)] = Subspace.kernel(cols)
         return out
 
 
@@ -414,8 +410,7 @@ def delb_mub(hs):
             raise ConsistencyError("delbar_mub does not square to zero")
     harmonic = {}
     for pq, mat in op.items():
-        ker = Subspace.from_matrix_columns(mat.nullspace_matrix()).intersect(
-            Subspace.from_matrix_columns(op_adj[pq].nullspace_matrix()))
+        ker = Subspace.kernel(mat.vstack(op_adj[pq]))
         harmonic[pq] = _lift(harm[pq], ker.basis)
     return DelbMub(hs, dict(harm), op, op_adj, harmonic,
                    top_cohomology_is_line(cm), coords)

@@ -163,12 +163,43 @@ I = Scalar(0, 1)
 def rref(rows, ncols):
     """Reduced row echelon form by exact fraction-free elimination.
 
-    ``rows`` is a list of lists of Scalars, each of length ``ncols``.  The
-    rows are cleared to Gaussian integers and forward-eliminated by the
-    one-step fraction-free scheme, whose entries are minors of the cleared
-    matrix, so their growth is bounded by minor size.  Step k with pivot
-    p_k turns each row a below the pivot row b into (p_k a - f b) / p_{k-1},
-    f the row's entry in the pivot column.
+    ``rows`` is a sequence of rows of Scalars, each of length ``ncols``.
+    The echelon rows of ``echelon`` are back-reduced rationally.  The result
+    is the unique reduced row echelon form with leading ones, so it does not
+    depend on the pivot rows ``echelon`` chooses.  Returns
+    ``(new_rows, pivot_columns)`` without mutating the input.
+    """
+    m, pivots = echelon(rows, ncols)
+    out = [[Scalar(x, y) if x or y else ZERO for (x, y) in row]
+           for row in m[:len(pivots)]]
+    out.extend([ZERO] * ncols for _ in range(len(m) - len(pivots)))
+    for k in range(len(pivots) - 1, -1, -1):
+        row = out[k]
+        pc = pivots[k]
+        inv = ONE / row[pc]
+        for j in range(pc, ncols):
+            if row[j]:
+                row[j] = row[j] * inv
+        for i in range(k):
+            f = out[i][pc]
+            if not f:
+                continue
+            tgt = out[i]
+            for j in range(pc, ncols):
+                if row[j]:
+                    tgt[j] = tgt[j] - f * row[j]
+    return out, pivots
+
+
+def echelon(rows, ncols):
+    """Row echelon form by exact fraction-free forward elimination.
+
+    ``rows`` is a sequence of rows of Scalars, each of length ``ncols``;
+    it is only read.  The rows are cleared to Gaussian integers and
+    forward-eliminated by the one-step fraction-free scheme, whose entries
+    are minors of the cleared matrix, so their growth is bounded by minor
+    size.  Step k with pivot p_k turns each row a below the pivot row b
+    into (p_k a - f b) / p_{k-1}, f the row's entry in the pivot column.
 
     A row with f = 0 is left as it is, and each row records the pivot p_j
     that last divided it.  Its stored value then differs from its
@@ -177,13 +208,13 @@ def rref(rows, ncols):
     (p_k a - f b) / p_j, still an exact Gaussian-integer division, and the
     pivot row is brought up to its current level (times p_{k-1} / p_j)
     before it is used.  Rows that the pivot column does not reach cost
-    nothing, which keeps sparse and block-structured matrices cheap.  The
-    echelon rows are back-reduced rationally.
+    nothing, which keeps sparse and block-structured matrices cheap.
 
-    Pivot rows are chosen by smallest entry; the result is the unique
-    reduced row echelon form with leading ones, so the output does not
-    depend on that choice.  Returns ``(new_rows, pivot_columns)`` without
-    mutating the input.
+    Pivot rows are chosen by smallest entry.  Returns ``(rows, pivots)``:
+    every row as (x, y) Gaussian-integer pairs, the first ``len(pivots)``
+    in echelon form with their leading entries in the ``pivots`` columns,
+    and the rest zero.  The pivot columns, and so the rank, are those of
+    the reduced form.
     """
     m = []
     for row in rows:
@@ -244,26 +275,7 @@ def rref(rows, ncols):
         r += 1
         if r == nrows:
             break
-    # rational back-reduction of the echelon rows (entries are minor-sized)
-    out = [[Scalar(x, y) if x or y else ZERO for (x, y) in row]
-           for row in m[:len(pivots)]]
-    out.extend([ZERO] * ncols for _ in range(nrows - len(pivots)))
-    for k in range(len(pivots) - 1, -1, -1):
-        row = out[k]
-        pc = pivots[k]
-        inv = ONE / row[pc]
-        for j in range(pc, ncols):
-            if row[j]:
-                row[j] = row[j] * inv
-        for i in range(k):
-            f = out[i][pc]
-            if not f:
-                continue
-            tgt = out[i]
-            for j in range(pc, ncols):
-                if row[j]:
-                    tgt[j] = tgt[j] - f * row[j]
-    return out, pivots
+    return m, pivots
 
 
 def _divide_row(row, divisor, start):
@@ -281,7 +293,7 @@ def _divide_row(row, divisor, start):
 
 
 def matmul(a_rows, b_rows, bcols):
-    """Product of Scalar matrices given as lists of row lists.
+    """Product of Scalar matrices given as sequences of rows, only read.
 
     Only nonzero terms are visited: a zero entry of A, or one whose row of
     B is zero, costs nothing.  The rows of B that A reaches are cleared

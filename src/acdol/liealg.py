@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .kernel import Scalar, from_rational
+from .kernel import ZERO, Scalar, from_rational
 from .linalg import Matrix, Subspace
 
 
@@ -342,26 +342,20 @@ def complexify(spec, frame):
                                     for z in frame.vectors]
     P = Matrix.from_columns(w_vecs, ambient_rows=n)
     Pinv = P.inverse()
-    c = spec.brackets
-    lifted = [[from_rational(c[i][j][k]) for k in range(n)]
-              for i in range(n) for j in range(n)]
+    # (i, j, [(k, c_ij^k)]) over the nonzero structure constants, lifted
+    lifted = [(i, j, [(k, from_rational(x)) for k, x in enumerate(cij) if x])
+              for i, ci in enumerate(spec.brackets)
+              for j, cij in enumerate(ci) if any(cij)]
 
     def bracket(u, v):
-        out = [None] * n
-        for k in range(n):
-            acc = from_rational(0)
-            for i in range(n):
-                ui = u[i]
-                if not ui:
-                    continue
-                for j in range(n):
-                    vj = v[j]
-                    if not vj:
-                        continue
-                    cij = lifted[i * n + j][k]
-                    if cij:
-                        acc = acc + ui * vj * cij
-            out[k] = acc
+        out = [ZERO] * n
+        for i, j, terms in lifted:
+            ui = u[i]
+            vj = v[j]
+            if ui and vj:
+                uv = ui * vj
+                for k, cij in terms:
+                    out[k] = out[k] + uv * cij
         return tuple(out)
 
     table = [[None] * (2 * m) for _ in range(2 * m)]

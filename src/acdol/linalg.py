@@ -1,9 +1,15 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
 Matrices are immutable and dense; all ranks, kernels and solves go through
-exact Gauss-Jordan elimination in the arithmetic kernel, so there are no
-tolerances anywhere.  Subspaces are kept in reduced column echelon form,
-which makes equality of subspaces a structural comparison.
+exact elimination in the arithmetic kernel, so there are no tolerances
+anywhere.  A rank needs only the forward pass.  Subspaces are kept in
+reduced column echelon form (RCEF), which makes equality of subspaces a
+structural comparison.  The equations of a canonical subspace are read off
+its basis with no elimination, so each Subspace result costs at most one
+elimination: a kernel is one rref with the columns reversed, an
+intersection is the kernel of both sets of equations stacked, a preimage
+{x : A x in S} is the kernel of (equations of S) @ A, a span is one RCEF,
+and containment is one product with the equations.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ class LinalgError(ValueError):
 class Matrix:
     """Immutable rows x cols matrix of Scalars."""
 
-    __slots__ = ("rows", "cols", "entries", "_rref", "_hash")
+    __slots__ = ("rows", "cols", "entries", "_rref", "_pivots", "_hash")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -29,6 +35,7 @@ class Matrix:
         self.cols = cols
         self.entries = entries
         self._rref = None
+        self._pivots = None
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -121,8 +128,7 @@ class Matrix:
         if self.cols != other.rows:
             raise LinalgError("product shape mismatch: %d x %d times %d x %d"
                               % (self.rows, self.cols, other.rows, other.cols))
-        data = kernel.matmul([list(r) for r in self.entries],
-                             [list(r) for r in other.entries], other.cols)
+        data = kernel.matmul(self.entries, other.entries, other.cols)
         return Matrix(self.rows, other.cols, data)
 
     def apply(self, vec):
@@ -156,20 +162,33 @@ class Matrix:
         if self.rows != other.rows:
             raise LinalgError("hstack row mismatch")
         return Matrix(self.rows, self.cols + other.cols,
-                      [list(ra) + list(rb)
-                       for ra, rb in zip(self.entries, other.entries)])
+                      [ra + rb for ra, rb in zip(self.entries, other.entries)])
+
+    def vstack(self, other):
+        if self.cols != other.cols:
+            raise LinalgError("vstack column mismatch")
+        return Matrix(self.rows + other.rows, self.cols,
+                      self.entries + other.entries)
 
     # -- elimination -------------------------------------------------------
 
     def rref(self):
         """(reduced row echelon Matrix, pivot column indices); cached."""
         if self._rref is None:
-            data, pivots = kernel.rref([list(r) for r in self.entries], self.cols)
-            self._rref = (Matrix(self.rows, self.cols, data), tuple(pivots))
+            data, pivots = kernel.rref(self.entries, self.cols)
+            self._pivots = tuple(pivots)
+            self._rref = (Matrix(self.rows, self.cols, data), self._pivots)
         return self._rref
 
+    def pivots(self):
+        """Pivot column indices; cached.  Without a cached rref they come
+        from the forward elimination alone."""
+        if self._pivots is None:
+            self._pivots = tuple(kernel.echelon(self.entries, self.cols)[1])
+        return self._pivots
+
     def rank(self):
-        return len(self.rref()[1])
+        return len(self.pivots())
 
     def rcef(self):
         """Reduced column echelon form with zero columns dropped.
@@ -223,7 +242,7 @@ class Matrix:
 
 
 class Subspace:
-    """A subspace of k^n given by an echelon-canonical column basis.
+    """A subspace of k^n given by its basis in reduced column echelon form.
 
     Two subspaces are equal iff their canonical bases are identical, so
     `==` decides genuine equality of subspaces.
@@ -245,6 +264,34 @@ class Subspace:
     @classmethod
     def from_columns(cls, ambient_dim, cols):
         return cls.from_matrix_columns(Matrix.from_columns(cols, ambient_rows=ambient_dim))
+
+    @classmethod
+    def kernel(cls, mat):
+        """Ker mat, canonical from one elimination.
+
+        Take the rref of ``mat`` with its columns reversed.  Each free
+        column f gives the kernel vector with a 1 at f, zeros at the other
+        free columns and its other entries at pivot columns left of f in
+        the reversed order.  Read back in the original order, with f
+        increasing, these vectors are the RCEF of the kernel: each leads
+        with its 1 at its free index, where every other one is zero.
+        """
+        n = mat.cols
+        red, pivots = kernel.rref([row[::-1] for row in mat.entries], n)
+        pivset = set(pivots)
+        rows = [[ZERO] * (n - len(pivots)) for _ in range(n)]
+        col = 0
+        for j in range(n - 1, -1, -1):
+            if j in pivset:
+                continue
+            rows[n - 1 - j][col] = ONE
+            for red_row, pc in zip(red, pivots):
+                if pc > j:
+                    break
+                if red_row[j]:
+                    rows[n - 1 - pc][col] = -red_row[j]
+            col += 1
+        return cls(n, Matrix(n, col, rows))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -269,34 +316,47 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)
 
+    def equations(self):
+        """A matrix whose kernel is this subspace, read off the canonical
+        basis b with no elimination: for each row r that holds no leading
+        one, the row e_r - sum_i b[r][i] e_lead(i)."""
+        n = self.ambient_dim
+        d = self.dim
+        lead = []
+        for r, row in enumerate(self.basis.entries):
+            if len(lead) < d and row[len(lead)]:
+                lead.append(r)
+        leads = set(lead)
+        eqs = []
+        for r, row in enumerate(self.basis.entries):
+            if r in leads:
+                continue
+            eq = [ZERO] * n
+            eq[r] = ONE
+            for i, b in enumerate(row):
+                if b:
+                    eq[lead[i]] = -b
+            eqs.append(eq)
+        return Matrix(n - d, n, eqs)
+
     def contains_vector(self, vec):
-        return self.basis.solve(Matrix.column(vec)) is not None
+        return not any(self.equations().apply(vec))
 
     def contains(self, other):
         """Whether other is contained in self."""
         self._same_ambient(other)
-        if other.dim == 0:
-            return True
-        return self.basis.hstack(other.basis).rank() == self.dim
+        return (self.equations() @ other.basis).is_zero()
 
     def __add__(self, other):
         self._same_ambient(other)
         return Subspace.from_matrix_columns(self.basis.hstack(other.basis))
 
     def intersect(self, other):
-        """Exact intersection via the kernel of [U | -V]."""
+        """Exact intersection: the kernel of both sets of equations."""
         self._same_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        ker = self.basis.hstack(-other.basis).nullspace_matrix()
-        return Subspace.from_matrix_columns(
-            self.basis @ Matrix(self.dim, ker.cols, ker.entries[:self.dim]))
-
-    def image_under(self, mat):
-        """Span of mat(self) inside k^rows(mat)."""
-        if mat.cols != self.ambient_dim:
-            raise LinalgError("operator domain mismatch")
-        return Subspace.from_matrix_columns(mat @ self.basis)
+        return Subspace.kernel(self.equations().vstack(other.equations()))
 
     def _same_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -304,27 +364,18 @@ class Subspace:
                               % (self.ambient_dim, other.ambient_dim))
 
 
-def preimage(mat, sub):
-    """{x : mat(x) in sub} as a subspace of the domain of ``mat``."""
-    if mat.rows != sub.ambient_dim:
-        raise LinalgError("operator codomain does not match subspace ambient")
-    if sub.dim == 0:
-        return Subspace.from_matrix_columns(mat.nullspace_matrix())
-    ker = mat.hstack(-sub.basis).nullspace_matrix()
-    return Subspace.from_matrix_columns(
-        Matrix(mat.cols, ker.cols, ker.entries[:mat.cols]))
-
-
 def complement_in(inner, outer):
     """A canonical complement of ``inner`` inside ``outer``.
 
-    Requires inner to be contained in outer; picks, in order, the columns of
-    outer's canonical basis that grow the span of inner's basis.  The result
-    satisfies inner + result = outer and inner.intersect(result) = 0.
+    Requires inner to be contained in outer, which the caller checks;
+    picks, in order, the columns of outer's canonical basis that grow the
+    span of inner's basis, the pivot columns of [inner | outer] past
+    inner's.  A subset of RCEF columns is in RCEF, so the result is
+    canonical as it stands.  It satisfies inner + result = outer and
+    inner.intersect(result) = 0.
     """
-    if not outer.contains(inner):
-        raise LinalgError("complement_in: inner subspace is not contained in outer")
-    combined = inner.basis.hstack(outer.basis)
-    _, pivots = combined.rref()  # pivot columns = greedy independent subset
-    chosen = [outer.basis.col(p - inner.dim) for p in pivots if p >= inner.dim]
-    return Subspace.from_columns(outer.ambient_dim, chosen)
+    d = inner.dim
+    chosen = [p - d for p in inner.basis.hstack(outer.basis).pivots() if p >= d]
+    return Subspace(outer.ambient_dim, Matrix(
+        outer.ambient_dim, len(chosen),
+        [[row[j] for j in chosen] for row in outer.basis.entries]))

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from acdol import kernel
 from acdol.cohomology import (ConsistencyError, consistency_report, de_rham,
                               dolbeault,
                               euler_characteristic, induced_delbar,
@@ -11,7 +12,7 @@ from acdol.cohomology import (ConsistencyError, consistency_report, de_rham,
                               cohomology_dims_of_operator)
 from acdol.forms import DELBAR, MU, MUBAR, build_basis, build_differential
 from acdol.liealg import adapted_frame, complexify, validate_spec
-from acdol.linalg import Subspace, preimage
+from acdol.linalg import Subspace
 from conftest import (builtin_analysis, dims_grid, random_nilpotent_spec,
                       seeded_rng)
 
@@ -85,16 +86,40 @@ def test_representatives_span_quotients():
     cm = an.cm
     dol = dolbeault(cm)
     for (p, q), rep in dol.representatives.items():
-        # the cocycles: Ker mubar whose delbar lands in Im mubar
-        num = Subspace.from_matrix_columns(
-            cm.block(MUBAR, p, q).nullspace_matrix()).intersect(preimage(
-                cm.block(DELBAR, p, q),
-                Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 1))))
+        # the cocycles: Ker mubar whose delbar lands in Im mubar, as the
+        # intersection of Ker mubar with the preimage of Im mubar
+        im_above = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 1))
+        num = Subspace.kernel(cm.block(MUBAR, p, q)).intersect(
+            Subspace.kernel(im_above.equations() @ cm.block(DELBAR, p, q)))
         den = dol.denominators[(p, q)]
         assert num.contains(den)
         assert rep.dim == an.h_dol.get((p, q), 0)
         assert den + rep == num
         assert den.intersect(rep).dim == 0
+
+
+def test_oracle_routes_take_one_elimination_per_subspace(monkeypatch):
+    # mub_cohomology: per slot the kernel and the image, one rref each;
+    # containment and the complement take none.  dolbeault: per slot the
+    # image above, the numerator kernel, the kernel below and the
+    # denominator span.  16 slots at m = 3.
+    spec = validate_spec(random_nilpotent_spec(seeded_rng(1), 3))
+    cm = build_differential(complexify(spec, adapted_frame(spec)),
+                            build_basis(3))
+    calls = {}
+    rref = kernel.rref
+
+    def counted(name):
+        def wrapper(rows, ncols):
+            calls[name] = calls.get(name, 0) + 1
+            return rref(rows, ncols)
+        return wrapper
+
+    monkeypatch.setattr(kernel, "rref", counted("mub_cohomology"))
+    mub_cohomology(cm)
+    monkeypatch.setattr(kernel, "rref", counted("dolbeault"))
+    dolbeault(cm)
+    assert calls == {"mub_cohomology": 2 * 16, "dolbeault": 4 * 16}
 
 
 def test_dolbeault_two_routes_agree_on_random_specs():

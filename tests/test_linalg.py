@@ -1,4 +1,8 @@
-"""Exact linear algebra: ranks, kernels, solves, subspace lattice."""
+"""Exact linear algebra: ranks, kernels, solves, subspace lattice.
+
+The subspace operations are checked against ``_subspace_oracle``, the
+earlier formulas that take two or more eliminations per result.
+"""
 
 import random
 
@@ -6,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acdol import kernel
 from acdol.kernel import I, ONE, ZERO, Scalar
-from acdol.linalg import (LinalgError, Matrix, Subspace, complement_in,
-                          preimage)
+from acdol.linalg import LinalgError, Matrix, Subspace, complement_in
 
 
 def rand_scalar(rng, pool=(-2, -1, 0, 0, 1, 2)):
@@ -18,6 +22,161 @@ def rand_scalar(rng, pool=(-2, -1, 0, 0, 1, 2)):
 def rand_matrix(rng, rows, cols):
     return Matrix(rows, cols,
                   [[rand_scalar(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def rand_low_rank(rng, rows, cols):
+    """A rows x cols matrix of rank at most a random inner dimension, so
+    kernels, intersections and preimages are often nontrivial."""
+    inner = rng.randint(0, min(rows, cols))
+    return rand_matrix(rng, rows, inner) @ rand_matrix(rng, inner, cols)
+
+
+def rand_subspace(rng, n):
+    """A random subspace of k^n, the zero and the full one included."""
+    kind = rng.randint(0, 5)
+    if kind == 0:
+        return Subspace.zero(n)
+    if kind == 1:
+        return Subspace.full(n)
+    return Subspace.from_matrix_columns(rand_low_rank(rng, n, rng.randint(0, n)))
+
+
+class _subspace_oracle:
+    """The earlier subspace formulas, kept as the labelled oracle: a kernel
+    as the span of the rref kernel basis, an intersection and a preimage
+    from the kernels of [U | -V] and [A | -B], containment by rank."""
+
+    @staticmethod
+    def kernel(mat):
+        return Subspace.from_matrix_columns(mat.nullspace_matrix())
+
+    @staticmethod
+    def intersect(u, v):
+        if u.dim == 0 or v.dim == 0:
+            return Subspace.zero(u.ambient_dim)
+        ker = u.basis.hstack(-v.basis).nullspace_matrix()
+        return Subspace.from_matrix_columns(
+            u.basis @ Matrix(u.dim, ker.cols, ker.entries[:u.dim]))
+
+    @staticmethod
+    def preimage(mat, sub):
+        if sub.dim == 0:
+            return _subspace_oracle.kernel(mat)
+        ker = mat.hstack(-sub.basis).nullspace_matrix()
+        return Subspace.from_matrix_columns(
+            Matrix(mat.cols, ker.cols, ker.entries[:mat.cols]))
+
+    @staticmethod
+    def contains(u, v):
+        if v.dim == 0:
+            return True
+        return len(u.basis.hstack(v.basis).rref()[1]) == u.dim
+
+
+def _is_rcef(basis):
+    """Reduced column echelon form: each column's first nonzero entry is a
+    1, further down than the previous column's, and the only nonzero entry
+    of its row."""
+    leads = []
+    for j in range(basis.cols):
+        col = basis.col(j)
+        nonzero = [i for i, e in enumerate(col) if e]
+        if not nonzero or col[nonzero[0]] != ONE:
+            return False
+        leads.append(nonzero[0])
+    return (all(a < b for a, b in zip(leads, leads[1:]))
+            and all(not basis.entry(i, k) for j, i in enumerate(leads)
+                    for k in range(basis.cols) if k != j))
+
+
+def _random_shapes(rng, count):
+    shapes = [(0, 0), (0, 4), (4, 0), (7, 7), (1, 7), (7, 1)]
+    return shapes + [(rng.randint(0, 7), rng.randint(0, 7))
+                     for _ in range(count - len(shapes))]
+
+
+def test_kernel_matches_oracle_and_is_rcef():
+    rng = random.Random(71)
+    for rows, cols in _random_shapes(rng, 60):
+        a = rand_low_rank(rng, rows, cols)
+        ker = Subspace.kernel(a)
+        assert ker == _subspace_oracle.kernel(a)
+        assert _is_rcef(ker.basis)
+        assert ker.dim == cols - a.rank()
+
+
+def test_kernel_read_in_unreversed_order_is_not_canonical():
+    # negative control: the kernel basis of the unreversed rref spans the
+    # same space but is not in RCEF, so it is not the canonical basis
+    rng = random.Random(73)
+    caught = 0
+    for rows, cols in _random_shapes(rng, 40):
+        a = rand_low_rank(rng, rows, cols)
+        unreversed = a.nullspace_matrix()
+        assert Subspace.from_matrix_columns(unreversed) == Subspace.kernel(a)
+        if not _is_rcef(unreversed):
+            assert Subspace(cols, unreversed) != Subspace.kernel(a)
+            caught += 1
+    assert caught >= 10
+
+
+def test_equations_cut_out_the_subspace():
+    rng = random.Random(79)
+    for n in list(range(8)) * 4:
+        u = rand_subspace(rng, n)
+        eqs = u.equations()
+        assert (eqs.rows, eqs.cols) == (n - u.dim, n)
+        assert (eqs @ u.basis).is_zero()
+        assert Subspace.kernel(eqs) == u
+
+
+def test_equations_with_a_row_dropped_fail():
+    # negative control: every equation is needed, so without any one of
+    # them the kernel is larger and containment of a larger space passes
+    rng = random.Random(83)
+    tested = 0
+    for n in list(range(1, 8)) * 3:
+        u = rand_subspace(rng, n)
+        eqs = u.equations()
+        for r in range(eqs.rows):
+            fewer = Matrix(eqs.rows - 1, n, eqs.entries[:r] + eqs.entries[r + 1:])
+            bigger = Subspace.kernel(fewer)
+            assert bigger != u and bigger.dim == u.dim + 1
+            assert not u.contains(bigger)
+            assert (fewer @ bigger.basis).is_zero()
+            tested += 1
+    assert tested >= 20
+
+
+def test_subspace_operations_match_oracle():
+    rng = random.Random(89)
+    outcomes = set()
+    for _ in range(80):
+        n = rng.randint(0, 7)
+        u = rand_subspace(rng, n)
+        v = rand_subspace(rng, n)
+        assert u.intersect(v) == _subspace_oracle.intersect(u, v)
+        for x, y in ((u, v), (v, u), (u, u + v), (u + v, v),
+                     (u, u.intersect(v))):
+            got = x.contains(y)
+            assert got == _subspace_oracle.contains(x, y) == (x + y == x)
+            outcomes.add(got)
+        a = rand_low_rank(rng, n, rng.randint(0, 7))
+        assert (Subspace.kernel(u.equations() @ a)
+                == _subspace_oracle.preimage(a, u))
+    assert outcomes == {True, False}
+
+
+def test_forward_pass_pivots_equal_rref_pivots():
+    rng = random.Random(101)
+    for rows, cols in _random_shapes(rng, 60):
+        a = rand_low_rank(rng, rows, cols)
+        echelon_rows, pivots = kernel.echelon(a.entries, cols)
+        assert pivots == kernel.rref(a.entries, cols)[1]
+        assert len(echelon_rows) == rows
+        assert all(not any(x or y for x, y in row)
+                   for row in echelon_rows[len(pivots):])
+        assert a.rank() == len(pivots) == len(a.rref()[1])
 
 
 def test_rank_trivial():
@@ -113,16 +272,18 @@ def test_subspace_idempotence_and_canonical_form():
 
 
 def test_preimage_identity():
+    # the preimage {x : A x in V} is the kernel of V's equations after A
     rng = random.Random(2)
     v = Subspace.from_matrix_columns(rand_matrix(rng, 4, 2))
-    assert preimage(Matrix.identity(4), v) == v
+    assert Subspace.kernel(v.equations() @ Matrix.identity(4)) == v
 
 
 def test_preimage_membership():
     rng = random.Random(23)
     m = rand_matrix(rng, 4, 6)
     v = Subspace.from_matrix_columns(rand_matrix(rng, 4, 2))
-    pre = preimage(m, v)
+    pre = Subspace.kernel(v.equations() @ m)
+    assert pre.dim == 4
     for j in range(pre.dim):
         assert v.contains_vector(m.apply(pre.basis.col(j)))
 

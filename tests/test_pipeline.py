@@ -115,16 +115,16 @@ def test_analysis_builds_one_harmonic_layer(monkeypatch):
         laplacians.setdefault((hs, n), []).append(lap)
         return lap
 
-    nullspace_matrix = linalg.Matrix.nullspace_matrix
+    subspace_kernel = linalg.Subspace.kernel
 
-    def kernel(mat):
+    def kernel(cls, mat):
         assert not any(mat is lap for laps in laplacians.values()
                        for lap in laps), "kernel of a whole Delta_d"
-        return nullspace_matrix(mat)
+        return subspace_kernel(mat)
 
     monkeypatch.setattr(harmonic.HermitianStructure, "laplacian_d_total",
                         recorded)
-    monkeypatch.setattr(linalg.Matrix, "nullspace_matrix", kernel)
+    monkeypatch.setattr(linalg.Subspace, "kernel", classmethod(kernel))
     an = pipeline.analyze(docio.to_spec(catalog.builtin("su2su2-nk")))
     pipeline.result_document(an, pipeline.verification_checks(an))
     assert calls == {"mub_decomposition": 2, "delb_mub": 2}
