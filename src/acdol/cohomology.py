@@ -51,6 +51,13 @@ class CohomologyTable:
     def dim(self, p, q):
         return self.dims.get((p, q), 0)
 
+    def classes(self, p, q):
+        """(representatives, denominators) of slot (p, q); off the grid
+        both are the zero subspace of k^0."""
+        zero = Subspace.zero(0)
+        return (self.representatives.get((p, q), zero),
+                self.denominators.get((p, q), zero))
+
 
 def _quotient_table(m, parts):
     dims = {}
@@ -117,12 +124,9 @@ def induced_delbar(cm, mub_table):
     out = {}
     for (p, q) in basis.slots:
         src = mub_table.representatives[(p, q)]
-        tgt_reps = mub_table.representatives.get((p, q + 1))
-        if tgt_reps is None:
-            out[(p, q)] = Matrix.zero(0, src.dim)
-            continue
-        solver = tgt_reps.basis.hstack(mub_table.denominators[(p, q + 1)].basis)
-        x = solver.solve(cm.block(DELBAR, p, q) @ src.basis)
+        tgt_reps, tgt_den = mub_table.classes(p, q + 1)
+        x = tgt_reps.basis.hstack(tgt_den.basis).solve(
+            cm.block(DELBAR, p, q) @ src.basis)
         if x is None:
             raise ConsistencyError(
                 "delbar image not mubar-closed modulo boundaries at "
@@ -134,10 +138,10 @@ def induced_delbar(cm, mub_table):
 def cohomology_dims_of_operator(mats):
     """Dims of Ker/Im for a square-zero slotwise operator along q, zero
     entries left out."""
+    ranks = {pq: mat.rank() for pq, mat in mats.items()}
     dims = {}
     for (p, q), mat in mats.items():
-        prev = mats.get((p, q - 1))
-        dim = mat.cols - mat.rank() - (prev.rank() if prev is not None else 0)
+        dim = mat.cols - ranks[(p, q)] - ranks.get((p, q - 1), 0)
         if dim:
             dims[(p, q)] = dim
     return dims

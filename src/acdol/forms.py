@@ -3,7 +3,13 @@
 Monomials of type (p, q) are pairs of bitmasks (S, T): S picks p holomorphic
 generators and T picks q antiholomorphic ones, with the global generator
 order  t^1 < ... < t^m < tbar^1 < ... < tbar^m  fixing all wedge signs via
-transposition counts.
+transposition counts; d, the Hodge star and the Lefschetz map are built
+from the signs of ``wedge_monomials``.
+
+This module decides the (p, q) grid, 0 <= p, q <= m: off it a slot has
+dimension 0 and no monomials, and every block or slot table read there is
+zero-shaped, so components that reach past the edge compose, solve and
+assemble (``Matrix.from_blocks``) without a special case.
 
 The differential on degree-one generators is minus the dual of the Lie
 bracket; it extends to the whole exterior algebra as a graded derivation and
@@ -129,48 +135,6 @@ def wedge_monomials(m1, m2):
     return sign, (s1 | s2, t1 | t2)
 
 
-def wedge_forms(f1, f2):
-    """Wedge of sparse forms {monomial: Scalar}; bilinear over slots."""
-    out = {}
-    for m1, c1 in f1.items():
-        if not c1:
-            continue
-        for m2, c2 in f2.items():
-            if not c2:
-                continue
-            res = wedge_monomials(m1, m2)
-            if res is None:
-                continue
-            sign, mono = res
-            term = c1 * c2
-            if sign < 0:
-                term = -term
-            prev = out.get(mono)
-            out[mono] = term if prev is None else prev + term
-    return {mono: c for mono, c in out.items() if c}
-
-
-def wedge(basis, bidegree1, v1, bidegree2, v2):
-    """Wedge of two slot coordinate vectors; returns the target vector.
-
-    The target slot is (p1+p2, q1+q2); if that is out of range the result is
-    an empty tuple (the zero vector of an empty slot).
-    """
-    p1, q1 = bidegree1
-    p2, q2 = bidegree2
-    pt, qt = p1 + p2, q1 + q2
-    if pt > basis.m or qt > basis.m:
-        return tuple()
-    f1 = {mono: c for mono, c in zip(basis.monomials(p1, q1), v1) if c}
-    f2 = {mono: c for mono, c in zip(basis.monomials(p2, q2), v2) if c}
-    prod = wedge_forms(f1, f2)
-    idx = basis.index[(pt, qt)]
-    out = [ZERO] * basis.dim(pt, qt)
-    for mono, c in prod.items():
-        out[idx[mono]] = c
-    return tuple(out)
-
-
 class ComponentMatrices:
     """The four bidegree blocks of d on every slot, as exact matrices."""
 
@@ -183,49 +147,32 @@ class ComponentMatrices:
     def block(self, tag, p, q):
         """Matrix of the component ``tag`` on slot (p, q).
 
-        Slots or targets outside the (p, q) grid give matrices with zero
-        rows/columns so compositions stay well defined.
+        Every slot of the grid holds a block for every tag, zero-shaped
+        where the target is off the grid; a slot off the grid gives a block
+        with zero columns, so compositions stay well defined.
         """
-        key = (tag, p, q)
-        got = self._blocks.get(key)
-        if got is not None:
-            return got
+        if (p, q) in self.basis.slots:
+            return self._blocks[(tag, p, q)]
         dp, dq = BIDEGREE[tag]
-        rows = self.basis.dim(p + dp, q + dq)
-        cols = self.basis.dim(p, q)
-        return Matrix.zero(rows, cols)
+        return Matrix.zero(self.basis.dim(p + dp, q + dq), 0)
 
     def target(self, tag, p, q):
         dp, dq = BIDEGREE[tag]
         return (p + dp, q + dq)
 
     def total_matrix(self, n):
-        """The full differential A^n -> A^{n+1} in slot-block coordinates."""
-        if n in self._totals:
-            return self._totals[n]
-        basis = self.basis
-        src = basis.slot_offsets(n)
-        tgt = basis.slot_offsets(n + 1)
-        tgt_off = {(p, q): off for p, q, off in tgt}
-        rows = basis.total_dim(n + 1)
-        cols = basis.total_dim(n)
-        data = [[ZERO] * cols for _ in range(rows)]
-        for p, q, off in src:
-            for tag in BIDEGREE:
-                tp, tq = self.target(tag, p, q)
-                if (tp, tq) not in tgt_off:
-                    continue
-                blk = self.block(tag, p, q)
-                toff = tgt_off[(tp, tq)]
-                for i in range(blk.rows):
-                    brow = blk.entries[i]
-                    drow = data[toff + i]
-                    for j in range(blk.cols):
-                        if brow[j]:
-                            drow[off + j] = brow[j]
-        out = Matrix(rows, cols, data)
-        self._totals[n] = out
-        return out
+        """The full differential A^n -> A^{n+1} in slot-block coordinates:
+        block column p is slot (p, n - p) and block row p + 1 is slot
+        (p, n + 1 - p), for every p a component reaches, -1 .. m + 2."""
+        if n not in self._totals:
+            dim = self.basis.dim
+            m = self.m
+            self._totals[n] = Matrix.from_blocks(
+                [dim(p, n + 1 - p) for p in range(-1, m + 3)],
+                [dim(p, n - p) for p in range(m + 1)],
+                {(p + dp + 1, p): self.block(tag, p, n - p)
+                 for tag, (dp, _) in BIDEGREE.items() for p in range(m + 1)})
+        return self._totals[n]
 
 
 def build_differential(csc, basis):
@@ -256,7 +203,7 @@ def build_differential(csc, basis):
     blocks = {}
     for (p, q), monos in basis.slots.items():
         cols = {tag: [] for tag in BIDEGREE}
-        targets = {tag: basis.index.get((p + dp, q + dq))
+        targets = {tag: basis.index.get((p + dp, q + dq), {})
                    for tag, (dp, dq) in BIDEGREE.items()}
         for s_mask, t_mask in monos:
             word = [("h", i) for i in _bits(s_mask)] + [("a", i) for i in _bits(t_mask)]
@@ -285,22 +232,15 @@ def build_differential(csc, basis):
                     dmono[mono4] = term if prev is None else prev + term
             for tag in BIDEGREE:
                 idx = targets[tag]
-                if idx is None:
-                    cols[tag].append(tuple())
-                    continue
                 col = [ZERO] * len(idx)
                 for mono4, c in dmono.items():
                     slot_pos = idx.get(mono4)
                     if slot_pos is not None and c:
                         col[slot_pos] = c
-                cols[tag].append(tuple(col))
+                cols[tag].append(col)
         for tag in BIDEGREE:
-            dp, dq = BIDEGREE[tag]
-            rows = basis.dim(p + dp, q + dq)
-            if rows == 0:
-                continue
             blocks[(tag, p, q)] = Matrix.from_columns(
-                [list(c) for c in cols[tag]], ambient_rows=rows)
+                cols[tag], ambient_rows=len(targets[tag]))
     return ComponentMatrices(basis, blocks)
 
 
@@ -369,16 +309,8 @@ def nijenhuis_operator(cm):
     """
     a = cm.block(MUBAR, 1, 0)
     b = cm.block(MU, 0, 1)
-    rows = a.rows + b.rows
-    cols = a.cols + b.cols
-    data = [[ZERO] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            data[i][j] = a.entries[i][j]
-    for i in range(b.rows):
-        for j in range(b.cols):
-            data[a.rows + i][a.cols + j] = b.entries[i][j]
-    return Matrix(rows, cols, data)
+    return Matrix.from_blocks([a.rows, b.rows], [a.cols, b.cols],
+                              {(0, 0): a, (1, 1): b})
 
 
 def is_integrable(cm):
@@ -411,13 +343,13 @@ def conjugation_matrix(basis, p, q):
 
     conj(t^S tbar^T) = (-1)^{pq} t^T tbar^S on monomials; the conjugate of
     the form with coordinate columns V has the coordinates C conj(V).
+    Zero-shaped off the grid.
     """
-    src = basis.monomials(p, q)
-    idx = basis.index[(q, p)]
     sign = -ONE if (p * q) & 1 else ONE
+    rows = basis.dim(q, p)
     cols = []
-    for s_mask, t_mask in src:
-        col = [ZERO] * basis.dim(q, p)
-        col[idx[(t_mask, s_mask)]] = sign
+    for s_mask, t_mask in basis.monomials(p, q):
+        col = [ZERO] * rows
+        col[basis.index[(q, p)][(t_mask, s_mask)]] = sign
         cols.append(col)
-    return Matrix.from_columns(cols, ambient_rows=basis.dim(q, p))
+    return Matrix.from_columns(cols, ambient_rows=rows)

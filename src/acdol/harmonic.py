@@ -158,21 +158,16 @@ class HermitianStructure:
 
     @_memoized
     def star_total(self, n):
-        """Block-diagonal ⋆ on the whole degree-n space, landing in 2m-n."""
+        """Block-diagonal ⋆ on the whole degree-n space, landing in 2m-n:
+        block column p is slot (p, q) = (p, n - p), block row m - q its
+        image."""
         basis = self.basis
         m = self.m
-        rows = basis.total_dim(2 * m - n)
-        cols = basis.total_dim(n)
-        tgt_off = {(p, q): off for p, q, off in basis.slot_offsets(2 * m - n)}
-        data = [[ZERO] * cols for _ in range(rows)]
-        for p, q, off in basis.slot_offsets(n):
-            blk = self.star(p, q)
-            toff = tgt_off[(m - q, m - p)]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    if blk.entries[i][j]:
-                        data[toff + i][off + j] = blk.entries[i][j]
-        return Matrix(rows, cols, data)
+        return Matrix.from_blocks(
+            [basis.dim(p, 2 * m - n - p) for p in range(m + 1)],
+            [basis.dim(p, n - p) for p in range(m + 1)],
+            {(m - q, p): self.star(p, q)
+             for p, q, _ in basis.slot_offsets(n)})
 
     def _verify_star(self):
         basis = self.basis
@@ -405,9 +400,9 @@ def delb_mub(hs):
             cm.block(DELBAR, p, q) @ src.basis)
         op_adj[(p, q)] = coords.get((p, q - 1), off_grid) @ (
             hs.adjoint_block(DELBAR, p, q) @ src.basis)
-    for (p, q), mat in op.items():
-        if (p, q + 1) in op and not (op[(p, q + 1)] @ mat).is_zero():
-            raise ConsistencyError("delbar_mub does not square to zero")
+    if not all((op[(p, q + 1)] @ op[(p, q)]).is_zero()
+               for p in range(hs.m + 1) for q in range(hs.m)):
+        raise ConsistencyError("delbar_mub does not square to zero")
     harmonic = {}
     for pq, mat in op.items():
         ker = Subspace.kernel(mat.vstack(op_adj[pq]))
@@ -520,18 +515,25 @@ def fundamental_form(hs):
 
 
 def lefschetz_matrices(hs):
-    """Wedge-with-fundamental-form matrices L : (p, q) -> (p+1, q+1)."""
+    """Wedge-with-fundamental-form matrices L : (p, q) -> (p+1, q+1), built
+    like ⋆ from ``wedge_monomials``: column e of L is the sum of the
+    nonzero terms c w of the fundamental form wedged with e, c w ∧ e."""
     basis = hs.basis
-    omega = fundamental_form(hs)
+    omega = [(w, c) for w, c in zip(basis.monomials(1, 1), fundamental_form(hs))
+             if c]
     out = {}
     for (p, q) in basis.slots:
+        rows = basis.dim(p + 1, q + 1)
         cols = []
-        dim = basis.dim(p, q)
-        for j in range(dim):
-            v = tuple(ONE if i == j else ZERO for i in range(dim))
-            cols.append(forms.wedge(basis, (1, 1), omega, (p, q), v))
-        out[(p, q)] = Matrix.from_columns(cols,
-                                          ambient_rows=basis.dim(p + 1, q + 1))
+        for e in basis.monomials(p, q):
+            col = [ZERO] * rows
+            for w, c in omega:
+                res = forms.wedge_monomials(w, e)
+                if res is not None:
+                    col[basis.index[(p + 1, q + 1)][res[1]]] += (
+                        c if res[0] > 0 else -c)
+            cols.append(col)
+        out[(p, q)] = Matrix.from_columns(cols, ambient_rows=rows)
     return out
 
 

@@ -45,9 +45,6 @@ class Scalar:
     def im(self):
         return Fraction(self.yn, self.dn)
 
-    def is_zero(self):
-        return self.xn == 0 and self.yn == 0
-
     def __bool__(self):
         return self.xn != 0 or self.yn != 0
 

@@ -9,10 +9,14 @@ its basis with no elimination, so each Subspace result costs at most one
 elimination: a kernel is one rref with the columns reversed, an
 intersection is the kernel of both sets of equations stacked, a preimage
 {x : A x in S} is the kernel of (equations of S) @ A, a span is one RCEF,
-and containment is one product with the equations.
+and containment is one product with the equations.  ``Matrix.from_blocks``
+assembles every block matrix: absent blocks are zero, zero-sized ones need
+no special case and a block of the wrong shape raises LinalgError.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from . import kernel
 from .kernel import ONE, ZERO, Scalar
@@ -67,6 +71,24 @@ class Matrix:
         if ambient_rows is not None and ambient_rows != n:
             raise LinalgError("column length does not match ambient dimension")
         return cls(n, len(cols_data), [[c[i] for c in cols_data] for i in range(n)])
+
+    @classmethod
+    def from_blocks(cls, row_dims, col_dims, blocks):
+        """The block matrix with block rows of heights ``row_dims`` and
+        block columns of widths ``col_dims``; ``blocks`` maps (i, j) to the
+        block of block row i and block column j.  Absent blocks are zero."""
+        row_off = [0, *accumulate(row_dims)]
+        col_off = [0, *accumulate(col_dims)]
+        data = [[ZERO] * col_off[-1] for _ in range(row_off[-1])]
+        for (i, j), blk in blocks.items():
+            if min(i, j) < 0 or (blk.rows, blk.cols) != (row_dims[i],
+                                                          col_dims[j]):
+                raise LinalgError("block (%d, %d) is %d x %d, not %d x %d"
+                                  % (i, j, blk.rows, blk.cols, row_dims[i],
+                                     col_dims[j]))
+            for row, brow in zip(data[row_off[i]:], blk.entries):
+                row[col_off[j]:col_off[j + 1]] = brow
+        return cls(row_off[-1], col_off[-1], data)
 
     @classmethod
     def column(cls, vec):

@@ -131,8 +131,6 @@ def verification_checks(an):
         for (p, q) in basis.slots:
             blk = cm.block(tag, p, q)
             tp, tq = cm.target(tag, p, q)
-            if not (0 <= tp <= m and 0 <= tq <= m):
-                continue
             c_src = forms.conjugation_matrix(basis, p, q)
             c_tgt = forms.conjugation_matrix(basis, tp, tq)
             lhs = c_tgt @ blk.conj()

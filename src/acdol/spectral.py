@@ -223,90 +223,48 @@ def infinity_vs_betti(table, betti):
 _CHAIN_TAGS = (MUBAR, DELBAR, PARTIAL, MU)
 
 
-def _slot_dims_chain(basis, bidegrees):
-    return [basis.dim(p, q) if 0 <= p <= basis.m and 0 <= q <= basis.m else 0
-            for (p, q) in bidegrees]
-
-
-def _block_system(cm, equations, variables):
-    """Assemble the block matrix of a linear system over slot variables.
-
-    ``variables``: list of bidegrees (one unknown form per entry).
-    ``equations``: list of rows; each row is a list of (var_index, tag, sign)
-    triples meaning  sum sign * tag(x_var) = 0.  Out-of-range slots
-    contribute zero-dimensional blocks.  Row bidegrees are inferred from the
-    first well-defined term.
-    """
-    basis = cm.basis
-    var_dims = _slot_dims_chain(basis, variables)
-    offsets = [sum(var_dims[:i]) for i in range(len(var_dims))]
-    total = sum(var_dims)
-    rows_data = []
-    for row in equations:
-        row_dim = None
-        mats = {}
-        for var, tag, sign in row:
-            if var_dims[var] == 0:
-                continue
-            mat = cm.block(tag, *variables[var])
-            if sign < 0:
-                mat = -mat
-            if row_dim is None:
-                row_dim = mat.rows
-            mats[var] = mat
-        if row_dim is None or row_dim == 0:
-            continue
-        block_rows = [[forms.ZERO] * total for _ in range(row_dim)]
-        for var, mat in mats.items():
-            off = offsets[var]
-            for i in range(mat.rows):
-                block_rows[i][off:off + mat.cols] = mat.entries[i]
-        rows_data.extend(block_rows)
-    if not rows_data:
-        return Matrix.zero(0, total), offsets, var_dims
-    return Matrix.from_rows(rows_data), offsets, var_dims
-
-
-def _project_solutions(system, offsets, var_dims, var):
-    """Project the solution space of ``system`` to one variable block."""
-    ker = system.nullspace_matrix()
-    off = offsets[var]
-    return Subspace.from_matrix_columns(
-        Matrix(var_dims[var], ker.cols, ker.entries[off:off + var_dims[var]]))
-
-
 def explicit_cycles(cm, r, p, q):
     """Z_r^{p,q} from the witness chain (w, w_1 .. w_r), w_i in A^{p+i,q-i}.
 
     Chain equations:  mubar w = 0;  delbar w = mubar w_1;
     partial w = mubar w_2 + delbar w_1;  mu w = mubar w_3 + delbar w_2 +
-    partial w_1;  and homogeneous continuations for i = 4 .. r.
+    partial w_1;  and homogeneous continuations for i = 4 .. r.  Equation i
+    lands in A^{p+i-1,q-i+2}; Z_r is the w part of the solutions, so the
+    system takes the witnesses with their sign flipped: every block enters
+    with sign +1.
     """
+    dim = cm.basis.dim
     variables = [(p + i, q - i) for i in range(r + 1)]
-    equations = [[(i - t, tag, 1 if t == i else -1)
-                  for t, tag in enumerate(_CHAIN_TAGS) if t <= i]
-                 for i in range(r + 1)]
-    system, offsets, var_dims = _block_system(cm, equations, variables)
-    return _project_solutions(system, offsets, var_dims, 0)
+    system = Matrix.from_blocks(
+        [dim(p + i - 1, q - i + 2) for i in range(r + 1)],
+        [dim(*slot) for slot in variables],
+        {(i, i - t): cm.block(tag, *variables[i - t])
+         for i in range(r + 1) for t, tag in enumerate(_CHAIN_TAGS) if t <= i})
+    ker = system.nullspace_matrix()
+    return Subspace.from_matrix_columns(
+        Matrix(dim(p, q), ker.cols, ker.entries[:dim(p, q)]))
 
 
 def explicit_boundaries(cm, r, p, q):
     """B_r^{p,q} from the witness chain (e_1 .. e_{r+1}), e_i in A^{p+2-i,q-3+i}.
 
     The boundary form is  mubar e_1 + delbar e_2 + partial e_3 + mu e_4,
-    taken over chains satisfying the homogeneous closing equations.
+    taken over chains satisfying the homogeneous closing equations: closing
+    equation j, in A^{p-j,q+j}, sums the chain tags over e_{j+1} .. e_{j+4}.
     """
+    dim = cm.basis.dim
     variables = [(p + 2 - i, q - 3 + i) for i in range(1, r + 2)]
-    equations = [[(j + t, tag, 1) for t, tag in enumerate(_CHAIN_TAGS)
-                  if j + t <= r] for j in range(1, r + 1)]
-    system, offsets, var_dims = _block_system(cm, equations, variables)
-    ker = system.nullspace_matrix()
-    form = Matrix.zero(cm.basis.dim(p, q), ker.cols)
-    for var, (tag, slot) in enumerate(zip(_CHAIN_TAGS, variables)):
-        off = offsets[var]
-        form += cm.block(tag, *slot) @ Matrix(
-            var_dims[var], ker.cols, ker.entries[off:off + var_dims[var]])
-    return Subspace.from_matrix_columns(form)
+    var_dims = [dim(*slot) for slot in variables]
+    system = Matrix.from_blocks(
+        [dim(p - j, q + j) for j in range(1, r + 1)], var_dims,
+        {(j - 1, j + t): cm.block(tag, *variables[j + t])
+         for j in range(1, r + 1) for t, tag in enumerate(_CHAIN_TAGS)
+         if j + t <= r})
+    boundary = Matrix.from_blocks(
+        [dim(p, q)], var_dims,
+        {(0, t): cm.block(tag, *slot)
+         for t, (tag, slot) in enumerate(zip(_CHAIN_TAGS, variables))})
+    return Subspace.from_matrix_columns(boundary @ system.nullspace_matrix())
 
 
 def explicit_page(cm, r):
@@ -339,16 +297,13 @@ def dolbeault_delta1(cm, dol):
     the image by delbar k, a Dolbeault coboundary, which
     ``witness_independent`` re-verifies for the whole of Ker(mubar) at once.
     Per slot, one solve gives the witnesses of every representative and one
-    more their classes.
+    more their classes; off the grid the target classes are those of k^0.
     """
     basis = cm.basis
     mats = {}
     for (p, q) in basis.slots:
         src = dol.representatives[(p, q)]
-        tgt_reps = dol.representatives.get((p + 1, q))
-        if tgt_reps is None:
-            mats[(p, q)] = Matrix.zero(0, src.dim)
-            continue
+        tgt_reps, tgt_den = dol.classes(p + 1, q)
         eta = cm.block(MUBAR, p + 1, q - 1).solve(
             cm.block(DELBAR, p, q) @ src.basis)
         if eta is None:
@@ -357,8 +312,7 @@ def dolbeault_delta1(cm, dol):
                 "page-1 cycle" % (p, q))
         image = (cm.block(PARTIAL, p, q) @ src.basis
                  - cm.block(DELBAR, p + 1, q - 1) @ eta)
-        x = tgt_reps.basis.hstack(dol.denominators[(p + 1, q)].basis).solve(
-            image)
+        x = tgt_reps.basis.hstack(tgt_den.basis).solve(image)
         if x is None:
             raise ConsistencyError(
                 "delta_1 image is not a Dolbeault cocycle at (%d, %d)"
@@ -372,11 +326,14 @@ def witness_independent(cm, dol, p, q):
 
     Another witness is eta + k with k in Ker mubar_{p+1,q-1}, which moves
     the image by delbar k; so the check is that delbar(Ker mubar_{p+1,q-1})
-    lies in the Dolbeault coboundaries of slot (p+1, q).
+    lies in the Dolbeault coboundaries of slot (p+1, q).  These are the
+    denominators of the zig-zag table ``dol``, which contain delbar(Ker
+    mubar) by construction, so the check certifies only that table, not the
+    pages or the Hodge reduction.
     """
-    tgt_den = dol.denominators.get((p + 1, q))
-    if dol.representatives[(p, q)].dim == 0 or tgt_den is None:
+    if dol.representatives[(p, q)].dim == 0:
         return True
+    _, tgt_den = dol.classes(p + 1, q)
     kernel = cm.block(MUBAR, p + 1, q - 1).nullspace_matrix()
     return (tgt_den.equations()
             @ (cm.block(DELBAR, p + 1, q - 1) @ kernel)).is_zero()

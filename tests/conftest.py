@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from acdol import catalog, pipeline
+from acdol import catalog, docio, pipeline
 from acdol.liealg import make_spec
 
 _CACHE = {}
@@ -15,6 +15,34 @@ def builtin_analysis(name):
     if name not in _CACHE:
         _CACHE[name] = pipeline.analyze_document(catalog.builtin(name))
     return _CACHE[name]
+
+
+def input_path(name):
+    return os.path.join(os.path.dirname(__file__), "data", "inputs",
+                        "%s.json" % name)
+
+
+# the input documents with golden result documents; the harmonic frame of
+# random-m3-seed1 (random_nilpotent_spec(seeded_rng(1), 3)) is not its
+# plain frame, unlike that of every builtin
+GOLDEN_INPUTS = ("random-m3-seed1", "s3s3-nk")
+
+
+def input_analysis(name):
+    """Analysis of the input document ``name``, computed once per session."""
+    key = ("input", name)
+    if key not in _CACHE:
+        with open(input_path(name), "rb") as fh:
+            _CACHE[key] = pipeline.analyze_document(
+                docio.parse_document(fh.read()))
+    return _CACHE[key]
+
+
+def named_analysis(name):
+    """Analysis of a builtin or of one of ``GOLDEN_INPUTS``."""
+    if name in GOLDEN_INPUTS:
+        return input_analysis(name)
+    return builtin_analysis(name)
 
 
 @pytest.fixture

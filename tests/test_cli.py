@@ -12,7 +12,7 @@ from acdol.cli import main
 from acdol.forms import MUBAR
 from acdol.harmonic import HermitianStructure
 from acdol.linalg import Matrix, Subspace
-from conftest import builtin_analysis, golden_dir
+from conftest import GOLDEN_INPUTS, golden_dir, input_path, named_analysis
 
 
 def run_cli(argv):
@@ -303,12 +303,16 @@ def test_latex_output():
     assert "\\mathbb{C} & 0 & 0 & 0 \\\\" in out
 
 
-@pytest.mark.parametrize("name", catalog.builtin_names())
+# the builtins and the input documents with golden result documents
+GOLDEN_NAMES = catalog.builtin_names() + list(GOLDEN_INPUTS)
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_result_documents(name):
     path = os.path.join(golden_dir(), "%s.json" % name)
     with open(path, "rb") as fh:
         golden = json.load(fh)
-    an = builtin_analysis(name)
+    an = named_analysis(name)
     assert pipeline.result_document(
         an, pipeline.verification_checks(an)) == golden
 
@@ -317,7 +321,7 @@ SECTION_KEYS = ("name", "m", "classification", "betti", "degeneration_page",
                 "pages", "h_mub", "h_dol", "harmonic", "checks")
 
 
-@pytest.mark.parametrize("name", catalog.builtin_names())
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_cli_json_bytes_match_golden(name):
     """analyze prints the golden file's bytes; pages and harmonic print its
     tables and their own section, the other section and the checks
@@ -325,7 +329,9 @@ def test_cli_json_bytes_match_golden(name):
     with open(os.path.join(golden_dir(), "%s.json" % name), "rb") as fh:
         raw = fh.read()
     golden = json.loads(raw)
-    argv = ["--example", name, "--format", "json"]
+    source = ([input_path(name)] if name in GOLDEN_INPUTS
+              else ["--example", name])
+    argv = source + ["--format", "json"]
     assert run_cli(["analyze"] + argv) == (0, raw.decode(), "")
     for command, blank in (("pages", "harmonic"), ("harmonic", "pages")):
         doc = {key: golden[key] for key in SECTION_KEYS}

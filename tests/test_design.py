@@ -7,13 +7,16 @@ from the syntax tree: a name, an attribute, an imported name, or a word of
 a string that is not a docstring (``perfbench/tracing.py`` names the
 functions it times by string).  Docstrings and comments are not uses, and
 tests do not count.  The checks are by name, so they are only a floor: a
-name shared by two definitions passes.  Special methods (``__add__`` and
-the like) are called by the interpreter, not by name, and are left out.
+name shared by two definitions passes.  So the names defined more than once
+are pinned in ``SHARED_NAMES``, and a new one fails until it is reviewed.
+Special methods (``__add__`` and the like) are called by the interpreter,
+not by name, and are left out.
 """
 
 import ast
 import pathlib
 import re
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 USE_DIRS = ("src/acdol", "perfbench", "benchmarks")
@@ -54,6 +57,36 @@ print(used(Record(1, 2)))
 '''
 
 
+# Names defined more than once in src/acdol, reviewed: methods of several
+# types (conj, dim, from_columns, m, zero), a kernel function and a method
+# of the same name (rref, from_rational), and the private _lift of both
+# kernel and harmonic.
+SHARED_NAMES = {"_lift", "conj", "dim", "from_columns", "from_rational", "m",
+                "rref", "zero"}
+
+# A negative control for the pin: "twin" is defined twice, once per class.
+SHARED_SYNTHETIC = '''
+class First:
+    def twin(self):
+        pass
+
+    def __eq__(self, other):
+        pass
+
+
+class Second:
+    def twin(self):
+        pass
+
+    def __eq__(self, other):
+        pass
+
+
+def single():
+    pass
+'''
+
+
 def _trees(dirs):
     return [ast.parse(path.read_text(encoding="utf-8"))
             for d in dirs for path in sorted((ROOT / d).rglob("*.py"))]
@@ -88,16 +121,18 @@ def _uses(trees):
     return names, attrs
 
 
-def _defined_names(trees):
-    names = set()
-    for tree in trees:
-        for node in ast.walk(tree):
+def _definitions(trees):
+    """The name of each function, method and class defined in ``trees``,
+    once per definition, special methods left out."""
+    return [node.name for tree in trees for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                if not (node.name.startswith("__")
-                        and node.name.endswith("__")):
-                    names.add(node.name)
-    return names
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _shared_names(trees):
+    return {name for name, count in Counter(_definitions(trees)).items()
+            if count > 1}
 
 
 def _dataclass_fields(trees):
@@ -116,7 +151,7 @@ def _dataclass_fields(trees):
 
 def _unused(defining, using):
     names, attrs = _uses(using)
-    return sorted(name for name in _defined_names(defining)
+    return sorted(name for name in set(_definitions(defining))
                   if name not in names and name not in attrs)
 
 
@@ -139,3 +174,11 @@ def test_guards_do_not_count_docstrings_and_comments():
     assert _unused(trees, trees) == ["helper_in_comment",
                                      "helper_in_docstring"]
     assert _unread(trees, trees) == ["Record.unread"]
+
+
+def test_names_defined_more_than_once_are_pinned():
+    assert _shared_names(_trees(["src/acdol"])) == SHARED_NAMES
+
+
+def test_shared_name_guard_flags_a_second_definition():
+    assert _shared_names([ast.parse(SHARED_SYNTHETIC)]) == {"twin"}

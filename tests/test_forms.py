@@ -10,11 +10,30 @@ from acdol.forms import (DELBAR, INTEGRABLE, INTERMEDIATE,
                          BigradedBasis, build_basis, build_differential,
                          classify, conjugation_matrix, is_integrable,
                          nijenhuis_operator, verify_relations,
-                         wedge, wedge_monomials)
+                         wedge_monomials)
+from acdol.harmonic import fundamental_form, lefschetz_matrices
 from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.linalg import Matrix
-from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
+from conftest import (builtin_analysis, named_analysis,
+                      random_nilpotent_spec, seeded_rng)
+
+
+def wedge(basis, bidegree1, v1, bidegree2, v2):
+    """Wedge of two slot coordinate vectors, summed over the pairs of
+    nonzero terms with ``wedge_monomials``: the coordinates in slot
+    (p1+p2, q1+q2), an empty tuple off the grid."""
+    (p1, q1), (p2, q2) = bidegree1, bidegree2
+    target = (p1 + p2, q1 + q2)
+    out = [ZERO] * basis.dim(*target)
+    for m1, c1 in zip(basis.monomials(p1, q1), v1):
+        for m2, c2 in zip(basis.monomials(p2, q2), v2):
+            res = wedge_monomials(m1, m2)
+            if c1 and c2 and res is not None:
+                term = c1 * c2
+                out[basis.index[target][res[1]]] += (
+                    term if res[0] > 0 else -term)
+    return tuple(out)
 
 
 def test_basis_counts():
@@ -101,6 +120,38 @@ def test_wedge_graded_commutativity_random():
 
 def _cm(name):
     return builtin_analysis(name).cm
+
+
+def _lefschetz_mismatches(hs, lef):
+    """The (slot, column) pairs where ``lef`` differs from omega ∧ e on the
+    unit vector e of the column, omega the fundamental form."""
+    basis = hs.basis
+    omega = fundamental_form(hs)
+    bad = []
+    for (p, q) in basis.slots:
+        dim = basis.dim(p, q)
+        for j in range(dim):
+            e = [ONE if i == j else ZERO for i in range(dim)]
+            if lef[(p, q)].col(j) != wedge(basis, (1, 1), omega, (p, q), e):
+                bad.append(((p, q), j))
+    return bad
+
+
+@pytest.mark.parametrize("name", ["su2su2-nk", "s3s3-nk", "random-m3-seed1"])
+def test_lefschetz_is_wedge_with_fundamental_form(name):
+    hs = named_analysis(name).hs
+    lef = lefschetz_matrices(hs)
+    assert _lefschetz_mismatches(hs, lef) == []
+    # negative control: one flipped sign is seen in its column
+    slot, mat = next((pq, mat) for pq, mat in sorted(lef.items())
+                     if not mat.is_zero())
+    i, j = next((i, j) for i in range(mat.rows) for j in range(mat.cols)
+                if mat.entries[i][j])
+    data = [list(row) for row in mat.entries]
+    data[i][j] = -data[i][j]
+    flipped = dict(lef)
+    flipped[slot] = Matrix(mat.rows, mat.cols, data)
+    assert _lefschetz_mismatches(hs, flipped) == [(slot, j)]
 
 
 def test_filiform_differential_formulas():
@@ -237,12 +288,12 @@ def test_classify_iff_nijenhuis():
 
 
 def test_component_conjugation():
+    # off the grid the conjugation matrices are zero-shaped, so the targets
+    # past the edge need no special case
     cm = _cm("su2su2-nk")
     b = cm.basis
     for (p, q) in b.slots:
         tp, tq = cm.target(MUBAR, p, q)
-        if not (0 <= tp <= 3 and 0 <= tq <= 3):
-            continue
         lhs = conjugation_matrix(b, tp, tq) @ cm.block(MUBAR, p, q).conj()
         rhs = cm.block(MU, q, p) @ conjugation_matrix(b, p, q)
         assert lhs == rhs

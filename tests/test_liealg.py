@@ -301,7 +301,7 @@ def test_complexify_su2su2():
 def test_complexify_abelian_zero():
     spec = validate_spec(make_spec(4, None, {}, J_PAIRS_4))
     csc = complexify(spec, adapted_frame(spec))
-    assert all(c.is_zero() for plane in csc.table for row in plane for c in row)
+    assert all(not c for plane in csc.table for row in plane for c in row)
 
 
 def test_complexify_conjugation_symmetry_random():

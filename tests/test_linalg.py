@@ -1,7 +1,9 @@
-"""Exact linear algebra: ranks, kernels, solves, subspace lattice.
+"""Exact linear algebra: ranks, kernels, solves, subspace lattice, blocks.
 
 The subspace operations are checked against ``_subspace_oracle``, the
-earlier formulas that take two or more eliminations per result.
+earlier formulas that take two or more eliminations per result, and the
+block assemblies of d and ⋆ against ``_total_matrix_oracle`` and
+``_star_total_oracle``, the earlier entry-by-entry placements.
 """
 
 import random
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdol import kernel
+from acdol import catalog, kernel
+from acdol.forms import BIDEGREE
 from acdol.kernel import I, ONE, ZERO, Scalar
 from acdol.linalg import LinalgError, Matrix, Subspace, complement_in
+from conftest import named_analysis
 
 
 def rand_scalar(rng, pool=(-2, -1, 0, 0, 1, 2)):
@@ -309,11 +313,16 @@ def test_complement_in():
 
 
 def test_inverse_round_trip():
+    # invertible by construction: unit lower triangular times upper
+    # triangular with a nonzero diagonal
     rng = random.Random(41)
-    while True:
-        m = rand_matrix(rng, 4, 4)
-        if m.rank() == 4:
-            break
+    lower = Matrix(4, 4, [[ONE if i == j else rand_scalar(rng) if i > j
+                           else ZERO for j in range(4)] for i in range(4)])
+    upper = Matrix(4, 4, [[rand_scalar(rng, (1, 2, -1)) if i == j
+                           else rand_scalar(rng) if i < j else ZERO
+                           for j in range(4)] for i in range(4)])
+    m = lower @ upper
+    assert m.rank() == 4
     assert m @ m.inverse() == Matrix.identity(4)
     with pytest.raises(LinalgError):
         Matrix.zero(2, 2).inverse()
@@ -322,3 +331,86 @@ def test_inverse_round_trip():
 def test_ambient_mismatch():
     with pytest.raises(LinalgError):
         Subspace.zero(3).intersect(Subspace.zero(4))
+
+
+# -- block assembly --------------------------------------------------------
+
+
+def test_from_blocks_matches_stacking():
+    """Random block grids, zero-size rows and columns and absent blocks
+    included, against hstack/vstack of the blocks with zeros filled in."""
+    rng = random.Random(23)
+    for _ in range(200):
+        row_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        col_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        blocks = {(i, j): rand_matrix(rng, r, c)
+                  for i, r in enumerate(row_dims)
+                  for j, c in enumerate(col_dims) if rng.random() < 0.6}
+        expect = Matrix.zero(0, sum(col_dims))
+        for i, r in enumerate(row_dims):
+            band = Matrix.zero(r, 0)
+            for j, c in enumerate(col_dims):
+                band = band.hstack(blocks.get((i, j), Matrix.zero(r, c)))
+            expect = expect.vstack(band)
+        assert Matrix.from_blocks(row_dims, col_dims, blocks) == expect
+
+
+def test_from_blocks_rejects_a_block_of_the_wrong_shape():
+    for bad in (Matrix.zero(2, 1), Matrix.zero(1, 2), Matrix.zero(0, 1)):
+        with pytest.raises(LinalgError):
+            Matrix.from_blocks([1, 2], [1, 1], {(1, 0): Matrix.zero(2, 1),
+                                                (0, 1): bad})
+    # a negative index would wrap to the last block row or column
+    for key in ((-1, 0), (0, -1)):
+        with pytest.raises(LinalgError):
+            Matrix.from_blocks([1, 1], [1, 1], {key: Matrix.zero(1, 1)})
+
+
+def _total_matrix_oracle(cm, n):
+    """d : A^n -> A^{n+1}, each nonzero block entry placed by hand at its
+    slot offsets."""
+    basis = cm.basis
+    tgt_off = {(p, q): off for p, q, off in basis.slot_offsets(n + 1)}
+    data = [[ZERO] * basis.total_dim(n) for _ in range(basis.total_dim(n + 1))]
+    for p, q, off in basis.slot_offsets(n):
+        for tag in BIDEGREE:
+            tp, tq = cm.target(tag, p, q)
+            if (tp, tq) not in tgt_off:
+                continue
+            blk = cm.block(tag, p, q)
+            for i in range(blk.rows):
+                for j in range(blk.cols):
+                    if blk.entries[i][j]:
+                        data[tgt_off[(tp, tq)] + i][off + j] = blk.entries[i][j]
+    return Matrix(basis.total_dim(n + 1), basis.total_dim(n), data)
+
+
+def _star_total_oracle(hs, n):
+    """⋆ on the degree-n space, each nonzero block entry placed by hand."""
+    basis = hs.basis
+    m = hs.m
+    tgt_off = {(p, q): off for p, q, off in basis.slot_offsets(2 * m - n)}
+    data = [[ZERO] * basis.total_dim(n)
+            for _ in range(basis.total_dim(2 * m - n))]
+    for p, q, off in basis.slot_offsets(n):
+        blk = hs.star(p, q)
+        toff = tgt_off[(m - q, m - p)]
+        for i in range(blk.rows):
+            for j in range(blk.cols):
+                if blk.entries[i][j]:
+                    data[toff + i][off + j] = blk.entries[i][j]
+    return Matrix(basis.total_dim(2 * m - n), basis.total_dim(n), data)
+
+
+@pytest.mark.parametrize("name",
+                         catalog.builtin_names() + ["random-m3-seed1"])
+def test_block_assemblies_match_the_hand_placed_oracles(name):
+    an = named_analysis(name)
+    hs = an.hs
+    # the harmonic frame of random-m3-seed1 has its own differential
+    assert (hs.cm is an.cm) == (name != "random-m3-seed1")
+    for cm in {id(an.cm): an.cm, id(hs.cm): hs.cm}.values():
+        for n in range(-1, 2 * cm.m + 2):
+            assert cm.total_matrix(n) == _total_matrix_oracle(cm, n)
+    for n in range(-1, 2 * hs.m + 2):
+        assert hs.star_total(n) == _star_total_oracle(hs, n)
