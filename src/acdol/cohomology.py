@@ -14,7 +14,11 @@ subspaces, and the battery compares them with the reduction:
 
   which reduces to classical delbar-cohomology when mubar = 0, and as the
   cohomology of delbar induced on mubar-classes;
-* de Rham Betti numbers from the ranks of the total complex.
+* de Rham Betti numbers from the ranks of the total complex, each taken
+  over Q on the real forms (the forms fixed by the conjugation of the
+  real Lie algebra, which d preserves) and, when the algebra is
+  unimodular, on half the degrees: Poincare duality pairs d_n with
+  d_{2m-1-n}.
 
 The module also holds the shared ``Check`` record, ``ConsistencyError`` and
 the Frolicher/Euler/Serre ``consistency_report``.
@@ -23,9 +27,11 @@ the Frolicher/Euler/Serre ``consistency_report``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import forms
 from .forms import DELBAR, MUBAR
+from .kernel import ZERO, Scalar
 from .linalg import Matrix, Subspace, complement_in
 
 
@@ -147,15 +153,101 @@ def cohomology_dims_of_operator(mats):
     return dims
 
 
+def top_cohomology_is_line(cm):
+    """Whether H^{2m} of the total complex is one-dimensional, that is,
+    whether d vanishes on (2m-1)-forms: the Lie algebra is unimodular."""
+    return cm.total_matrix(2 * cm.m - 1).is_zero()
+
+
+def _conjugation_orbits(basis, n):
+    """The orbits of the conjugation on degree-n forms in total
+    coordinates: (j, k, s) with conj(e_j) = s e_k, s = +-1 and j <= k, one
+    per orbit, read off ``forms.conjugation_matrix``."""
+    offset = {(p, q): off for p, q, off in basis.slot_offsets(n)}
+    orbits = []
+    for (p, q), off in offset.items():
+        if p > q:
+            continue
+        conj = forms.conjugation_matrix(basis, p, q)
+        for i, row in enumerate(conj.entries):
+            for j, s in enumerate(row):
+                if s and off + j <= offset[(q, p)] + i:
+                    orbits.append((off + j, offset[(q, p)] + i, s.xn))
+    return orbits
+
+
+def real_differential(cm, n):
+    """d_n on the real forms, as an integer matrix of the same rank.
+
+    d commutes with the conjugation sigma of the real Lie algebra, so it
+    maps the sigma-fixed forms, a Q-form of A^n, into those of A^{n+1},
+    and the Q-rank of that map is the Q(i)-rank of d_n.  For a source
+    orbit conj(e_j) = s e_k the fixed forms e_j + s e_k and i(e_j - s e_k)
+    give the columns d e_j + s d e_k and i(d e_j - s d e_k); a fixed e_j
+    (j = k) gives d e_j or i d e_j.  A fixed form is determined by the
+    real and imaginary parts of the first coordinate of each target orbit,
+    which give the rows, each cleared of its denominators.  The entries
+    are read off d with no product, and the partner row of each target
+    orbit is checked to be the conjugate this assumes, so that d commutes
+    with sigma.
+    """
+    d = cm.total_matrix(n).entries
+    sources = _conjugation_orbits(cm.basis, n)
+    partner = [None] * cm.basis.total_dim(n)
+    for j, k, s in sources:
+        partner[j] = (k, s)
+        partner[k] = (j, s)
+    rows = []
+    for r, r2, t in _conjugation_orbits(cm.basis, n + 1):
+        for x, (k, s) in zip(d[r], partner):
+            y = d[r2][k]
+            if (y.xn, y.yn, y.dn) != (s * t * x.xn, -s * t * x.yn, x.dn):
+                raise ConsistencyError(
+                    "d does not commute with the conjugation in degree %d"
+                    % n)
+        den = 1
+        for x in d[r]:
+            if x.dn != 1:
+                den = lcm(den, x.dn)
+        z = [(x.xn * (den // x.dn), x.yn * (den // x.dn)) for x in d[r]]
+        re_row, im_row = [], []
+        for j, k, s in sources:
+            (xj, yj), (xk, yk) = z[j], z[k]
+            if j != k:
+                # d e_j + s d e_k and i(d e_j - s d e_k)
+                re_row += (xj + s * xk, s * yk - yj)
+                im_row += (yj + s * yk, xj - s * xk)
+            elif s == 1:
+                re_row.append(xj)
+                im_row.append(yj)
+            else:
+                re_row.append(-yj)
+                im_row.append(xj)
+        if r != r2 or t == 1:
+            rows.append([Scalar(v) if v else ZERO for v in re_row])
+        if r != r2 or t == -1:
+            rows.append([Scalar(v) if v else ZERO for v in im_row])
+    return Matrix(len(rows), cm.basis.total_dim(n), rows)
+
+
 def de_rham(cm):
-    """Complex Betti numbers of the total Chevalley-Eilenberg complex."""
+    """Complex Betti numbers of the total Chevalley-Eilenberg complex.
+
+    Each rank of d_n is the rank of ``real_differential``.  When the
+    algebra is unimodular, the wedge pairing into the top degree makes
+    d_{2m-1-n} plus or minus the transpose of d_n, so only n < m is
+    ranked.
+    """
     basis = cm.basis
-    two_m = 2 * basis.m
-    betti = []
-    for n in range(two_m + 1):
-        dn = cm.total_matrix(n)
-        betti.append(dn.cols - dn.rank() - cm.total_matrix(n - 1).rank())
-    return tuple(betti)
+    m = basis.m
+    if top_cohomology_is_line(cm):
+        half = [real_differential(cm, n).rank() for n in range(m)]
+        ranks = half + half[::-1]
+    else:
+        ranks = [real_differential(cm, n).rank() for n in range(2 * m)]
+    ranks = [0, *ranks, 0]
+    return tuple(basis.total_dim(n) - ranks[n] - ranks[n + 1]
+                 for n in range(2 * m + 1))
 
 
 def euler_characteristic(betti):

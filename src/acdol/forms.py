@@ -2,9 +2,13 @@
 
 Monomials of type (p, q) are pairs of bitmasks (S, T): S picks p holomorphic
 generators and T picks q antiholomorphic ones, with the global generator
-order  t^1 < ... < t^m < tbar^1 < ... < tbar^m  fixing all wedge signs via
-transposition counts; d, the Hodge star and the Lefschetz map are built
-from the signs of ``wedge_monomials``.
+order  t^1 < ... < t^m < tbar^1 < ... < tbar^m  fixing all wedge signs.
+One sign rule gives them all: for disjoint generator sets B and R,
+e_B ∧ e_R is (-1)^k times the sorted monomial, k the parity of the bit
+count of R masked by the bits with an odd number of bits of B above them
+(``_below_parity``).  ``wedge_monomials``, from which the Hodge star and
+the Lefschetz map are built, and the Leibniz terms of d, on one 2m-bit
+mask per monomial, both take their signs from it.
 
 This module decides the (p, q) grid, 0 <= p, q <= m: off it a slot has
 dimension 0 and no monomials, and every block or slot table read there is
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .kernel import ONE, ZERO, Scalar
+from .kernel import ONE, ZERO
 from .linalg import Matrix
 
 MAX_M = 12
@@ -104,22 +108,20 @@ def _mask(indices):
     return mask
 
 
-def _bits(mask):
-    out = []
-    i = 0
-    while mask >> i:
-        if (mask >> i) & 1:
-            out.append(i)
-        i += 1
+def _below_parity(mask):
+    """The bits x with an odd number of bits of ``mask`` above x.
+
+    This is the one sign rule of the exterior algebra: for disjoint masks
+    B and R in one generator order, e_B ∧ e_R = (-1)^k e_{B|R} with
+    k = popcount(R & _below_parity(B)), since each generator of R passes
+    the generators of B above it.
+    """
+    out = 0
+    while mask:
+        bit = mask & -mask
+        out ^= bit - 1
+        mask ^= bit
     return out
-
-
-def _inversions(a_mask, b_mask):
-    """Number of pairs (a, b) with a in A, b in B and a > b."""
-    count = 0
-    for b in _bits(b_mask):
-        count += bin(a_mask >> (b + 1)).count("1")
-    return count
 
 
 def wedge_monomials(m1, m2):
@@ -128,9 +130,11 @@ def wedge_monomials(m1, m2):
     s2, t2 = m2
     if s1 & s2 or t1 & t2:
         return None
-    p2 = bin(s2).count("1")
-    q1 = bin(t1).count("1")
-    exp = p2 * q1 + _inversions(s1, s2) + _inversions(t1, t2)
+    # every tbar of m1 passes every t of m2; the t and tbar parts then
+    # sort by the sign rule
+    exp = (t1.bit_count() * s2.bit_count()
+           + (s2 & _below_parity(s1)).bit_count()
+           + (t2 & _below_parity(t1)).bit_count())
     sign = -1 if exp & 1 else 1
     return sign, (s1 | s2, t1 | t2)
 
@@ -179,89 +183,59 @@ def build_differential(csc, basis):
     """Differential from complex structure constants, split into components.
 
     On the dual generator W^u:  d W^u = - sum_{v<w} c^u_{vw} W^v W^w, and the
-    extension to monomials is the graded Leibniz rule.
+    extension to monomials is the graded Leibniz rule.  A monomial is one
+    2m-bit mask M = S | T << m in the global generator order.  For each
+    generator g of M with the rest R = M - g, e_M = ±e_g ∧ e_R, so the
+    Leibniz term of a pair P = {v, w} of d W^g is ±e_P ∧ e_R; both signs
+    come from the rule of ``_below_parity``, one popcount per term.
     """
     m = basis.m
-    two_m = 2 * m
     table = csc.table
-
-    # d of each degree-one generator as a sparse 2-form
+    # d of each degree-one generator: (pair mask, sign mask, coefficient)
     d_gen = []
-    for u in range(two_m):
-        form = {}
-        for v in range(two_m):
-            for w in range(v + 1, two_m):
-                coeff = table[v][w][u]
-                if not coeff:
-                    continue
-                mono, sign = _pair_monomial(m, v, w)
-                term = -coeff if sign > 0 else coeff
-                prev = form.get(mono)
-                form[mono] = term if prev is None else prev + term
-        d_gen.append({mo: c for mo, c in form.items() if c})
+    for g in range(2 * m):
+        below_g = _below_parity(1 << g)
+        terms = []
+        for v in range(2 * m):
+            for w in range(v + 1, 2 * m):
+                coeff = table[v][w][g]
+                if coeff:
+                    pair = (1 << v) | (1 << w)
+                    terms.append((pair, below_g ^ _below_parity(pair), -coeff))
+        d_gen.append(terms)
 
+    position = {s | t << m: i for monos in basis.slots.values()
+                for i, (s, t) in enumerate(monos)}
+    tag_of = {shift: tag for tag, shift in BIDEGREE.items()}
+    low = (1 << m) - 1
     blocks = {}
     for (p, q), monos in basis.slots.items():
-        cols = {tag: [] for tag in BIDEGREE}
-        targets = {tag: basis.index.get((p + dp, q + dq), {})
-                   for tag, (dp, dq) in BIDEGREE.items()}
-        for s_mask, t_mask in monos:
-            word = [("h", i) for i in _bits(s_mask)] + [("a", i) for i in _bits(t_mask)]
+        rows = {tag: [[ZERO] * len(monos)
+                      for _ in range(basis.dim(p + dp, q + dq))]
+                for tag, (dp, dq) in BIDEGREE.items()}
+        for j, (s_mask, t_mask) in enumerate(monos):
+            mono = s_mask | t_mask << m
             dmono = {}
-            for pos, (kind, i) in enumerate(word):
-                gen = i if kind == "h" else m + i
-                dg = d_gen[gen]
-                if not dg:
-                    continue
-                left = word[:pos]
-                right = word[pos + 1:]
-                left_mono = _word_monomial(left)
-                right_mono = _word_monomial(right)
-                sign = -1 if pos & 1 else 1
-                for mono2, c2 in dg.items():
-                    r1 = wedge_monomials(left_mono, mono2)
-                    if r1 is None:
+            gens = mono
+            while gens:
+                bit = gens & -gens
+                gens ^= bit
+                rest = mono ^ bit
+                for pair, sign_mask, coeff in d_gen[bit.bit_length() - 1]:
+                    if pair & rest:
                         continue
-                    sgn1, mono3 = r1
-                    r2 = wedge_monomials(mono3, right_mono)
-                    if r2 is None:
-                        continue
-                    sgn2, mono4 = r2
-                    term = c2 if sign * sgn1 * sgn2 > 0 else -c2
-                    prev = dmono.get(mono4)
-                    dmono[mono4] = term if prev is None else prev + term
-            for tag in BIDEGREE:
-                idx = targets[tag]
-                col = [ZERO] * len(idx)
-                for mono4, c in dmono.items():
-                    slot_pos = idx.get(mono4)
-                    if slot_pos is not None and c:
-                        col[slot_pos] = c
-                cols[tag].append(col)
-        for tag in BIDEGREE:
-            blocks[(tag, p, q)] = Matrix.from_columns(
-                cols[tag], ambient_rows=len(targets[tag]))
+                    term = -coeff if (rest & sign_mask).bit_count() & 1 else coeff
+                    key = rest | pair
+                    prev = dmono.get(key)
+                    dmono[key] = term if prev is None else prev + term
+            for key, c in dmono.items():
+                if c:
+                    tag = tag_of[((key & low).bit_count() - p,
+                                  (key >> m).bit_count() - q)]
+                    rows[tag][position[key]][j] = c
+        for tag, data in rows.items():
+            blocks[(tag, p, q)] = Matrix(len(data), len(monos), data)
     return ComponentMatrices(basis, blocks)
-
-
-def _pair_monomial(m, v, w):
-    """Monomial for W^v wedge W^w (v < w) and its sign vs canonical order."""
-    if w < m:
-        return ((1 << v) | (1 << w), 0), 1
-    if v < m:
-        return ((1 << v), (1 << (w - m))), 1
-    return (0, (1 << (v - m)) | (1 << (w - m))), 1
-
-
-def _word_monomial(word):
-    s = 0
-    t = 0
-    for kind, i in word:
-        if kind == "h":
-            s |= 1 << i
-        else:
-            t |= 1 << i
-    return (s, t)
 
 
 RELATIONS = (

@@ -48,15 +48,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import forms
-from .cohomology import Check, ConsistencyError, cohomology_dims_of_operator
+from .cohomology import (Check, ConsistencyError, cohomology_dims_of_operator,
+                         top_cohomology_is_line)
 from .forms import BIDEGREE, CONJUGATE_TAG, DELBAR, MU, MUBAR, PARTIAL
 from .kernel import I, ONE, ZERO, from_rational
 from .linalg import Matrix, Subspace
-
-
-def top_cohomology_is_line(cm):
-    """Whether H^{2m} of the total complex is one-dimensional."""
-    return cm.total_matrix(2 * cm.m - 1).rank() == 0
 
 
 def _real_frame_name(k):

@@ -277,13 +277,18 @@ def echelon(rows, ncols):
 
 def _divide_row(row, divisor, start):
     """Divide ``row[start:]`` in place by the Gaussian integer
-    ``(dx, dy, dx^2 + dy^2)``, which must divide every entry."""
+    ``(dx, dy, dx^2 + dy^2)``, which must divide every entry.  A rational
+    integer (dy = 0) divides each part on its own."""
     dx, dy, dn = divisor
     for j in range(start, len(row)):
         x, y = row[j]
         if x or y:
-            qx, rem1 = divmod(x * dx + y * dy, dn)
-            qy, rem2 = divmod(y * dx - x * dy, dn)
+            if dy:
+                qx, rem1 = divmod(x * dx + y * dy, dn)
+                qy, rem2 = divmod(y * dx - x * dy, dn)
+            else:
+                qx, rem1 = divmod(x, dx)
+                qy, rem2 = divmod(y, dx)
             if rem1 or rem2:
                 raise ArithmeticError("fraction-free division failed")
             row[j] = (qx, qy)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .kernel import ZERO, Scalar, from_rational
+from .kernel import ZERO, from_rational
 from .linalg import Matrix, Subspace
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from . import kernel
-from .kernel import ONE, ZERO, Scalar
+from .kernel import ONE, ZERO
 
 
 class LinalgError(ValueError):

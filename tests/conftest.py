@@ -38,6 +38,26 @@ def input_analysis(name):
     return _CACHE[key]
 
 
+# the inputs on which a production route is compared with its test-side
+# oracle: the builtins, the NK S^3 x S^3 and random inputs for m = 2 to 4
+ORACLE_INPUTS = catalog.builtin_names() + ["s3s3-nk"] + [
+    "random-m%d-seed%d" % (m, seed)
+    for m, seeds in ((2, (1, 2, 3, 4)), (3, (1, 2, 3)), (4, (11,)))
+    for seed in seeds]
+
+
+def named_spec(name):
+    """The spec of a builtin, of an input document under ``data/inputs``,
+    or, for "random-m<m>-seed<s>", random_nilpotent_spec(seeded_rng(s), m)."""
+    if name.startswith("random-"):
+        m, seed = (int(x) for x in name[len("random-m"):].split("-seed"))
+        return random_nilpotent_spec(seeded_rng(seed), m)
+    if name in catalog.builtin_names():
+        return docio.to_spec(catalog.builtin(name))
+    with open(input_path(name), "rb") as fh:
+        return docio.to_spec(docio.parse_document(fh.read()))
+
+
 def named_analysis(name):
     """Analysis of a builtin or of one of ``GOLDEN_INPUTS``."""
     if name in GOLDEN_INPUTS:

@@ -4,17 +4,19 @@ import dataclasses
 
 import pytest
 
-from acdol import kernel
+from acdol import cohomology, kernel
 from acdol.cohomology import (ConsistencyError, consistency_report, de_rham,
                               dolbeault,
                               euler_characteristic, induced_delbar,
                               mub_cohomology, operator_cohomology,
-                              cohomology_dims_of_operator)
-from acdol.forms import DELBAR, MU, MUBAR, build_basis, build_differential
-from acdol.liealg import adapted_frame, complexify, validate_spec
-from acdol.linalg import Subspace
-from conftest import (builtin_analysis, dims_grid, random_nilpotent_spec,
-                      seeded_rng)
+                              cohomology_dims_of_operator,
+                              top_cohomology_is_line)
+from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
+                         build_differential)
+from acdol.liealg import adapted_frame, complexify, make_spec, validate_spec
+from acdol.linalg import Matrix, Subspace
+from conftest import (ORACLE_INPUTS, builtin_analysis, dims_grid, named_spec,
+                      random_nilpotent_spec, seeded_rng)
 
 # grids are rows q = 0, 1, ..., m (bottom row first)
 H_MUB_TABLES = {
@@ -204,3 +206,85 @@ def test_euler_characteristic_zero_for_nilpotent():
         chi = sum((-1 if (p + q) % 2 else 1) * an.h_dol.get((p, q), 0)
                   for p in range(an.m + 1) for q in range(an.m + 1))
         assert chi == 0 == euler_characteristic(an.betti)
+
+
+# -- de Rham ranks from the real form, against all ranks over Q(i) ------------
+
+
+def _de_rham_oracle(cm):
+    """Betti numbers from the Q(i)-ranks of every total matrix d_n."""
+    return tuple(cm.total_matrix(n).cols - cm.total_matrix(n).rank()
+                 - cm.total_matrix(n - 1).rank()
+                 for n in range(2 * cm.m + 1))
+
+
+J1 = [[0, -1], [1, 0]]
+J2 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+# [X1, X2] = X2 (as in tests/test_harmonic.py), and the solvable
+# R ⋉ R^3 with ad X1 = diag(1, 2, -1): neither is unimodular
+NON_UNIMODULAR = {
+    "affine": make_spec(2, None, {(0, 1): {1: 1}}, J1),
+    "solvable-m2": make_spec(4, None, {(0, 1): {1: 1}, (0, 2): {2: 2},
+                                       (0, 3): {3: -1}}, J2),
+}
+
+
+def _cm_of(name):
+    spec = validate_spec(NON_UNIMODULAR.get(name) or named_spec(name))
+    return build_differential(complexify(spec, adapted_frame(spec)),
+                              build_basis(spec.m))
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + sorted(NON_UNIMODULAR))
+def test_de_rham_matches_all_ranks_over_q_i(name):
+    cm = _cm_of(name)
+    betti = de_rham(cm)
+    assert betti == _de_rham_oracle(cm)
+    assert top_cohomology_is_line(cm) == (name not in NON_UNIMODULAR)
+
+
+@pytest.mark.parametrize("name,ranks", [("kt-J", 2), ("su2su2-nk", 3),
+                                        ("affine", 2), ("solvable-m2", 4)])
+def test_de_rham_ranks_half_the_degrees_when_unimodular(name, ranks,
+                                                        monkeypatch):
+    # m ranks when the top cohomology is a line, 2m otherwise
+    cm = _cm_of(name)
+    calls = []
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank",
+                        lambda self: calls.append(self) or rank(self))
+    de_rham(cm)
+    assert len(calls) == ranks
+
+
+def test_de_rham_reads_every_imaginary_row(monkeypatch):
+    # negative control: on the NK S^3 x S^3, without the imaginary part of
+    # the first target orbit of d_1 (slot (0, 2) paired with (2, 0)) the
+    # rank drops
+    cm = _cm_of("s3s3-nk")
+    real = cohomology.real_differential
+
+    def dropped(cm, n):
+        mat = real(cm, n)
+        if n != 1:
+            return mat
+        return Matrix(mat.rows - 1, mat.cols,
+                      mat.entries[:1] + mat.entries[2:])
+
+    monkeypatch.setattr(cohomology, "real_differential", dropped)
+    assert de_rham(cm) != _de_rham_oracle(cm)
+
+
+def test_real_form_checks_that_d_commutes_with_conjugation():
+    # negative control: one entry of partial on (1, 0) changed, so delbar
+    # on (0, 1) is no longer its conjugate, fails in degree 1
+    cm = _cm_of("kt-J")
+    blocks = dict(cm._blocks)
+    bad = cm.block(PARTIAL, 1, 0)
+    data = [list(row) for row in bad.entries]
+    data[0][0] = data[0][0] + kernel.I
+    blocks[(PARTIAL, 1, 0)] = Matrix(bad.rows, bad.cols, data)
+    tampered = type(cm)(cm.basis, blocks)
+    cohomology.real_differential(tampered, 0)  # d_0 is untouched
+    with pytest.raises(ConsistencyError, match="in degree 1$"):
+        cohomology.real_differential(tampered, 1)

@@ -10,7 +10,8 @@ tests do not count.  The checks are by name, so they are only a floor: a
 name shared by two definitions passes.  So the names defined more than once
 are pinned in ``SHARED_NAMES``, and a new one fails until it is reviewed.
 Special methods (``__add__`` and the like) are called by the interpreter,
-not by name, and are left out.
+not by name, and are left out.  Every name a module imports must be used
+in that module, read off its syntax tree the same way.
 """
 
 import ast
@@ -182,3 +183,40 @@ def test_names_defined_more_than_once_are_pinned():
 
 def test_shared_name_guard_flags_a_second_definition():
     assert _shared_names([ast.parse(SHARED_SYNTHETIC)]) == {"twin"}
+
+
+# A negative control for the import guard: "unused" and "spare" are
+# imported and never read; "used" is read in a call, "path" through an
+# attribute.
+IMPORT_SYNTHETIC = '''
+from __future__ import annotations
+
+import os.path
+from module import used, unused as spare
+
+
+def reader():
+    return used(os.path.sep)
+'''
+
+
+def _unused_imports(tree):
+    """The names ``tree`` binds by import and never reads as a name."""
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_imported_name_is_used():
+    paths = sorted((ROOT / "src/acdol").rglob("*.py"))
+    assert {path.name: _unused_imports(ast.parse(path.read_text(
+        encoding="utf-8"))) for path in paths} == {path.name: []
+                                                  for path in paths}
+
+
+def test_import_guard_flags_an_unused_import():
+    assert _unused_imports(ast.parse(IMPORT_SYNTHETIC)) == ["spare"]

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from acdol import catalog
-from acdol.forms import (DELBAR, INTEGRABLE, INTERMEDIATE,
+from acdol.forms import (BIDEGREE, DELBAR, INTEGRABLE, INTERMEDIATE,
                          MAXIMALLY_NON_INTEGRABLE, MU, MUBAR, PARTIAL,
-                         BigradedBasis, build_basis, build_differential,
+                         build_basis, build_differential,
                          classify, conjugation_matrix, is_integrable,
                          nijenhuis_operator, verify_relations,
                          wedge_monomials)
@@ -15,8 +15,8 @@ from acdol.harmonic import fundamental_form, lefschetz_matrices
 from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.linalg import Matrix
-from conftest import (builtin_analysis, named_analysis,
-                      random_nilpotent_spec, seeded_rng)
+from conftest import (ORACLE_INPUTS, builtin_analysis, named_analysis,
+                      named_spec, random_nilpotent_spec, seeded_rng)
 
 
 def wedge(basis, bidegree1, v1, bidegree2, v2):
@@ -304,3 +304,114 @@ def test_total_matrix_squares_to_zero():
         cm = _cm(name)
         for n in range(2 * cm.m):
             assert (cm.total_matrix(n + 1) @ cm.total_matrix(n)).is_zero()
+
+
+# -- the differential against the word-list construction ---------------------
+
+
+def _word(mono):
+    """The generators of a monomial in order, as (is tbar, index)."""
+    s, t = mono
+    return ([(False, i) for i in range(s.bit_length()) if (s >> i) & 1]
+            + [(True, i) for i in range(t.bit_length()) if (t >> i) & 1])
+
+
+def _wedge_by_inversions(m1, m2):
+    """Oracle for ``wedge_monomials``: the sign counts the inversions of the
+    concatenated generator words, t's before tbar's, pair by pair."""
+    (s1, t1), (s2, t2) = m1, m2
+    if s1 & s2 or t1 & t2:
+        return None
+    word = _word(m1) + _word(m2)
+    inversions = sum(word[a] > word[b] for a in range(len(word))
+                     for b in range(a + 1, len(word)))
+    return (-1 if inversions & 1 else 1), (s1 | s2, t1 | t2)
+
+
+def test_wedge_monomials_count_inversions():
+    b = build_basis(3)
+    monos = [mono for slot in sorted(b.slots) for mono in b.monomials(*slot)]
+    for m1 in monos:
+        for m2 in monos:
+            assert wedge_monomials(m1, m2) == _wedge_by_inversions(m1, m2)
+
+
+def _differential_oracle(csc, basis):
+    """The blocks of d built on generator words: d of each degree-one
+    generator as a sparse 2-form, then the Leibniz rule term by term, each
+    sign from two wedges of word monomials (the construction that the
+    popcount signs of ``build_differential`` replaced)."""
+    m = basis.m
+    table = csc.table
+    d_gen = []
+    for u in range(2 * m):
+        form = {}
+        for v in range(2 * m):
+            for w in range(v + 1, 2 * m):
+                if table[v][w][u]:
+                    mono = _word_monomial([(v >= m, v % m), (w >= m, w % m)])
+                    form[mono] = form.get(mono, ZERO) - table[v][w][u]
+        d_gen.append(form)
+    blocks = {}
+    for (p, q), monos in basis.slots.items():
+        cols = {tag: [] for tag in BIDEGREE}
+        for source in monos:
+            word = _word(source)
+            dmono = {}
+            for pos, (bar, i) in enumerate(word):
+                left = _word_monomial(word[:pos])
+                right = _word_monomial(word[pos + 1:])
+                for mono2, c2 in d_gen[m * bar + i].items():
+                    r1 = _wedge_by_inversions(left, mono2)
+                    r2 = r1 and _wedge_by_inversions(r1[1], right)
+                    if r2:
+                        sign = (-1) ** pos * r1[0] * r2[0]
+                        dmono[r2[1]] = dmono.get(r2[1], ZERO) + c2 * sign
+            for tag, (dp, dq) in BIDEGREE.items():
+                target = basis.monomials(p + dp, q + dq)
+                cols[tag].append([dmono.get(mono, ZERO) for mono in target])
+        for tag, (dp, dq) in BIDEGREE.items():
+            blocks[(tag, p, q)] = Matrix.from_columns(
+                cols[tag], ambient_rows=basis.dim(p + dp, q + dq))
+    return blocks
+
+
+def _word_monomial(word):
+    s = t = 0
+    for bar, i in word:
+        if bar:
+            t |= 1 << i
+        else:
+            s |= 1 << i
+    return (s, t)
+
+
+def _block_mismatches(cm, blocks):
+    """The (tag, slot) of every block of ``cm`` that differs from
+    ``blocks``."""
+    return sorted((tag, (p, q)) for (tag, p, q), blk in blocks.items()
+                  if cm.block(tag, p, q) != blk)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_differential_matches_word_construction(name):
+    spec = validate_spec(named_spec(name))
+    csc = complexify(spec, adapted_frame(spec))
+    basis = build_basis(spec.m)
+    blocks = _differential_oracle(csc, basis)
+    assert len(blocks) == 4 * len(basis.slots)
+    assert _block_mismatches(build_differential(csc, basis), blocks) == []
+
+
+def test_block_comparison_names_a_flipped_sign():
+    # negative control: one entry of one block negated is reported by its
+    # tag and slot, and by nothing else
+    an = builtin_analysis("filiform-J")
+    blocks = _differential_oracle(complexify(an.spec, an.frame), an.cm.basis)
+    bad = blocks[(PARTIAL, 1, 0)]
+    i, j = next((i, j) for i, row in enumerate(bad.entries)
+                for j, e in enumerate(row) if e)
+    data = [list(row) for row in bad.entries]
+    data[i][j] = -data[i][j]
+    blocks[(PARTIAL, 1, 0)] = Matrix(bad.rows, bad.cols, data)
+    assert _block_mismatches(an.cm, blocks) == [(PARTIAL, (1, 0))]

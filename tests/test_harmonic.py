@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from acdol import catalog, docio, harmonic, pipeline
-from acdol.cohomology import ConsistencyError
+from acdol.cohomology import ConsistencyError, top_cohomology_is_line
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential, conjugation_matrix)
 from acdol.harmonic import (build_hermitian, delb_mub, delb_mub_checks,
                             fundamental_form,
                             lefschetz_matrices, metric_independence_probe,
-                            mub_decomposition, nearly_kahler_checks,
-                            serre_star_check, top_cohomology_is_line)
+                            nearly_kahler_checks,
+                            serre_star_check)
 from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import (adapted_frame, complexify, make_spec,
                           orthogonal_frame, validate_spec)

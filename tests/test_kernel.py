@@ -300,3 +300,59 @@ def test_rref_matches_fraction_gauss_jordan(make):
         assert piv == want_piv
         assert [[(e.re, e.im) for e in row] for row in red] == want
 
+
+
+# -- division by a rational-integer pivot -------------------------------------
+
+
+def _divide_row_gaussian(row, divisor, start):
+    """The Gaussian-integer division for every divisor: multiply by the
+    conjugate, divide by the norm."""
+    dx, dy, dn = divisor
+    for j in range(start, len(row)):
+        x, y = row[j]
+        qx, rem1 = divmod(x * dx + y * dy, dn)
+        qy, rem2 = divmod(y * dx - x * dy, dn)
+        if rem1 or rem2:
+            raise ArithmeticError("fraction-free division failed")
+        row[j] = (qx, qy)
+
+
+def _real(rng):
+    """A rational matrix, sparse or dense, with a dependent row or two, so
+    that every pivot, and so every divisor, is a rational integer."""
+    rows, cols = rng.randint(2, 8), rng.randint(2, 8)
+    density = rng.choice((0.3, 0.7, 1.0))
+    out = [[kernel.Scalar(rng.randint(-40, 40), 0, rng.randint(1, 6))
+            if rng.random() < density else kernel.ZERO
+            for _ in range(cols)] for _ in range(rows)]
+    out.append([sum((kernel.Scalar(rng.randint(-3, 3)) * row[j]
+                     for row in out), kernel.ZERO) for j in range(cols)])
+    rng.shuffle(out)
+    return out, cols
+
+
+@pytest.mark.parametrize("make", [_real, _stale_divisors])
+def test_echelon_rational_divisors_match_gaussian_path(make, monkeypatch):
+    rng = random.Random("rational" + make.__name__)
+    divisors = []
+    divide = kernel._divide_row
+
+    def recorded(row, divisor, start):
+        divisors.append(divisor)
+        divide(row, divisor, start)
+
+    for _ in range(40):
+        rows, cols = make(rng)
+        monkeypatch.setattr(kernel, "_divide_row", recorded)
+        got = kernel.echelon(rows, cols)
+        monkeypatch.setattr(kernel, "_divide_row", _divide_row_gaussian)
+        assert got == kernel.echelon(rows, cols)
+    assert any(dy == 0 and abs(dx) > 1 for dx, dy, _ in divisors)
+
+
+@pytest.mark.parametrize("entry", [(7, 0), (6, 1), (3, 4)])
+def test_rational_divisor_still_checks_the_remainder(entry):
+    row = [(2, 2), entry]
+    with pytest.raises(ArithmeticError, match="fraction-free division failed"):
+        kernel._divide_row(row, (2, 0, 4), 0)
