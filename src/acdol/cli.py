@@ -8,7 +8,7 @@ Subcommands; each computes only what it prints, with its own checks:
               Euler and Serre checks and the reduction certificate; it
               never builds the harmonic layer
     harmonic  harmonic dimension tables only, certified by the checks of
-              pages and the delbar_mub checks
+              pages, the adjointness checks and the delbar_mub checks
     example   print a built-in input document as JSON
     list      list built-in example names
 
@@ -102,6 +102,7 @@ def _certificate(an, command):
     checks = cohomology.consistency_report(an.h_dol, an.betti, an.m)
     checks.append(pipeline.reduction_certificate(an.pages, {}))
     if command == "harmonic":
+        checks.extend(harmonic.adjointness_checks(an.dmb))
         checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
     return checks
 

@@ -236,19 +236,7 @@ def verification_checks(an):
     checks.append(Check("star_defining_and_isometry", ok))
 
     # adjoints: the star formula against the plain Gram adjoint
-    sa = hs.adjoint(MUBAR)
-    ga = hs.gram_adjoint(MUBAR)
-    checks.append(Check("mubar_adjoint_is_metric_adjoint",
-                        all(sa[k] == ga[k] for k in sa)))
-    if an.dmb.unimodular:
-        sa = hs.adjoint(DELBAR)
-        ga = hs.gram_adjoint(DELBAR)
-        checks.append(Check("delbar_adjointness",
-                            all(sa[k] == ga[k] for k in sa)))
-    else:
-        checks.append(Check("delbar_adjointness", True,
-                            "skipped: top cohomology is not a line",
-                            skipped=True))
+    checks.extend(harmonic.adjointness_checks(an.dmb))
 
     # mubar Hodge decomposition: on every slot the harmonic coordinates C
     # give C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0]
@@ -263,7 +251,8 @@ def verification_checks(an):
     checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
     checks.extend(harmonic.serre_star_check(an.dmb))
 
-    # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, equality on q = 0
+    # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, which needs
+    # adjointness, and equality on q = 0, where delbar* and mubar* vanish
     h_delbar = hs.harmonic(DELBAR)
     ok = True
     ok_row = True
@@ -273,7 +262,9 @@ def verification_checks(an):
             ok = False
         if q == 0 and inter.dim != an.h_dol.get((p, 0), 0):
             ok_row = False
-    checks.append(Check("harmonic_inclusion_bound", ok))
+    checks.append(Check("harmonic_inclusion_bound", ok) if an.dmb.unimodular
+                  else harmonic.skipped_not_unimodular(
+                      "harmonic_inclusion_bound"))
     checks.append(Check("harmonic_intersection_bottom_row", ok_row))
 
     # d-harmonic forms realise the Betti numbers when adjointness holds
@@ -286,9 +277,8 @@ def verification_checks(an):
                 ok = False
         checks.append(Check("d_harmonic_realises_betti", ok))
     else:
-        checks.append(Check("d_harmonic_realises_betti", True,
-                            "skipped: top cohomology is not a line",
-                            skipped=True))
+        checks.append(harmonic.skipped_not_unimodular(
+            "d_harmonic_realises_betti"))
 
     # metric independence of the harmonic Dolbeault dimensions
     if an.dmb.unimodular:
@@ -296,9 +286,8 @@ def verification_checks(an):
             an.spec, an.dmb, probe_metrics(an.spec))
         checks.append(probe)
     else:
-        checks.append(Check("metric_independent_harmonic_dims", True,
-                            "skipped: top cohomology is not a line",
-                            skipped=True))
+        checks.append(harmonic.skipped_not_unimodular(
+            "metric_independent_harmonic_dims"))
 
     # nearly Kahler identity battery (descriptive for m = 3 inputs)
     nk_checks, _ = an.nearly_kahler

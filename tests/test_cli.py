@@ -204,11 +204,46 @@ def test_failed_mubar_decomposition_fails_every_reader(command, monkeypatch):
     assert out == ""
 
 
+def test_harmonic_certifies_the_mubar_adjoint(monkeypatch):
+    # doubling one nonzero mubar* block leaves every printed kernel and
+    # image where it was; only the adjointness check in the certificate
+    # sees it
+    argv = ["harmonic", "--example", "filiform-J"]
+    expected = run_cli(argv)
+    adjoint_block = HermitianStructure.adjoint_block
+
+    def doubled(hs, tag, p, q):
+        blk = adjoint_block(hs, tag, p, q)
+        return blk + blk if (tag, p, q) == (MUBAR, 0, 2) else blk
+
+    monkeypatch.setattr(HermitianStructure, "adjoint_block", doubled)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, expected[1])
+    assert "FAILED CHECK: mubar_adjoint_is_metric_adjoint" in err
+    assert expected[0] == 0
+
+
 def test_pages_never_reads_the_mubar_decomposition(monkeypatch):
     expected = run_cli(["pages", "--example", "su2su2-nk"])
     _drop_one_mubar_harmonic(monkeypatch)
     assert run_cli(["pages", "--example", "su2su2-nk"]) == expected
     assert expected[0] == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "pages",
+                                     "harmonic"])
+def test_non_unimodular_input_exits_0(command, tmp_path):
+    # aff(1): [X1, X2] = X2, whose delbar* is not the Gram adjoint
+    path = tmp_path / "aff1.json"
+    path.write_text(json.dumps({
+        "name": "aff1", "dim": 2, "basis": ["X1", "X2"],
+        "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}],
+        "J": [["0", "-1"], ["1", "0"]]}))
+    code, out, err = run_cli([command, str(path)])
+    assert code == 0, err
+    if command == "verify":
+        assert "SKIP harmonic_inclusion_bound" in out
+        assert "0 hard failures" in err
 
 
 def test_averaged_metric_flag(tmp_path):

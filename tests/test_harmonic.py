@@ -10,8 +10,8 @@ from acdol import catalog, docio, harmonic, pipeline
 from acdol.cohomology import ConsistencyError, top_cohomology_is_line
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential, conjugation_matrix)
-from acdol.harmonic import (build_hermitian, delb_mub, delb_mub_checks,
-                            fundamental_form,
+from acdol.harmonic import (HermitianStructure, build_hermitian, delb_mub,
+                            delb_mub_checks, fundamental_form,
                             lefschetz_matrices, metric_independence_probe,
                             nearly_kahler_checks,
                             serre_star_check)
@@ -19,8 +19,8 @@ from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import (adapted_frame, complexify, make_spec,
                           orthogonal_frame, validate_spec)
 from acdol.linalg import Matrix, Subspace
-from conftest import (builtin_analysis, dims_grid, random_nilpotent_spec,
-                      seeded_rng)
+from conftest import (ORACLE_INPUTS, builtin_analysis, dims_grid, named_spec,
+                      random_nilpotent_spec, seeded_rng)
 
 
 def test_star_m1_volume():
@@ -150,11 +150,57 @@ def test_non_unimodular_detected_and_skipped():
     assert any(sa[k] != ga[k] for k in sa)
 
 
+def test_non_unimodular_battery_skips_the_inclusion_bound():
+    # without adjointness dim(H_delbar ∩ H_mubar) exceeds h_dol on aff(1),
+    # so the battery skips the bound; the bottom row still holds, as
+    # delbar* and mubar* vanish on q = 0
+    an = affine_analysis()
+    h_delbar, h_mubar = an.hs.harmonic(DELBAR), an.hs.harmonic(MUBAR)
+    assert any(h_delbar[pq].intersect(h_mubar[pq]).dim > an.h_dol.get(pq, 0)
+               for pq in h_delbar)
+    battery = {c.name: c for c in pipeline.verification_checks(an)}
+    assert battery["harmonic_inclusion_bound"].skipped
+    assert not battery["harmonic_intersection_bottom_row"].skipped
+    assert pipeline.hard_failures(battery.values()) == []
+
+
 def test_laplacian_kernel_is_two_sided_kernel():
-    for name in ("filiform-J", "su2su2-nk"):
-        an = builtin_analysis(name)
-        an.hs.harmonic(MUBAR)   # raises if Ker Delta != Ker d ∩ Ker d*
-        an.hs.harmonic(DELBAR)
+    """Oracle: where every delta* is the Gram adjoint, the unimodular
+    inputs, Ker Delta_delta of the slot Laplacian is the harmonic space
+    Ker delta ∩ Ker delta* of every component on every slot."""
+    for name in ORACLE_INPUTS:
+        spec = validate_spec(named_spec(name))
+        frame = orthogonal_frame(spec, adapted_frame(spec))
+        cm = build_differential(complexify(spec, frame), build_basis(spec.m))
+        assert top_cohomology_is_line(cm), name
+        hs = build_hermitian(cm, frame)
+        for tag in (MUBAR, DELBAR, PARTIAL, MU):
+            lap, harm = hs.laplacian(tag), hs.harmonic(tag)
+            for pq in cm.basis.slots:
+                assert Subspace.kernel(lap[pq]) == harm[pq], (name, tag, pq)
+
+
+def test_laplacian_kernel_differs_without_adjointness():
+    # negative control: Ker delta ∩ Ker delta* always lies in Ker Delta,
+    # but on aff(1), where delbar* is not the Gram adjoint, Ker Delta_delbar
+    # is larger on some slot
+    hs = affine_analysis().hs
+    lap, harm = hs.laplacian(DELBAR), hs.harmonic(DELBAR)
+    kers = {pq: Subspace.kernel(lap[pq]) for pq in harm}
+    assert all(kers[pq].contains(harm[pq]) for pq in harm)
+    assert any(kers[pq] != harm[pq] for pq in harm)
+
+
+@pytest.mark.parametrize("name", ["filiform-J", "kt-J", "abelian-m2"])
+def test_analysis_battery_and_document_build_no_slot_laplacian(name,
+                                                               monkeypatch):
+    calls = []
+    laplacian = HermitianStructure.laplacian
+    monkeypatch.setattr(HermitianStructure, "laplacian",
+                        lambda hs, tag: calls.append(tag) or laplacian(hs, tag))
+    an = pipeline.analyze_document(catalog.builtin(name))
+    pipeline.result_document(an, pipeline.verification_checks(an))
+    assert calls == []
 
 
 def test_everything_harmonic_on_abelian():

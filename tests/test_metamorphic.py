@@ -17,8 +17,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acdol import catalog, docio, pipeline
-from conftest import _invert, _matmul, random_nilpotent_spec, seeded_rng
+from acdol import pipeline
+from conftest import (_invert, _matmul, named_spec, random_nilpotent_spec,
+                      seeded_rng)
 
 TABLES = ("h_mub", "h_dol", "betti", "pages", "degeneration_page")
 HARMONIC = ("h_mub_harmonic", "h_delb_mub", "h_d")
@@ -86,10 +87,6 @@ def invertible(draw, n):
     return _matmul(L, U)
 
 
-def builtin_spec(name):
-    return docio.to_spec(catalog.builtin(name))
-
-
 def assert_invariant(spec, lam):
     want = tables(spec)
     assert tables(negated_j(spec)) == want
@@ -102,18 +99,18 @@ def test_random_tables_invariant_under_negated_j_and_scaled_metric(seed, lam):
     assert_invariant(random_nilpotent_spec(seeded_rng(seed), 2), lam)
 
 
-@pytest.mark.parametrize("name", ["filiform-J", "su2su2-nk"])
+@pytest.mark.parametrize("name", ["filiform-J", "su2su2-nk", "solvable-m2"])
 @settings(max_examples=2, deadline=None)
 @given(lam=SCALES)
 def test_builtin_tables_invariant_under_negated_j_and_scaled_metric(name,
                                                                     lam):
-    assert_invariant(builtin_spec(name), lam)
+    assert_invariant(named_spec(name), lam)
 
 
 def test_another_j_changes_the_tables():
     # negative control: kt-J and kt-Jprime share the brackets and the
     # metric, so giving kt-J the J of kt-Jprime is a wrong transform
-    spec, other = builtin_spec("kt-J"), builtin_spec("kt-Jprime")
+    spec, other = named_spec("kt-J"), named_spec("kt-Jprime")
     assert (spec.brackets, spec.metric) == (other.brackets, other.metric)
     want = tables(spec)
     got = tables(dataclasses.replace(spec, J=other.J))
@@ -133,9 +130,22 @@ def test_random_tables_invariant_under_a_change_of_basis(seed, data):
 @settings(max_examples=2, deadline=None)
 @given(data=st.data())
 def test_builtin_tables_invariant_under_a_change_of_basis(name, data):
-    spec = builtin_spec(name)
+    spec = named_spec(name)
     P = data.draw(invertible(spec.dim))
     assert tables(in_basis(spec, P)) == tables(spec)
+
+
+@pytest.mark.parametrize("name", ["random-m3-seed1", "solvable-m2"])
+def test_input_tables_invariant_under_a_fixed_change_of_basis(name):
+    # one fixed P each: an m = 3 input with a non-identity metric, and the
+    # non-unimodular input; P = L U mixes every pair of neighbouring vectors
+    spec = named_spec(name)
+    n = spec.dim
+    L = [[Fraction(int(i - 1 <= j <= i)) for j in range(n)]
+         for i in range(n)]
+    U = [[Fraction(1 + i % 2 if j == i else -1 if j == i + 1 else 0)
+          for j in range(n)] for i in range(n)]
+    assert tables(in_basis(spec, _matmul(L, U))) == tables(spec)
 
 
 def test_a_change_of_basis_of_j_and_g_alone_changes_the_tables():
@@ -145,7 +155,7 @@ def test_a_change_of_basis_of_j_and_g_alone_changes_the_tables():
     U = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
     P = _matmul([[Fraction(x) for x in row] for row in L],
                 [[Fraction(x) for x in row] for row in U])
-    spec = builtin_spec("filiform-J")
+    spec = named_spec("filiform-J")
     want = tables(spec)
     assert tables(in_basis(spec, P)) == want
     got = tables(j_and_metric_in_basis(spec, P))
