@@ -12,7 +12,8 @@ subspaces, and the battery compares them with the reduction:
       H_Dol^{p,q} = {w in Ker mubar : delbar w in Im mubar}
                     / {w = mubar a + delbar b with mubar b = 0},
 
-  which reduces to classical delbar-cohomology when mubar = 0, and as the
+  which reduces to classical delbar-cohomology when mubar = 0, with the
+  cocycles read in the canonical coordinates of Ker mubar, and as the
   cohomology of delbar induced on mubar-classes;
 * de Rham Betti numbers from the ranks of the total complex, each taken
   over Q on the real forms (the forms fixed by the conjugation of the
@@ -99,23 +100,33 @@ def mub_cohomology(cm):
 def dolbeault(cm):
     """Dolbeault cohomology via the witness description.
 
-    Numerator: forms in Ker(mubar) whose delbar lands in Im(mubar), the
-    kernel of mubar stacked on the equations of Im(mubar) after delbar.
-    Denominator: Im(mubar) + delbar(Ker(mubar) one row down), the span of
-    [mubar | delbar N] for a kernel basis N.
+    With K the canonical basis of Ker(mubar) on a slot, the cocycles are
+    K Ker(E delbar K), E the equations of Im(mubar) in the target: the
+    forms of Ker(mubar) whose delbar lands in Im(mubar).  K is the
+    identity on its lead rows, so the product of K with an RCEF basis is
+    again in RCEF and the cocycles are canonical with no further
+    elimination.  The coboundaries are Im(mubar) + delbar(Ker(mubar) one
+    row down), the span of [mubar | delbar K] with the K of the slot
+    below; off the grid that K is the 0 x 0 kernel of a zero-column block.
     """
     basis = cm.basis
+    m = basis.m
+    kernels = {}
+    for p in range(m + 1):
+        for q in range(-1, m + 1):
+            ker = Subspace.kernel(cm.block(MUBAR, p, q)).basis
+            kernels[(p, q)] = (ker, cm.block(DELBAR, p, q) @ ker)
     parts = {}
     for (p, q) in basis.slots:
+        ker, delbar_ker = kernels[(p, q)]
         im_mub_above = Subspace.from_matrix_columns(
             cm.block(MUBAR, p + 1, q - 1))
-        num = Subspace.kernel(cm.block(MUBAR, p, q).vstack(
-            im_mub_above.equations() @ cm.block(DELBAR, p, q)))
-        ker_below = cm.block(MUBAR, p, q - 1).nullspace_matrix()
+        closed = Subspace.kernel(im_mub_above.equations() @ delbar_ker)
+        num = Subspace(ker.rows, ker @ closed.basis)
         den = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2).hstack(
-            cm.block(DELBAR, p, q - 1) @ ker_below))
+            kernels[(p, q - 1)][1]))
         parts[(p, q)] = (num, den)
-    return _quotient_table(basis.m, parts)
+    return _quotient_table(m, parts)
 
 
 def induced_delbar(cm, mub_table):

@@ -9,9 +9,13 @@ its basis with no elimination, so each Subspace result costs at most one
 elimination: a kernel is one rref with the columns reversed, an
 intersection is the kernel of both sets of equations stacked, a preimage
 {x : A x in S} is the kernel of (equations of S) @ A, a span is one RCEF,
-and containment is one product with the equations.  ``Matrix.from_blocks``
-assembles every block matrix: absent blocks are zero, zero-sized ones need
-no special case and a block of the wrong shape raises LinalgError.
+and containment is one product with the equations.  A canonical basis is
+the identity on its lead rows, so a vector of the span has its entries
+there as coordinates, and the product of two RCEF bases is in RCEF: a
+complement inside a subspace is one forward elimination of the inner
+space's coordinates, dim inner x dim outer.  ``Matrix.from_blocks``
+assembles every block matrix: absent blocks are zero, zero-sized ones
+need no special case and a block of the wrong shape raises LinalgError.
 """
 
 from __future__ import annotations
@@ -90,15 +94,7 @@ class Matrix:
                 row[col_off[j]:col_off[j + 1]] = brow
         return cls(row_off[-1], col_off[-1], data)
 
-    @classmethod
-    def column(cls, vec):
-        vec = list(vec)
-        return cls(len(vec), 1, [[v] for v in vec])
-
     # -- basics ------------------------------------------------------------
-
-    def entry(self, i, j):
-        return self.entries[i][j]
 
     def col(self, j):
         return tuple(r[j] for r in self.entries)
@@ -319,10 +315,6 @@ class Subspace:
     def zero(cls, ambient_dim):
         return cls(ambient_dim, Matrix.from_columns([], ambient_rows=ambient_dim))
 
-    @classmethod
-    def full(cls, ambient_dim):
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
-
     @property
     def dim(self):
         return self.basis.cols
@@ -343,11 +335,7 @@ class Subspace:
         basis b with no elimination: for each row r that holds no leading
         one, the row e_r - sum_i b[r][i] e_lead(i)."""
         n = self.ambient_dim
-        d = self.dim
-        lead = []
-        for r, row in enumerate(self.basis.entries):
-            if len(lead) < d and row[len(lead)]:
-                lead.append(r)
+        lead = self._lead_rows()
         leads = set(lead)
         eqs = []
         for r, row in enumerate(self.basis.entries):
@@ -359,7 +347,17 @@ class Subspace:
                 if b:
                     eq[lead[i]] = -b
             eqs.append(eq)
-        return Matrix(n - d, n, eqs)
+        return Matrix(n - self.dim, n, eqs)
+
+    def _lead_rows(self):
+        """The rows of the leading ones of the canonical basis, in order;
+        restricted to them the basis is the identity."""
+        d = self.dim
+        lead = []
+        for r, row in enumerate(self.basis.entries):
+            if len(lead) < d and row[len(lead)]:
+                lead.append(r)
+        return lead
 
     def contains_vector(self, vec):
         return not any(self.equations().apply(vec))
@@ -389,15 +387,23 @@ class Subspace:
 def complement_in(inner, outer):
     """A canonical complement of ``inner`` inside ``outer``.
 
-    Requires inner to be contained in outer, which the caller checks;
-    picks, in order, the columns of outer's canonical basis that grow the
-    span of inner's basis, the pivot columns of [inner | outer] past
+    Requires inner to be contained in outer, which the caller checks.
+    Restricted to its lead rows outer's canonical basis is the identity,
+    so a vector of outer has as coordinates its entries at those rows.
+    Column j of outer's basis is left out exactly when some vector of
+    inner has its last nonzero coordinate at j: these are the pivots of
+    one forward elimination of inner's coordinates in reversed order, and
+    the kept columns are the pivot columns of [inner | outer] past
     inner's.  A subset of RCEF columns is in RCEF, so the result is
     canonical as it stands.  It satisfies inner + result = outer and
     inner.intersect(result) = 0.
     """
-    d = inner.dim
-    chosen = [p - d for p in inner.basis.hstack(outer.basis).pivots() if p >= d]
+    d = outer.dim
+    lead = outer._lead_rows()[::-1]
+    coords = [[inner.basis.entries[r][i] for r in lead]
+              for i in range(inner.dim)]
+    skipped = {d - 1 - p for p in kernel.echelon(coords, d)[1]}
+    chosen = [j for j in range(d) if j not in skipped]
     return Subspace(outer.ambient_dim, Matrix(
         outer.ambient_dim, len(chosen),
         [[row[j] for j in chosen] for row in outer.basis.entries]))

@@ -103,8 +103,9 @@ def test_representatives_span_quotients():
 def test_oracle_routes_take_one_elimination_per_subspace(monkeypatch):
     # mub_cohomology: per slot the kernel and the image, one rref each;
     # containment and the complement take none.  dolbeault: per slot the
-    # image above, the numerator kernel, the kernel below and the
-    # denominator span.  16 slots at m = 3.
+    # image above, the kernel in Ker mubar's coordinates and the
+    # denominator span, and the kernel of mubar on each slot and on the
+    # off-grid slot below each q = 0 slot.  16 slots at m = 3, 20 kernels.
     spec = validate_spec(random_nilpotent_spec(seeded_rng(1), 3))
     cm = build_differential(complexify(spec, adapted_frame(spec)),
                             build_basis(3))
@@ -121,7 +122,7 @@ def test_oracle_routes_take_one_elimination_per_subspace(monkeypatch):
     mub_cohomology(cm)
     monkeypatch.setattr(kernel, "rref", counted("dolbeault"))
     dolbeault(cm)
-    assert calls == {"mub_cohomology": 2 * 16, "dolbeault": 4 * 16}
+    assert calls == {"mub_cohomology": 2 * 16, "dolbeault": 3 * 16 + 20}
 
 
 def test_dolbeault_two_routes_agree_on_random_specs():
@@ -288,3 +289,60 @@ def test_real_form_checks_that_d_commutes_with_conjugation():
     cohomology.real_differential(tampered, 0)  # d_0 is untouched
     with pytest.raises(ConsistencyError, match="in degree 1$"):
         cohomology.real_differential(tampered, 1)
+
+
+# -- the quotients against their earlier stacked eliminations ----------------
+
+
+def _dolbeault_parts(cm, monkeypatch):
+    """The (cocycles, coboundaries) pairs that ``dolbeault`` passes to
+    ``_quotient_table``, per slot."""
+    parts = {}
+    quotient = cohomology._quotient_table
+
+    def capture(m, slot_parts):
+        parts.update(slot_parts)
+        return quotient(m, slot_parts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_quotient_table", capture)
+        dolbeault(cm)
+    return parts
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_dolbeault_cocycles_equal_the_stacked_kernel(name, monkeypatch):
+    # oracle: the cocycles as one kernel of mubar stacked on the equations
+    # of Im mubar after delbar; equality of Subspaces is equality of
+    # canonical bases, so the product K Ker(E delbar K) must be in RCEF
+    cm = _cm_of(name)
+    parts = _dolbeault_parts(cm, monkeypatch)
+    assert sorted(parts) == sorted(cm.basis.slots)
+    for (p, q), (num, _) in parts.items():
+        im_above = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 1))
+        assert num == Subspace.kernel(cm.block(MUBAR, p, q).vstack(
+            im_above.equations() @ cm.block(DELBAR, p, q)))
+
+
+def test_quotient_table_rejects_coboundaries_outside_the_cocycles(
+        monkeypatch):
+    # negative control: with the whole slot as its coboundaries, a slot
+    # whose cocycles are smaller fails the containment check before the
+    # complement, which reads coordinates that only containment makes
+    # meaningful, runs
+    cm = _cm_of("filiform-J")
+    (p, q), (num, den) = next(
+        (pq, part) for pq, part in sorted(
+            _dolbeault_parts(cm, monkeypatch).items())
+        if part[0].dim < part[0].ambient_dim)
+    calls = []
+    complement = cohomology.complement_in
+    monkeypatch.setattr(cohomology, "complement_in", lambda inner, outer: (
+        calls.append((inner, outer)) or complement(inner, outer)))
+    cohomology._quotient_table(cm.m, {(p, q): (num, den)})
+    assert calls == [(den, num)]
+    whole = Subspace.kernel(Matrix.zero(0, num.ambient_dim))
+    with pytest.raises(ConsistencyError, match=(
+            r"^coboundaries are not cocycles on slot \(%d, %d\)$" % (p, q))):
+        cohomology._quotient_table(cm.m, {(p, q): (num, whole)})
+    assert calls == [(den, num)]

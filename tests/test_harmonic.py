@@ -355,8 +355,9 @@ def test_metric_independence_kt():
 def test_fundamental_form_and_lefschetz():
     an = builtin_analysis("su2su2-nk")
     omega = fundamental_form(an.hs)
-    back = conjugation_matrix(an.cm.basis, 1, 1) @ Matrix.column(omega).conj()
-    assert back == Matrix.column(omega)  # the fundamental form is real
+    column = Matrix.from_columns([omega])
+    back = conjugation_matrix(an.cm.basis, 1, 1) @ column.conj()
+    assert back == column  # the fundamental form is real
     lef = lefschetz_matrices(an.hs)
     assert lef[(1, 1)].rank() > 0
 

@@ -1,8 +1,9 @@
 """Exact linear algebra: ranks, kernels, solves, subspace lattice, blocks.
 
 The subspace operations are checked against ``_subspace_oracle``, the
-earlier formulas that take two or more eliminations per result, and the
-block assemblies of d and ⋆ against ``_total_matrix_oracle`` and
+earlier formulas that take two or more eliminations per result, or for a
+complement one elimination of the stacked [inner | outer], and the block
+assemblies of d and ⋆ against ``_total_matrix_oracle`` and
 ``_star_total_oracle``, the earlier entry-by-entry placements.
 """
 
@@ -41,7 +42,7 @@ def rand_subspace(rng, n):
     if kind == 0:
         return Subspace.zero(n)
     if kind == 1:
-        return Subspace.full(n)
+        return Subspace.kernel(Matrix.zero(0, n))
     return Subspace.from_matrix_columns(rand_low_rank(rng, n, rng.randint(0, n)))
 
 
@@ -76,6 +77,16 @@ class _subspace_oracle:
             return True
         return len(u.basis.hstack(v.basis).rref()[1]) == u.dim
 
+    @staticmethod
+    def complement_in(inner, outer):
+        """The columns of outer's canonical basis at the pivot columns of
+        [inner | outer] past inner's."""
+        d = inner.dim
+        chosen = [p - d for p in inner.basis.hstack(outer.basis).pivots()
+                  if p >= d]
+        return Subspace(outer.ambient_dim, Matrix.from_columns(
+            [outer.basis.col(j) for j in chosen], outer.ambient_dim))
+
 
 def _is_rcef(basis):
     """Reduced column echelon form: each column's first nonzero entry is a
@@ -89,7 +100,7 @@ def _is_rcef(basis):
             return False
         leads.append(nonzero[0])
     return (all(a < b for a, b in zip(leads, leads[1:]))
-            and all(not basis.entry(i, k) for j, i in enumerate(leads)
+            and all(not basis.entries[i][k] for j, i in enumerate(leads)
                     for k in range(basis.cols) if k != j))
 
 
@@ -217,9 +228,10 @@ def test_nullspace_rank_nullity_and_annihilation():
 
 def test_solve_trivial():
     eye = Matrix.identity(3)
-    b = Matrix.column((ONE, I, -ONE))
+    b = Matrix.from_columns([(ONE, I, -ONE)])
     assert eye.solve(b) == b
-    assert Matrix.zero(3, 3).solve(Matrix.column((ONE, ZERO, ZERO))) is None
+    assert Matrix.zero(3, 3).solve(
+        Matrix.from_columns([(ONE, ZERO, ZERO)])) is None
 
 
 def test_solve_substitution_residual_zero():
@@ -228,7 +240,7 @@ def test_solve_substitution_residual_zero():
         m = rand_matrix(rng, 4, 5)
         x = tuple(rand_scalar(rng) for _ in range(5))
         b = m.apply(x)
-        sol = m.solve(Matrix.column(b))
+        sol = m.solve(Matrix.from_columns([b]))
         assert sol is not None
         assert m.apply(sol.col(0)) == tuple(b)
 
@@ -242,8 +254,9 @@ def test_solve_many_columns_equals_column_by_column():
         rhs = a @ rand_matrix(rng, 6, 4)
         x = a.solve(rhs)
         assert a @ x == rhs
-        assert x.columns() == [a.solve(Matrix.column(rhs.col(j))).col(0)
-                               for j in range(rhs.cols)]
+        assert x.columns() == [
+            a.solve(Matrix.from_columns([rhs.col(j)])).col(0)
+            for j in range(rhs.cols)]
 
 
 def test_solve_many_columns_one_outside_the_image():
@@ -252,14 +265,14 @@ def test_solve_many_columns_one_outside_the_image():
     a = Matrix.from_rows([[rand_scalar(rng) for _ in range(3)]
                           for _ in range(4)] + [[ZERO] * 3])
     inside = a @ rand_matrix(rng, 3, 2)
-    outside = Matrix.column((ZERO, ZERO, ZERO, ZERO, ONE))
+    outside = Matrix.from_columns([(ZERO, ZERO, ZERO, ZERO, ONE)])
     assert a.solve(inside) is not None
     assert a.solve(inside.hstack(outside).hstack(inside)) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(LinalgError):
-        Matrix.identity(3).solve(Matrix.column((ONE, ONE)))
+        Matrix.identity(3).solve(Matrix.from_columns([(ONE, ONE)]))
 
 
 def test_subspace_idempotence_and_canonical_form():
@@ -301,15 +314,39 @@ def test_dimension_identity_random(seed):
     assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
 
 
-def test_complement_in():
-    rng = random.Random(37)
-    outer = Subspace.from_matrix_columns(rand_matrix(rng, 6, 5))
-    inner = outer.intersect(Subspace.from_matrix_columns(rand_matrix(rng, 6, 3)))
+def _check_complement(inner, outer):
     comp = complement_in(inner, outer)
+    assert comp == _subspace_oracle.complement_in(inner, outer)
+    assert _is_rcef(comp.basis)
     assert inner + comp == outer
     assert inner.intersect(comp).dim == 0
-    # deterministic
-    assert complement_in(inner, outer) == comp
+    return comp
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_complement_in_matches_oracle_on_nested_pairs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 7)
+    outer = rand_subspace(rng, n)
+    inner = Subspace.from_matrix_columns(
+        outer.basis @ rand_low_rank(rng, outer.dim, rng.randint(0, 4)))
+    _check_complement(inner, outer)
+
+
+def test_complement_in():
+    # inner = 0, inner = outer, outer = the whole space, ambient dimension 0
+    rng = random.Random(37)
+    whole = Subspace.kernel(Matrix.zero(0, 6))
+    outer = Subspace.from_matrix_columns(rand_matrix(rng, 6, 4))
+    inner = outer.intersect(Subspace.from_matrix_columns(rand_matrix(rng, 6, 4)))
+    assert 0 < inner.dim < outer.dim < 6
+    assert _check_complement(Subspace.zero(6), outer) == outer
+    assert _check_complement(outer, outer).dim == 0
+    assert _check_complement(inner, whole).dim == 6 - inner.dim
+    assert _check_complement(whole, whole).dim == 0
+    assert _check_complement(Subspace.zero(0), Subspace.zero(0)).dim == 0
+    _check_complement(inner, outer)
 
 
 def test_inverse_round_trip():
