@@ -20,27 +20,32 @@ Hodge decomposition.  Slot blocks of the components and of their adjoints
 are zero-shaped off the (p, q) grid, so anticommutators such as the
 Laplacians [δ, δ*] are composed by one helper without special cases.
 
-Adjoints are computed as  δ* = -⋆ δ̄ ⋆  (δ̄ the conjugate component).  A
-δ-harmonic space is Ker δ ∩ Ker δ*, one stacked kernel per slot: it is
-Ker Δ_δ when δ* is the Gram adjoint, as ``adjointness_checks`` certify
-for mubar, and for delbar on unimodular algebras.  On top of the mubar
-Hodge decomposition  A^{p,q} = Im(mubar) ⊕ H_mubar ⊕ Im(mubar*)  lives the
+Each adjoint is the Gram adjoint  δ* = G_src^{-1} δ^H G_tgt, the adjoint
+of the finite-dimensional complex on every Lie algebra; G is diagonal, so
+it is the conjugate transpose with each entry scaled by a weight ratio.
+A δ-harmonic space is Ker δ ∩ Ker δ*, one stacked kernel per slot; it is
+Ker Δ_δ and, when δ² = 0, it is isomorphic to the cohomology of δ, with no
+hypothesis on the algebra.  The star formula -⋆ δ̄ ⋆ (δ̄ the conjugate
+component) is the L² adjoint only on a unimodular algebra (Milnor 1976),
+so it is no route here: ``star_adjoint`` writes it once, as the oracle
+``adjointness_checks`` compares with δ*, always for mubar, and for delbar
+when the top cohomology is a line.  On top of the mubar Hodge
+decomposition  A^{p,q} = Im(mubar) ⊕ H_mubar ⊕ Im(mubar*)  lives the
 operator  delbar_mub = (harmonic projection) ∘ delbar, which squares to
-zero and whose cohomology has the Dolbeault dimensions; when the top
-Chevalley-Eilenberg cohomology is a line (compact or nilpotent case) its
-harmonic spaces realise Dolbeault cohomology directly and are
-metric-independent.  The decomposition gives each slot its harmonic
-coordinates, the H_mubar rows of B^{-1} with B = [Im mubar | H_mubar |
-Im mubar*], so delbar_mub on a slot is one product: those coordinates of
-the target slot times delbar times the harmonic basis.
+zero and whose cohomology has the Dolbeault dimensions; its harmonic
+spaces realise Dolbeault cohomology, so their dims are metric-independent.
+The decomposition gives each slot its harmonic coordinates, the H_mubar
+rows of B^{-1} with B = [Im mubar | H_mubar | Im mubar*], so delbar_mub on
+a slot is one product: those coordinates of the target slot times delbar
+times the harmonic basis.
 
 The layer is built once per analysis: ``_memoized`` caches every operator
-of ``HermitianStructure`` (Delta_d included, one per degree) in the
-instance, so a layer's cache is freed with it; ``delb_mub`` stores the
-harmonic coordinates and the delbar_mub-harmonic space of every slot on
-its ``DelbMub``, and the battery, the nearly Kahler checks and the metric
-probe read that ``DelbMub``; the probe builds a layer only for each other
-metric.
+of ``HermitianStructure`` (the stacked [d; d*] included, one per degree)
+in the instance, so a layer's cache is freed with it; ``delb_mub`` stores
+the harmonic coordinates and the delbar_mub-harmonic space of every slot
+on its ``DelbMub``, and the battery, the nearly Kahler checks and the
+metric probe read that ``DelbMub``; the probe builds a layer only for
+each other metric.
 """
 
 from __future__ import annotations
@@ -154,19 +159,6 @@ class HermitianStructure:
             cols.append(col)
         return Matrix.from_columns(cols, ambient_rows=rows)
 
-    @_memoized
-    def star_total(self, n):
-        """Block-diagonal ⋆ on the whole degree-n space, landing in 2m-n:
-        block column p is slot (p, q) = (p, n - p), block row m - q its
-        image."""
-        basis = self.basis
-        m = self.m
-        return Matrix.from_blocks(
-            [basis.dim(p, 2 * m - n - p) for p in range(m + 1)],
-            [basis.dim(p, n - p) for p in range(m + 1)],
-            {(m - q, p): self.star(p, q)
-             for p, q, _ in basis.slot_offsets(n)})
-
     def _verify_star(self):
         basis = self.basis
         m = self.m
@@ -221,42 +213,40 @@ class HermitianStructure:
 
     # -- adjoints and Laplacians ----------------------------------------------
 
-    def adjoint(self, tag):
-        """delta* = -⋆ (conj delta) ⋆ on every slot: (p, q) -> (p-dp, q-dq)."""
-        return {pq: self.adjoint_block(tag, *pq) for pq in self.basis.slots}
+    def _gram_adjoint(self, a, src_slots, tgt_slots):
+        """G_src^{-1} a^H G_tgt for a map ``a`` from the slots ``src_slots``
+        to the slots ``tgt_slots``, each side in its slots' monomials in
+        order: G is diagonal, so entry (i, j) is conj(a[j][i]) w_j / w_i."""
+        src = [w for pq in src_slots for w in self.gram_diag(*pq)]
+        tgt = [w for pq in tgt_slots for w in self.gram_diag(*pq)]
+        rows = [[ZERO] * a.rows for _ in range(a.cols)]
+        for j, row in enumerate(a.entries):
+            for i, x in enumerate(row):
+                if x:
+                    rows[i][j] = x.conj() * from_rational(tgt[j] / src[i])
+        return Matrix(a.cols, a.rows, rows)
 
     @_memoized
     def adjoint_block(self, tag, p, q):
-        """delta* on slot (p, q), zero-shaped off the grid like cm.block."""
-        m = self.m
-        conj_tag = CONJUGATE_TAG[tag]
-        tp, tq = self.cm.target(conj_tag, m - q, m - p)
-        return -(self.star(tp, tq) @ (self.cm.block(conj_tag, m - q, m - p)
-                                      @ self.star(p, q)))
-
-    @_memoized
-    def gram_adjoint(self, tag):
-        """Plain metric adjoint G_src^{-1} A^H G_tgt of each block."""
-        basis = self.basis
+        """delta* on slot (p, q), the Gram adjoint of the delta block that
+        lands in it: (p, q) -> (p-dp, q-dq), zero-shaped off the grid like
+        cm.block."""
         dp, dq = BIDEGREE[tag]
-        out = {}
-        for (p, q) in basis.slots:
-            sp, sq = p - dp, q - dq
-            src_diag = self.gram_diag(sp, sq)
-            tgt_diag = self.gram_diag(p, q)
-            ah = self.cm.block(tag, sp, sq).conj_transpose()
-            data = [[ah.entries[i][j] * from_rational(tgt_diag[j] / src_diag[i])
-                     for j in range(ah.cols)] for i in range(ah.rows)]
-            out[(p, q)] = Matrix(ah.rows, ah.cols, data)
-        return out
+        src = (p - dp, q - dq)
+        return self._gram_adjoint(self.cm.block(tag, *src), [src], [(p, q)])
 
     def d_adjoint(self, n):
-        """d* = -⋆ d ⋆ on the total degree-n space."""
+        """d* on the total degree-n space, the Gram adjoint of d_{n-1}."""
         m = self.m
-        first = self.star_total(n)
-        mid = self.cm.total_matrix(2 * m - n)
-        second = self.star_total(2 * m - n + 1)
-        return -(second @ (mid @ first))
+        return self._gram_adjoint(self.cm.total_matrix(n - 1),
+                                  [(p, n - 1 - p) for p in range(m + 1)],
+                                  [(p, n - p) for p in range(m + 1)])
+
+    @_memoized
+    def d_stacked(self, n):
+        """The stacked [d; d*] on the total degree-n space: its kernel is
+        the d-harmonic space Ker d ∩ Ker d* of degree n."""
+        return self.cm.total_matrix(n).vstack(self.d_adjoint(n))
 
     @_memoized
     def laplacian(self, tag):
@@ -264,12 +254,6 @@ class HermitianStructure:
         ops = _operators(self)
         return {pq: _anticommutator(ops[tag], ops[tag + "*"], *pq)
                 for pq in self.basis.slots}
-
-    @_memoized
-    def laplacian_d_total(self, n):
-        """Laplacian of the full differential on the degree-n space."""
-        return (self.d_adjoint(n + 1) @ self.cm.total_matrix(n)
-                + self.cm.total_matrix(n - 1) @ self.d_adjoint(n))
 
     @_memoized
     def harmonic(self, tag):
@@ -281,15 +265,15 @@ class HermitianStructure:
 
     @_memoized
     def d_harmonic(self):
-        """Slotwise d-harmonic spaces  Ker(Delta_d) ∩ A^{p,q}: the kernel
-        of the columns of Delta_d on the slot."""
+        """Slotwise d-harmonic spaces  Ker d ∩ Ker d* ∩ A^{p,q}: the kernel
+        of the slot's columns of ``d_stacked``."""
         out = {}
         for n in range(2 * self.m + 1):
-            lap = self.laplacian_d_total(n)
+            stacked = self.d_stacked(n)
             for p, q, off in self.basis.slot_offsets(n):
                 dim = self.basis.dim(p, q)
-                cols = Matrix(lap.rows, dim,
-                              [row[off:off + dim] for row in lap.entries])
+                cols = Matrix(stacked.rows, dim,
+                              [row[off:off + dim] for row in stacked.entries])
                 out[(p, q)] = Subspace.kernel(cols)
         return out
 
@@ -352,8 +336,9 @@ class DelbMub:
     mubar-harmonic spaces ``hs.harmonic(MUBAR)``, and
     ``harmonic[(p, q)]`` is Ker(delbar_mub) ∩ Ker(delbar_mub*) lifted into
     the slot.  ``unimodular`` records whether the top cohomology is a line,
-    which is the hypothesis for adjointness and the Hodge decomposition of
-    the operator; ``coords`` are the harmonic coordinates of
+    the hypothesis under which the star formula gives the adjoint of delbar
+    (Milnor 1976), so it gates only the checks that read ⋆ as an adjoint;
+    ``coords`` are the harmonic coordinates of
     ``mub_decomposition`` the operators are read from.  ``delb_mub`` builds
     all of it once; every later stage reads it.
     """
@@ -375,9 +360,9 @@ def delb_mub(hs):
     On each slot it is one product, the harmonic coordinates of the target
     slot times delbar times the harmonic basis; off the grid the
     coordinates are 0 x 0.  Asserts delbar_mub^2 = 0.  The adjoint-side
-    operator is the harmonic projection of delbar*; when the top cohomology
-    is a line it is the true adjoint with respect to the restricted Gram
-    pairing.
+    operator is the harmonic projection of delbar*, the adjoint of
+    delbar_mub with respect to the restricted Gram pairing: the projection
+    is G-orthogonal.
     """
     cm = hs.cm
     coords = mub_decomposition(hs)
@@ -407,13 +392,26 @@ def _lift(space, coords):
     return Subspace.from_matrix_columns(space.basis @ coords)
 
 
+def star_adjoint(hs, tag, p, q):
+    """The star formula -⋆ δ̄ ⋆ for delta* on slot (p, q), δ̄ the conjugate
+    component: the L² adjoint on a unimodular algebra only, kept as the
+    oracle of ``adjointness_checks``."""
+    m = hs.m
+    conj_tag = CONJUGATE_TAG[tag]
+    tp, tq = hs.cm.target(conj_tag, m - q, m - p)
+    return -(hs.star(tp, tq) @ (hs.cm.block(conj_tag, m - q, m - p)
+                                @ hs.star(p, q)))
+
+
 def adjointness_checks(dmb):
-    """The star formula δ* = -⋆ δ̄ ⋆ against the plain Gram adjoint, on
-    which Ker δ ∩ Ker δ* = Ker Δ_δ rests: always for mubar, and for delbar
-    only when the top cohomology is a line, the hypothesis for it."""
+    """The star formula against the Gram adjoint ``adjoint_block`` on every
+    slot: always for mubar, and for delbar only when the top cohomology is
+    a line, the hypothesis under which ⋆ gives its adjoint."""
+    hs = dmb.hs
+
     def agree(tag):
-        sa, ga = dmb.hs.adjoint(tag), dmb.hs.gram_adjoint(tag)
-        return all(sa[k] == ga[k] for k in sa)
+        return all(star_adjoint(hs, tag, p, q) == hs.adjoint_block(tag, p, q)
+                   for (p, q) in hs.basis.slots)
 
     return [Check("mubar_adjoint_is_metric_adjoint", agree(MUBAR)),
             Check("delbar_adjointness", agree(DELBAR)) if dmb.unimodular
@@ -421,18 +419,15 @@ def adjointness_checks(dmb):
 
 
 def skipped_not_unimodular(name):
-    """The check ``name``, skipped: it rests on adjointness, which needs the
-    top cohomology to be a line."""
+    """The check ``name``, skipped: it reads ⋆ as the adjoint of delbar,
+    which needs the top cohomology to be a line."""
     return Check(name, True, "skipped: top cohomology is not a line",
                  skipped=True)
 
 
 def delb_mub_checks(dmb, h_dol_dims):
-    """Hodge decomposition of H_mubar under delbar_mub plus the Dolbeault match.
-
-    The decomposition and the harmonic-space identification require the
-    top-cohomology hypothesis; without it those checks are skipped.
-    """
+    """Hodge decomposition of H_mubar under delbar_mub plus the Dolbeault
+    match, of its cohomology and of its harmonic spaces."""
     hs = dmb.hs
     m = hs.m
     checks = []
@@ -440,10 +435,6 @@ def delb_mub_checks(dmb, h_dol_dims):
     ok = all(coh.get((p, q), 0) == h_dol_dims.get((p, q), 0)
              for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("delbar_mub_cohomology_equals_dolbeault", ok))
-    if not dmb.unimodular:
-        return checks + [skipped_not_unimodular(name) for name in (
-            "delbar_mub_hodge_decomposition",
-            "delbar_mub_harmonic_equals_dolbeault")]
     dims = dmb.harmonic_dims()
     ok_h = all(dims.get((p, q), 0) == h_dol_dims.get((p, q), 0)
                for p in range(m + 1) for q in range(m + 1))
@@ -465,16 +456,21 @@ def delb_mub_checks(dmb, h_dol_dims):
 
 
 def serre_star_check(dmb):
-    """bar-star maps H_mubar^{p,q} onto H_mubar^{m-p,m-q}, ditto delbar_mub."""
+    """bar-star maps H_mubar^{p,q} onto H_mubar^{m-p,m-q}, ditto the
+    delbar_mub-harmonics when the top cohomology is a line: ⋆ maps those
+    harmonic forms to harmonic forms only when it gives the adjoint."""
     hs = dmb.hs
     m = hs.m
     harm = hs.harmonic(MUBAR)
     ok = all(hs.bar_star_image(p, q, sub) == harm[(m - p, m - q)]
              for (p, q), sub in harm.items())
-    ok2 = all(hs.bar_star_image(p, q, sub) == dmb.harmonic[(m - p, m - q)]
-              for (p, q), sub in dmb.harmonic.items())
-    return [Check("serre_bar_star_mubar_harmonics", ok),
-            Check("serre_bar_star_delbar_mub_harmonics", ok2)]
+    checks = [Check("serre_bar_star_mubar_harmonics", ok)]
+    name = "serre_bar_star_delbar_mub_harmonics"
+    if not dmb.unimodular:
+        return checks + [skipped_not_unimodular(name)]
+    ok = all(hs.bar_star_image(p, q, sub) == dmb.harmonic[(m - p, m - q)]
+             for (p, q), sub in dmb.harmonic.items())
+    return checks + [Check(name, ok)]
 
 
 # -- metric independence ---------------------------------------------------------
@@ -485,8 +481,7 @@ def metric_independence_probe(spec, dmb, metrics):
     the input metric, with those of a layer built for each of ``metrics``.
 
     Returns (list of dims dicts, the input metric's first; Check).  All
-    dims agree on unimodular algebras; the probe validates each metric
-    first.
+    dims agree, as each is h_dol; the probe validates each metric first.
     """
     from . import liealg
     from .forms import build_basis, build_differential

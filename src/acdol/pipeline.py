@@ -235,7 +235,7 @@ def verification_checks(an):
              for (p, q) in basis.slots)
     checks.append(Check("star_defining_and_isometry", ok))
 
-    # adjoints: the star formula against the plain Gram adjoint
+    # adjoints: the star formula as the oracle of the Gram adjoint
     checks.extend(harmonic.adjointness_checks(an.dmb))
 
     # mubar Hodge decomposition: on every slot the harmonic coordinates C
@@ -251,8 +251,8 @@ def verification_checks(an):
     checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
     checks.extend(harmonic.serre_star_check(an.dmb))
 
-    # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, which needs
-    # adjointness, and equality on q = 0, where delbar* and mubar* vanish
+    # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, and equality on
+    # q = 0, where delbar* and mubar* vanish
     h_delbar = hs.harmonic(DELBAR)
     ok = True
     ok_row = True
@@ -262,32 +262,19 @@ def verification_checks(an):
             ok = False
         if q == 0 and inter.dim != an.h_dol.get((p, 0), 0):
             ok_row = False
-    checks.append(Check("harmonic_inclusion_bound", ok) if an.dmb.unimodular
-                  else harmonic.skipped_not_unimodular(
-                      "harmonic_inclusion_bound"))
+    checks.append(Check("harmonic_inclusion_bound", ok))
     checks.append(Check("harmonic_intersection_bottom_row", ok_row))
 
-    # d-harmonic forms realise the Betti numbers when adjointness holds
-    if an.dmb.unimodular:
-        ok = True
-        for n in range(2 * m + 1):
-            lap = hs.laplacian_d_total(n)
-            ker = lap.cols - lap.rank()
-            if ker != an.betti[n]:
-                ok = False
-        checks.append(Check("d_harmonic_realises_betti", ok))
-    else:
-        checks.append(harmonic.skipped_not_unimodular(
-            "d_harmonic_realises_betti"))
+    # d-harmonic forms realise the Betti numbers: Ker d ∩ Ker d* of each
+    # degree, the corank of the stacked [d; d*] that d_harmonic reads
+    coranks = tuple(s.cols - s.rank()
+                    for s in map(hs.d_stacked, range(2 * m + 1)))
+    checks.append(Check("d_harmonic_realises_betti", coranks == an.betti))
 
     # metric independence of the harmonic Dolbeault dimensions
-    if an.dmb.unimodular:
-        _, probe = harmonic.metric_independence_probe(
-            an.spec, an.dmb, probe_metrics(an.spec))
-        checks.append(probe)
-    else:
-        checks.append(harmonic.skipped_not_unimodular(
-            "metric_independent_harmonic_dims"))
+    _, probe = harmonic.metric_independence_probe(
+        an.spec, an.dmb, probe_metrics(an.spec))
+    checks.append(probe)
 
     # nearly Kahler identity battery (descriptive for m = 3 inputs)
     nk_checks, _ = an.nearly_kahler

@@ -326,10 +326,13 @@ def witness_independent(cm, dol, p, q):
 
     Another witness is eta + k with k in Ker mubar_{p+1,q-1}, which moves
     the image by delbar k; so the check is that delbar(Ker mubar_{p+1,q-1})
-    lies in the Dolbeault coboundaries of slot (p+1, q).  These are the
-    denominators of the zig-zag table ``dol``, which contain delbar(Ker
-    mubar) by construction, so the check certifies only that table, not the
-    pages or the Hodge reduction.
+    lies in the Dolbeault coboundaries of slot (p+1, q), the denominators
+    of the zig-zag table ``dol``.  What the battery's
+    ``delta1_witness_independence`` certifies is therefore the input of
+    the witness delta_1 oracle: that ``dol`` makes delta_1 well defined on
+    classes.  It certifies nothing about the pages or the Hodge reduction,
+    and it can fail only on a table that ``cohomology.dolbeault`` did not
+    build, whose denominators contain delbar(Ker mubar) by construction.
     """
     if dol.representatives[(p, q)].dim == 0:
         return True

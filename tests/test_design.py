@@ -11,7 +11,9 @@ name shared by two definitions passes.  So the names defined more than once
 are pinned in ``SHARED_NAMES``, and a new one fails until it is reviewed.
 Special methods (``__add__`` and the like) are called by the interpreter,
 not by name, and are left out.  Every name a module imports must be used
-in that module, read off its syntax tree the same way.
+in that module, read off its syntax tree the same way.  The star formula
+``harmonic.star_adjoint`` is pinned to its one reader,
+``adjointness_checks``, so that no second adjoint route comes back.
 """
 
 import ast
@@ -160,6 +162,57 @@ def _unread(defining, using):
     _, attrs = _uses(using)
     return sorted(field for field in _dataclass_fields(defining)
                   if field.split(".")[1] not in attrs)
+
+
+def _readers(trees, name):
+    """The outermost function (``Class.method`` for a method) around each
+    read of ``name``, as a name or an attribute, in ``trees``; a read
+    outside every function is labelled by its module or class body."""
+    found = []
+    for tree in trees:
+        for top in tree.body:
+            units = ([("%s.%s" % (top.name, getattr(node, "name", "<body>")),
+                       node) for node in top.body]
+                     if isinstance(top, ast.ClassDef)
+                     else [(getattr(top, "name", "<module>"), top)])
+            found.extend(label for label, unit in units
+                         for node in ast.walk(unit)
+                         if getattr(node, "id", None) == name
+                         or (isinstance(node, ast.Attribute)
+                             and node.attr == name))
+    return found
+
+
+# A negative control for the reader guard: "oracle" is read by a function,
+# through an attribute by a method and by the module body.
+READER_SYNTHETIC = '''
+def oracle():
+    pass
+
+
+def first():
+    return [oracle() for _ in range(2)]
+
+
+class Holder:
+    def second(self):
+        return self.oracle
+
+
+ALIAS = oracle
+'''
+
+
+def test_star_formula_is_only_the_adjointness_oracle():
+    # the one adjoint is the Gram adjoint; the star formula -⋆ δ̄ ⋆ is read
+    # only where the battery compares it with that adjoint
+    assert _readers(_trees(["src/acdol"]), "star_adjoint") == [
+        "adjointness_checks"]
+
+
+def test_reader_guard_flags_every_reader():
+    assert _readers([ast.parse(READER_SYNTHETIC)], "oracle") == [
+        "first", "Holder.second", "<module>"]
 
 
 def test_every_definition_has_a_use():

@@ -1,13 +1,15 @@
 """Hodge star, adjoints, Laplacians, the delbar_mub theory, and the nearly
 Kahler identity battery."""
 
+import dataclasses
 import os
 from fractions import Fraction
 
 import pytest
 
 from acdol import catalog, docio, harmonic, pipeline
-from acdol.cohomology import ConsistencyError, top_cohomology_is_line
+from acdol.cohomology import (ConsistencyError, de_rham,
+                              top_cohomology_is_line)
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential, conjugation_matrix)
 from acdol.harmonic import (HermitianStructure, build_hermitian, delb_mub,
@@ -108,82 +110,160 @@ def test_hermitian_structure_rejects_a_frame_that_is_not_g_orthogonal():
 def test_adjoints_zero_on_abelian():
     an = builtin_analysis("abelian-m2")
     for tag in (MUBAR, DELBAR, PARTIAL, MU):
-        adj = an.hs.adjoint(tag)
-        assert all(mat.is_zero() for mat in adj.values())
+        assert all(an.hs.adjoint_block(tag, *pq).is_zero()
+                   for pq in an.cm.basis.slots)
 
 
-@pytest.mark.parametrize("name", ["filiform-J", "kt-J", "su2su2-nk"])
+def hermitian(name):
+    """The Hermitian structure of ``named_spec(name)`` on its harmonic
+    frame; "aff1" is aff(1)."""
+    spec = validate_spec(affine_spec() if name == "aff1" else named_spec(name))
+    frame = orthogonal_frame(spec, adapted_frame(spec))
+    cm = build_differential(complexify(spec, frame), build_basis(spec.m))
+    return build_hermitian(cm, frame)
+
+
+def _star_formula_agrees(hs, tag):
+    return all(harmonic.star_adjoint(hs, tag, p, q)
+               == hs.adjoint_block(tag, p, q) for (p, q) in hs.basis.slots)
+
+
+# the unimodular builtins, and random nilpotent inputs whose harmonic frame
+# is not their plain frame, unlike every builtin's
+UNIMODULAR_INPUTS = catalog.builtin_names() + [
+    "random-m%d-seed%d" % (m, seed) for m in (2, 3) for seed in (1, 2, 3)]
+NON_UNIMODULAR_INPUTS = ["aff1", "solvable-m2"]
+
+
+@pytest.mark.parametrize("name", ["filiform-J", "kt-J", "su2su2-nk"]
+                         + NON_UNIMODULAR_INPUTS)
 def test_mubar_star_adjoint_equals_gram_adjoint(name):
-    an = builtin_analysis(name)
-    sa = an.hs.adjoint(MUBAR)
-    ga = an.hs.gram_adjoint(MUBAR)
-    assert all(sa[k] == ga[k] for k in sa)
+    """The boundary term the star formula drops lies off the (p, q) grid
+    for mubar and mu, so the formula is their Gram adjoint on every
+    algebra, unimodular or not."""
+    hs = hermitian(name)
+    assert _star_formula_agrees(hs, MUBAR) and _star_formula_agrees(hs, MU)
 
 
-@pytest.mark.parametrize("name", ["filiform-J", "su2su2-nk"])
+@pytest.mark.parametrize("name", UNIMODULAR_INPUTS)
 def test_delbar_adjointness_unimodular(name):
-    an = builtin_analysis(name)
-    assert an.dmb.unimodular
-    sa = an.hs.adjoint(DELBAR)
-    ga = an.hs.gram_adjoint(DELBAR)
-    assert all(sa[k] == ga[k] for k in sa)
+    """Oracle for the one adjoint: on a unimodular algebra the star formula
+    -⋆ δ̄ ⋆ equals ``adjoint_block`` for all four components on every
+    slot."""
+    hs = hermitian(name)
+    assert top_cohomology_is_line(hs.cm)
+    if name.startswith("random-"):
+        spec = validate_spec(named_spec(name))
+        assert hs.frame != adapted_frame(spec)
+    for tag in (MUBAR, DELBAR, PARTIAL, MU):
+        assert _star_formula_agrees(hs, tag), tag
+
+
+@pytest.mark.parametrize("name", NON_UNIMODULAR_INPUTS)
+def test_star_formula_is_not_the_delbar_adjoint_when_not_unimodular(name):
+    # negative control for the oracle above
+    hs = hermitian(name)
+    assert not top_cohomology_is_line(hs.cm)
+    assert not _star_formula_agrees(hs, DELBAR)
+
+
+def affine_spec():
+    # [X1, X2] = X2 is not unimodular: top cohomology vanishes
+    return make_spec(2, None, {(0, 1): {1: 1}}, [[0, -1], [1, 0]])
 
 
 def affine_analysis():
-    # [X1, X2] = X2 is not unimodular: top cohomology vanishes
-    spec = validate_spec(make_spec(2, None, {(0, 1): {1: 1}},
-                                   [[0, -1], [1, 0]]))
-    from acdol.pipeline import analyze
-    return analyze(spec)
+    return pipeline.analyze(validate_spec(affine_spec()))
 
 
 def test_non_unimodular_detected_and_skipped():
+    # only the checks that read ⋆ as the adjoint of delbar are skipped
     an = affine_analysis()
     assert not an.dmb.unimodular
     assert not top_cohomology_is_line(an.cm)
     checks = delb_mub_checks(an.dmb, an.h_dol)
-    skipped = [c for c in checks if c.skipped]
-    assert len(skipped) == 2
-    # delbar is not adjoint to its star formula here
-    sa = an.hs.adjoint(DELBAR)
-    ga = an.hs.gram_adjoint(DELBAR)
-    assert any(sa[k] != ga[k] for k in sa)
+    assert all(c.passed and not c.skipped for c in checks)
+    serre = serre_star_check(an.dmb)
+    assert [c.skipped for c in serre] == [False, True]
+    adjoint = harmonic.adjointness_checks(an.dmb)
+    assert [c.skipped for c in adjoint] == [False, True]
 
 
-def test_non_unimodular_battery_skips_the_inclusion_bound():
-    # without adjointness dim(H_delbar ∩ H_mubar) exceeds h_dol on aff(1),
-    # so the battery skips the bound; the bottom row still holds, as
-    # delbar* and mubar* vanish on q = 0
+def test_non_unimodular_battery_gates_only_the_star_checks():
+    # the harmonic theory needs no unimodularity: on aff(1) the battery
+    # runs the inclusion bound, and it holds, as does the bottom row,
+    # where delbar* and mubar* vanish
     an = affine_analysis()
     h_delbar, h_mubar = an.hs.harmonic(DELBAR), an.hs.harmonic(MUBAR)
-    assert any(h_delbar[pq].intersect(h_mubar[pq]).dim > an.h_dol.get(pq, 0)
+    assert all(h_delbar[pq].intersect(h_mubar[pq]).dim <= an.h_dol.get(pq, 0)
                for pq in h_delbar)
     battery = {c.name: c for c in pipeline.verification_checks(an)}
-    assert battery["harmonic_inclusion_bound"].skipped
-    assert not battery["harmonic_intersection_bottom_row"].skipped
+    # Serre duality of the Dolbeault dims needs unimodularity too, but no
+    # metric
+    assert sorted(name for name, c in battery.items() if c.skipped) == [
+        "delbar_adjointness", "nearly_kahler_identities",
+        "serre_bar_star_delbar_mub_harmonics", "serre_duality_dims"]
+    assert battery["harmonic_inclusion_bound"].passed
     assert pipeline.hard_failures(battery.values()) == []
 
 
+def _with_star_formula(monkeypatch):
+    """Make the star formula the adjoint of every new layer."""
+    monkeypatch.setattr(HermitianStructure, "adjoint_block",
+                        harmonic.star_adjoint)
+
+
+def _with_star_d_adjoint(monkeypatch):
+    """Make the star route -⋆ d ⋆ the d* of every new layer."""
+    monkeypatch.setattr(HermitianStructure, "d_adjoint", _star_d_adjoint)
+
+
+def test_star_formula_breaks_the_ungated_checks(monkeypatch):
+    """Negative controls for the checks that need no unimodularity: on
+    solvable-m2 they pass with the Gram adjoint, and with the star formula
+    in its place the harmonic checks fail, and so does the Betti check
+    with the star route d*; the Serre check of the delbar_mub-harmonics,
+    which reads ⋆, fails there ungated, which is why it is gated."""
+    harmonic_checks = ("harmonic_inclusion_bound",
+                       "delbar_mub_harmonic_equals_dolbeault",
+                       "delbar_mub_hodge_decomposition")
+
+    def battery():
+        an = pipeline.analyze(validate_spec(named_spec("solvable-m2")))
+        return an, {c.name: c for c in pipeline.verification_checks(an)}
+
+    an, good = battery()
+    assert all(good[name].passed and not good[name].skipped
+               for name in harmonic_checks + ("d_harmonic_realises_betti",))
+    ungated = serre_star_check(dataclasses.replace(an.dmb, unimodular=True))
+    assert [c.passed for c in ungated] == [True, False]
+    with monkeypatch.context() as patch:
+        _with_star_formula(patch)
+        _, bad = battery()
+        assert not any(bad[name].passed for name in harmonic_checks)
+    with monkeypatch.context() as patch:
+        _with_star_d_adjoint(patch)
+        _, bad = battery()
+        assert not bad["d_harmonic_realises_betti"].passed
+
+
 def test_laplacian_kernel_is_two_sided_kernel():
-    """Oracle: where every delta* is the Gram adjoint, the unimodular
-    inputs, Ker Delta_delta of the slot Laplacian is the harmonic space
-    Ker delta ∩ Ker delta* of every component on every slot."""
-    for name in ORACLE_INPUTS:
-        spec = validate_spec(named_spec(name))
-        frame = orthogonal_frame(spec, adapted_frame(spec))
-        cm = build_differential(complexify(spec, frame), build_basis(spec.m))
-        assert top_cohomology_is_line(cm), name
-        hs = build_hermitian(cm, frame)
+    """Oracle: delta* is the Gram adjoint, so Ker Delta_delta of the slot
+    Laplacian is the harmonic space Ker delta ∩ Ker delta* of every
+    component on every slot, unimodular or not."""
+    for name in ORACLE_INPUTS + NON_UNIMODULAR_INPUTS:
+        hs = hermitian(name)
         for tag in (MUBAR, DELBAR, PARTIAL, MU):
             lap, harm = hs.laplacian(tag), hs.harmonic(tag)
-            for pq in cm.basis.slots:
+            for pq in hs.basis.slots:
                 assert Subspace.kernel(lap[pq]) == harm[pq], (name, tag, pq)
 
 
-def test_laplacian_kernel_differs_without_adjointness():
+def test_laplacian_kernel_differs_without_adjointness(monkeypatch):
     # negative control: Ker delta ∩ Ker delta* always lies in Ker Delta,
-    # but on aff(1), where delbar* is not the Gram adjoint, Ker Delta_delbar
-    # is larger on some slot
+    # but on aff(1), with the star formula for delbar*, which is not the
+    # adjoint there, Ker Delta_delbar is larger on some slot
+    _with_star_formula(monkeypatch)
     hs = affine_analysis().hs
     lap, harm = hs.laplacian(DELBAR), hs.harmonic(DELBAR)
     kers = {pq: Subspace.kernel(lap[pq]) for pq in harm}
@@ -229,16 +309,78 @@ def test_d_harmonic_su2su2_pure_type_slots():
     hd = {k: v.dim for k, v in an.hs.d_harmonic().items()}
     grid = dims_grid(hd, 3)
     assert grid == ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1))
-    lap3 = an.hs.laplacian_d_total(3)
-    assert lap3.cols - lap3.rank() == 2
+    stacked = an.hs.d_stacked(3)
+    assert stacked.cols - stacked.rank() == 2
+
+
+def _star_total_oracle(hs, n):
+    """⋆ on the degree-n space, each nonzero block entry placed by hand."""
+    basis = hs.basis
+    m = hs.m
+    tgt_off = {(p, q): off for p, q, off in basis.slot_offsets(2 * m - n)}
+    data = [[ZERO] * basis.total_dim(n)
+            for _ in range(basis.total_dim(2 * m - n))]
+    for p, q, off in basis.slot_offsets(n):
+        blk = hs.star(p, q)
+        toff = tgt_off[(m - q, m - p)]
+        for i in range(blk.rows):
+            for j in range(blk.cols):
+                if blk.entries[i][j]:
+                    data[toff + i][off + j] = blk.entries[i][j]
+    return Matrix(basis.total_dim(2 * m - n), basis.total_dim(n), data)
+
+
+def _star_d_adjoint(hs, n):
+    """The star route d* = -⋆ d ⋆ on the degree-n space, the adjoint of d
+    on a unimodular algebra only."""
+    m = hs.m
+    return -(_star_total_oracle(hs, 2 * m - n + 1)
+             @ (hs.cm.total_matrix(2 * m - n) @ _star_total_oracle(hs, n)))
+
+
+def _laplacian_d(hs, n):
+    """The oracle Delta_d = d* d + d d* on the degree-n space, with the
+    star route d*."""
+    d = hs.cm.total_matrix
+    return (_star_d_adjoint(hs, n + 1) @ d(n)
+            + d(n - 1) @ _star_d_adjoint(hs, n))
+
+
+def _slot_kernels(hs, mat, n):
+    """The kernel of each degree-n slot's columns of ``mat``."""
+    out = {}
+    for p, q, off in hs.basis.slot_offsets(n):
+        dim = hs.basis.dim(p, q)
+        out[(p, q)] = Subspace.kernel(Matrix(
+            mat.rows, dim, [row[off:off + dim] for row in mat.entries]))
+    return out
 
 
 def test_d_harmonic_total_dims_equal_betti_when_unimodular():
-    for name in ("filiform-J", "kt-J", "su2su2-nk", "abelian-m2"):
-        an = builtin_analysis(name)
-        for n in range(2 * an.m + 1):
-            lap = an.hs.laplacian_d_total(n)
-            assert lap.cols - lap.rank() == an.betti[n]
+    """Oracle: on a unimodular algebra the star route d* is the Gram
+    adjoint ``d_adjoint``, the slotwise Ker Delta_d is ``d_harmonic`` and
+    the corank of Delta_d is b_n."""
+    for name in UNIMODULAR_INPUTS + ["s3s3-nk"]:
+        hs = hermitian(name)
+        betti = de_rham(hs.cm)
+        harm = hs.d_harmonic()
+        for n in range(2 * hs.m + 1):
+            assert _star_d_adjoint(hs, n) == hs.d_adjoint(n), (name, n)
+            lap = _laplacian_d(hs, n)
+            assert lap.cols - lap.rank() == betti[n], (name, n)
+            for pq, ker in _slot_kernels(hs, lap, n).items():
+                assert ker == harm[pq], (name, n, pq)
+
+
+def test_star_route_laplacian_d_has_a_false_class_on_aff1():
+    # negative control: on aff(1) b_2 = 0, yet the star route Delta_d has
+    # a kernel on slot (1, 1); d_harmonic, from the Gram adjoint, has none
+    hs = hermitian("aff1")
+    assert de_rham(hs.cm)[2] == 0
+    assert _slot_kernels(hs, _laplacian_d(hs, 2), 2)[(1, 1)].dim > 0
+    assert hs.d_harmonic()[(1, 1)].dim == 0
+    assert [hs.d_stacked(n).cols - hs.d_stacked(n).rank()
+            for n in range(3)] == list(de_rham(hs.cm))
 
 
 def test_kt_harmonic_intersection_is_dolbeault_on_bottom_row():

@@ -3,8 +3,8 @@
 The subspace operations are checked against ``_subspace_oracle``, the
 earlier formulas that take two or more eliminations per result, or for a
 complement one elimination of the stacked [inner | outer], and the block
-assemblies of d and ⋆ against ``_total_matrix_oracle`` and
-``_star_total_oracle``, the earlier entry-by-entry placements.
+assembly of d against ``_total_matrix_oracle``, the earlier entry-by-entry
+placement.
 """
 
 import random
@@ -422,23 +422,6 @@ def _total_matrix_oracle(cm, n):
     return Matrix(basis.total_dim(n + 1), basis.total_dim(n), data)
 
 
-def _star_total_oracle(hs, n):
-    """⋆ on the degree-n space, each nonzero block entry placed by hand."""
-    basis = hs.basis
-    m = hs.m
-    tgt_off = {(p, q): off for p, q, off in basis.slot_offsets(2 * m - n)}
-    data = [[ZERO] * basis.total_dim(n)
-            for _ in range(basis.total_dim(2 * m - n))]
-    for p, q, off in basis.slot_offsets(n):
-        blk = hs.star(p, q)
-        toff = tgt_off[(m - q, m - p)]
-        for i in range(blk.rows):
-            for j in range(blk.cols):
-                if blk.entries[i][j]:
-                    data[toff + i][off + j] = blk.entries[i][j]
-    return Matrix(basis.total_dim(2 * m - n), basis.total_dim(n), data)
-
-
 @pytest.mark.parametrize("name",
                          catalog.builtin_names() + ["random-m3-seed1"])
 def test_block_assemblies_match_the_hand_placed_oracles(name):
@@ -449,5 +432,3 @@ def test_block_assemblies_match_the_hand_placed_oracles(name):
     for cm in {id(an.cm): an.cm, id(hs.cm): hs.cm}.values():
         for n in range(-1, 2 * cm.m + 2):
             assert cm.total_matrix(n) == _total_matrix_oracle(cm, n)
-    for n in range(-1, 2 * hs.m + 2):
-        assert hs.star_total(n) == _star_total_oracle(hs, n)

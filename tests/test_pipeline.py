@@ -93,10 +93,11 @@ def test_battery_computes_each_oracle_once(monkeypatch):
 def test_analysis_builds_one_harmonic_layer(monkeypatch):
     """analyze, the battery and the result document build the mubar
     decomposition and delbar_mub once for the input metric and once for the
-    probe's other metric, and Delta_d once per degree; d_harmonic never
-    takes the kernel of a whole Delta_d."""
+    probe's other metric, and the stacked [d; d*] once per degree, which
+    d_harmonic and the Betti check share; d_harmonic takes kernels of its
+    slot columns only, never of a whole stacked system."""
     calls = {"mub_decomposition": 0, "delb_mub": 0}
-    laplacians = {}  # (hs, n) -> every Delta_d returned
+    systems = {}  # (hs, n) -> every [d; d*] returned
 
     def counted(fn):
         inner = getattr(harmonic, fn)
@@ -108,28 +109,28 @@ def test_analysis_builds_one_harmonic_layer(monkeypatch):
 
     for fn in calls:
         counted(fn)
-    laplacian_d_total = harmonic.HermitianStructure.laplacian_d_total
+    d_stacked = harmonic.HermitianStructure.d_stacked
 
     def recorded(hs, n):
-        lap = laplacian_d_total(hs, n)
-        laplacians.setdefault((hs, n), []).append(lap)
-        return lap
+        stacked = d_stacked(hs, n)
+        systems.setdefault((hs, n), []).append(stacked)
+        return stacked
 
     subspace_kernel = linalg.Subspace.kernel
 
     def kernel(cls, mat):
-        assert not any(mat is lap for laps in laplacians.values()
-                       for lap in laps), "kernel of a whole Delta_d"
+        assert not any(mat is stacked for found in systems.values()
+                       for stacked in found), "kernel of a whole [d; d*]"
         return subspace_kernel(mat)
 
-    monkeypatch.setattr(harmonic.HermitianStructure, "laplacian_d_total",
-                        recorded)
+    monkeypatch.setattr(harmonic.HermitianStructure, "d_stacked", recorded)
     monkeypatch.setattr(linalg.Subspace, "kernel", classmethod(kernel))
     an = pipeline.analyze(docio.to_spec(catalog.builtin("su2su2-nk")))
     pipeline.result_document(an, pipeline.verification_checks(an))
     assert calls == {"mub_decomposition": 2, "delb_mub": 2}
-    assert set(laplacians) == {(an.hs, n) for n in range(2 * an.m + 1)}
-    assert all(lap is laps[0] for laps in laplacians.values() for lap in laps)
+    assert set(systems) == {(an.hs, n) for n in range(2 * an.m + 1)}
+    assert all(len(found) == 2 and found[0] is found[1]
+               for found in systems.values())
 
 
 def _tampered_run(monkeypatch, tamper):
