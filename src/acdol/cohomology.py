@@ -19,7 +19,15 @@ subspaces, and the battery compares them with the reduction:
   over Q on the real forms (the forms fixed by the conjugation of the
   real Lie algebra, which d preserves) and, when the algebra is
   unimodular, on half the degrees: Poincare duality pairs d_n with
-  d_{2m-1-n}.
+  d_{2m-1-n}.  The ranks are taken in order of degree and cleared (Chen
+  and Kerber, "Persistent homology computation with a twist", 2011):
+  d_n is ranked only on the columns outside a maximal independent set of
+  rows of d_{n-1}, which leaves its rank unchanged because d_n kills
+  Im d_{n-1}.
+
+Ker and Im of one Matrix are eliminated once (``linalg`` memoises them on
+the instance), so the mubar kernels and images that ``mub_cohomology``
+and ``dolbeault`` both read cost one elimination each.
 
 The module also holds the shared ``Check`` record, ``ConsistencyError`` and
 the Frolicher/Euler/Serre ``consistency_report``.
@@ -241,21 +249,50 @@ def real_differential(cm, n):
     return Matrix(len(rows), cm.basis.total_dim(n), rows)
 
 
+def _cleared_ranks(cm, degrees):
+    """The ranks of d_n for n < ``degrees``, each of ``real_differential``
+    with the columns that the previous degree's pivots clear left out
+    (``de_rham`` says why the rank does not change).
+
+    A row of ``real_differential(cm, n)`` is a coordinate of the real
+    (n+1)-forms, in the order of the columns of
+    ``real_differential(cm, n + 1)``: the real and imaginary parts of the
+    first coordinate of each orbit of ``_conjugation_orbits(basis, n + 1)``
+    are the coefficients on its fixed forms, and scaling a row by its
+    denominators does not change which rows are independent.  The pivots
+    of the forward elimination of the cleared transpose are rows of d_n
+    independent before the clearing too, as many as its rank, so they
+    clear the next degree.
+    """
+    ranks = []
+    cleared = set()
+    for n in range(degrees):
+        real = real_differential(cm, n)
+        columns = [[row[j] for row in real.entries]
+                   for j in range(real.cols) if j not in cleared]
+        cleared = set(Matrix(len(columns), real.rows, columns).pivots())
+        ranks.append(len(cleared))
+    return ranks
+
+
 def de_rham(cm):
     """Complex Betti numbers of the total Chevalley-Eilenberg complex.
 
-    Each rank of d_n is the rank of ``real_differential``.  When the
-    algebra is unimodular, the wedge pairing into the top degree makes
-    d_{2m-1-n} plus or minus the transpose of d_n, so only n < m is
-    ranked.
+    Each rank of d_n is one of ``real_differential``, taken in order of
+    degree and cleared (``_cleared_ranks``): for S a maximal independent
+    set of rows of d_{n-1}, A^n is the direct sum of Im d_{n-1} and the
+    coordinates outside S, and d_n kills Im d_{n-1}, so d_n has the same
+    rank on the columns outside S.  When the algebra is unimodular, the
+    wedge pairing into the top degree makes d_{2m-1-n} plus or minus the
+    transpose of d_n, so only n < m is ranked.
     """
     basis = cm.basis
     m = basis.m
     if top_cohomology_is_line(cm):
-        half = [real_differential(cm, n).rank() for n in range(m)]
+        half = _cleared_ranks(cm, m)
         ranks = half + half[::-1]
     else:
-        ranks = [real_differential(cm, n).rank() for n in range(2 * m)]
+        ranks = _cleared_ranks(cm, 2 * m)
     ranks = [0, *ranks, 0]
     return tuple(basis.total_dim(n) - ranks[n] - ranks[n + 1]
                  for n in range(2 * m + 1))

@@ -147,7 +147,9 @@ class HermitianStructure:
             comp = (full ^ t_mask, full ^ s_mask)
             res = forms.wedge_monomials(flip, comp)
             if res is None or res[1] != self.top_monomial:
-                raise ConsistencyError("complementary monomial bookkeeping failed")
+                raise ConsistencyError(
+                    "complementary monomial bookkeeping failed on slot "
+                    "(%d, %d)" % (p, q))
             sigma = res[0]
             x = from_rational(diag[k]) * self.volume_coeff
             if (p * q) & 1:
@@ -166,11 +168,13 @@ class HermitianStructure:
         one = self.star(0, 0).col(0)
         if one[vol_idx] != self.volume_coeff or any(
                 v for i, v in enumerate(one) if i != vol_idx):
-            raise ConsistencyError("⋆1 is not the volume form")
+            raise ConsistencyError(
+                "⋆1 is not the volume form on slot (0, 0)")
         vol = self.volume_coeff
         if from_rational(self.gram_diag(m, m)[vol_idx]) * vol * vol.conj() \
                 != ONE:
-            raise ConsistencyError("volume form is not unit length")
+            raise ConsistencyError(
+                "volume form is not unit length on slot (%d, %d)" % (m, m))
         for (p, q) in basis.slots:
             once = self.star(p, q)
             twice = self.star(m - q, m - p) @ once
@@ -375,9 +379,12 @@ def delb_mub(hs):
             cm.block(DELBAR, p, q) @ src.basis)
         op_adj[(p, q)] = coords.get((p, q - 1), off_grid) @ (
             hs.adjoint_block(DELBAR, p, q) @ src.basis)
-    if not all((op[(p, q + 1)] @ op[(p, q)]).is_zero()
-               for p in range(hs.m + 1) for q in range(hs.m)):
-        raise ConsistencyError("delbar_mub does not square to zero")
+    for p in range(hs.m + 1):
+        for q in range(hs.m):
+            if not (op[(p, q + 1)] @ op[(p, q)]).is_zero():
+                raise ConsistencyError(
+                    "delbar_mub does not square to zero on slot (%d, %d)"
+                    % (p, q))
     harmonic = {}
     for pq, mat in op.items():
         ker = Subspace.kernel(mat.vstack(op_adj[pq]))

@@ -9,7 +9,10 @@ its basis with no elimination, so each Subspace result costs at most one
 elimination: a kernel is one rref with the columns reversed, an
 intersection is the kernel of both sets of equations stacked, a preimage
 {x : A x in S} is the kernel of (equations of S) @ A, a span is one RCEF,
-and containment is one product with the equations.  A canonical basis is
+and containment is one product with the equations.  Each Matrix keeps
+its kernel and its column span once computed, on the instance and with no
+hashing of the entries, so routes that read the same block share one
+elimination per subspace.  A canonical basis is
 the identity on its lead rows, so a vector of the span has its entries
 there as coordinates, and the product of two RCEF bases is in RCEF: a
 complement inside a subspace is one forward elimination of the inner
@@ -33,7 +36,8 @@ class LinalgError(ValueError):
 class Matrix:
     """Immutable rows x cols matrix of Scalars."""
 
-    __slots__ = ("rows", "cols", "entries", "_rref", "_pivots", "_hash")
+    __slots__ = ("rows", "cols", "entries", "_rref", "_pivots", "_kernel",
+                 "_span", "_hash")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -44,6 +48,8 @@ class Matrix:
         self.entries = entries
         self._rref = None
         self._pivots = None
+        self._kernel = None
+        self._span = None
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -276,8 +282,11 @@ class Subspace:
 
     @classmethod
     def from_matrix_columns(cls, mat):
-        """Span of the columns of ``mat``, canonicalised."""
-        return cls(mat.rows, mat.rcef())
+        """Span of the columns of ``mat``, canonicalised; memoised on
+        ``mat``."""
+        if mat._span is None:
+            mat._span = cls(mat.rows, mat.rcef())
+        return mat._span
 
     @classmethod
     def from_columns(cls, ambient_dim, cols):
@@ -285,7 +294,7 @@ class Subspace:
 
     @classmethod
     def kernel(cls, mat):
-        """Ker mat, canonical from one elimination.
+        """Ker mat, canonical from one elimination, memoised on ``mat``.
 
         Take the rref of ``mat`` with its columns reversed.  Each free
         column f gives the kernel vector with a 1 at f, zeros at the other
@@ -294,6 +303,8 @@ class Subspace:
         increasing, these vectors are the RCEF of the kernel: each leads
         with its 1 at its free index, where every other one is zero.
         """
+        if mat._kernel is not None:
+            return mat._kernel
         n = mat.cols
         red, pivots = kernel.rref([row[::-1] for row in mat.entries], n)
         pivset = set(pivots)
@@ -309,7 +320,8 @@ class Subspace:
                 if red_row[j]:
                     rows[n - 1 - pc][col] = -red_row[j]
             col += 1
-        return cls(n, Matrix(n, col, rows))
+        mat._kernel = cls(n, Matrix(n, col, rows))
+        return mat._kernel
 
     @classmethod
     def zero(cls, ambient_dim):

@@ -106,23 +106,34 @@ def test_oracle_routes_take_one_elimination_per_subspace(monkeypatch):
     # image above, the kernel in Ker mubar's coordinates and the
     # denominator span, and the kernel of mubar on each slot and on the
     # off-grid slot below each q = 0 slot.  16 slots at m = 3, 20 kernels.
-    spec = validate_spec(random_nilpotent_spec(seeded_rng(1), 3))
-    cm = build_differential(complexify(spec, adapted_frame(spec)),
-                            build_basis(3))
-    calls = {}
-    rref = kernel.rref
+    # Each Matrix keeps its kernel and span, so on one cm the second route
+    # takes none for the 16 kernels of mubar on the grid and the 6 images
+    # of the on-grid blocks (p + 1, q - 2) that both routes read; the 10
+    # other images of mub_cohomology are of off-grid blocks, which
+    # cm.block builds afresh on each call.
+    def counts(first, second):
+        spec = validate_spec(random_nilpotent_spec(seeded_rng(1), 3))
+        cm = build_differential(complexify(spec, adapted_frame(spec)),
+                                build_basis(3))
+        calls = {}
+        rref = kernel.rref
 
-    def counted(name):
-        def wrapper(rows, ncols):
-            calls[name] = calls.get(name, 0) + 1
-            return rref(rows, ncols)
-        return wrapper
+        def counted(name):
+            def wrapper(rows, ncols):
+                calls[name] = calls.get(name, 0) + 1
+                return rref(rows, ncols)
+            return wrapper
 
-    monkeypatch.setattr(kernel, "rref", counted("mub_cohomology"))
-    mub_cohomology(cm)
-    monkeypatch.setattr(kernel, "rref", counted("dolbeault"))
-    dolbeault(cm)
-    assert calls == {"mub_cohomology": 2 * 16, "dolbeault": 3 * 16 + 20}
+        with monkeypatch.context() as patch:
+            for route in (first, second):
+                patch.setattr(kernel, "rref", counted(route.__name__))
+                route(cm)
+        return calls
+
+    assert counts(mub_cohomology, dolbeault) == {
+        "mub_cohomology": 2 * 16, "dolbeault": 3 * 16 + 20 - 16 - 6}
+    assert counts(dolbeault, mub_cohomology) == {
+        "dolbeault": 3 * 16 + 20, "mub_cohomology": 2 * 16 - 16 - 6}
 
 
 def test_dolbeault_two_routes_agree_on_random_specs():
@@ -248,14 +259,103 @@ def test_de_rham_matches_all_ranks_over_q_i(name):
                                         ("affine", 2), ("solvable-m2", 4)])
 def test_de_rham_ranks_half_the_degrees_when_unimodular(name, ranks,
                                                         monkeypatch):
-    # m ranks when the top cohomology is a line, 2m otherwise
+    # one elimination per ranked degree: m when the top cohomology is a
+    # line, 2m otherwise
     cm = _cm_of(name)
     calls = []
-    rank = Matrix.rank
-    monkeypatch.setattr(Matrix, "rank",
-                        lambda self: calls.append(self) or rank(self))
+    for fn in ("rref", "echelon"):
+        inner = getattr(kernel, fn)
+        monkeypatch.setattr(kernel, fn, lambda rows, ncols, inner=inner: (
+            calls.append(ncols) or inner(rows, ncols)))
     de_rham(cm)
     assert len(calls) == ranks
+
+
+# -- the clearing: each degree ranked on the columns the last one leaves -----
+
+
+def _real_forms_image(cm, n):
+    """The matrix of d_n on the real forms rebuilt from d itself, with no
+    denominator cleared: column by column d applied to the fixed form of
+    each source orbit, e_j + s e_k and i(e_j - s e_k), or e_j or i e_j
+    when conj(e_j) = +-e_j; row by row the real and imaginary parts of
+    the first coordinate of each target orbit, the imaginary part left
+    out where it is zero and the real part where it is."""
+    d = cm.total_matrix(n)
+    i = kernel.I
+    columns = []
+    for j, k, s in cohomology._conjugation_orbits(cm.basis, n):
+        unit_j, unit_k = ([kernel.ONE if x == y else kernel.ZERO
+                           for x in range(d.cols)] for y in (j, k))
+        if j != k:
+            columns.append([a + s * b for a, b in zip(unit_j, unit_k)])
+            columns.append([i * (a - s * b) for a, b in zip(unit_j, unit_k)])
+        else:
+            columns.append(unit_j if s == 1 else [i * a for a in unit_j])
+    images = [d.apply(col) for col in columns]
+    rows = []
+    for r, r2, t in cohomology._conjugation_orbits(cm.basis, n + 1):
+        if r != r2 or t == 1:
+            rows.append([kernel.from_rational(w[r].re) for w in images])
+        if r != r2 or t == -1:
+            rows.append([kernel.from_rational(w[r].im) for w in images])
+    return Matrix(len(rows), d.cols, rows)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + sorted(NON_UNIMODULAR))
+def test_cleared_ranks_equal_the_uncleared_ranks(name):
+    cm = _cm_of(name)
+    degrees = 2 * cm.m
+    assert cohomology._cleared_ranks(cm, degrees) == [
+        cohomology.real_differential(cm, n).rank() for n in range(degrees)]
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + sorted(NON_UNIMODULAR))
+def test_rows_of_d_n_are_the_columns_of_d_n_plus_1(name):
+    # each row of real_differential(n) is a positive multiple of the
+    # coordinate it claims to be, and with the multiples taken out the
+    # rows are coefficients on the column basis of real_differential(n+1):
+    # d_{n+1} d_n = 0 in those coordinates
+    cm = _cm_of(name)
+    for n in range(2 * cm.m):
+        real = cohomology.real_differential(cm, n)
+        image = _real_forms_image(cm, n)
+        assert (real.rows, real.cols) == (image.rows, image.cols)
+        for row, unscaled in zip(real.entries, image.entries):
+            lead = next((k for k, x in enumerate(unscaled) if x), None)
+            scale = (row[lead] / unscaled[lead] if lead is not None
+                     else kernel.ONE)
+            assert scale.im == 0 and scale.re > 0
+            assert list(row) == [scale * x for x in unscaled]
+        after = cohomology.real_differential(cm, n + 1)
+        assert (after @ image).is_zero()
+
+
+def test_reversed_target_orbits_do_not_line_up():
+    # negative control: in the reversed order of the target orbits the
+    # rows of d_1 are no coordinates on the columns of d_2
+    cm = _cm_of("filiform-J")
+    image = _real_forms_image(cm, 1)
+    reversed_rows = Matrix(image.rows, image.cols, image.entries[::-1])
+    assert not (cohomology.real_differential(cm, 2) @ reversed_rows).is_zero()
+
+
+@pytest.mark.parametrize("misalign", [lambda p, n: (p + 1) % n,
+                                      lambda p, n: n - 1 - p],
+                         ids=["shifted", "reversed"])
+@pytest.mark.parametrize("name", ["su2su2-nk", "solvable-m2"])
+def test_clearing_by_misaligned_pivots_changes_a_betti_number(
+        name, misalign, monkeypatch):
+    # negative control: the pivots of each degree shifted by one
+    # coordinate, or read in reversed order, clear columns that Im d_n
+    # does not fix; the rank of a degree is its number of pivots either
+    # way, so only the next degree's rank can see it
+    cm = _cm_of(name)
+    expected = _de_rham_oracle(cm)
+    pivots = Matrix.pivots
+    monkeypatch.setattr(Matrix, "pivots", lambda self: tuple(
+        misalign(p, self.cols) for p in pivots(self)))
+    assert de_rham(cm) != expected
 
 
 def test_de_rham_reads_every_imaginary_row(monkeypatch):

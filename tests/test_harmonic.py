@@ -68,6 +68,72 @@ def test_star_checks_flag_a_scaled_entry(monkeypatch):
     assert not hs.check_star_defining(0, 1)
 
 
+def _cm_and_frame(name):
+    """(cm, frame) of ``name`` in its orthogonal frame, built afresh."""
+    spec = validate_spec(named_spec(name))
+    frame = orthogonal_frame(spec, adapted_frame(spec))
+    return build_differential(complexify(spec, frame),
+                              build_basis(spec.m)), frame
+
+
+def test_star_bookkeeping_error_names_its_slot(monkeypatch):
+    # negative control: no complement for the monomials of slot (1, 0)
+    cm, frame = _cm_and_frame("filiform-J")
+    wedge = harmonic.forms.wedge_monomials
+    monkeypatch.setattr(harmonic.forms, "wedge_monomials", lambda a, b: (
+        None if (bin(a[1]).count("1"), bin(a[0]).count("1")) == (1, 0)
+        else wedge(a, b)))
+    with pytest.raises(ConsistencyError, match=(
+            r"^complementary monomial bookkeeping failed on slot \(1, 0\)$")):
+        build_hermitian(cm, frame)
+
+
+def test_star_of_one_error_names_its_slot(monkeypatch):
+    # negative control: ⋆ on slot (0, 0) doubled
+    cm, frame = _cm_and_frame("filiform-J")
+    star = HermitianStructure.star
+    monkeypatch.setattr(HermitianStructure, "star", lambda hs, p, q: (
+        star(hs, p, q).scale(Scalar(2)) if (p, q) == (0, 0)
+        else star(hs, p, q)))
+    with pytest.raises(ConsistencyError, match=(
+            r"^⋆1 is not the volume form on slot \(0, 0\)$")):
+        build_hermitian(cm, frame)
+
+
+def test_volume_length_error_names_its_slot(monkeypatch):
+    # negative control: the Gram weights of the top slot (2, 2) doubled,
+    # which ⋆1 does not read
+    cm, frame = _cm_and_frame("filiform-J")
+    gram_diag = HermitianStructure.gram_diag
+    monkeypatch.setattr(HermitianStructure, "gram_diag", lambda hs, p, q: (
+        [2 * w for w in gram_diag(hs, p, q)] if (p, q) == (2, 2)
+        else gram_diag(hs, p, q)))
+    with pytest.raises(ConsistencyError, match=(
+            r"^volume form is not unit length on slot \(2, 2\)$")):
+        build_hermitian(cm, frame)
+
+
+def test_delbar_mub_square_error_names_its_slot(monkeypatch):
+    # negative control: on abelian-m2 every form is mubar-harmonic, and
+    # delbar replaced by all-ones blocks on slots (1, 0) and (1, 1) makes
+    # the square nonzero from slot (1, 0) on; slots (0, 0) and (0, 1),
+    # checked first, are untouched
+    cm, frame = _cm_and_frame("abelian-m2")
+    hs = build_hermitian(cm, frame)
+    block = cm.block
+
+    def tampered(tag, p, q):
+        real = block(tag, p, q)
+        if tag != DELBAR or (p, q) not in ((1, 0), (1, 1)):
+            return real
+        return Matrix(real.rows, real.cols, [[ONE] * real.cols] * real.rows)
+
+    monkeypatch.setattr(cm, "block", tampered)
+    with pytest.raises(ConsistencyError, match=(
+            r"^delbar_mub does not square to zero on slot \(1, 0\)$")):
+        delb_mub(hs)
+
+
 def test_pairwise_orthogonal_flags_a_non_orthogonal_pair():
     hs = builtin_analysis("filiform-J").hs
     e1 = Subspace.from_columns(2, [(ONE, ZERO)])

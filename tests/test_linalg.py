@@ -135,6 +135,60 @@ def test_kernel_read_in_unreversed_order_is_not_canonical():
     assert caught >= 10
 
 
+def _counting_rref(monkeypatch):
+    calls = []
+    rref = kernel.rref
+    monkeypatch.setattr(kernel, "rref", lambda rows, ncols: (
+        calls.append(ncols) or rref(rows, ncols)))
+    return calls
+
+
+def test_kernel_and_span_are_computed_once_per_matrix(monkeypatch):
+    a = rand_low_rank(random.Random(83), 5, 6)
+    calls = _counting_rref(monkeypatch)
+    ker = Subspace.kernel(a)
+    span = Subspace.from_matrix_columns(a)
+    assert len(calls) == 2
+    assert Subspace.kernel(a) is ker
+    assert Subspace.from_matrix_columns(a) is span
+    assert len(calls) == 2
+
+
+def test_equal_matrices_share_no_memo(monkeypatch):
+    # the memo sits on the instance, with no hashing of the entries: an
+    # equal matrix built separately eliminates again
+    a = rand_low_rank(random.Random(89), 5, 6)
+    twin = Matrix(a.rows, a.cols, a.entries)
+    assert twin == a and twin is not a
+    calls = _counting_rref(monkeypatch)
+    ker, span = Subspace.kernel(a), Subspace.from_matrix_columns(a)
+    twin_ker = Subspace.kernel(twin)
+    twin_span = Subspace.from_matrix_columns(twin)
+    assert len(calls) == 4
+    assert twin_ker is not ker and twin_span is not span
+    assert (twin_ker, twin_span) == (ker, span)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_memoised_kernels_and_spans_equal_fresh_ones(seed):
+    # asked in a random order, with the rref cache sometimes filled first,
+    # each memo returns what a fresh copy of the matrix computes
+    rng = random.Random(seed)
+    a = rand_low_rank(rng, rng.randint(0, 7), rng.randint(0, 7))
+    if rng.randint(0, 1):
+        a.rref()
+    for _ in range(3):
+        fresh = Matrix(a.rows, a.cols, a.entries)
+        if rng.randint(0, 1):
+            assert Subspace.kernel(a) == Subspace.kernel(fresh)
+            assert Subspace.kernel(a) == _subspace_oracle.kernel(fresh)
+        else:
+            assert (Subspace.from_matrix_columns(a)
+                    == Subspace.from_matrix_columns(fresh))
+            assert Subspace.from_matrix_columns(a).basis == fresh.rcef()
+
+
 def test_equations_cut_out_the_subspace():
     rng = random.Random(79)
     for n in list(range(8)) * 4:
