@@ -153,12 +153,14 @@ class ComponentMatrices:
 
         Every slot of the grid holds a block for every tag, zero-shaped
         where the target is off the grid; a slot off the grid gives a block
-        with zero columns, so compositions stay well defined.
+        with zero columns, so compositions stay well defined.  It is built
+        once, so routes that read it share its memoised kernel and span.
         """
-        if (p, q) in self.basis.slots:
-            return self._blocks[(tag, p, q)]
-        dp, dq = BIDEGREE[tag]
-        return Matrix.zero(self.basis.dim(p + dp, q + dq), 0)
+        key = (tag, p, q)
+        if key not in self._blocks and (p, q) not in self.basis.slots:
+            dp, dq = BIDEGREE[tag]
+            self._blocks[key] = Matrix.zero(self.basis.dim(p + dp, q + dq), 0)
+        return self._blocks[key]
 
     def target(self, tag, p, q):
         dp, dq = BIDEGREE[tag]

@@ -6,7 +6,8 @@ anywhere.  A rank needs only the forward pass.  Subspaces are kept in
 reduced column echelon form (RCEF), which makes equality of subspaces a
 structural comparison.  The equations of a canonical subspace are read off
 its basis with no elimination, so each Subspace result costs at most one
-elimination: a kernel is one rref with the columns reversed, an
+elimination.  ``Subspace.kernel`` is the one kernel route: one rref with
+the columns reversed, read back as the canonical basis.  An
 intersection is the kernel of both sets of equations stacked, a preimage
 {x : A x in S} is the kernel of (equations of S) @ A, a span is one RCEF,
 and containment is one product with the equations.  Each Matrix keeps
@@ -36,8 +37,8 @@ class LinalgError(ValueError):
 class Matrix:
     """Immutable rows x cols matrix of Scalars."""
 
-    __slots__ = ("rows", "cols", "entries", "_rref", "_pivots", "_kernel",
-                 "_span", "_hash")
+    __slots__ = ("rows", "cols", "entries", "_pivots", "_kernel", "_span",
+                 "_hash")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -46,7 +47,6 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
-        self._rref = None
         self._pivots = None
         self._kernel = None
         self._span = None
@@ -197,16 +197,13 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self):
-        """(reduced row echelon Matrix, pivot column indices); cached."""
-        if self._rref is None:
-            data, pivots = kernel.rref(self.entries, self.cols)
-            self._pivots = tuple(pivots)
-            self._rref = (Matrix(self.rows, self.cols, data), self._pivots)
-        return self._rref
+        """(reduced row echelon Matrix, pivot column indices)."""
+        data, pivots = kernel.rref(self.entries, self.cols)
+        return Matrix(self.rows, self.cols, data), tuple(pivots)
 
     def pivots(self):
-        """Pivot column indices; cached.  Without a cached rref they come
-        from the forward elimination alone."""
+        """Pivot column indices from the forward elimination alone;
+        cached."""
         if self._pivots is None:
             self._pivots = tuple(kernel.echelon(self.entries, self.cols)[1])
         return self._pivots
@@ -222,20 +219,6 @@ class Matrix:
         red, pivots = self.transpose().rref()
         cols = [red.entries[k] for k in range(len(pivots))]
         return Matrix.from_columns(cols, ambient_rows=self.rows)
-
-    def nullspace_matrix(self):
-        """Matrix whose columns form the canonical kernel basis."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivset]
-        cols = []
-        for j in free:
-            v = [ZERO] * self.cols
-            v[j] = ONE
-            for k, pc in enumerate(pivots):
-                v[pc] = -red.entries[k][j]
-            cols.append(v)
-        return Matrix.from_columns(cols, ambient_rows=self.cols)
 
     def solve(self, rhs):
         """X with self @ X = rhs from one rref of [self | rhs], or None when
@@ -347,7 +330,7 @@ class Subspace:
         basis b with no elimination: for each row r that holds no leading
         one, the row e_r - sum_i b[r][i] e_lead(i)."""
         n = self.ambient_dim
-        lead = self._lead_rows()
+        lead = self.lead_rows()
         leads = set(lead)
         eqs = []
         for r, row in enumerate(self.basis.entries):
@@ -361,7 +344,7 @@ class Subspace:
             eqs.append(eq)
         return Matrix(n - self.dim, n, eqs)
 
-    def _lead_rows(self):
+    def lead_rows(self):
         """The rows of the leading ones of the canonical basis, in order;
         restricted to them the basis is the identity."""
         d = self.dim
@@ -411,7 +394,7 @@ def complement_in(inner, outer):
     inner.intersect(result) = 0.
     """
     d = outer.dim
-    lead = outer._lead_rows()[::-1]
+    lead = outer.lead_rows()[::-1]
     coords = [[inner.basis.entries[r][i] for r in lead]
               for i in range(inner.dim)]
     skipped = {d - 1 - p for p in kernel.echelon(coords, d)[1]}

@@ -4,8 +4,8 @@
 differential, the Frolicher pages and the three tables.  It computes each
 table by one route, the Hodge reduction behind the pages: h_dol is its
 first page, the Betti numbers count its unpaired generators (E_inf,
-whatever the page cap) and h_mub reads the ranks of the mubar blocks that
-the reduction's generators already hold.  The harmonic layer, the one
+whatever the page cap) and h_mub reads the mubar kernels memoised by the
+reduction's generators.  The harmonic layer, the one
 stage that needs the metric, is built on the first read of ``Analysis.dmb``.
 ``verification_checks`` evaluates the complete property battery on an
 analysis (exact identities, duality symmetries, and the independent routes
@@ -26,7 +26,7 @@ from . import cohomology, docio, forms, harmonic, liealg, spectral
 from .cohomology import Check, ConsistencyError
 from .forms import DELBAR, MU, MUBAR, PARTIAL
 from .kernel import ONE, ZERO
-from .linalg import Matrix
+from .linalg import Matrix, Subspace
 
 
 @dataclass
@@ -86,13 +86,15 @@ def analyze(spec, max_page=None):
     classification = forms.classify(cm)
     pages = spectral.frolicher_all(cm, max_page=max_page)
     # one route per table: E_1 is Dolbeault cohomology, the unpaired
-    # generators span E_inf, and the mubar ranks are cached by the reduction
+    # generators span E_inf, and the mubar kernels are memoised by the
+    # reduction's generators
     h_dol = pages.reduction.page(1)
     betti = tuple(gaps.count(None) for gaps in pages.reduction.gap)
     h_mub = {}
     for (p, q) in basis.slots:
-        dim = (basis.dim(p, q) - cm.block(MUBAR, p, q).rank()
-               - cm.block(MUBAR, p + 1, q - 2).rank())
+        below = cm.block(MUBAR, p + 1, q - 2)
+        dim = (Subspace.kernel(cm.block(MUBAR, p, q)).dim
+               - (below.cols - Subspace.kernel(below).dim))
         if dim:
             h_mub[(p, q)] = dim
     return Analysis(spec, frame, cm, relations, classification, h_mub,

@@ -4,9 +4,10 @@ Each filtration comes as a basis of every degree adapted to it: F^p is
 spanned by the generators of filtration value >= p.
 
 * Hodge: F^p A^n = (Ker mubar ∩ A^{p,n-p}) ⊕ ⊕_{i>p} A^{i,n-i}.  In slot
-  (p, q) the canonical Ker mubar basis has value p and the unit vectors at
-  the pivot columns of mubar's rref, a complement, have value p - 1.  E_1 is
-  Dolbeault cohomology and the sequence converges to de Rham cohomology.
+  (p, q) the canonical basis of Ker mubar, ``Subspace.kernel``, has value
+  p, and the unit vectors at the rows without its leading ones, a
+  complement, have value p - 1.  E_1 is Dolbeault cohomology and the
+  sequence converges to de Rham cohomology.
 * Shifted: Ft^p A^n = ⊕_{i >= p-n} A^{i,n-i}, the monomial basis with value
   i + n on slot i; E_r^{p,n-p}(F) ≅ E_{r+1}^{p+n,-p}(Ft) for r >= 1.
 
@@ -37,20 +38,22 @@ def hodge_generators(cm, n):
     """(values, basis, coords) of the degree-n Hodge-adapted generators.
 
     ``basis`` holds the generators as columns, in (value, index) order, and
-    ``coords`` is its inverse: a kernel vector's coordinate is its free
-    entry and a pivot unit vector's is the matching rref row.
+    ``coords`` is its exact inverse, read off K = Ker mubar_{p,q} with no
+    further elimination.  K's canonical basis is the identity on its lead
+    rows, where the unit vectors at the other rows vanish: a kernel
+    vector's coordinate is the unit row at its lead row, and the unit
+    vector at row r has as coordinate the equation of K at r.
     """
     total = cm.basis.total_dim(n)
     gens = []
     for p, q, off in cm.basis.slot_offsets(n):
-        red, pivots = cm.block(MUBAR, p, q).rref()
-        ker = cm.block(MUBAR, p, q).nullspace_matrix()
-        free = [j for j in range(ker.rows) if j not in pivots]
-        gens += [(p, _embed(ker.col(k), off, total), _unit(off + j, total))
-                 for k, j in enumerate(free)]
-        gens += [(p - 1, _unit(off + c, total),
-                  _embed(red.entries[k], off, total))
-                 for k, c in enumerate(pivots)]
+        ker = Subspace.kernel(cm.block(MUBAR, p, q))
+        lead = ker.lead_rows()
+        rest = sorted(set(range(ker.ambient_dim)) - set(lead))
+        gens += [(p, _embed(col, off, total), _unit(off + r, total))
+                 for col, r in zip(ker.basis.columns(), lead)]
+        gens += [(p - 1, _unit(off + r, total), _embed(eq, off, total))
+                 for r, eq in zip(rest, ker.equations().entries)]
     gens.sort(key=lambda g: g[0])  # stable: ties keep the index order
     return ([g[0] for g in gens],
             Matrix.from_columns([g[1] for g in gens], ambient_rows=total),
@@ -240,7 +243,7 @@ def explicit_cycles(cm, r, p, q):
         [dim(*slot) for slot in variables],
         {(i, i - t): cm.block(tag, *variables[i - t])
          for i in range(r + 1) for t, tag in enumerate(_CHAIN_TAGS) if t <= i})
-    ker = system.nullspace_matrix()
+    ker = Subspace.kernel(system).basis
     return Subspace.from_matrix_columns(
         Matrix(dim(p, q), ker.cols, ker.entries[:dim(p, q)]))
 
@@ -264,7 +267,8 @@ def explicit_boundaries(cm, r, p, q):
         [dim(p, q)], var_dims,
         {(0, t): cm.block(tag, *slot)
          for t, (tag, slot) in enumerate(zip(_CHAIN_TAGS, variables))})
-    return Subspace.from_matrix_columns(boundary @ system.nullspace_matrix())
+    return Subspace.from_matrix_columns(
+        boundary @ Subspace.kernel(system).basis)
 
 
 def explicit_page(cm, r):
@@ -337,7 +341,7 @@ def witness_independent(cm, dol, p, q):
     if dol.representatives[(p, q)].dim == 0:
         return True
     _, tgt_den = dol.classes(p + 1, q)
-    kernel = cm.block(MUBAR, p + 1, q - 1).nullspace_matrix()
+    kernel = Subspace.kernel(cm.block(MUBAR, p + 1, q - 1)).basis
     return (tgt_den.equations()
             @ (cm.block(DELBAR, p + 1, q - 1) @ kernel)).is_zero()
 

@@ -14,6 +14,7 @@ from acdol.cohomology import (ConsistencyError, consistency_report, de_rham,
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential)
 from acdol.liealg import adapted_frame, complexify, make_spec, validate_spec
+from acdol.spectral import frolicher_all
 from acdol.linalg import Matrix, Subspace
 from conftest import (ORACLE_INPUTS, builtin_analysis, dims_grid, named_spec,
                       random_nilpotent_spec, seeded_rng)
@@ -106,12 +107,13 @@ def test_oracle_routes_take_one_elimination_per_subspace(monkeypatch):
     # image above, the kernel in Ker mubar's coordinates and the
     # denominator span, and the kernel of mubar on each slot and on the
     # off-grid slot below each q = 0 slot.  16 slots at m = 3, 20 kernels.
-    # Each Matrix keeps its kernel and span, so on one cm the second route
-    # takes none for the 16 kernels of mubar on the grid and the 6 images
-    # of the on-grid blocks (p + 1, q - 2) that both routes read; the 10
-    # other images of mub_cohomology are of off-grid blocks, which
-    # cm.block builds afresh on each call.
-    def counts(first, second):
+    # Each Matrix keeps its kernel and span, and cm.block builds each
+    # off-grid block once, so on one cm a later route takes none for the
+    # 16 kernels of mubar on the grid and the 12 images of the blocks
+    # (p + 1, q - 2) with q >= 1 that both oracle routes read, 6 of them
+    # off the grid.  The Hodge generators of frolicher_all take the same
+    # 16 kernels and nothing else.
+    def counts(*routes):
         spec = validate_spec(random_nilpotent_spec(seeded_rng(1), 3))
         cm = build_differential(complexify(spec, adapted_frame(spec)),
                                 build_basis(3))
@@ -125,15 +127,18 @@ def test_oracle_routes_take_one_elimination_per_subspace(monkeypatch):
             return wrapper
 
         with monkeypatch.context() as patch:
-            for route in (first, second):
+            for route in routes:
                 patch.setattr(kernel, "rref", counted(route.__name__))
                 route(cm)
         return calls
 
     assert counts(mub_cohomology, dolbeault) == {
-        "mub_cohomology": 2 * 16, "dolbeault": 3 * 16 + 20 - 16 - 6}
+        "mub_cohomology": 2 * 16, "dolbeault": 3 * 16 + 20 - 16 - 12}
     assert counts(dolbeault, mub_cohomology) == {
-        "dolbeault": 3 * 16 + 20, "mub_cohomology": 2 * 16 - 16 - 6}
+        "dolbeault": 3 * 16 + 20, "mub_cohomology": 2 * 16 - 16 - 12}
+    assert counts(frolicher_all, dolbeault, mub_cohomology) == {
+        "frolicher_all": 16, "dolbeault": 3 * 16 + 20 - 16,
+        "mub_cohomology": 2 * 16 - 16 - 12}
 
 
 def test_dolbeault_two_routes_agree_on_random_specs():
@@ -204,10 +209,8 @@ def test_integrable_case_reduces_to_classical_dolbeault():
     # Im(delbar); abelian: everything
     an = builtin_analysis("kt-Jprime")
     cm = an.cm
-    from acdol.linalg import Subspace
     for (p, q) in cm.basis.slots:
-        ker = Subspace.from_matrix_columns(
-            cm.block("delbar", p, q).nullspace_matrix())
+        ker = Subspace.kernel(cm.block("delbar", p, q))
         img = Subspace.from_matrix_columns(cm.block("delbar", p, q - 1))
         assert an.h_dol.get((p, q), 0) == ker.dim - img.dim
 

@@ -9,6 +9,7 @@ from acdol import catalog, docio
 from acdol.cohomology import (ConsistencyError, de_rham, dolbeault,
                               mub_cohomology)
 from acdol.forms import DELBAR, MUBAR, build_basis, build_differential
+from acdol.kernel import ONE, ZERO
 from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
                           validate_spec)
 from acdol.linalg import Matrix, Subspace
@@ -17,8 +18,10 @@ from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_page,
                             frolicher_all, hodge_generators, infinity_vs_betti,
                             reduce_filtration, shifted_generators,
                             witness_independent)
-from conftest import (builtin_analysis, dims_grid, random_nilpotent_spec,
-                      seeded_rng)
+from conftest import (ORACLE_INPUTS, builtin_analysis, dims_grid,
+                      random_nilpotent_spec, seeded_rng)
+from test_cohomology import NON_UNIMODULAR, _cm_of
+from test_linalg import _subspace_oracle
 
 E2_TABLES = {
     "filiform-J": ((1, 1, 0), (1, 2, 1), (0, 1, 1)),
@@ -57,6 +60,104 @@ def test_filtration_structure_checked_on_build():
         reduce_filtration(an.cm, _column_generators)
     # on an integrable structure mubar vanishes and the columns filter
     reduce_filtration(builtin_analysis("kt-Jprime").cm, _column_generators)
+
+
+# -- the Hodge generators read off the canonical Ker mubar ---------------------
+
+
+def _generators_from(slot_parts):
+    """A generator function for ``reduce_filtration`` built slot by slot:
+    ``slot_parts(block)`` takes mubar on slot (p, q) and returns its value-p
+    and value-(p - 1) generators, each a list of (vector, coordinate row)
+    in the slot's coordinates."""
+    def generators(cm, n):
+        total = cm.basis.total_dim(n)
+        gens = []
+        for p, q, off in cm.basis.slot_offsets(n):
+            kept, complement = slot_parts(cm.block(MUBAR, p, q))
+            gens += [(v, _embedded(vec, off, total), _embedded(row, off, total))
+                     for v, part in ((p, kept), (p - 1, complement))
+                     for vec, row in part]
+        gens.sort(key=lambda g: g[0])
+        return ([g[0] for g in gens],
+                Matrix.from_columns([g[1] for g in gens], ambient_rows=total),
+                Matrix.from_rows([g[2] for g in gens]))
+    return generators
+
+
+def _embedded(vec, off, size):
+    out = [ZERO] * size
+    out[off:off + len(vec)] = vec
+    return out
+
+
+def _unit(i, size):
+    return _embedded([ONE], i, size)
+
+
+@_generators_from
+def _oracle_hodge_generators(block):
+    """The oracle: the rref kernel basis of ``_subspace_oracle`` with its
+    entries at the free columns as coordinates, and the unit vectors at
+    the pivot columns of mubar's rref with the rref rows as coordinates."""
+    red, pivots = block.rref()
+    ker = _subspace_oracle.nullspace_matrix(block)
+    free = [j for j in range(block.cols) if j not in pivots]
+    return ([(ker.col(k), _unit(j, block.cols)) for k, j in enumerate(free)],
+            [(_unit(c, block.cols), red.entries[k])
+             for k, c in enumerate(pivots)])
+
+
+@_generators_from
+def _forward_pivot_complement(block):
+    """A wrong mix: K = Ker mubar with the unit rows at its lead rows as
+    coordinates, and the equations of K as the coordinates of the unit
+    vectors at the pivot columns of the forward rref, not at the rows
+    without K's leading ones."""
+    ker = Subspace.kernel(block)
+    return ([(col, _unit(r, block.cols))
+             for col, r in zip(ker.basis.columns(), ker.lead_rows())],
+            [(_unit(c, block.cols), eq)
+             for c, eq in zip(block.rref()[1], ker.equations().entries)])
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + sorted(NON_UNIMODULAR))
+def test_hodge_generators_read_off_the_canonical_kernel(name):
+    # coords inverts basis, and the value-p generators supported on slot
+    # (p, q) are the columns of the canonical Ker mubar_{p,q}, in order
+    cm = _cm_of(name)
+    for n in range(2 * cm.m + 1):
+        values, basis, coords = hodge_generators(cm, n)
+        assert values == sorted(values)
+        assert coords @ basis == Matrix.identity(basis.cols)
+        for p, q, off in cm.basis.slot_offsets(n):
+            ker = Subspace.kernel(cm.block(MUBAR, p, q)).basis
+            inside = [col[off:off + ker.rows]
+                      for col, v in zip(basis.columns(), values)
+                      if v == p and any(col[off:off + ker.rows])]
+            assert Matrix.from_columns(inside, ker.rows) == ker
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + sorted(NON_UNIMODULAR))
+def test_hodge_pages_equal_the_oracle_generators_pages(name):
+    cm = _cm_of(name)
+    got = reduce_filtration(cm, hodge_generators)
+    want = reduce_filtration(cm, _oracle_hodge_generators)
+    for r in range(2 * cm.m + 3):
+        assert got.page(r) == want.page(r), "page %d" % r
+
+
+def test_complement_at_the_forward_pivots_is_not_inverted():
+    # negative control: K's equations invert only the unit vectors at the
+    # rows without K's leading ones
+    broken = []
+    for name in ORACLE_INPUTS:
+        cm = _cm_of(name)
+        for n in range(2 * cm.m + 1):
+            _, basis, coords = _forward_pivot_complement(cm, n)
+            if coords @ basis != Matrix.identity(basis.cols):
+                broken.append((name, n))
+    assert len(broken) >= 10, broken
 
 
 def test_hodge_filtration_abelian_is_column_truncation():
@@ -147,10 +248,8 @@ def test_bottom_row_first_page_is_kernel_intersection():
         an = builtin_analysis(name)
         cm = an.cm
         for p in range(an.m + 1):
-            ker = Subspace.from_matrix_columns(
-                cm.block(DELBAR, p, 0).nullspace_matrix()).intersect(
-                Subspace.from_matrix_columns(
-                    cm.block(MUBAR, p, 0).nullspace_matrix()))
+            ker = Subspace.kernel(cm.block(DELBAR, p, 0)).intersect(
+                Subspace.kernel(cm.block(MUBAR, p, 0)))
             assert an.pages.dims(1).get((p, 0), 0) == ker.dim
 
 
@@ -237,7 +336,7 @@ def test_witness_independence_flags_a_missing_coboundary():
         den = dol.denominators.get((p + 1, q))
         shifts = Subspace.from_matrix_columns(
             cm.block(DELBAR, p + 1, q - 1)
-            @ cm.block(MUBAR, p + 1, q - 1).nullspace_matrix())
+            @ _subspace_oracle.nullspace_matrix(cm.block(MUBAR, p + 1, q - 1)))
         if rep.dim and den is not None and shifts.dim:
             break
     else:
