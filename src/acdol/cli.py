@@ -12,6 +12,9 @@ Subcommands; each computes only what it prints, with its own checks:
     example   print a built-in input document as JSON
     list      list built-in example names
 
+An input is converted by ``docio.to_spec`` and validated once, by
+``pipeline.analyze`` as its first stage, after any metric repair.
+
 Exit codes: 0 success, 1 invalid input, 2 internal consistency failure (a
 failed check of the command, or an exact identity that fails while
 computing what it prints).
@@ -65,7 +68,7 @@ def _load_spec(args):
     if args.example is not None:
         doc = catalog.builtin(args.example)
     else:
-        # validated once, by to_spec, after any metric repair
+        # validated once, by pipeline.analyze, after any metric repair
         with open(args.input, "rb") as fh:
             doc = docio.parse_document(fh.read(), validate=False)
     return docio.to_spec(doc, average_metric=args.averaged_metric)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .liealg import LieAlgebraError, make_spec, validate_spec
+from .liealg import LieAlgebraError, averaged_metric, make_spec, validate_spec
 
 
 class DocumentError(ValueError):
@@ -69,9 +69,10 @@ def parse_document(text, validate=True):
     """Parse bytes or str into a validated input document (a plain dict).
 
     Syntax errors carry line/column from the JSON parser; schema errors name
-    the offending path.  The parsed algebra is fully validated unless
-    ``validate`` is false, for a caller that validates through ``to_spec``
-    itself, after any metric repair.
+    the offending path.  The algebra of the parsed document is fully
+    validated, with a failure raised as DocumentError, unless ``validate``
+    is false, for a caller that validates later, after any metric repair,
+    as ``pipeline.analyze`` does.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -148,7 +149,10 @@ def parse_document(text, validate=True):
             raise DocumentError("frame_seeds must list indices in 1..%d" % dim)
         doc["frame_seeds"] = list(seeds)
     if validate:
-        to_spec(doc)  # full validation; raises DocumentError on failure
+        try:
+            validate_spec(to_spec(doc))
+        except LieAlgebraError as exc:
+            raise DocumentError(str(exc)) from None
     return doc
 
 
@@ -168,10 +172,10 @@ def document_to_json(doc):
 
 
 def to_spec(doc, average_metric=False):
-    """Input document -> validated LieAlgebraSpec.
+    """Input document -> LieAlgebraSpec, converted but not validated:
+    ``pipeline.analyze`` validates it as its first stage.
 
-    With ``average_metric`` the metric is replaced by (g + J^t g J)/2
-    before validation.
+    With ``average_metric`` the metric is replaced by (g + J^t g J)/2.
     """
     brackets = {}
     for entry in doc["brackets"]:
@@ -201,9 +205,8 @@ def to_spec(doc, average_metric=False):
             name=doc.get("name", ""),
         )
         if average_metric:
-            from .liealg import averaged_metric
             spec = averaged_metric(spec)
-        return validate_spec(spec)
+        return spec
     except LieAlgebraError as exc:
         raise DocumentError(str(exc)) from None
 

@@ -335,7 +335,12 @@ class ComplexStructureConstants:
 
 
 def complexify(spec, frame):
-    """Expand complexified brackets exactly in the adapted frame basis."""
+    """Expand complexified brackets exactly in the adapted frame basis.
+
+    ``spec`` must be validated: the pairs u < v are bracketed and the rest
+    of the table follows by antisymmetry.  The conjugation symmetry is
+    checked on every (u, v, w).
+    """
     n = spec.dim
     m = frame.m
     w_vecs = list(frame.vectors) + [tuple(e.conj() for e in z)
@@ -358,10 +363,12 @@ def complexify(spec, frame):
                     out[k] = out[k] + uv * cij
         return tuple(out)
 
-    table = [[None] * (2 * m) for _ in range(2 * m)]
+    zero = (ZERO,) * (2 * m)
+    table = [[zero] * (2 * m) for _ in range(2 * m)]
     for u in range(2 * m):
-        for v in range(2 * m):
+        for v in range(u + 1, 2 * m):
             table[u][v] = Pinv.apply(bracket(w_vecs[u], w_vecs[v]))
+            table[v][u] = tuple(-c for c in table[u][v])
     # conjugation symmetry is forced by realness of the input constants
     for u in range(2 * m):
         for v in range(2 * m):

@@ -73,8 +73,10 @@ class Analysis:
 
 
 def analyze(spec, max_page=None):
-    """Run the metric-free stages; raises on invalid input or on any
-    internal exact-identity failure among them."""
+    """Run the metric-free stages, validating ``spec`` as the first, so a
+    converted spec (``docio.to_spec``) needs no validation before; raises
+    on invalid input or on any internal exact-identity failure among
+    them."""
     spec = liealg.validate_spec(spec)
     frame = liealg.adapted_frame(spec)
     basis = forms.build_basis(spec.m)
@@ -93,8 +95,9 @@ def analyze(spec, max_page=None):
     h_mub = {}
     for (p, q) in basis.slots:
         below = cm.block(MUBAR, p + 1, q - 2)
-        dim = (Subspace.kernel(cm.block(MUBAR, p, q)).dim
-               - (below.cols - Subspace.kernel(below).dim))
+        # a block below from off the grid has no columns: rank 0 by shape
+        rank = below.cols and below.cols - Subspace.kernel(below).dim
+        dim = Subspace.kernel(cm.block(MUBAR, p, q)).dim - rank
         if dim:
             h_mub[(p, q)] = dim
     return Analysis(spec, frame, cm, relations, classification, h_mub,
@@ -179,21 +182,20 @@ def verification_checks(an):
     # Frolicher inequality, Euler characteristic, Serre duality
     checks.extend(cohomology.consistency_report(an.h_dol, an.betti, m))
 
-    # spectral pages
+    # spectral pages, each page read once: dims[r] is E_r
     pages = an.pages
-    ok = all(pages.dims(1).get((p, q), 0) == dol.dim(p, q)
+    dims = [None] + [pages.dims(r) for r in range(1, pages.limit_page + 1)]
+    ok = all(dims[1].get((p, q), 0) == dol.dim(p, q)
              for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("first_page_equals_dolbeault", ok))
     checks.extend(spectral.infinity_vs_betti(pages, cohomology.de_rham(cm)))
-    ok = True
-    for r in range(1, pages.limit_page):
-        for key, val in pages.dims(r + 1).items():
-            if val > pages.dims(r).get(key, 0):
-                ok = False
+    ok = all(val <= cur.get(key, 0)
+             for cur, nxt in zip(dims[1:], dims[2:])
+             for key, val in nxt.items())
     checks.append(Check("page_dims_weakly_decrease", ok))
     if pages.limit_page >= 2:
         checks.append(Check("e2_corner_is_one",
-                            pages.dims(2).get((0, 0), 0) == 1))
+                            dims[2].get((0, 0), 0) == 1))
     else:
         checks.append(Check("e2_corner_is_one", True,
                             "skipped: page iteration capped", skipped=True))
@@ -210,7 +212,7 @@ def verification_checks(an):
     detail = ""
     for r in range(1, min(4, pages.limit_page) + 1):
         exp = spectral.explicit_page(cm, r)
-        gen = {k: v for k, v in pages.dims(r).items() if v}
+        gen = {k: v for k, v in dims[r].items() if v}
         if exp != gen:
             ok = False
             detail = "page %d differs" % r

@@ -123,30 +123,41 @@ def test_verify_jacobi_violation_exit_1(tmp_path):
     assert out == ""
 
 
-def test_pages_validates_its_file_twice(tmp_path, monkeypatch):
-    # once in to_spec, once in analyze: parsing does not validate again
-    calls = []
+@pytest.mark.parametrize("command", ["pages", "harmonic", "analyze",
+                                     "verify"])
+def test_every_subcommand_validates_its_file_once(tmp_path, monkeypatch,
+                                                  command):
+    # the input once, by analyze: neither parsing nor to_spec validates;
+    # the battery's metric probe validates each probed metric, a spec with
+    # another metric, once more
+    specs = []
     validate = liealg.validate_spec
 
     def counted(spec):
-        calls.append(spec.name)
+        specs.append(spec)
         return validate(spec)
 
     monkeypatch.setattr(liealg, "validate_spec", counted)
     monkeypatch.setattr(docio, "validate_spec", counted)
     path = tmp_path / "kt.json"
     path.write_text(json.dumps(catalog.builtin("kt-J")))
-    code, _, _ = run_cli(["pages", str(path), "--format", "json"])
+    code, _, _ = run_cli([command, str(path), "--format", "json"])
     assert code == 0
-    assert calls == ["kt-J", "kt-J"]
+    probed = len(pipeline.probe_metrics(specs[0])) if command in (
+        "analyze", "verify") else 0
+    assert [s.name for s in specs] == ["kt-J"] * (1 + probed)
+    assert [s.metric == specs[0].metric for s in specs] == (
+        [True] + [False] * probed)
 
 
-def test_pages_jacobi_violation_exit_1_names_the_triple(tmp_path):
+@pytest.mark.parametrize("command", ["pages", "harmonic", "analyze",
+                                     "verify"])
+def test_jacobi_violation_exits_1_naming_the_triple(tmp_path, command):
     doc = catalog.builtin("filiform-J")
     doc["brackets"].append({"i": 2, "j": 3, "coeffs": {"2": "1"}})
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(["pages", str(path)])
+    code, out, err = run_cli([command, str(path)])
     assert code == 1
     assert err == "error: Jacobi identity fails on triple (X1, X2, X3)\n"
     assert out == ""

@@ -8,6 +8,7 @@ from acdol import catalog, docio, pipeline
 from acdol.docio import (DocumentError, document_to_json, parse_document,
                          parse_rational, render,
                          result_to_json, table_from_json, table_to_json)
+from acdol.liealg import LieAlgebraError, validate_spec
 from conftest import builtin_analysis
 
 
@@ -33,7 +34,7 @@ def test_builtin_documents_round_trip():
         parsed = parse_document(text)
         assert parsed["dim"] == doc["dim"]
         assert parsed["name"] == name
-        docio.to_spec(parsed)  # validates
+        validate_spec(docio.to_spec(parsed))
 
 
 def test_parse_rejects_unknown_field():
@@ -74,6 +75,14 @@ def test_parse_propagates_validation():
     doc["brackets"].append({"i": 2, "j": 3, "coeffs": {"2": "1"}})
     with pytest.raises(DocumentError, match="Jacobi"):
         parse_document(json.dumps(doc))
+
+
+def test_to_spec_converts_and_analyze_validates():
+    doc = catalog.builtin("filiform-J")
+    doc["brackets"].append({"i": 2, "j": 3, "coeffs": {"2": "1"}})
+    spec = docio.to_spec(doc)
+    with pytest.raises(LieAlgebraError, match="Jacobi"):
+        pipeline.analyze(spec)
 
 
 def test_parse_rejects_duplicate_bracket():

@@ -7,7 +7,7 @@ import pytest
 from acdol import catalog
 from acdol.forms import (BIDEGREE, DELBAR, INTEGRABLE, INTERMEDIATE,
                          MAXIMALLY_NON_INTEGRABLE, MU, MUBAR, PARTIAL,
-                         build_basis, build_differential,
+                         RELATIONS, build_basis, build_differential,
                          classify, conjugation_matrix, is_integrable,
                          nijenhuis_operator, verify_relations,
                          wedge_monomials)
@@ -244,6 +244,92 @@ def test_random_specs_relations_hold():
         csc = complexify(spec, adapted_frame(spec))
         cm = build_differential(csc, build_basis(2))
         assert all(ok for _, _, ok in verify_relations(cm))
+
+
+# -- verify_relations against the term-by-term formula -----------------------
+
+# the terms of each identity of RELATIONS as (outer, inner) block pairs:
+# the labelled oracle's own copy, as production reads only the names
+_RELATION_TERMS = (
+    ((MU, MU),),
+    ((MU, PARTIAL), (PARTIAL, MU)),
+    ((MU, DELBAR), (DELBAR, MU), (PARTIAL, PARTIAL)),
+    ((MU, MUBAR), (PARTIAL, DELBAR), (DELBAR, PARTIAL), (MUBAR, MU)),
+    ((MUBAR, PARTIAL), (PARTIAL, MUBAR), (DELBAR, DELBAR)),
+    ((MUBAR, DELBAR), (DELBAR, MUBAR)),
+    ((MUBAR, MUBAR),),
+)
+
+
+def _relations_oracle(cm):
+    """Oracle of ``verify_relations``: each identity on each slot as the
+    sum of its block products, one product per term."""
+    report = []
+    for name, terms in zip(RELATIONS, _RELATION_TERMS):
+        for (p, q) in sorted(cm.basis.slots):
+            total = None
+            for outer, inner in terms:
+                prod = (cm.block(outer, *cm.target(inner, p, q))
+                        @ cm.block(inner, p, q))
+                total = prod if total is None else total + prod
+            report.append((name, (p, q), total.is_zero()))
+    return report
+
+
+def _named_cm(name):
+    spec = validate_spec(named_spec(name))
+    return build_differential(complexify(spec, adapted_frame(spec)),
+                              build_basis(spec.m))
+
+
+def _corrupted(cm, tag, p, q):
+    """A copy of ``cm`` with entry (0, 0) of one block raised by one."""
+    blocks = {key: cm.block(*key) for key in
+              ((t, a, b) for t in BIDEGREE for (a, b) in cm.basis.slots)}
+    bad = blocks[(tag, p, q)]
+    data = [list(row) for row in bad.entries]
+    data[0][0] = data[0][0] + ONE
+    blocks[(tag, p, q)] = Matrix(bad.rows, bad.cols, data)
+    return type(cm)(cm.basis, blocks)
+
+
+def test_relation_terms_are_the_pairs_of_each_bidegree():
+    # identity k holds every ordered pair of components of total bidegree
+    # (4 - k, k - 2), each once
+    assert len(RELATIONS) == len(_RELATION_TERMS) == 7
+    for k, terms in enumerate(_RELATION_TERMS):
+        want = {(a, b) for a in BIDEGREE for b in BIDEGREE
+                if (BIDEGREE[a][0] + BIDEGREE[b][0],
+                    BIDEGREE[a][1] + BIDEGREE[b][1]) == (4 - k, k - 2)}
+        assert sorted(terms) == sorted(want)
+
+
+@pytest.mark.parametrize("name", catalog.builtin_names() + [
+    "random-m2-seed1", "random-m2-seed2", "random-m3-seed1",
+    "random-m3-seed2"])
+def test_relations_equal_the_term_by_term_oracle(name):
+    cm = _named_cm(name)
+    report = verify_relations(cm)
+    assert report == _relations_oracle(cm)
+    assert len(report) == 7 * len(cm.basis.slots)
+
+
+# each tag on slot (1, 1), and the two blocks into the top slot (m, m),
+# which only the product of degree 2m - 2 reaches
+CORRUPTIONS = [(tag, lambda m: (1, 1)) for tag in (MUBAR, DELBAR, PARTIAL, MU)
+               ] + [(DELBAR, lambda m: (m, m - 1)),
+                    (PARTIAL, lambda m: (m - 1, m))]
+
+
+@pytest.mark.parametrize("tag, slot", CORRUPTIONS, ids=[
+    "mubar", "delbar", "partial", "mu", "delbar-top", "partial-top"])
+@pytest.mark.parametrize("name", ["su2su2-nk", "random-m3-seed1"])
+def test_relations_of_a_corrupted_block_equal_the_oracle(name, tag, slot):
+    cm = _named_cm(name)
+    corrupted = _corrupted(cm, tag, *slot(cm.m))
+    report = verify_relations(corrupted)
+    assert report == _relations_oracle(corrupted)
+    assert not all(ok for _, _, ok in report)
 
 
 def test_nijenhuis_examples():

@@ -21,8 +21,9 @@ from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import (adapted_frame, complexify, make_spec,
                           orthogonal_frame, validate_spec)
 from acdol.linalg import Matrix, Subspace
-from conftest import (ORACLE_INPUTS, builtin_analysis, dims_grid, named_spec,
-                      random_nilpotent_spec, seeded_rng)
+from conftest import (ORACLE_INPUTS, builtin_analysis, dims_grid,
+                      named_analysis, named_spec, random_nilpotent_spec,
+                      seeded_rng)
 
 
 def test_star_m1_volume():
@@ -496,23 +497,32 @@ def test_mub_decomposition_su2su2_middle_slot():
     assert an.hs.harmonic(MUBAR)[(1, 1)].dim == 8
 
 
+def _frames_analysis(name):
+    """``named_analysis(name)``; random-m3-seed1 is the one input here whose
+    harmonic frame is not its plain frame, so that its harmonic layer has a
+    differential of its own."""
+    an = named_analysis(name)
+    assert (an.hs.cm is not an.cm) == (name == "random-m3-seed1")
+    return an
+
+
 def test_mub_decomposition_projector():
     """H C is the projector onto H_mubar along the two images: the harmonic
     coordinates C give C H = I, C Im mubar = 0 and C Im mubar* = 0 on
     every slot."""
-    an = builtin_analysis("su2su2-nk")
-    hs = an.hs
-    for (p, q), coords in an.dmb.coords.items():
-        h = hs.harmonic(MUBAR)[(p, q)]
-        assert coords @ h.basis == Matrix.identity(h.dim)
-        assert (coords @ hs.cm.block(MUBAR, p + 1, q - 2)).is_zero()
-        assert (coords @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
+    for name in ("su2su2-nk", "random-m3-seed1"):
+        an = _frames_analysis(name)
+        hs = an.hs
+        for (p, q), coords in an.dmb.coords.items():
+            h = hs.harmonic(MUBAR)[(p, q)]
+            assert coords @ h.basis == Matrix.identity(h.dim)
+            assert (coords @ hs.cm.block(MUBAR, p + 1, q - 2)).is_zero()
+            assert (coords @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
 
 
 def test_delb_mub_squares_to_zero_everywhere():
-    for name in catalog.builtin_names():
-        an = builtin_analysis(name)
-        op = an.dmb.op
+    for name in catalog.builtin_names() + ["random-m3-seed1"]:
+        op = _frames_analysis(name).dmb.op
         for (p, q), mat in op.items():
             nxt = op.get((p, q + 1))
             if nxt is not None and mat.cols and nxt.rows:
@@ -520,9 +530,10 @@ def test_delb_mub_squares_to_zero_everywhere():
 
 
 @pytest.mark.parametrize("name", ["filiform-J", "kt-J", "kt-Jprime",
-                                  "su2su2-nk", "abelian-m2", "abelian-m3"])
+                                  "su2su2-nk", "abelian-m2", "abelian-m3",
+                                  "random-m3-seed1"])
 def test_delb_mub_cohomology_and_harmonics_match_dolbeault(name):
-    an = builtin_analysis(name)
+    an = _frames_analysis(name)
     checks = delb_mub_checks(an.dmb, an.h_dol)
     assert all(c.passed for c in checks)
     grid = dims_grid(an.dmb.harmonic_dims(), an.m)

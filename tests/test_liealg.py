@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from acdol import catalog, docio
-from acdol.kernel import Scalar
+from acdol.kernel import ZERO, Scalar
 from acdol.liealg import (LieAlgebraError, adapted_frame, averaged_metric,
                           complexify, make_spec, validate_spec)
-from conftest import random_nilpotent_spec, seeded_rng
+from acdol.linalg import Matrix
+from conftest import named_spec, random_nilpotent_spec, seeded_rng
 
 J_PAIRS_4 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
@@ -316,3 +317,35 @@ def test_complexify_conjugation_symmetry_random():
                     cu, cv, cw = ((u + spec.m) % two_m, (v + spec.m) % two_m,
                                   (w + spec.m) % two_m)
                     assert csc.table[cu][cv][cw] == csc.table[u][v][w].conj()
+
+
+def _complexify_oracle(spec, frame):
+    """Oracle of ``complexify``: every one of the (2m)^2 brackets
+    [W_u, W_v] = sum_{i,j} u_i v_j [e_i, e_j], expanded in the frame by
+    the inverse of the frame matrix."""
+    n = spec.dim
+    w_vecs = list(frame.vectors) + [tuple(c.conj() for c in z)
+                                    for z in frame.vectors]
+    p_inv = Matrix.from_columns(w_vecs).inverse()
+    table = []
+    for u in w_vecs:
+        row = []
+        for v in w_vecs:
+            br = [ZERO] * n
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        br[k] = br[k] + u[i] * v[j] * Scalar.from_rational(
+                            spec.brackets[i][j][k])
+            row.append(p_inv.apply(br))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("name", catalog.builtin_names() + [
+    "s3s3-nk", "solvable-m2", "random-m2-seed1", "random-m3-seed1",
+    "random-m4-seed11"])
+def test_complexify_equals_the_full_bracket_loop(name):
+    spec = validate_spec(named_spec(name))
+    frame = adapted_frame(spec)
+    assert complexify(spec, frame).table == _complexify_oracle(spec, frame)
