@@ -44,8 +44,14 @@ of ``HermitianStructure`` (the stacked [d; d*] included, one per degree)
 in the instance, so a layer's cache is freed with it; ``delb_mub`` stores
 the harmonic coordinates and the delbar_mub-harmonic space of every slot
 on its ``DelbMub``, and the battery, the nearly Kahler checks and the
-metric probe read that ``DelbMub``; the probe builds a layer only for
-each other metric.
+metric probe read that ``DelbMub``.  Every layer comes from one route,
+``hermitian_layer``: it Gram-Schmidts a frame for the layer's metric and
+builds a differential only when that moves the frame vectors.  The
+analysis starts it from the plain frame; the probe builds a layer only for
+each other metric, started from the analysis's harmonic frame, so while
+that frame stays orthogonal, as it does for a multiple of g, the probe's
+layer runs on the analysis's differential and reads its memoised spans and
+kernels.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import forms
+from . import forms, liealg
 from .cohomology import (Check, ConsistencyError, cohomology_dims_of_operator,
                          top_cohomology_is_line)
 from .forms import BIDEGREE, CONJUGATE_TAG, DELBAR, MU, MUBAR, PARTIAL
@@ -286,6 +292,22 @@ def build_hermitian(cm, frame):
     return HermitianStructure(cm, frame)
 
 
+def hermitian_layer(spec, frame, cm):
+    """The Hermitian layer of ``spec``'s metric, the one route to it.
+
+    Gram-Schmidts ``frame``, whose differential is ``cm``, for that metric
+    (``liealg.orthogonal_frame``), and builds the differential anew only
+    when the frame vectors move; the weights follow the metric either
+    way.  A frame already g-orthogonal keeps ``cm`` with its memoised
+    spans and kernels.
+    """
+    hframe = liealg.orthogonal_frame(spec, frame)
+    if hframe.vectors != frame.vectors:
+        cm = forms.build_differential(liealg.complexify(spec, hframe),
+                                      cm.basis)
+    return build_hermitian(cm, hframe)
+
+
 # -- mubar Hodge decomposition ------------------------------------------------
 
 
@@ -488,18 +510,15 @@ def metric_independence_probe(spec, dmb, metrics):
     the input metric, with those of a layer built for each of ``metrics``.
 
     Returns (list of dims dicts, the input metric's first; Check).  All
-    dims agree, as each is h_dol; the probe validates each metric first.
+    dims agree, as each is h_dol.  The probe validates each metric and
+    builds its layer by ``hermitian_layer`` from the harmonic frame of
+    ``dmb``, so a metric for which that frame is already orthogonal reads
+    the same differential and its memoised kernels.
     """
-    from . import liealg
-    from .forms import build_basis, build_differential
-
     runs = [dmb.harmonic_dims()]
     for g in metrics:
         variant = liealg.validate_spec(spec.with_metric(g))
-        frame = liealg.orthogonal_frame(variant, liealg.adapted_frame(variant))
-        csc = liealg.complexify(variant, frame)
-        cm = build_differential(csc, build_basis(variant.m))
-        hs = build_hermitian(cm, frame)
+        hs = hermitian_layer(variant, dmb.hs.frame, dmb.hs.cm)
         runs.append(delb_mub(hs).harmonic_dims())
     agree = all(r == runs[0] for r in runs[1:])
     return runs, Check("metric_independent_harmonic_dims", agree,

@@ -4,19 +4,24 @@ The input is a real Lie algebra of even dimension 2m given by structure
 constants, an endomorphism J with J^2 = -1, and an optional inner product
 (default: identity Gram matrix).  Validation is exact: the Jacobi identity,
 J^2 = -1, and metric symmetry/positivity/J-invariance are all checked over
-the rationals, and any failure is reported with the offending data.
+the rationals, and any failure is reported with the offending data.  J and
+g are cleared to integer matrices once, over their least common
+denominators, and checked there.
 
 From a validated algebra we build an adapted complex frame Z_j = X_j - i J X_j
 spanning the +i eigenspace of J, and expand all Lie brackets of frame vectors
-exactly in the frame basis.
+exactly in the frame basis.  The frame arithmetic skips zero terms, and the
+brackets are summed and expanded as Gaussian integers over one common
+denominator, each table entry normalised once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
-from .kernel import ZERO, from_rational
+from .kernel import ZERO, Scalar, from_rational
 from .linalg import Matrix, Subspace
 
 
@@ -119,13 +124,34 @@ def averaged_metric(spec):
     return spec.with_metric(avg)
 
 
+def _cleared(rows):
+    """(integer rows, d) with rows = integer rows / d, d > 0 the least
+    common denominator of the entries."""
+    d = 1
+    for row in rows:
+        for x in row:
+            if d % x.denominator:
+                d = lcm(d, x.denominator)
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in rows], d
+
+
 def validate_spec(spec):
     """Check every structural invariant exactly; returns the spec unchanged.
 
     Raises LieAlgebraError naming the first failure: odd dimension, a broken
     antisymmetry or Jacobi triple, J^2 != -1, or a bad metric.  The Jacobi
-    sums run over the nonzero structure constants only; the J and metric
-    checks are O(n^3): two sparse products and one elimination.
+    sums run over the nonzero structure constants only.  J and g are
+    cleared once to integer matrices d J and e g, and checked there by two
+    integer products and one elimination:
+
+    - J^2 = -1 is (d J)^2 = -d^2 I, entry by entry;
+    - positivity reads the leading minors of e g, which have the signs of
+      g's, as the pivots of fraction-free (Bareiss) elimination, so the
+      first minor that is not positive is named;
+    - J-compatibility J^t g J = g is "g J is antisymmetric": given
+      J^2 = -1 and g symmetric, J^t g J = g holds exactly when
+      J^t g J J = g J, that is when -J^t g = (g J)^t equals -g J.
     """
     n = spec.dim
     if n < 2 or n % 2 != 0:
@@ -161,35 +187,38 @@ def validate_spec(spec):
     J = spec.J
     if len(J) != n or any(len(row) != n for row in J):
         raise LieAlgebraError("J must be a %d x %d matrix" % (n, n))
-    for i, row in enumerate(_product(J, J)):
+    jn, d = _cleared(J)
+    for i, row in enumerate(_product(jn, jn)):
         for j, jj in enumerate(row):
-            if jj != (-1 if i == j else 0):
+            if jj != (-d * d if i == j else 0):
                 raise LieAlgebraError("J^2 != -Identity at entry (%d, %d)"
                                       % (i + 1, j + 1))
     g = spec.metric
     if len(g) != n or any(len(row) != n for row in g):
         raise LieAlgebraError("metric must be a %d x %d matrix" % (n, n))
+    gn, _ = _cleared(g)
     for i in range(n):
         for j in range(n):
-            if g[i][j] != g[j][i]:
+            if gn[i][j] != gn[j][i]:
                 raise LieAlgebraError("metric is not symmetric at (%d, %d)"
                                       % (i + 1, j + 1))
-    # elimination without pivoting: while pivots 1..k are positive, leading
-    # minor k + 1 is their product times pivot k + 1, so it is positive
-    # exactly when that pivot is
-    a = [list(row) for row in g]
+    # Bareiss: after step k - 1 the pivot a[k][k] is leading minor k + 1,
+    # and each division by the previous pivot (a positive minor) is exact
+    a = [list(row) for row in gn]
+    prev = 1
     for k in range(n):
         pivot = a[k][k]
         if pivot <= 0:
             raise LieAlgebraError(
                 "metric is not positive definite (leading minor %d)" % (k + 1))
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            if f:
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-    if any(x != y for row, grow in zip(pullback_metric(g, J), g)
-           for x, y in zip(row, grow)):
+        top = a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
+    gj = _product(gn, jn)
+    if any(gj[i][j] != -gj[j][i] for i in range(n) for j in range(i, n)):
         raise LieAlgebraError(
             "metric is not J-compatible; rerun with the averaged "
             "metric (g + J^t g J)/2 if that is acceptable")
@@ -227,14 +256,19 @@ class ComplexFrame:
                            for gv in g_real) for u in real)
 
 
+_ZERO = Fraction(0)
+
+
 def _apply(mat, v):
-    n = len(v)
-    return tuple(sum(mat[i][k] * v[k] for k in range(n)) for i in range(n))
+    """mat v, over the nonzero entries of v and of mat."""
+    support = [(k, x) for k, x in enumerate(v) if x]
+    return tuple(sum((row[k] * x for k, x in support if row[k]), _ZERO)
+                 for row in mat)
 
 
-def _pairing(g, u, v):
-    n = len(u)
-    return sum(g[i][k] * u[i] * v[k] for i in range(n) for k in range(n))
+def _dot(u, v):
+    """u . v over the terms where both are nonzero; <u, v> = u . (g v)."""
+    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
 
 
 def adapted_frame(spec):
@@ -243,79 +277,101 @@ def adapted_frame(spec):
     Picks, greedily in basis order, each basis vector outside the span of
     the seeds chosen so far and their J-images, and pairs it with its
     J-image; no orthogonalisation, so the entries stay as small as the
-    input's.  Explicit ``frame_seeds`` are used verbatim after checking
-    that they are g-orthogonal to each other and to their J-images and
-    that they span.  Every metric-free stage runs on this frame; the
-    harmonic layer needs ``orthogonal_frame``.
+    input's.  The span is taken once per accepted seed, and only when a
+    later candidate is tested against it.  Explicit ``frame_seeds`` are
+    used verbatim after checking that they are g-orthogonal to each other
+    and to their J-images and that they span.  Every metric-free stage
+    runs on this frame; the harmonic layer needs ``orthogonal_frame``.
     """
     n = spec.dim
     m = spec.m
     J = spec.J
+    g = spec.metric
     seeds = []
-    pairs = []  # {X_1, JX_1, X_2, JX_2, ...}
+    images = []  # J X_1, J X_2, ...
     if spec.frame_seeds is not None:
         for idx in spec.frame_seeds:
-            x = tuple(Fraction(1 if i == idx else 0) for i in range(n))
-            seeds.append(x)
-        for a, x in enumerate(seeds):
-            jx = _apply(J, x)
-            for b, y in enumerate(seeds):
-                if b > a and _pairing(spec.metric, x, y) != 0:
+            seeds.append(_basis_vector(n, idx))
+            images.append(_apply(J, seeds[-1]))
+        gseeds = [_apply(g, y) for y in seeds]
+        for a, (x, jx) in enumerate(zip(seeds, images)):
+            for b, gy in enumerate(gseeds):
+                if b > a and _dot(x, gy) != 0:
                     raise LieAlgebraError("frame seeds are not g-orthogonal")
-                if _pairing(spec.metric, jx, y) != 0 and b != a:
+                if b != a and _dot(jx, gy) != 0:
                     raise LieAlgebraError("frame seeds are not orthogonal to J-images")
-            pairs.extend([x, jx])
-        span = Subspace.from_columns(n, [_lift_vec(v) for v in pairs])
-        if span.dim != n:
+        if _pair_span(n, seeds, images).dim != n:
             raise LieAlgebraError("frame seeds do not span (J-independence fails)")
     else:
+        span = None  # of the pairs {X_1, JX_1, ...} so far, once needed
         for idx in range(n):
             if len(seeds) == m:
                 break
-            cand = tuple(Fraction(1 if i == idx else 0) for i in range(n))
-            if pairs:
-                span = Subspace.from_columns(n, [_lift_vec(v) for v in pairs])
+            cand = _basis_vector(n, idx)
+            if seeds:
+                if span is None:
+                    span = _pair_span(n, seeds, images)
                 if span.contains_vector(_lift_vec(cand)):
                     continue
             seeds.append(cand)
-            pairs.extend([cand, _apply(J, cand)])
+            images.append(_apply(J, cand))
+            span = None
         if len(seeds) != m:
             raise LieAlgebraError("frame construction failed to span")
-    return _frame(spec, seeds)
+    return _frame(spec, seeds, images,
+                  [_dot(x, _apply(g, x)) for x in seeds])
+
+
+def _pair_span(n, seeds, images):
+    """The span of the seeds X_j and their J-images."""
+    return Subspace.from_columns(n, [_lift_vec(v) for x, jx in
+                                     zip(seeds, images) for v in (x, jx)])
+
+
+def _basis_vector(n, idx):
+    return tuple(Fraction(1 if i == idx else 0) for i in range(n))
 
 
 def orthogonal_frame(spec, frame):
-    """The g-orthogonal frame the harmonic layer needs.
+    """The g-orthogonal frame the harmonic layer needs, g the metric of
+    ``spec``.
 
     Gram-Schmidts the seeds of ``frame`` in order against the seeds before
     them and their J-images, without normalising (g is J-invariant, so
-    X and JX are g-orthogonal already).  Returns ``frame`` itself when its
-    seeds are g-orthogonal already, as explicit ``frame_seeds`` are.
+    X and JX are g-orthogonal already); g u and |u|^2 are formed once for
+    each vector u of the running basis.  Returns ``frame`` itself only when
+    its seeds are g-orthogonal already, as explicit ``frame_seeds`` are,
+    and it was measured with g: a frame of another metric gets its
+    ``norm_sq`` and ``metric`` anew.
     """
     g = spec.metric
-    ortho = []  # running g-orthogonal basis {X_1, JX_1, X_2, JX_2, ...}
+    ortho = []  # (u, g u, |u|^2) over {X_1, JX_1, X_2, JX_2, ...} so far
     seeds = []
+    images = []
+    norms = []
     for cand in frame.seeds:
-        for u in ortho:
-            coeff = _pairing(g, cand, u) / _pairing(g, u, u)
+        for u, gu, norm in ortho:
+            coeff = _dot(cand, gu) / norm
             if coeff:
                 cand = tuple(cv - coeff * uv for cv, uv in zip(cand, u))
         seeds.append(cand)
-        ortho.extend([cand, _apply(spec.J, cand)])
-    if tuple(seeds) == frame.seeds:
+        images.append(_apply(spec.J, cand))
+        for v in (cand, images[-1]):
+            gv = _apply(g, v)
+            ortho.append((v, gv, _dot(v, gv)))
+        norms.append(ortho[-2][2])
+    if tuple(seeds) == frame.seeds and frame.metric == g:
         return frame
-    return _frame(spec, seeds)
+    return _frame(spec, seeds, images, norms)
 
 
-def _frame(spec, seeds):
-    vectors = []
-    for x in seeds:
-        jx = _apply(spec.J, x)
-        vectors.append(tuple(from_rational(xc, -jc) for xc, jc in zip(x, jx)))
-    return ComplexFrame(m=spec.m, vectors=tuple(vectors), seeds=tuple(seeds),
-                        norm_sq=tuple(_pairing(spec.metric, x, x)
-                                      for x in seeds),
-                        metric=spec.metric)
+def _frame(spec, seeds, images, norms):
+    """The frame of the seeds X_j with J-images ``images`` and g-lengths
+    squared ``norms``."""
+    vectors = tuple(tuple(from_rational(xc, -jc) for xc, jc in zip(x, jx))
+                    for x, jx in zip(seeds, images))
+    return ComplexFrame(m=spec.m, vectors=vectors, seeds=tuple(seeds),
+                        norm_sq=tuple(norms), metric=spec.metric)
 
 
 def _lift_vec(fracs):
@@ -338,46 +394,74 @@ def complexify(spec, frame):
     """Expand complexified brackets exactly in the adapted frame basis.
 
     ``spec`` must be validated: the pairs u < v are bracketed and the rest
-    of the table follows by antisymmetry.  The conjugation symmetry is
-    checked on every (u, v, w).
+    of the table follows by antisymmetry.  The frame vectors, the
+    structure constants and P^{-1} (P the frame matrix) are cleared to
+    Gaussian integers, each over one common denominator, so a bracket and
+    its expansion are integer sums and each table entry is normalised once.
+    The conjugation symmetry is checked on every (u, v, w).
     """
     n = spec.dim
     m = frame.m
     w_vecs = list(frame.vectors) + [tuple(e.conj() for e in z)
                                     for z in frame.vectors]
-    P = Matrix.from_columns(w_vecs, ambient_rows=n)
-    Pinv = P.inverse()
-    # (i, j, [(k, c_ij^k)]) over the nonzero structure constants, lifted
-    lifted = [(i, j, [(k, from_rational(x)) for k, x in enumerate(cij) if x])
-              for i, ci in enumerate(spec.brackets)
-              for j, cij in enumerate(ci) if any(cij)]
+    pinv, pden = _gaussian_cleared(
+        Matrix.from_columns(w_vecs, ambient_rows=n).inverse().entries)
+    wvecs, wden = _gaussian_cleared(w_vecs)
+    # (i, j, [(k, c_ij^k)]) over the nonzero structure constants, cleared
+    consts, cden = _cleared([cij for ci in spec.brackets for cij in ci])
+    lifted = [(idx // n, idx % n, [(k, x) for k, x in enumerate(row) if x])
+              for idx, row in enumerate(consts) if any(row)]
+    den = pden * wden * wden * cden
 
-    def bracket(u, v):
-        out = [ZERO] * n
+    def expanded(u, v):
+        """P^{-1} [u, v] as a column of Scalars over ``den``."""
+        br = [(0, 0)] * n
         for i, j, terms in lifted:
-            ui = u[i]
-            vj = v[j]
-            if ui and vj:
-                uv = ui * vj
-                for k, cij in terms:
-                    out[k] = out[k] + uv * cij
+            ux, uy = u[i]
+            vx, vy = v[j]
+            if (ux or uy) and (vx or vy):
+                px, py = ux * vx - uy * vy, ux * vy + uy * vx
+                for k, c in terms:
+                    bx, by = br[k]
+                    br[k] = (bx + px * c, by + py * c)
+        out = []
+        for row in pinv:
+            x = y = 0
+            for (ax, ay), (bx, by) in zip(row, br):
+                if (ax or ay) and (bx or by):
+                    x += ax * bx - ay * by
+                    y += ax * by + ay * bx
+            out.append(Scalar(x, y, den) if x or y else ZERO)
         return tuple(out)
 
     zero = (ZERO,) * (2 * m)
     table = [[zero] * (2 * m) for _ in range(2 * m)]
     for u in range(2 * m):
         for v in range(u + 1, 2 * m):
-            table[u][v] = Pinv.apply(bracket(w_vecs[u], w_vecs[v]))
+            table[u][v] = expanded(wvecs[u], wvecs[v])
             table[v][u] = tuple(-c for c in table[u][v])
     # conjugation symmetry is forced by realness of the input constants
     for u in range(2 * m):
         for v in range(2 * m):
             cu, cv = (u + m) % (2 * m), (v + m) % (2 * m)
             for w in range(2 * m):
-                cw = (w + m) % (2 * m)
-                if table[cu][cv][cw] != table[u][v][w].conj():
+                a = table[u][v][w]
+                b = table[cu][cv][(w + m) % (2 * m)]
+                if b.xn != a.xn or b.yn != -a.yn or b.dn != a.dn:
                     raise LieAlgebraError(
                         "internal error: conjugation symmetry broken in "
                         "complexified brackets")
     return ComplexStructureConstants(
         m=m, table=tuple(tuple(row) for row in table))
+
+
+def _gaussian_cleared(rows):
+    """(rows of (x, y) integer pairs, d) with rows = (x + y i) / d, d > 0
+    the least common denominator of the Scalar entries."""
+    d = 1
+    for row in rows:
+        for e in row:
+            if d % e.dn:
+                d = lcm(d, e.dn)
+    return [[(e.xn * (d // e.dn), e.yn * (d // e.dn)) for e in row]
+            for row in rows], d

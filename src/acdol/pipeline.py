@@ -52,12 +52,11 @@ class Analysis:
 
     @functools.cached_property
     def dmb(self):
-        """delbar_mub on the Hermitian structure of a g-orthogonal frame,
-        whose differential is built anew only when it is another frame."""
-        hframe = liealg.orthogonal_frame(self.spec, self.frame)
-        hcm = self.cm if hframe == self.frame else forms.build_differential(
-            liealg.complexify(self.spec, hframe), self.cm.basis)
-        return harmonic.delb_mub(harmonic.build_hermitian(hcm, hframe))
+        """delbar_mub on the Hermitian layer of the input metric,
+        ``harmonic.hermitian_layer`` of the plain frame: it runs on ``cm``
+        itself unless Gram-Schmidt moves the frame vectors."""
+        return harmonic.delb_mub(
+            harmonic.hermitian_layer(self.spec, self.frame, self.cm))
 
     @property
     def hs(self):
@@ -110,7 +109,11 @@ def analyze_document(doc, max_page=None):
 
 def probe_metrics(spec):
     """The metrics the probe compares with the input's: one other
-    compatible metric, the input's conjugated by 2I + J."""
+    compatible metric, the pullback of g by 2I + J.  For a compatible g
+    that is 5g: (2I + J)^t g (2I + J) = 4g + 2(J^t g + g J) + J^t g J,
+    where J^t g + g J = 0 and J^t g J = g.  A homothety leaves the frame
+    and every harmonic space as they are, so the probe only repeats the
+    input metric's layer."""
     n = spec.dim
     q = [[Fraction(2 if i == j else 0) + spec.J[i][j] for j in range(n)]
          for i in range(n)]

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from acdol import catalog, docio, harmonic, pipeline
+from acdol import catalog, docio, forms, harmonic, pipeline
 from acdol.cohomology import (ConsistencyError, de_rham,
                               top_cohomology_is_line)
-from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
+from acdol.forms import (BIDEGREE, DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential, conjugation_matrix)
 from acdol.harmonic import (HermitianStructure, build_hermitian, delb_mub,
                             delb_mub_checks, fundamental_form,
@@ -19,7 +19,7 @@ from acdol.harmonic import (HermitianStructure, build_hermitian, delb_mub,
                             serre_star_check)
 from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import (adapted_frame, complexify, make_spec,
-                          orthogonal_frame, validate_spec)
+                          orthogonal_frame, pullback_metric, validate_spec)
 from acdol.linalg import Matrix, Subspace
 from conftest import (ORACLE_INPUTS, builtin_analysis, dims_grid,
                       named_analysis, named_spec, random_nilpotent_spec,
@@ -568,6 +568,99 @@ def test_metric_independence_kt():
     from acdol.pipeline import probe_metrics
     runs, check = metric_independence_probe(an.spec, an.dmb,
                                             probe_metrics(an.spec))
+    assert check.passed
+
+
+# the catalog workload's inputs: the builtins and the NK S^3 x S^3
+CATALOG_INPUTS = catalog.builtin_names() + ["s3s3-nk"]
+
+
+def _scaled_metric(spec, c):
+    return [[c * x for x in row] for row in spec.metric]
+
+
+@pytest.mark.parametrize("name", CATALOG_INPUTS)
+def test_probe_metric_is_five_times_the_input_metric(name):
+    # (2I + J)^t g (2I + J) = 4g + 2(J^t g + g J) + J^t g J = 5g
+    spec = named_analysis(name).spec
+    assert pipeline.probe_metrics(spec) == [_scaled_metric(spec, 5)]
+
+
+@pytest.mark.parametrize("name", catalog.builtin_names())
+def test_orthogonal_frame_remeasures_a_frame_of_another_metric(name):
+    """The harmonic frame is 5g-orthogonal as it stands, so Gram-Schmidt
+    keeps its vectors, but its lengths are measured anew: a layer built
+    on it for 5g has 1/5 of the input layer's weights."""
+    an = builtin_analysis(name)
+    variant = validate_spec(an.spec.with_metric(_scaled_metric(an.spec, 5)))
+    frame = orthogonal_frame(variant, an.hs.frame)
+    assert frame.vectors == an.hs.frame.vectors
+    assert frame.metric == variant.metric
+    assert frame.norm_sq == tuple(5 * n for n in an.hs.frame.norm_sq)
+    layer = harmonic.hermitian_layer(variant, an.hs.frame, an.hs.cm)
+    assert layer.cm is an.hs.cm
+    assert layer.weights == tuple(w / 5 for w in an.hs.weights)
+
+
+@pytest.mark.parametrize("name", CATALOG_INPUTS)
+def test_probe_layer_reads_the_analysis_differential(name, monkeypatch):
+    an = named_analysis(name)
+    dmb = an.dmb
+    layers = []
+    build = harmonic.build_hermitian
+
+    def recorded(cm, frame):
+        layers.append(build(cm, frame))
+        return layers[-1]
+
+    def refuse(*args):
+        raise AssertionError("the probe built a differential")
+
+    monkeypatch.setattr(harmonic, "build_hermitian", recorded)
+    monkeypatch.setattr(forms, "build_differential", refuse)
+    _, check = metric_independence_probe(an.spec, dmb,
+                                         pipeline.probe_metrics(an.spec))
+    assert check.passed
+    assert [layer.cm is an.hs.cm for layer in layers] == [True]
+
+
+def _gl_j_pullback(spec, rng):
+    """A^t g A for a random invertible A = P - J P J, which commutes with
+    J, so the pullback is J-compatible."""
+    n = spec.dim
+    J = spec.J
+
+    def product(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    while True:
+        P = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+             for _ in range(n)]
+        jpj = product(J, product(P, J))
+        A = [[x - y for x, y in zip(row, jrow)] for row, jrow in zip(P, jpj)]
+        if Matrix.from_rows([[Scalar.from_rational(x) for x in row]
+                             for row in A]).rank() == n:
+            return pullback_metric(spec.metric, A)
+
+
+@pytest.mark.parametrize("name", ["filiform-J", "kt-J", "su2su2-nk",
+                                  "random-m3-seed1", "solvable-m2"])
+def test_layer_of_a_metric_that_moves_the_frame(name):
+    """For a metric under which the harmonic frame is not orthogonal, the
+    layer's differential is that of the Gram-Schmidted frame, built anew,
+    and the probe still passes."""
+    an = named_analysis(name)
+    variant = validate_spec(an.spec.with_metric(
+        _gl_j_pullback(an.spec, seeded_rng(7))))
+    frame = orthogonal_frame(variant, an.hs.frame)
+    assert frame.vectors != an.hs.frame.vectors
+    layer = harmonic.hermitian_layer(variant, an.hs.frame, an.hs.cm)
+    assert layer.frame == frame and layer.cm is not an.hs.cm
+    ref = build_differential(complexify(variant, frame), an.cm.basis)
+    assert all(layer.cm.block(tag, p, q) == ref.block(tag, p, q)
+               for tag in BIDEGREE for (p, q) in an.cm.basis.slots)
+    _, check = metric_independence_probe(an.spec, an.dmb, [variant.metric])
     assert check.passed
 
 

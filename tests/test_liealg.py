@@ -8,10 +8,12 @@ import pytest
 
 from acdol import catalog, docio
 from acdol.kernel import ZERO, Scalar
-from acdol.liealg import (LieAlgebraError, adapted_frame, averaged_metric,
-                          complexify, make_spec, validate_spec)
-from acdol.linalg import Matrix
-from conftest import named_spec, random_nilpotent_spec, seeded_rng
+from acdol.liealg import (ComplexFrame, LieAlgebraError, adapted_frame,
+                          averaged_metric, complexify, make_spec,
+                          orthogonal_frame, validate_spec)
+from acdol.linalg import Matrix, Subspace
+from conftest import (ORACLE_INPUTS, named_spec, random_nilpotent_spec,
+                      seeded_rng)
 
 J_PAIRS_4 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
@@ -55,6 +57,16 @@ def test_incompatible_metric_rejected_then_averaged():
     fixed = averaged_metric(spec)
     validate_spec(fixed)
     assert fixed.metric[0][0] == Fraction(3, 2)
+
+
+def test_metric_incompatible_only_on_the_diagonal_of_gJ_rejected():
+    # g J + (g J)^t = diag(2, -2, 0, 0): antisymmetric off the diagonal
+    g = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    spec = make_spec(4, None, {}, J_PAIRS_4, metric=g)
+    want = ("metric is not J-compatible; rerun with the averaged metric "
+            "(g + J^t g J)/2 if that is acceptable")
+    assert _validation_oracle(spec) == want
+    assert _validation_message(spec) == want
 
 
 def test_indefinite_metric_rejected():
@@ -349,3 +361,154 @@ def test_complexify_equals_the_full_bracket_loop(name):
     spec = validate_spec(named_spec(name))
     frame = adapted_frame(spec)
     assert complexify(spec, frame).table == _complexify_oracle(spec, frame)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_first_nonpositive_leading_minor_is_named_like_det(m):
+    """For every k = 1..2m, a metric whose leading minors 1..k-1 are
+    positive and whose minor k is zero or negative: validation names minor
+    k, as the determinant oracle does.  Minor k is affine in g[k-1][k-1]
+    with slope minor k - 1, so shifting that entry reaches both."""
+    spec = random_nilpotent_spec(seeded_rng(5), m)
+    n = spec.dim
+    for k in range(1, n + 1):
+        below = _det([r[:k - 1] for r in spec.metric[:k - 1]])
+        minor = _det([r[:k] for r in spec.metric[:k]])
+        for extra in (0, 1):
+            g = [list(row) for row in spec.metric]
+            g[k - 1][k - 1] -= minor / below + extra
+            bad = spec.with_metric(g)
+            assert _det([r[:k] for r in bad.metric[:k]]) == -extra * below
+            want = "metric is not positive definite (leading minor %d)" % k
+            assert _validation_oracle(bad) == want
+            assert _validation_message(bad) == want
+
+
+# -- frames against the dense Fraction loops --------------------------------
+
+
+def _frame_oracle(spec):
+    """Oracle of ``adapted_frame``: the dense Fraction loops over every
+    (i, k), with the span of the chosen pairs taken anew for each
+    candidate.  Returns the frame, or the LieAlgebraError message."""
+    n = spec.dim
+    J = spec.J
+    seeds = []
+    pairs = []
+    if spec.frame_seeds is not None:
+        seeds = [_basis(n, idx) for idx in spec.frame_seeds]
+        for a, x in enumerate(seeds):
+            jx = _dense_apply(J, x)
+            for b, y in enumerate(seeds):
+                if b > a and _dense_pairing(spec.metric, x, y) != 0:
+                    return "frame seeds are not g-orthogonal"
+                if _dense_pairing(spec.metric, jx, y) != 0 and b != a:
+                    return "frame seeds are not orthogonal to J-images"
+            pairs.extend([x, jx])
+        if Subspace.from_columns(n, [_lift(v) for v in pairs]).dim != n:
+            return "frame seeds do not span (J-independence fails)"
+    else:
+        for idx in range(n):
+            if len(seeds) == spec.m:
+                break
+            cand = _basis(n, idx)
+            if pairs and Subspace.from_columns(
+                    n, [_lift(v) for v in pairs]).contains_vector(_lift(cand)):
+                continue
+            seeds.append(cand)
+            pairs.extend([cand, _dense_apply(J, cand)])
+    return _oracle_frame(spec, seeds)
+
+
+def _orthogonal_oracle(spec, frame):
+    """Oracle of ``orthogonal_frame``: Gram-Schmidt by the dense pairing,
+    every pairing formed anew."""
+    g = spec.metric
+    ortho = []
+    seeds = []
+    for cand in frame.seeds:
+        for u in ortho:
+            coeff = _dense_pairing(g, cand, u) / _dense_pairing(g, u, u)
+            cand = tuple(cv - coeff * uv for cv, uv in zip(cand, u))
+        seeds.append(cand)
+        ortho.extend([cand, _dense_apply(spec.J, cand)])
+    return _oracle_frame(spec, seeds)
+
+
+def _real_gram_oracle(spec, frame):
+    """Oracle of ``ComplexFrame.real_gram``: the dense pairing of the real
+    frame (X_1, JX_1, ...), with JX formed from J."""
+    real = [v for x in frame.seeds for v in (x, _dense_apply(spec.J, x))]
+    return tuple(tuple(_dense_pairing(frame.metric, u, v) for v in real)
+                 for u in real)
+
+
+def _oracle_frame(spec, seeds):
+    vectors = tuple(tuple(Scalar.from_rational(xc, -jc) for xc, jc in
+                          zip(x, _dense_apply(spec.J, x))) for x in seeds)
+    return ComplexFrame(spec.m, vectors, tuple(seeds),
+                        tuple(_dense_pairing(spec.metric, x, x)
+                              for x in seeds), spec.metric)
+
+
+def _dense_apply(mat, v):
+    n = len(v)
+    return tuple(sum(mat[i][k] * v[k] for k in range(n)) for i in range(n))
+
+
+def _dense_pairing(g, u, v):
+    n = len(u)
+    return sum(g[i][k] * u[i] * v[k] for i in range(n) for k in range(n))
+
+
+def _basis(n, idx):
+    return tuple(Fraction(1 if i == idx else 0) for i in range(n))
+
+
+def _lift(fracs):
+    return tuple(Scalar.from_rational(f) for f in fracs)
+
+
+def _frame_message(spec):
+    try:
+        return adapted_frame(spec)
+    except LieAlgebraError as exc:
+        return str(exc)
+
+
+FRAME_INPUTS = ORACLE_INPUTS + [
+    "random-m2-seed%d" % seed for seed in range(5, 13)] + [
+    "random-m3-seed4", "random-m3-seed5", "random-m4-seed5",
+    "random-m4-seed7", "random-m5-seed3", "solvable-m2"]
+
+
+@pytest.mark.parametrize("name", FRAME_INPUTS)
+def test_frames_equal_the_dense_fraction_oracle(name):
+    spec = validate_spec(named_spec(name))
+    plain = adapted_frame(spec)
+    assert plain == _frame_oracle(spec)
+    harmonic = orthogonal_frame(spec, plain)
+    assert harmonic == _orthogonal_oracle(spec, plain)
+    assert harmonic.real_gram() == _real_gram_oracle(spec, harmonic)
+    assert plain.real_gram() == _real_gram_oracle(spec, plain)
+
+
+def test_explicit_seeds_and_their_errors_equal_the_oracle():
+    """su2su2-nk with its own seeds, another valid seed list and one list
+    for each error: a repeated seed, a seed that is the J-image of another,
+    and, under the zero form in place of g, seeds that do not span."""
+    spec = docio.to_spec(catalog.builtin("su2su2-nk"))
+    zero = [[0] * spec.dim for _ in range(spec.dim)]
+    cases = [spec, dataclasses.replace(spec, frame_seeds=(0, 1, 2)),
+             dataclasses.replace(spec, frame_seeds=(3, 3, 5)),
+             dataclasses.replace(spec, frame_seeds=(0, 3, 4)),
+             dataclasses.replace(spec, frame_seeds=(3, 3, 5)).with_metric(
+                 zero)]
+    got = [_frame_message(case) for case in cases]
+    assert got == [_frame_oracle(case) for case in cases]
+    assert got[2:] == ["frame seeds are not g-orthogonal",
+                       "frame seeds are not orthogonal to J-images",
+                       "frame seeds do not span (J-independence fails)"]
+    for frame, case in zip(got[:2], cases):
+        assert orthogonal_frame(case, frame) is frame
+        assert frame.real_gram() == _real_gram_oracle(case, frame)
