@@ -242,7 +242,7 @@ def _grid(dims_json, m):
     return [[dims.get((p, q), 0) for p in range(m + 1)] for q in range(m + 1)]
 
 
-def _text_grid(rows_bottom_up, widths=None):
+def _text_grid(rows_bottom_up):
     """Aligned grid, last list rendered first (q = m on top)."""
     cells = [[str(v) for v in row] for row in rows_bottom_up]
     width = max(len(c) for row in cells for c in row)

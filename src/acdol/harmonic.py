@@ -1,28 +1,38 @@
 """Metric-dependent harmonic theory on the bigraded complex.
 
-The compatible inner product on the Lie algebra induces a Hermitian inner
-product on forms under which the monomial basis is orthogonal: the dual
-generator t^j carries weight |t^j|^2 = 1/(2 |X_j|^2), and a monomial's
-weight is the product over its bitmasks.  The Hodge star is determined
-slotwise by
+The compatible inner product g on the Lie algebra induces a Hermitian inner
+product on forms.  The layer runs on the plain frame Z_a = X_a - i J X_a
+of every other stage, which need not be orthogonal: H_ab = Z_a^T g conj(Z_b)
+is the Hermitian Gram of the frame, K = H^{-1} that of the (1,0)-coframe,
+and the Gram matrix of slot (p, q), with G[k, l] = <e_l, e_k>, is read off
+K by Cauchy-Binet,
+
+    G[(S, T), (S', T')] = det K[S, S'] conj(det K[T, T']),
+
+a monomial t^S ∧ tbar^T pairing its holomorphic and antiholomorphic parts
+separately.  G^{-1} is the same construction on H, so K = H^{-1}, an
+m x m inverse, is the one elimination of the Gram data.  The Hodge star is
+determined slotwise by
 
     w ∧ ⋆(conj e) = <w, e> Ω,
 
-with the volume form Ω the unit-norm top monomial in the orientation induced
-by J; the normalisation scalar is pinned by ⋆1 = Ω together with
-⋆⋆ = (-1)^degree, both of which are asserted after construction.
+with the volume form Ω = vol t^full ∧ tbar^full, vol = eps i^m / det K, of
+unit length in the orientation induced by J.  Then ⋆ = vol Π G, Π sending
+each monomial to its signed complement; ⋆1 = Ω, |Ω| = 1 and
+⋆⋆ = (-1)^degree, which on a dense G is Jacobi's complementary-minor
+identity, are asserted after construction.
 
 Every identity the battery checks here is one exact matrix equation per
-slot over all basis pairs: the defining property P ⋆ C = G vol (P the
-top-degree wedge pairing, C the conjugation, G the diagonal Gram matrix),
-the isometry ⋆^H G ⋆ = G, and orthogonality V^H G U = 0 of the parts of a
-Hodge decomposition.  Slot blocks of the components and of their adjoints
-are zero-shaped off the (p, q) grid, so anticommutators such as the
+slot over all basis pairs: the defining property P ⋆ C = conj(G) vol (P
+the top-degree wedge pairing, C the conjugation), the isometry
+⋆^H G ⋆ = G, and orthogonality V^H G U = 0 of the parts of a Hodge
+decomposition.  Slot blocks of the components and of their adjoints are
+zero-shaped off the (p, q) grid, so anticommutators such as the
 Laplacians [δ, δ*] are composed by one helper without special cases.
 
 Each adjoint is the Gram adjoint  δ* = G_src^{-1} δ^H G_tgt, the adjoint
-of the finite-dimensional complex on every Lie algebra; G is diagonal, so
-it is the conjugate transpose with each entry scaled by a weight ratio.
+of the finite-dimensional complex on every Lie algebra, formed as products
+over the memoised G and G^{-1} of each slot (of each degree for d*).
 A δ-harmonic space is Ker δ ∩ Ker δ*, one stacked kernel per slot; it is
 Ker Δ_δ and, when δ² = 0, it is isomorphic to the cohomology of δ, with no
 hypothesis on the algebra.  The star formula -⋆ δ̄ ⋆ (δ̄ the conjugate
@@ -40,25 +50,20 @@ a slot is one product: those coordinates of the target slot times delbar
 times the harmonic basis.
 
 The layer is built once per analysis: ``_memoized`` caches every operator
-of ``HermitianStructure`` (the stacked [d; d*] included, one per degree)
-in the instance, so a layer's cache is freed with it; ``delb_mub`` stores
-the harmonic coordinates and the delbar_mub-harmonic space of every slot
-on its ``DelbMub``, and the battery, the nearly Kahler checks and the
-metric probe read that ``DelbMub``.  Every layer comes from one route,
-``hermitian_layer``: it Gram-Schmidts a frame for the layer's metric and
-builds a differential only when that moves the frame vectors.  The
-analysis starts it from the plain frame; the probe builds a layer only for
-each other metric, started from the analysis's harmonic frame, so while
-that frame stays orthogonal, as it does for a multiple of g, the probe's
-layer runs on the analysis's differential and reads its memoised spans and
-kernels.
+of ``HermitianStructure`` (the Gram matrices and the stacked [d; d*]
+included) in the instance, so a layer's cache is freed with it;
+``delb_mub`` stores the harmonic coordinates and the delbar_mub-harmonic
+space of every slot on its ``DelbMub``, and the battery, the nearly Kahler
+checks and the metric probe read that ``DelbMub``.  Every layer comes from
+one constructor, ``build_hermitian``, on the analysis's own frame and
+differential: the probe builds only new Gram matrices for each other
+metric, and reads the differential's memoised spans and kernels.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import forms, liealg
 from .cohomology import (Check, ConsistencyError, cohomology_dims_of_operator,
@@ -66,10 +71,6 @@ from .cohomology import (Check, ConsistencyError, cohomology_dims_of_operator,
 from .forms import BIDEGREE, CONJUGATE_TAG, DELBAR, MU, MUBAR, PARTIAL
 from .kernel import I, ONE, ZERO, from_rational
 from .linalg import Matrix, Subspace
-
-
-def _real_frame_name(k):
-    return ("X%d" if k % 2 == 0 else "JX%d") % (k // 2 + 1)
 
 
 def _memoized(method):
@@ -83,71 +84,119 @@ def _memoized(method):
     return cached
 
 
-class HermitianStructure:
-    """Slotwise Gram data, Hodge star, adjoints and Laplacians (all cached)."""
+def _minors(a):
+    """{S: {T: det a[S, T]}} over the row and column sets S, T of one size,
+    as bitmasks, the nonzero minors only, by Laplace expansion along the
+    first row of S."""
+    n = a.rows
+    by_size = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        by_size[mask.bit_count()].append(mask)
+    out = {0: {0: ONE}}
+    for size in range(1, n + 1):
+        for s in by_size[size]:
+            low = s & -s
+            row = a.entries[low.bit_length() - 1]
+            below = out[s ^ low]
+            out[s] = dets = {}
+            for t in by_size[size]:
+                acc = ZERO
+                negate = False
+                rest = t
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    x = row[bit.bit_length() - 1]
+                    sub = below.get(t ^ bit)
+                    if x and sub:
+                        acc = acc - x * sub if negate else acc + x * sub
+                    negate = not negate
+                if acc:
+                    dets[t] = acc
+    return out
 
-    def __init__(self, cm, frame):
+
+def _gram_adjoint(a, src_inverse, tgt):
+    """The Gram adjoint G_src^{-1} a^H G_tgt of a map ``a``, given the
+    inverse Gram matrix of its source and the Gram matrix of its target."""
+    return src_inverse @ (a.conj_transpose() @ tgt)
+
+
+class HermitianStructure:
+    """Slotwise Gram matrices, Hodge star, adjoints and Laplacians (all
+    cached) of the metric ``metric`` on the frame ``frame``, whose
+    differential is ``cm``."""
+
+    def __init__(self, cm, frame, metric):
         self.cm = cm
         self.basis = cm.basis
         self.m = cm.m
         self.frame = frame
-        # the monomial basis is orthogonal only for a g-orthogonal frame
-        gram = frame.real_gram()
-        for a, row in enumerate(gram):
-            for b in range(a + 1, len(row)):
-                if row[b]:
-                    raise ConsistencyError(
-                        "harmonic frame is not g-orthogonal: <%s, %s> = %s"
-                        % (_real_frame_name(a), _real_frame_name(b), row[b]))
-        # dual generator weights: |t^j|^2 = 1/(2 |X_j|^2)
-        self.weights = tuple(Fraction(1, 2) / n for n in frame.norm_sq)
+        # H_ab = Z_a^T g conj(Z_b); the (1,0)-coframe has Gram K = H^{-1}
+        z = Matrix.from_columns(frame.vectors)
+        g = Matrix.from_rows([[from_rational(x) for x in row]
+                              for row in metric])
+        self.frame_gram = z.transpose() @ g @ z.conj()
+        self._minors_k = _minors(self.frame_gram.inverse())
+        self._minors_h = _minors(self.frame_gram)
         self._cache = {}
         full = (1 << self.m) - 1
         self.top_monomial = (full, full)
-        eps = -1 if (self.m * (self.m - 1) // 2) % 2 else 1
-        coeff = from_rational(eps)
-        two_i = I + I
-        prod = Fraction(1)
-        for n in frame.norm_sq:
-            prod *= n
+        # vol = eps i^m / det K = eps i^m det H, so that |vol|^2 G_top = 1
+        coeff = from_rational(-1 if (self.m * (self.m - 1) // 2) % 2 else 1)
         for _ in range(self.m):
-            coeff = coeff * two_i
-        self.volume_coeff = coeff * from_rational(prod)
+            coeff = coeff * I
+        self.volume_coeff = coeff * self._minors_h[full][full]
         self._verify_star()
 
     # -- Gram ----------------------------------------------------------------
 
-    @_memoized
-    def gram_diag(self, p, q):
-        diag = []
-        for s_mask, t_mask in self.basis.monomials(p, q):
-            w = Fraction(1)
-            for j in range(self.m):
-                if (s_mask >> j) & 1:
-                    w *= self.weights[j]
-                if (t_mask >> j) & 1:
-                    w *= self.weights[j]
-            diag.append(w)
-        return diag
+    def _compound(self, minors, p, q):
+        """The slot (p, q) matrix with entry det A[S, S'] conj(det A[T, T'])
+        at ((S, T), (S', T')), ``minors`` those of A."""
+        index = self.basis.index.get((p, q), {})
+        rows = []
+        for s, t in self.basis.monomials(p, q):
+            row = [ZERO] * len(index)
+            for s2, a in minors[s].items():
+                for t2, b in minors[t].items():
+                    row[index[(s2, t2)]] = a * b.conj()
+            rows.append(row)
+        return Matrix(len(rows), len(rows), rows)
 
+    @_memoized
     def gram(self, p, q):
-        """The diagonal Gram matrix of slot (p, q)."""
-        diag = self.gram_diag(p, q)
-        n = len(diag)
-        return Matrix(n, n, [[from_rational(w) if i == j else ZERO
-                              for j in range(n)] for i, w in enumerate(diag)])
+        """The Gram matrix of slot (p, q), G[k, l] = <e_l, e_k>: the minors
+        of K on the holomorphic generators times those of conj(K) on the
+        antiholomorphic ones (Cauchy-Binet); zero-shaped off the grid."""
+        return self._compound(self._minors_k, p, q)
+
+    @_memoized
+    def gram_inverse(self, p, q):
+        """G^{-1} of slot (p, q), the same construction on H = K^{-1}."""
+        return self._compound(self._minors_h, p, q)
+
+    @_memoized
+    def degree_grams(self, n):
+        """(G, G^{-1}) on the total degree-n space, block diagonal over its
+        slots in the order of ``cm.total_matrix``."""
+        slots = [(p, n - p) for p in range(self.m + 1)]
+        dims = [self.basis.dim(*pq) for pq in slots]
+        return tuple(Matrix.from_blocks(dims, dims, {
+            (i, i): blocks(*pq) for i, pq in enumerate(slots)})
+            for blocks in (self.gram, self.gram_inverse))
 
     # -- Hodge star ----------------------------------------------------------
 
     @_memoized
     def star(self, p, q):
-        """Matrix of ⋆ : (p, q) -> (m-q, m-p); zero-shaped off the grid."""
+        """Matrix of ⋆ = vol Π G : (p, q) -> (m-q, m-p), Π sending each
+        monomial to its signed complement; zero-shaped off the grid."""
         basis = self.basis
         m = self.m
         full = (1 << m) - 1
-        diag = self.gram_diag(p, q)
-        cols = []
-        rows = basis.dim(m - q, m - p)
+        gram = self.gram(p, q)
+        rows = [None] * basis.dim(m - q, m - p)
         for k, (s_mask, t_mask) in enumerate(basis.monomials(p, q)):
             flip = (t_mask, s_mask)
             comp = (full ^ t_mask, full ^ s_mask)
@@ -156,16 +205,12 @@ class HermitianStructure:
                 raise ConsistencyError(
                     "complementary monomial bookkeeping failed on slot "
                     "(%d, %d)" % (p, q))
-            sigma = res[0]
-            x = from_rational(diag[k]) * self.volume_coeff
-            if (p * q) & 1:
+            x = self.volume_coeff
+            if ((p * q) & 1) != (res[0] < 0):
                 x = -x
-            if sigma < 0:
-                x = -x
-            col = [ZERO] * rows
-            col[basis.index[(m - q, m - p)][comp]] = x
-            cols.append(col)
-        return Matrix.from_columns(cols, ambient_rows=rows)
+            rows[basis.index[(m - q, m - p)][comp]] = [
+                x * e if e else ZERO for e in gram.entries[k]]
+        return Matrix(len(rows), gram.cols, rows)
 
     def _verify_star(self):
         basis = self.basis
@@ -177,7 +222,7 @@ class HermitianStructure:
             raise ConsistencyError(
                 "⋆1 is not the volume form on slot (0, 0)")
         vol = self.volume_coeff
-        if from_rational(self.gram_diag(m, m)[vol_idx]) * vol * vol.conj() \
+        if self.gram(m, m).entries[vol_idx][vol_idx] * vol * vol.conj() \
                 != ONE:
             raise ConsistencyError(
                 "volume form is not unit length on slot (%d, %d)" % (m, m))
@@ -192,8 +237,9 @@ class HermitianStructure:
 
     def check_star_defining(self, p, q):
         """w ∧ ⋆(conj e) = <w, e> Ω on every basis pair of the slot, as one
-        matrix equation  P ⋆_(q,p) C_(p,q) = G_(p,q) vol  with P the wedge
-        pairing of (p, q) with (m-p, m-q) and C the conjugation matrix."""
+        matrix equation  P ⋆_(q,p) C_(p,q) = conj(G_(p,q)) vol  with P the
+        wedge pairing of (p, q) with (m-p, m-q) and C the conjugation
+        matrix: entry (k, l) is <e_k, e_l>, the conjugate of G[k, l]."""
         m = self.m
         pairing = []
         for w in self.basis.monomials(p, q):
@@ -204,7 +250,7 @@ class HermitianStructure:
             pairing.append(row)
         lhs = (Matrix(len(pairing), self.basis.dim(m - p, m - q), pairing)
                @ self.star(q, p) @ forms.conjugation_matrix(self.basis, p, q))
-        return lhs == self.gram(p, q).scale(self.volume_coeff)
+        return lhs == self.gram(p, q).conj().scale(self.volume_coeff)
 
     def check_star_isometry(self, p, q):
         """<⋆a, ⋆b> = <b, a> on all basis pairs of the slot:
@@ -223,19 +269,6 @@ class HermitianStructure:
 
     # -- adjoints and Laplacians ----------------------------------------------
 
-    def _gram_adjoint(self, a, src_slots, tgt_slots):
-        """G_src^{-1} a^H G_tgt for a map ``a`` from the slots ``src_slots``
-        to the slots ``tgt_slots``, each side in its slots' monomials in
-        order: G is diagonal, so entry (i, j) is conj(a[j][i]) w_j / w_i."""
-        src = [w for pq in src_slots for w in self.gram_diag(*pq)]
-        tgt = [w for pq in tgt_slots for w in self.gram_diag(*pq)]
-        rows = [[ZERO] * a.rows for _ in range(a.cols)]
-        for j, row in enumerate(a.entries):
-            for i, x in enumerate(row):
-                if x:
-                    rows[i][j] = x.conj() * from_rational(tgt[j] / src[i])
-        return Matrix(a.cols, a.rows, rows)
-
     @_memoized
     def adjoint_block(self, tag, p, q):
         """delta* on slot (p, q), the Gram adjoint of the delta block that
@@ -243,14 +276,14 @@ class HermitianStructure:
         cm.block."""
         dp, dq = BIDEGREE[tag]
         src = (p - dp, q - dq)
-        return self._gram_adjoint(self.cm.block(tag, *src), [src], [(p, q)])
+        return _gram_adjoint(self.cm.block(tag, *src),
+                             self.gram_inverse(*src), self.gram(p, q))
 
     def d_adjoint(self, n):
         """d* on the total degree-n space, the Gram adjoint of d_{n-1}."""
-        m = self.m
-        return self._gram_adjoint(self.cm.total_matrix(n - 1),
-                                  [(p, n - 1 - p) for p in range(m + 1)],
-                                  [(p, n - p) for p in range(m + 1)])
+        return _gram_adjoint(self.cm.total_matrix(n - 1),
+                             self.degree_grams(n - 1)[1],
+                             self.degree_grams(n)[0])
 
     @_memoized
     def d_stacked(self, n):
@@ -288,24 +321,8 @@ class HermitianStructure:
         return out
 
 
-def build_hermitian(cm, frame):
-    return HermitianStructure(cm, frame)
-
-
-def hermitian_layer(spec, frame, cm):
-    """The Hermitian layer of ``spec``'s metric, the one route to it.
-
-    Gram-Schmidts ``frame``, whose differential is ``cm``, for that metric
-    (``liealg.orthogonal_frame``), and builds the differential anew only
-    when the frame vectors move; the weights follow the metric either
-    way.  A frame already g-orthogonal keeps ``cm`` with its memoised
-    spans and kernels.
-    """
-    hframe = liealg.orthogonal_frame(spec, frame)
-    if hframe.vectors != frame.vectors:
-        cm = forms.build_differential(liealg.complexify(spec, hframe),
-                                      cm.basis)
-    return build_hermitian(cm, hframe)
+def build_hermitian(cm, frame, metric):
+    return HermitianStructure(cm, frame, metric)
 
 
 # -- mubar Hodge decomposition ------------------------------------------------
@@ -511,14 +528,13 @@ def metric_independence_probe(spec, dmb, metrics):
 
     Returns (list of dims dicts, the input metric's first; Check).  All
     dims agree, as each is h_dol.  The probe validates each metric and
-    builds its layer by ``hermitian_layer`` from the harmonic frame of
-    ``dmb``, so a metric for which that frame is already orthogonal reads
-    the same differential and its memoised kernels.
+    builds its layer by ``build_hermitian`` on the frame and the
+    differential of ``dmb``: only the Gram matrices are new.
     """
     runs = [dmb.harmonic_dims()]
     for g in metrics:
         variant = liealg.validate_spec(spec.with_metric(g))
-        hs = hermitian_layer(variant, dmb.hs.frame, dmb.hs.cm)
+        hs = build_hermitian(dmb.hs.cm, dmb.hs.frame, variant.metric)
         runs.append(delb_mub(hs).harmonic_dims())
     agree = all(r == runs[0] for r in runs[1:])
     return runs, Check("metric_independent_harmonic_dims", agree,
@@ -530,13 +546,13 @@ def metric_independence_probe(spec, dmb, metrics):
 
 def fundamental_form(hs):
     """The (1,1)-form w(x, y) = <Jx, y> as a slot coordinate vector: the
-    coefficient 2i |X_a|^2 on t^a tbar^a."""
+    coefficient i H_ab on t^a tbar^b, H the Gram of the frame."""
     basis = hs.basis
     vec = [ZERO] * basis.dim(1, 1)
     idx = basis.index[(1, 1)]
-    for a in range(hs.m):
-        vec[idx[(1 << a, 1 << a)]] = (I + I) * from_rational(
-            hs.frame.norm_sq[a])
+    for a, row in enumerate(hs.frame_gram.entries):
+        for b, h in enumerate(row):
+            vec[idx[(1 << a, 1 << b)]] = I * h
     return tuple(vec)
 
 

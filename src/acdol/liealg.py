@@ -234,26 +234,13 @@ def validate_spec(spec):
 class ComplexFrame:
     """Adapted frame: Z_j = X_j - i J X_j spanning the +i eigenspace of J.
 
-    ``vectors`` holds the Z_j as Scalar coordinate vectors in the real basis,
-    ``seeds`` the real vectors X_j, ``norm_sq`` the exact g-lengths squared
-    of the seeds and ``metric`` the Gram matrix g they are measured with.
+    ``vectors`` holds the Z_j as Scalar coordinate vectors in the real
+    basis.  The frame is not orthogonalised: the harmonic layer reads the
+    metric through the Hermitian Gram matrix of these vectors.
     """
 
     m: int
     vectors: tuple
-    seeds: tuple
-    norm_sq: tuple
-    metric: tuple
-
-    def real_gram(self):
-        """g-Gram matrix of the real frame (X_1, JX_1, ..., X_m, JX_m)."""
-        # Z = X - i JX, so JX is minus the imaginary part of Z
-        real = []
-        for x, z in zip(self.seeds, self.vectors):
-            real.extend([x, tuple(-c.im for c in z)])
-        g_real = [_apply(self.metric, v) for v in real]
-        return tuple(tuple(sum(a * b for a, b in zip(u, gv) if a and b)
-                           for gv in g_real) for u in real)
 
 
 _ZERO = Fraction(0)
@@ -280,8 +267,8 @@ def adapted_frame(spec):
     input's.  The span is taken once per accepted seed, and only when a
     later candidate is tested against it.  Explicit ``frame_seeds`` are
     used verbatim after checking that they are g-orthogonal to each other
-    and to their J-images and that they span.  Every metric-free stage
-    runs on this frame; the harmonic layer needs ``orthogonal_frame``.
+    and to their J-images and that they span.  Every stage runs on this
+    frame, the harmonic layer included.
     """
     n = spec.dim
     m = spec.m
@@ -318,8 +305,7 @@ def adapted_frame(spec):
             span = None
         if len(seeds) != m:
             raise LieAlgebraError("frame construction failed to span")
-    return _frame(spec, seeds, images,
-                  [_dot(x, _apply(g, x)) for x in seeds])
+    return _frame(spec, seeds, images)
 
 
 def _pair_span(n, seeds, images):
@@ -332,46 +318,11 @@ def _basis_vector(n, idx):
     return tuple(Fraction(1 if i == idx else 0) for i in range(n))
 
 
-def orthogonal_frame(spec, frame):
-    """The g-orthogonal frame the harmonic layer needs, g the metric of
-    ``spec``.
-
-    Gram-Schmidts the seeds of ``frame`` in order against the seeds before
-    them and their J-images, without normalising (g is J-invariant, so
-    X and JX are g-orthogonal already); g u and |u|^2 are formed once for
-    each vector u of the running basis.  Returns ``frame`` itself only when
-    its seeds are g-orthogonal already, as explicit ``frame_seeds`` are,
-    and it was measured with g: a frame of another metric gets its
-    ``norm_sq`` and ``metric`` anew.
-    """
-    g = spec.metric
-    ortho = []  # (u, g u, |u|^2) over {X_1, JX_1, X_2, JX_2, ...} so far
-    seeds = []
-    images = []
-    norms = []
-    for cand in frame.seeds:
-        for u, gu, norm in ortho:
-            coeff = _dot(cand, gu) / norm
-            if coeff:
-                cand = tuple(cv - coeff * uv for cv, uv in zip(cand, u))
-        seeds.append(cand)
-        images.append(_apply(spec.J, cand))
-        for v in (cand, images[-1]):
-            gv = _apply(g, v)
-            ortho.append((v, gv, _dot(v, gv)))
-        norms.append(ortho[-2][2])
-    if tuple(seeds) == frame.seeds and frame.metric == g:
-        return frame
-    return _frame(spec, seeds, images, norms)
-
-
-def _frame(spec, seeds, images, norms):
-    """The frame of the seeds X_j with J-images ``images`` and g-lengths
-    squared ``norms``."""
+def _frame(spec, seeds, images):
+    """The frame of the seeds X_j with J-images ``images``."""
     vectors = tuple(tuple(from_rational(xc, -jc) for xc, jc in zip(x, jx))
                     for x, jx in zip(seeds, images))
-    return ComplexFrame(m=spec.m, vectors=vectors, seeds=tuple(seeds),
-                        norm_sq=tuple(norms), metric=spec.metric)
+    return ComplexFrame(m=spec.m, vectors=vectors)
 
 
 def _lift_vec(fracs):

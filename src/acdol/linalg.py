@@ -37,8 +37,7 @@ class LinalgError(ValueError):
 class Matrix:
     """Immutable rows x cols matrix of Scalars."""
 
-    __slots__ = ("rows", "cols", "entries", "_pivots", "_kernel", "_span",
-                 "_hash")
+    __slots__ = ("rows", "cols", "entries", "_pivots", "_kernel", "_span")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -50,7 +49,6 @@ class Matrix:
         self._pivots = None
         self._kernel = None
         self._span = None
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -116,11 +114,6 @@ class Matrix:
             return NotImplemented
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.entries))
-        return self._hash
-
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.rows, self.cols)
 
@@ -177,7 +170,8 @@ class Matrix:
 
     def conj(self):
         return Matrix(self.rows, self.cols,
-                      [[a.conj() for a in row] for row in self.entries])
+                      [[a.conj() if a.yn else a for a in row]
+                       for row in self.entries])
 
     def conj_transpose(self):
         return self.transpose().conj()
@@ -318,9 +312,6 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self):
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)

@@ -52,11 +52,10 @@ class Analysis:
 
     @functools.cached_property
     def dmb(self):
-        """delbar_mub on the Hermitian layer of the input metric,
-        ``harmonic.hermitian_layer`` of the plain frame: it runs on ``cm``
-        itself unless Gram-Schmidt moves the frame vectors."""
+        """delbar_mub on the Hermitian layer of the input metric, built on
+        the plain frame and its differential ``cm``."""
         return harmonic.delb_mub(
-            harmonic.hermitian_layer(self.spec, self.frame, self.cm))
+            harmonic.build_hermitian(self.cm, self.frame, self.spec.metric))
 
     @property
     def hs(self):

@@ -22,9 +22,9 @@ def input_path(name):
                         "%s.json" % name)
 
 
-# the input documents with golden result documents; the harmonic frame of
-# random-m3-seed1 (random_nilpotent_spec(seeded_rng(1), 3)) is not its
-# plain frame, unlike that of every builtin, and solvable-m2 (R ⋉ R^3 with
+# the input documents with golden result documents; the frame Gram of
+# random-m3-seed1 (random_nilpotent_spec(seeded_rng(1), 3)) is not
+# diagonal, unlike that of every builtin, and solvable-m2 (R ⋉ R^3 with
 # ad X1 = diag(1, 2, -1)) is not unimodular, unlike every other input
 GOLDEN_INPUTS = ("random-m3-seed1", "s3s3-nk", "solvable-m2")
 

@@ -18,8 +18,7 @@ from acdol.forms import (MUBAR, build_basis, build_differential,
                          verify_relations)
 from acdol.harmonic import (build_hermitian, delb_mub,
                             metric_independence_probe)
-from acdol.liealg import (adapted_frame, complexify, orthogonal_frame,
-                          validate_spec)
+from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.linalg import Matrix
 from acdol.linalg import Matrix
 from acdol.spectral import (decalage_check, explicit_page, frolicher_all,
@@ -253,9 +252,9 @@ def test_criterion_9_structural_suite():
     rng = seeded_rng(171717)
     for _ in range(5):
         spec = validate_spec(random_nilpotent_spec(rng, 2))
-        frame = orthogonal_frame(spec, adapted_frame(spec))
+        frame = adapted_frame(spec)
         cm = build_differential(complexify(spec, frame), build_basis(2))
-        hs = build_hermitian(cm, frame)
+        hs = build_hermitian(cm, frame, spec.metric)
         _structural_battery(cm, hs, dolbeault(cm), de_rham(cm))
         count += 1
     _report(9, "structural suite on %d inputs" % count)

@@ -13,7 +13,9 @@ Special methods (``__add__`` and the like) are called by the interpreter,
 not by name, and are left out.  Every name a module imports must be used
 in that module, read off its syntax tree the same way.  The star formula
 ``harmonic.star_adjoint`` is pinned to its one reader,
-``adjointness_checks``, so that no second adjoint route comes back.
+``adjointness_checks``, so that no second adjoint route comes back, and
+``forms.build_differential`` to ``pipeline.analyze``, so that the harmonic
+layer gets no differential of its own.
 """
 
 import ast
@@ -208,6 +210,12 @@ def test_star_formula_is_only_the_adjointness_oracle():
     # only where the battery compares it with that adjoint
     assert _readers(_trees(["src/acdol"]), "star_adjoint") == [
         "adjointness_checks"]
+
+
+def test_one_differential_per_analysis():
+    # the harmonic layer and the metric probe run on the analysis's cm
+    assert _readers(_trees(["src/acdol"]), "build_differential") == [
+        "analyze"]
 
 
 def test_reader_guard_flags_every_reader():

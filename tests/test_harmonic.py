@@ -2,6 +2,7 @@
 Kahler identity battery."""
 
 import dataclasses
+import itertools
 import os
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from acdol import catalog, docio, forms, harmonic, pipeline
 from acdol.cohomology import (ConsistencyError, de_rham,
                               top_cohomology_is_line)
-from acdol.forms import (BIDEGREE, DELBAR, MU, MUBAR, PARTIAL, build_basis,
+from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential, conjugation_matrix)
 from acdol.harmonic import (HermitianStructure, build_hermitian, delb_mub,
                             delb_mub_checks, fundamental_form,
@@ -19,19 +20,20 @@ from acdol.harmonic import (HermitianStructure, build_hermitian, delb_mub,
                             serre_star_check)
 from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import (adapted_frame, complexify, make_spec,
-                          orthogonal_frame, pullback_metric, validate_spec)
+                          pullback_metric, validate_spec)
 from acdol.linalg import Matrix, Subspace
 from conftest import (ORACLE_INPUTS, builtin_analysis, dims_grid,
                       named_analysis, named_spec, random_nilpotent_spec,
                       seeded_rng)
+from test_liealg import _orthogonal_frame_oracle
 
 
 def test_star_m1_volume():
     # one pair: [e1, e2] = 0, J e1 = e2, identity metric
     spec = validate_spec(make_spec(2, None, {}, [[0, -1], [1, 0]]))
-    frame = orthogonal_frame(spec, adapted_frame(spec))
+    frame = adapted_frame(spec)
     cm = build_differential(complexify(spec, frame), build_basis(1))
-    hs = build_hermitian(cm, frame)
+    hs = build_hermitian(cm, frame, spec.metric)
     assert hs.volume_coeff == Scalar(0, 2)  # 2i times the top monomial
     assert hs.star(0, 0).col(0) == (Scalar(0, 2),)
     assert hs.star(1, 0).col(0) == (Scalar(0, -1),)   # star t = -i t
@@ -52,9 +54,10 @@ def test_star_checks_flag_a_scaled_entry(monkeypatch):
     # negative control: doubling one entry of ⋆ on slot (1, 0) must break
     # the isometry there and the defining property on slot (0, 1)
     spec = docio.to_spec(catalog.builtin("filiform-J"))
-    frame = orthogonal_frame(spec, adapted_frame(spec))
+    frame = adapted_frame(spec)
     hs = build_hermitian(build_differential(complexify(spec, frame),
-                                            build_basis(2)), frame)
+                                            build_basis(2)), frame,
+                         spec.metric)
     assert hs.check_star_isometry(1, 0) and hs.check_star_defining(0, 1)
     good = hs.star(1, 0)
     i, j = next((i, j) for i in range(good.rows) for j in range(good.cols)
@@ -69,49 +72,50 @@ def test_star_checks_flag_a_scaled_entry(monkeypatch):
     assert not hs.check_star_defining(0, 1)
 
 
-def _cm_and_frame(name):
-    """(cm, frame) of ``name`` in its orthogonal frame, built afresh."""
+def _layer_args(name):
+    """(cm, frame, metric) of ``name`` on its plain frame, built afresh:
+    the arguments of ``build_hermitian``."""
     spec = validate_spec(named_spec(name))
-    frame = orthogonal_frame(spec, adapted_frame(spec))
+    frame = adapted_frame(spec)
     return build_differential(complexify(spec, frame),
-                              build_basis(spec.m)), frame
+                              build_basis(spec.m)), frame, spec.metric
 
 
 def test_star_bookkeeping_error_names_its_slot(monkeypatch):
     # negative control: no complement for the monomials of slot (1, 0)
-    cm, frame = _cm_and_frame("filiform-J")
+    args = _layer_args("filiform-J")
     wedge = harmonic.forms.wedge_monomials
     monkeypatch.setattr(harmonic.forms, "wedge_monomials", lambda a, b: (
         None if (bin(a[1]).count("1"), bin(a[0]).count("1")) == (1, 0)
         else wedge(a, b)))
     with pytest.raises(ConsistencyError, match=(
             r"^complementary monomial bookkeeping failed on slot \(1, 0\)$")):
-        build_hermitian(cm, frame)
+        build_hermitian(*args)
 
 
 def test_star_of_one_error_names_its_slot(monkeypatch):
     # negative control: ⋆ on slot (0, 0) doubled
-    cm, frame = _cm_and_frame("filiform-J")
+    args = _layer_args("filiform-J")
     star = HermitianStructure.star
     monkeypatch.setattr(HermitianStructure, "star", lambda hs, p, q: (
         star(hs, p, q).scale(Scalar(2)) if (p, q) == (0, 0)
         else star(hs, p, q)))
     with pytest.raises(ConsistencyError, match=(
             r"^⋆1 is not the volume form on slot \(0, 0\)$")):
-        build_hermitian(cm, frame)
+        build_hermitian(*args)
 
 
 def test_volume_length_error_names_its_slot(monkeypatch):
-    # negative control: the Gram weights of the top slot (2, 2) doubled,
+    # negative control: the Gram matrix of the top slot (2, 2) doubled,
     # which ⋆1 does not read
-    cm, frame = _cm_and_frame("filiform-J")
-    gram_diag = HermitianStructure.gram_diag
-    monkeypatch.setattr(HermitianStructure, "gram_diag", lambda hs, p, q: (
-        [2 * w for w in gram_diag(hs, p, q)] if (p, q) == (2, 2)
-        else gram_diag(hs, p, q)))
+    args = _layer_args("filiform-J")
+    gram = HermitianStructure.gram
+    monkeypatch.setattr(HermitianStructure, "gram", lambda hs, p, q: (
+        gram(hs, p, q).scale(Scalar(2)) if (p, q) == (2, 2)
+        else gram(hs, p, q)))
     with pytest.raises(ConsistencyError, match=(
             r"^volume form is not unit length on slot \(2, 2\)$")):
-        build_hermitian(cm, frame)
+        build_hermitian(*args)
 
 
 def test_delbar_mub_square_error_names_its_slot(monkeypatch):
@@ -119,8 +123,9 @@ def test_delbar_mub_square_error_names_its_slot(monkeypatch):
     # delbar replaced by all-ones blocks on slots (1, 0) and (1, 1) makes
     # the square nonzero from slot (1, 0) on; slots (0, 0) and (0, 1),
     # checked first, are untouched
-    cm, frame = _cm_and_frame("abelian-m2")
-    hs = build_hermitian(cm, frame)
+    args = _layer_args("abelian-m2")
+    cm = args[0]
+    hs = build_hermitian(*args)
     block = cm.block
 
     def tampered(tag, p, q):
@@ -154,24 +159,12 @@ def test_star_involution_on_middle_slot():
 def test_star_defining_property_random_metric():
     rng = seeded_rng(9001)
     spec = validate_spec(random_nilpotent_spec(rng, 2))
-    frame = orthogonal_frame(spec, adapted_frame(spec))
+    frame = adapted_frame(spec)
     cm = build_differential(complexify(spec, frame), build_basis(2))
-    hs = build_hermitian(cm, frame)
+    hs = build_hermitian(cm, frame, spec.metric)
+    assert not _is_diagonal(hs.frame_gram)
     for (p, q) in cm.basis.slots:
         assert hs.check_star_defining(p, q)
-
-
-def test_hermitian_structure_rejects_a_frame_that_is_not_g_orthogonal():
-    # negative control for the positive one above: the same random spec, a
-    # non-identity metric, and the plain frame the metric-free stages use
-    spec = validate_spec(random_nilpotent_spec(seeded_rng(9001), 2))
-    assert any(spec.metric[i][j] != (i == j)
-               for i in range(spec.dim) for j in range(spec.dim))
-    frame = adapted_frame(spec)
-    assert orthogonal_frame(spec, frame) != frame
-    cm = build_differential(complexify(spec, frame), build_basis(2))
-    with pytest.raises(ConsistencyError, match="not g-orthogonal"):
-        build_hermitian(cm, frame)
 
 
 def test_adjoints_zero_on_abelian():
@@ -181,13 +174,18 @@ def test_adjoints_zero_on_abelian():
                    for pq in an.cm.basis.slots)
 
 
+def _is_diagonal(mat):
+    return not any(x for i, row in enumerate(mat.entries)
+                   for j, x in enumerate(row) if i != j)
+
+
 def hermitian(name):
-    """The Hermitian structure of ``named_spec(name)`` on its harmonic
-    frame; "aff1" is aff(1)."""
+    """The Hermitian structure of ``named_spec(name)`` on its plain frame,
+    built afresh; "aff1" is aff(1)."""
     spec = validate_spec(affine_spec() if name == "aff1" else named_spec(name))
-    frame = orthogonal_frame(spec, adapted_frame(spec))
+    frame = adapted_frame(spec)
     cm = build_differential(complexify(spec, frame), build_basis(spec.m))
-    return build_hermitian(cm, frame)
+    return build_hermitian(cm, frame, spec.metric)
 
 
 def _star_formula_agrees(hs, tag):
@@ -195,8 +193,8 @@ def _star_formula_agrees(hs, tag):
                == hs.adjoint_block(tag, p, q) for (p, q) in hs.basis.slots)
 
 
-# the unimodular builtins, and random nilpotent inputs whose harmonic frame
-# is not their plain frame, unlike every builtin's
+# the unimodular builtins, and random nilpotent inputs whose frame has a
+# Gram matrix that is not diagonal, unlike every builtin's
 UNIMODULAR_INPUTS = catalog.builtin_names() + [
     "random-m%d-seed%d" % (m, seed) for m in (2, 3) for seed in (1, 2, 3)]
 NON_UNIMODULAR_INPUTS = ["aff1", "solvable-m2"]
@@ -219,9 +217,7 @@ def test_delbar_adjointness_unimodular(name):
     slot."""
     hs = hermitian(name)
     assert top_cohomology_is_line(hs.cm)
-    if name.startswith("random-"):
-        spec = validate_spec(named_spec(name))
-        assert hs.frame != adapted_frame(spec)
+    assert _is_diagonal(hs.frame_gram) == (not name.startswith("random-"))
     for tag in (MUBAR, DELBAR, PARTIAL, MU):
         assert _star_formula_agrees(hs, tag), tag
 
@@ -499,10 +495,11 @@ def test_mub_decomposition_su2su2_middle_slot():
 
 def _frames_analysis(name):
     """``named_analysis(name)``; random-m3-seed1 is the one input here whose
-    harmonic frame is not its plain frame, so that its harmonic layer has a
-    differential of its own."""
+    frame Gram is not diagonal, so that its Gram matrices are dense.  The
+    harmonic layer runs on the analysis's differential either way."""
     an = named_analysis(name)
-    assert (an.hs.cm is not an.cm) == (name == "random-m3-seed1")
+    assert an.hs.cm is an.cm
+    assert _is_diagonal(an.hs.frame_gram) == (name != "random-m3-seed1")
     return an
 
 
@@ -588,18 +585,17 @@ def test_probe_metric_is_five_times_the_input_metric(name):
 
 @pytest.mark.parametrize("name", catalog.builtin_names())
 def test_orthogonal_frame_remeasures_a_frame_of_another_metric(name):
-    """The harmonic frame is 5g-orthogonal as it stands, so Gram-Schmidt
-    keeps its vectors, but its lengths are measured anew: a layer built
-    on it for 5g has 1/5 of the input layer's weights."""
+    """The harmonic frame is 5g-orthogonal as it stands, and a layer built
+    on it for 5g measures it anew: the frame Gram H scales by 5, K by 1/5,
+    and the Gram matrix of slot (p, q) by 5^-(p + q)."""
     an = builtin_analysis(name)
     variant = validate_spec(an.spec.with_metric(_scaled_metric(an.spec, 5)))
-    frame = orthogonal_frame(variant, an.hs.frame)
-    assert frame.vectors == an.hs.frame.vectors
-    assert frame.metric == variant.metric
-    assert frame.norm_sq == tuple(5 * n for n in an.hs.frame.norm_sq)
-    layer = harmonic.hermitian_layer(variant, an.hs.frame, an.hs.cm)
-    assert layer.cm is an.hs.cm
-    assert layer.weights == tuple(w / 5 for w in an.hs.weights)
+    layer = build_hermitian(an.hs.cm, an.hs.frame, variant.metric)
+    assert layer.cm is an.hs.cm and layer.frame is an.hs.frame
+    assert _is_diagonal(layer.frame_gram)
+    assert layer.frame_gram == an.hs.frame_gram.scale(Scalar(5))
+    assert all(layer.gram(p, q) == an.hs.gram(p, q).scale(
+        Scalar(1, 0, 5 ** (p + q))) for (p, q) in an.cm.basis.slots)
 
 
 @pytest.mark.parametrize("name", CATALOG_INPUTS)
@@ -609,8 +605,8 @@ def test_probe_layer_reads_the_analysis_differential(name, monkeypatch):
     layers = []
     build = harmonic.build_hermitian
 
-    def recorded(cm, frame):
-        layers.append(build(cm, frame))
+    def recorded(cm, frame, metric):
+        layers.append(build(cm, frame, metric))
         return layers[-1]
 
     def refuse(*args):
@@ -622,6 +618,7 @@ def test_probe_layer_reads_the_analysis_differential(name, monkeypatch):
                                          pipeline.probe_metrics(an.spec))
     assert check.passed
     assert [layer.cm is an.hs.cm for layer in layers] == [True]
+    assert [layer.frame is an.hs.frame for layer in layers] == [True]
 
 
 def _gl_j_pullback(spec, rng):
@@ -647,21 +644,142 @@ def _gl_j_pullback(spec, rng):
 @pytest.mark.parametrize("name", ["filiform-J", "kt-J", "su2su2-nk",
                                   "random-m3-seed1", "solvable-m2"])
 def test_layer_of_a_metric_that_moves_the_frame(name):
-    """For a metric under which the harmonic frame is not orthogonal, the
-    layer's differential is that of the Gram-Schmidted frame, built anew,
-    and the probe still passes."""
+    """A metric under which the frame is not orthogonal, so that
+    Gram-Schmidt would move it: its layer runs on the analysis's frame and
+    differential with a frame Gram that is not diagonal, and the probe
+    still passes."""
     an = named_analysis(name)
     variant = validate_spec(an.spec.with_metric(
         _gl_j_pullback(an.spec, seeded_rng(7))))
-    frame = orthogonal_frame(variant, an.hs.frame)
-    assert frame.vectors != an.hs.frame.vectors
-    layer = harmonic.hermitian_layer(variant, an.hs.frame, an.hs.cm)
-    assert layer.frame == frame and layer.cm is not an.hs.cm
-    ref = build_differential(complexify(variant, frame), an.cm.basis)
-    assert all(layer.cm.block(tag, p, q) == ref.block(tag, p, q)
-               for tag in BIDEGREE for (p, q) in an.cm.basis.slots)
+    layer = build_hermitian(an.cm, an.frame, variant.metric)
+    assert layer.cm is an.cm and layer.frame is an.frame
+    assert not _is_diagonal(layer.frame_gram)
     _, check = metric_independence_probe(an.spec, an.dmb, [variant.metric])
     assert check.passed
+
+
+# -- the Gram matrices against the definition, and against the orthogonal
+# frame --------------------------------------------------------------------
+
+
+def _det(rows):
+    """The determinant by the Leibniz formula."""
+    total = ZERO
+    for perm in itertools.permutations(range(len(rows))):
+        term = ONE
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total - term if inversions & 1 else total + term
+    return total
+
+
+def _frame_matrix(frame):
+    """P = [Z | conj Z], the frame as columns on the real basis."""
+    return Matrix.from_columns(list(frame.vectors) + [
+        tuple(c.conj() for c in z) for z in frame.vectors])
+
+
+def _generators(m, mono):
+    """The coframe indices of the monomial t^S ∧ tbar^T in order: a for
+    t^a, m + b for tbar^b."""
+    s, t = mono
+    return ([a for a in range(m) if s >> a & 1]
+            + [m + b for b in range(m) if t >> b & 1])
+
+
+def _gram_oracle(spec, frame, p, q):
+    """G_(p,q) from the definition, over the whole coframe: the rows
+    theta_u of P^{-1} pair as <a, b> = a g^{-1} b^H, linear in a; forms
+    pair as <a_1 ∧ .. ∧ a_r, b_1 ∧ .. ∧ b_r> = det <a_i, b_j>; and
+    G[k, l] = <e_l, e_k>.  So G_(1,0) is the transpose, equivalently the
+    conjugate, of the t-block of P^{-1} g^{-1} P^{-H}."""
+    theta = _frame_matrix(frame).inverse()
+    g_inv = Matrix.from_rows([[Scalar.from_rational(x) for x in row]
+                              for row in spec.metric]).inverse()
+    pair = (theta @ g_inv @ theta.conj_transpose()).entries
+    monos = [_generators(spec.m, mono)
+             for mono in build_basis(spec.m).monomials(p, q)]
+    return Matrix.from_rows([[_det([[pair[u][v] for v in k] for u in l])
+                              for l in monos] for k in monos])
+
+
+def _frame_change(spec, plain, other, p, q):
+    """T_(p,q) taking the coordinates of a form in the monomials of the
+    coframe t' of ``other`` to those in the plain coframe t: with
+    t'_u = sum_v B[u][v] t_v, B[u][v] = t'_u(W_v) = (P'^{-1} P)[u][v], the
+    monomial t'_U is sum_V det B[U, V] t_V."""
+    b = (_frame_matrix(other).inverse() @ _frame_matrix(plain)).entries
+    monos = [_generators(spec.m, mono)
+             for mono in build_basis(spec.m).monomials(p, q)]
+    return Matrix.from_rows([[_det([[b[u][v] for v in old] for u in new])
+                              for new in monos] for old in monos])
+
+
+def _spaces(hs):
+    """{name: {(p, q): space}} of the harmonic spaces the layer computes."""
+    return {"mubar": hs.harmonic(MUBAR), "delbar": hs.harmonic(DELBAR),
+            "d": hs.d_harmonic(), "delbar_mub": delb_mub(hs).harmonic}
+
+
+def _orthogonal_frame_spaces(name):
+    """The harmonic spaces of ``name`` computed on the Gram-Schmidt frame
+    of ``_orthogonal_frame_oracle``, with a differential of its own and a
+    diagonal frame Gram, carried to the plain frame by the change of
+    coframe."""
+    spec = validate_spec(affine_spec() if name == "aff1" else named_spec(name))
+    plain = adapted_frame(spec)
+    other = _orthogonal_frame_oracle(spec, plain)
+    cm = build_differential(complexify(spec, other), build_basis(spec.m))
+    hs = build_hermitian(cm, other, spec.metric)
+    assert _is_diagonal(hs.frame_gram)
+    change = {pq: _frame_change(spec, plain, other, *pq)
+              for pq in cm.basis.slots}
+    return {key: {pq: Subspace.from_matrix_columns(change[pq] @ sub.basis)
+                  for pq, sub in spaces.items()}
+            for key, spaces in _spaces(hs).items()}
+
+
+GRAM_ORACLE_INPUTS = ["random-m2-seed%d" % seed for seed in (1, 2, 3, 4)] + [
+    "random-m3-seed1", "solvable-m2", "filiform-J"]
+
+
+@pytest.mark.parametrize("name", GRAM_ORACLE_INPUTS)
+def test_gram_matrices_equal_the_definition(name):
+    hs = hermitian(name)
+    spec = validate_spec(named_spec(name))
+    for (p, q) in hs.basis.slots:
+        gram = hs.gram(p, q)
+        assert gram == _gram_oracle(spec, hs.frame, p, q), (p, q)
+        assert hs.gram_inverse(p, q) @ gram == Matrix.identity(gram.rows)
+
+
+CROSS_FRAME_INPUTS = ["random-m2-seed%d" % seed for seed in (1, 2, 3, 4)] + [
+    "random-m3-seed%d" % seed for seed in (1, 2, 3)] + ["solvable-m2", "aff1"]
+
+
+@pytest.mark.parametrize("name", CROSS_FRAME_INPUTS)
+def test_harmonic_spaces_equal_those_of_the_orthogonal_frame(name):
+    """Oracle: the plain-frame layer, with dense Gram matrices, and the
+    Gram-Schmidt frame's layer, with diagonal ones, give the same
+    H_mubar, H_delbar, d-harmonic and delbar_mub-harmonic spaces."""
+    assert _spaces(hermitian(name)) == _orthogonal_frame_spaces(name)
+
+
+def test_a_conjugated_gram_fails_both_oracles(monkeypatch):
+    """Negative control: conj(G), the Gram of the coframe with t and tbar
+    swapped, passes every check of the battery that is not informational,
+    but neither oracle."""
+    name = "random-m3-seed1"
+    want = _orthogonal_frame_spaces(name)
+    spec = validate_spec(named_spec(name))
+    for method in ("gram", "gram_inverse"):
+        real = getattr(HermitianStructure, method)
+        monkeypatch.setattr(HermitianStructure, method,
+                            lambda hs, p, q, real=real: real(hs, p, q).conj())
+    hs = hermitian(name)
+    assert hs.gram(1, 0) != _gram_oracle(spec, hs.frame, 1, 0)
+    assert _spaces(hs) != want
 
 
 def test_fundamental_form_and_lefschetz():
@@ -726,9 +844,10 @@ def test_nk_scalar_scales_inversely_with_metric(name):
     for lam in (1, 4, Fraction(1, 9)):
         scaled = spec.with_metric([[lam * x for x in row]
                                    for row in spec.metric])
-        frame = orthogonal_frame(scaled, adapted_frame(scaled))
+        frame = adapted_frame(scaled)
         cm = build_differential(complexify(scaled, frame), build_basis(3))
-        _, fitted = nearly_kahler_checks(delb_mub(build_hermitian(cm, frame)))
+        _, fitted = nearly_kahler_checks(delb_mub(build_hermitian(
+            cm, frame, scaled.metric)))
         assert Fraction(fitted) == NK_SCALARS[name] / lam, lam
 
 
@@ -742,8 +861,8 @@ def test_nearly_kahler_negative_control():
          [0, 0, 0, 0, 1, 0]]
     spec = validate_spec(make_spec(
         6, None, {(0, 1): {4: 1}, (0, 2): {5: 1}}, J))
-    frame = orthogonal_frame(spec, adapted_frame(spec))
+    frame = adapted_frame(spec)
     cm = build_differential(complexify(spec, frame), build_basis(3))
-    hs = build_hermitian(cm, frame)
+    hs = build_hermitian(cm, frame, spec.metric)
     checks, _ = nearly_kahler_checks(delb_mub(hs))
     assert any(not c.passed for c in checks)

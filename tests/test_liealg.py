@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from acdol import catalog, docio
+from acdol import catalog, docio, liealg
 from acdol.kernel import ZERO, Scalar
 from acdol.liealg import (ComplexFrame, LieAlgebraError, adapted_frame,
                           averaged_metric, complexify, make_spec,
-                          orthogonal_frame, validate_spec)
+                          validate_spec)
 from acdol.linalg import Matrix, Subspace
 from conftest import (ORACLE_INPUTS, named_spec, random_nilpotent_spec,
                       seeded_rng)
@@ -233,7 +233,6 @@ def test_filiform_frame():
     z1, z2 = fr.vectors
     assert z1 == (Scalar(1), Scalar(0, -1), Scalar(0), Scalar(0))
     assert z2 == (Scalar(0), Scalar(0), Scalar(1), Scalar(0, -1))
-    assert fr.norm_sq == (Fraction(1), Fraction(1))
 
 
 def test_frame_determinism():
@@ -262,7 +261,6 @@ def test_su2su2_seeded_frame_matches_convention():
     # X = X2 + i X1 and cyclic
     assert fr.vectors[0] == (Scalar(0, 1), Scalar(0), Scalar(0),
                              Scalar(1), Scalar(0), Scalar(0))
-    assert fr.norm_sq == (Fraction(1),) * 3
 
 
 def test_bad_seed_list_rejected():
@@ -329,6 +327,33 @@ def test_complexify_conjugation_symmetry_random():
                     cu, cv, cw = ((u + spec.m) % two_m, (v + spec.m) % two_m,
                                   (w + spec.m) % two_m)
                     assert csc.table[cu][cv][cw] == csc.table[u][v][w].conj()
+
+
+def test_complexify_conjugation_check_flags_a_broken_table(monkeypatch):
+    """Negative control: on filiform-J, [Z_1, Z_2] = e_4 = (i/2)(Z_2 -
+    conj Z_2).  The imaginary part of P^{-1} in the row of t^2 at e_4,
+    negated on its way in, makes the coefficient of Z_2 in [Z_1, Z_2]
+    -i/2, equal to that of conj Z_2 in [conj Z_1, conj Z_2] instead of
+    its conjugate: the two differ in their imaginary parts only."""
+    spec = validate_spec(filiform_spec())
+    frame = adapted_frame(spec)
+    cleared = liealg._gaussian_cleared
+    calls = []
+
+    def perturbed(rows):
+        out, den = cleared(rows)
+        if not calls:  # the first call clears P^{-1}
+            x, y = out[1][3]
+            assert (x, y) != (x, -y)
+            out[1][3] = (x, -y)
+        calls.append(rows)
+        return out, den
+
+    monkeypatch.setattr(liealg, "_gaussian_cleared", perturbed)
+    with pytest.raises(LieAlgebraError, match=(
+            "^internal error: conjugation symmetry broken in complexified "
+            "brackets$")):
+        complexify(spec, frame)
 
 
 def _complexify_oracle(spec, frame):
@@ -420,13 +445,14 @@ def _frame_oracle(spec):
     return _oracle_frame(spec, seeds)
 
 
-def _orthogonal_oracle(spec, frame):
-    """Oracle of ``orthogonal_frame``: Gram-Schmidt by the dense pairing,
-    every pairing formed anew."""
+def _orthogonal_frame_oracle(spec, frame):
+    """The g-orthogonal frame Gram-Schmidt makes of ``frame``, by the dense
+    pairing, every pairing formed anew: the seeds X_j = Re Z_j in order,
+    each made orthogonal to the seeds before it and their J-images."""
     g = spec.metric
     ortho = []
     seeds = []
-    for cand in frame.seeds:
+    for cand in (tuple(c.re for c in z) for z in frame.vectors):
         for u in ortho:
             coeff = _dense_pairing(g, cand, u) / _dense_pairing(g, u, u)
             cand = tuple(cv - coeff * uv for cv, uv in zip(cand, u))
@@ -435,20 +461,10 @@ def _orthogonal_oracle(spec, frame):
     return _oracle_frame(spec, seeds)
 
 
-def _real_gram_oracle(spec, frame):
-    """Oracle of ``ComplexFrame.real_gram``: the dense pairing of the real
-    frame (X_1, JX_1, ...), with JX formed from J."""
-    real = [v for x in frame.seeds for v in (x, _dense_apply(spec.J, x))]
-    return tuple(tuple(_dense_pairing(frame.metric, u, v) for v in real)
-                 for u in real)
-
-
 def _oracle_frame(spec, seeds):
     vectors = tuple(tuple(Scalar.from_rational(xc, -jc) for xc, jc in
                           zip(x, _dense_apply(spec.J, x))) for x in seeds)
-    return ComplexFrame(spec.m, vectors, tuple(seeds),
-                        tuple(_dense_pairing(spec.metric, x, x)
-                              for x in seeds), spec.metric)
+    return ComplexFrame(spec.m, vectors)
 
 
 def _dense_apply(mat, v):
@@ -485,12 +501,7 @@ FRAME_INPUTS = ORACLE_INPUTS + [
 @pytest.mark.parametrize("name", FRAME_INPUTS)
 def test_frames_equal_the_dense_fraction_oracle(name):
     spec = validate_spec(named_spec(name))
-    plain = adapted_frame(spec)
-    assert plain == _frame_oracle(spec)
-    harmonic = orthogonal_frame(spec, plain)
-    assert harmonic == _orthogonal_oracle(spec, plain)
-    assert harmonic.real_gram() == _real_gram_oracle(spec, harmonic)
-    assert plain.real_gram() == _real_gram_oracle(spec, plain)
+    assert adapted_frame(spec) == _frame_oracle(spec)
 
 
 def test_explicit_seeds_and_their_errors_equal_the_oracle():
@@ -509,6 +520,3 @@ def test_explicit_seeds_and_their_errors_equal_the_oracle():
     assert got[2:] == ["frame seeds are not g-orthogonal",
                        "frame seeds are not orthogonal to J-images",
                        "frame seeds do not span (J-independence fails)"]
-    for frame, case in zip(got[:2], cases):
-        assert orthogonal_frame(case, frame) is frame
-        assert frame.real_gram() == _real_gram_oracle(case, frame)

@@ -52,8 +52,8 @@ def test_analyze_builds_no_harmonic_layer(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_mubar_hodge_decomposition_entry_can_fail(name):
     """The entry checks C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0] on
-    every slot, in the harmonic frame (random-m3's is not its plain
-    frame): it passes as built and fails on one tampered slot."""
+    every slot, with dense Gram matrices on random-m3, whose frame Gram is
+    not diagonal: it passes as built and fails on one tampered slot."""
     an = pipeline.analyze(SPECS[name]())
 
     def entry():
