@@ -44,20 +44,23 @@ decomposition  A^{p,q} = Im(mubar) ⊕ H_mubar ⊕ Im(mubar*)  lives the
 operator  delbar_mub = (harmonic projection) ∘ delbar, which squares to
 zero and whose cohomology has the Dolbeault dimensions; its harmonic
 spaces realise Dolbeault cohomology, so their dims are metric-independent.
-The decomposition gives each slot its harmonic coordinates, the H_mubar
-rows of B^{-1} with B = [Im mubar | H_mubar | Im mubar*], so delbar_mub on
-a slot is one product: those coordinates of the target slot times delbar
-times the harmonic basis.
+The three parts are G-orthogonal, so the harmonic projection is the
+G-orthogonal one: with H a basis of H_mubar and M = H^H G H its Gram
+matrix, a form x has harmonic coordinates M^{-1} (G H)^H x.  So
+delbar_mub on a slot is op = M^{-1} N, one solve, from the compression
+N_q = (G H)_{q+1}^H delbar H_q of delbar; its adjoint in the pairing M is
+M^{-1} N^H, and its harmonic space is Ker [N_q; N_{q-1}^H], with no
+inverse formed.
 
 The layer is built once per analysis: ``_memoized`` caches every operator
 of ``HermitianStructure`` (the Gram matrices and the stacked [d; d*]
 included) in the instance, so a layer's cache is freed with it;
-``delb_mub`` stores the harmonic coordinates and the delbar_mub-harmonic
-space of every slot on its ``DelbMub``, and the battery, the nearly Kahler
-checks and the metric probe read that ``DelbMub``.  Every layer comes from
-one constructor, ``build_hermitian``, on the analysis's own frame and
-differential: the probe builds only new Gram matrices for each other
-metric, and reads the differential's memoised spans and kernels.
+``delb_mub`` stores op and the delbar_mub-harmonic space of every slot on
+its ``DelbMub``, and the battery, the nearly Kahler checks and the metric
+probe read that ``DelbMub``.  Every layer comes from one constructor,
+``build_hermitian``, on the analysis's own frame and differential: the
+probe builds only new Gram matrices for each other metric, and reads the
+differential's memoised spans and kernels.
 """
 
 from __future__ import annotations
@@ -299,12 +302,17 @@ class HermitianStructure:
                 for pq in self.basis.slots}
 
     @_memoized
+    def harmonic_space(self, tag, p, q):
+        """The delta-harmonic space Ker δ ∩ Ker δ* of slot (p, q), one
+        kernel of the stacked [δ; δ*]; off the grid both blocks have no
+        columns, so it is the zero space of k^0."""
+        return Subspace.kernel(self.cm.block(tag, p, q).vstack(
+            self.adjoint_block(tag, p, q)))
+
+    @_memoized
     def harmonic(self, tag):
-        """The slotwise delta-harmonic spaces Ker δ ∩ Ker δ*, each one
-        kernel of the stacked [δ; δ*]."""
-        return {(p, q): Subspace.kernel(self.cm.block(tag, p, q).vstack(
-                    self.adjoint_block(tag, p, q)))
-                for (p, q) in self.basis.slots}
+        """The delta-harmonic spaces of the grid, {(p, q): space}."""
+        return {pq: self.harmonic_space(tag, *pq) for pq in self.basis.slots}
 
     @_memoized
     def d_harmonic(self):
@@ -329,35 +337,26 @@ def build_hermitian(cm, frame, metric):
 
 
 def mub_decomposition(hs):
-    """The mubar Hodge decomposition A^{p,q} = Im(mubar) ⊕ H_mubar ⊕
-    Im(mubar*), orthogonal, of every slot, as its harmonic coordinates
-    {(p, q): C}.  C gives the coordinates of the harmonic part of a form in
-    the basis of H_mubar: it is the H_mubar rows of B^{-1}, B = [Im mubar |
-    H_mubar | Im mubar*], so C H_mubar = I and C kills both images.  Raises
-    ConsistencyError naming the first slot whose parts do not split it
-    orthogonally, with their dims: G is positive definite, so G-orthogonal
-    parts are independent and span the slot when their dims add up."""
+    """The certificate of the mubar Hodge decomposition A^{p,q} =
+    Im(mubar) ⊕ H_mubar ⊕ Im(mubar*), orthogonal, of every slot: the slots
+    it fails, in slot order, each named with the dims of its three parts.
+    G is positive definite, so G-orthogonal parts are independent and span
+    the slot when their dims add up."""
     cm = hs.cm
-    basis = hs.basis
     harm = hs.harmonic(MUBAR)
-    coords = {}
-    for (p, q) in sorted(basis.slots):
-        dim = basis.dim(p, q)
-        im_mub = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2))
-        im_adj = Subspace.from_matrix_columns(
-            hs.adjoint_block(MUBAR, p - 1, q + 2))
-        h = harm[(p, q)]
-        parts = (im_mub, h, im_adj)
+    failed = []
+    for (p, q) in sorted(hs.basis.slots):
+        dim = hs.basis.dim(p, q)
+        parts = (Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2)),
+                 harm[(p, q)],
+                 Subspace.from_matrix_columns(
+                     hs.adjoint_block(MUBAR, p - 1, q + 2)))
         if not (sum(sub.dim for sub in parts) == dim
                 and _pairwise_orthogonal(hs, p, q, parts)):
-            raise ConsistencyError(
-                "mubar Hodge decomposition failed: mubar_decomposition_%d_%d "
-                "(dims %d + %d + %d vs slot %d)"
-                % (p, q, im_mub.dim, h.dim, im_adj.dim, dim))
-        inv = im_mub.basis.hstack(h.basis).hstack(im_adj.basis).inverse()
-        coords[(p, q)] = Matrix(h.dim, dim,
-                                inv.entries[im_mub.dim:im_mub.dim + h.dim])
-    return coords
+            failed.append("mubar_decomposition_%d_%d (dims %d + %d + %d vs "
+                          "slot %d)" % (p, q, *(sub.dim for sub in parts),
+                                        dim))
+    return failed
 
 
 def _pairwise_orthogonal(hs, p, q, subs):
@@ -373,69 +372,60 @@ def _pairwise_orthogonal(hs, p, q, subs):
 
 @dataclass
 class DelbMub:
-    """delbar_mub and its adjoint in the harmonic bases of H_mubar.
+    """delbar_mub in the bases of H_mubar, and its harmonic spaces.
 
-    ``op``/``op_adj`` act on coordinates in the bases of the
-    mubar-harmonic spaces ``hs.harmonic(MUBAR)``, and
-    ``harmonic[(p, q)]`` is Ker(delbar_mub) ∩ Ker(delbar_mub*) lifted into
-    the slot.  ``unimodular`` records whether the top cohomology is a line,
-    the hypothesis under which the star formula gives the adjoint of delbar
-    (Milnor 1976), so it gates only the checks that read ⋆ as an adjoint;
-    ``coords`` are the harmonic coordinates of
-    ``mub_decomposition`` the operators are read from.  ``delb_mub`` builds
-    all of it once; every later stage reads it.
+    ``op[(p, q)]`` takes coordinates in the basis of the mubar-harmonic
+    space ``hs.harmonic(MUBAR)[(p, q)]`` to those of slot (p, q + 1), a
+    matrix with no rows on q = m, and ``harmonic[(p, q)]`` is
+    Ker(delbar_mub) ∩ Ker(delbar_mub*) lifted into the slot.
+    ``unimodular`` records whether the top cohomology is a line, the
+    hypothesis under which the star formula gives the adjoint of delbar
+    (Milnor 1976), so it gates only the checks that read ⋆ as an adjoint.
+    ``delb_mub`` builds all of it once; every later stage reads it.
     """
 
     hs: HermitianStructure
     op: dict
-    op_adj: dict
     harmonic: dict
     unimodular: bool
-    coords: dict
 
     def harmonic_dims(self):
         return {k: v.dim for k, v in self.harmonic.items() if v.dim}
 
 
 def delb_mub(hs):
-    """Build delbar_mub = H_mubar ∘ delbar restricted to mubar-harmonics.
-
-    On each slot it is one product, the harmonic coordinates of the target
-    slot times delbar times the harmonic basis; off the grid the
-    coordinates are 0 x 0.  Asserts delbar_mub^2 = 0.  The adjoint-side
-    operator is the harmonic projection of delbar*, the adjoint of
-    delbar_mub with respect to the restricted Gram pairing: the projection
-    is G-orthogonal.
-    """
+    """Build delbar_mub = H_mubar ∘ delbar restricted to mubar-harmonics:
+    op = M^{-1} N and the harmonic space Ker [N_q; N_{q-1}^H] of every slot
+    (see the module docstring), H_mubar being the zero space of k^0 off the
+    grid.  Raises ConsistencyError on the first slot ``mub_decomposition``
+    fails, and asserts delbar_mub^2 = 0."""
+    failed = mub_decomposition(hs)
+    if failed:
+        raise ConsistencyError("mubar Hodge decomposition failed: %s"
+                               % failed[0])
     cm = hs.cm
-    coords = mub_decomposition(hs)
-    off_grid = Matrix.zero(0, 0)
-    harm = hs.harmonic(MUBAR)
+    rows = range(hs.m + 1)
+    # H and (G H)^H on the grid and the ring of slots around it
+    h = {(p, q): hs.harmonic_space(MUBAR, p, q).basis
+         for p in rows for q in range(-1, hs.m + 2)}
+    gh = {pq: (hs.gram(*pq) @ basis).conj_transpose()
+          for pq, basis in h.items()}
+    comp = {(p, q): gh[(p, q + 1)] @ (cm.block(DELBAR, p, q) @ h[(p, q)])
+            for p in rows for q in range(-1, hs.m + 1)}
     op = {}
-    op_adj = {}
-    for (p, q), src in harm.items():
-        op[(p, q)] = coords.get((p, q + 1), off_grid) @ (
-            cm.block(DELBAR, p, q) @ src.basis)
-        op_adj[(p, q)] = coords.get((p, q - 1), off_grid) @ (
-            hs.adjoint_block(DELBAR, p, q) @ src.basis)
-    for p in range(hs.m + 1):
+    harmonic = {}
+    for (p, q) in hs.basis.slots:
+        op[(p, q)] = (gh[(p, q + 1)] @ h[(p, q + 1)]).solve(comp[(p, q)])
+        ker = Subspace.kernel(comp[(p, q)].vstack(
+            comp[(p, q - 1)].conj_transpose()))
+        harmonic[(p, q)] = Subspace.from_matrix_columns(h[(p, q)] @ ker.basis)
+    for p in rows:
         for q in range(hs.m):
             if not (op[(p, q + 1)] @ op[(p, q)]).is_zero():
                 raise ConsistencyError(
                     "delbar_mub does not square to zero on slot (%d, %d)"
                     % (p, q))
-    harmonic = {}
-    for pq, mat in op.items():
-        ker = Subspace.kernel(mat.vstack(op_adj[pq]))
-        harmonic[pq] = _lift(harm[pq], ker.basis)
-    return DelbMub(hs, op, op_adj, harmonic,
-                   top_cohomology_is_line(cm), coords)
-
-
-def _lift(space, coords):
-    """The span of the coordinate columns ``coords`` in the basis of
-    ``space``, as a subspace of the slot."""
-    return Subspace.from_matrix_columns(space.basis @ coords)
+    return DelbMub(hs, op, harmonic, top_cohomology_is_line(cm))
 
 
 def star_adjoint(hs, tag, p, q):
@@ -472,30 +462,24 @@ def skipped_not_unimodular(name):
 
 
 def delb_mub_checks(dmb, h_dol_dims):
-    """Hodge decomposition of H_mubar under delbar_mub plus the Dolbeault
-    match, of its cohomology and of its harmonic spaces."""
-    hs = dmb.hs
-    m = hs.m
-    checks = []
-    coh = cohomology_dims_of_operator(dmb.op)
-    ok = all(coh.get((p, q), 0) == h_dol_dims.get((p, q), 0)
-             for p in range(m + 1) for q in range(m + 1))
-    checks.append(Check("delbar_mub_cohomology_equals_dolbeault", ok))
+    """The Hodge decomposition of H_mubar under delbar_mub, and the
+    Dolbeault match, ``h_dol_dims`` with zero entries left out, of its
+    cohomology and of its harmonic spaces.  In the pairing M the harmonic
+    part is orthogonal to both images by construction, and the images are
+    orthogonal exactly when op squares to zero; the parts then span when
+    rank op_{q-1} + dim harmonic + rank op_q = dim H_mubar, that is, when
+    the harmonic dims are the cohomology dims of op."""
+    op = dmb.op
+    m = dmb.hs.m
+    coh = cohomology_dims_of_operator(op)
     dims = dmb.harmonic_dims()
-    ok_h = all(dims.get((p, q), 0) == h_dol_dims.get((p, q), 0)
-               for p in range(m + 1) for q in range(m + 1))
-    checks.append(Check("delbar_mub_harmonic_equals_dolbeault", ok_h))
-    ok_dec = True
-    for (p, q), space in hs.harmonic(MUBAR).items():
-        img = _lift(space, dmb.op.get((p, q - 1), Matrix.zero(space.dim, 0)))
-        img_adj = _lift(space, dmb.op_adj.get((p, q + 1),
-                                              Matrix.zero(space.dim, 0)))
-        parts = (img, dmb.harmonic[(p, q)], img_adj)
-        if (sum(sub.dim for sub in parts) != space.dim
-                or not _pairwise_orthogonal(hs, p, q, parts)):
-            ok_dec = False
-    checks.append(Check("delbar_mub_hodge_decomposition", ok_dec))
-    return checks
+    square_zero = all((op[(p, q + 1)] @ op[(p, q)]).is_zero()
+                      for p in range(m + 1) for q in range(m))
+    return [Check("delbar_mub_cohomology_equals_dolbeault",
+                  coh == h_dol_dims),
+            Check("delbar_mub_harmonic_equals_dolbeault", dims == h_dol_dims),
+            Check("delbar_mub_hodge_decomposition",
+                  square_zero and dims == coh)]
 
 
 # -- Serre duality by bar-star --------------------------------------------------

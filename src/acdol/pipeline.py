@@ -244,14 +244,11 @@ def verification_checks(an):
     # adjoints: the star formula as the oracle of the Gram adjoint
     checks.extend(harmonic.adjointness_checks(an.dmb))
 
-    # mubar Hodge decomposition: on every slot the harmonic coordinates C
-    # give C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0]
-    h_mubar = hs.harmonic(MUBAR)
-    ok = all((c @ hs.cm.block(MUBAR, p + 1, q - 2)).is_zero()
-             and c @ h_mubar[(p, q)].basis == Matrix.identity(c.rows)
-             and (c @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
-             for (p, q), c in an.dmb.coords.items())
-    checks.append(Check("mubar_hodge_decomposition", ok))
+    # mubar Hodge decomposition: on every slot the dims of Im mubar, H_mubar
+    # and Im mubar* add up and the three are pairwise G-orthogonal
+    failed = harmonic.mub_decomposition(hs)
+    checks.append(Check("mubar_hodge_decomposition", not failed,
+                        "; ".join(failed)))
 
     # delbar_mub cohomology / harmonic spaces
     checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
@@ -259,7 +256,7 @@ def verification_checks(an):
 
     # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, and equality on
     # q = 0, where delbar* and mubar* vanish
-    h_delbar = hs.harmonic(DELBAR)
+    h_delbar, h_mubar = hs.harmonic(DELBAR), hs.harmonic(MUBAR)
     ok = True
     ok_row = True
     for (p, q) in basis.slots:

@@ -20,11 +20,11 @@ from acdol.harmonic import (build_hermitian, delb_mub,
                             metric_independence_probe)
 from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.linalg import Matrix
-from acdol.linalg import Matrix
 from acdol.spectral import (decalage_check, explicit_page, frolicher_all,
                             infinity_vs_betti, witness_independent)
 from conftest import (_invert, builtin_analysis, dims_grid,
                       random_nilpotent_spec, seeded_rng)
+from test_harmonic import _delb_mub_oracle
 
 ALL_BUILTINS = ("abelian-m2", "abelian-m3", "filiform-J", "filiform-Jprime",
                 "kt-J", "kt-Jprime", "su2su2-nk")
@@ -211,10 +211,14 @@ def _structural_battery(cm, hs, h_dol, betti):
     m = cm.m
     assert hs.check_star_defining(1, 0)
     assert hs.check_star_isometry(0, 1)
-    # mubar Hodge decomposition, built by delb_mub: its harmonic
-    # coordinates C give C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0]
+    # mubar Hodge decomposition, certified by delb_mub: the harmonic
+    # coordinates C of the B^{-1} oracle give
+    # C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0], and delbar_mub
+    # equals the oracle's
     dmb = delb_mub(hs)
-    for (p, q), coords in dmb.coords.items():
+    oracle_coords, oracle_op, oracle_harmonic = _delb_mub_oracle(hs)
+    assert dmb.op == oracle_op and dmb.harmonic == oracle_harmonic
+    for (p, q), coords in oracle_coords.items():
         assert (coords @ hs.cm.block(MUBAR, p + 1, q - 2)).is_zero()
         assert coords @ hs.harmonic(MUBAR)[(p, q)].basis == \
             Matrix.identity(coords.rows)

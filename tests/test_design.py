@@ -13,9 +13,12 @@ Special methods (``__add__`` and the like) are called by the interpreter,
 not by name, and are left out.  Every name a module imports must be used
 in that module, read off its syntax tree the same way.  The star formula
 ``harmonic.star_adjoint`` is pinned to its one reader,
-``adjointness_checks``, so that no second adjoint route comes back, and
+``adjointness_checks``, so that no second adjoint route comes back;
 ``forms.build_differential`` to ``pipeline.analyze``, so that the harmonic
-layer gets no differential of its own.
+layer gets no differential of its own; and ``Matrix.inverse`` to its two
+readers, ``liealg.complexify`` and the K = H^{-1} of
+``HermitianStructure.__init__``, so that no slot inverse comes back:
+delbar_mub solves with the compressions instead.
 """
 
 import ast
@@ -63,11 +66,10 @@ print(used(Record(1, 2)))
 
 
 # Names defined more than once in src/acdol, reviewed: methods of several
-# types (conj, dim, from_columns, m, zero), a kernel function and a method
-# of the same name (rref, from_rational), and the private _lift of both
-# kernel and harmonic.
-SHARED_NAMES = {"_lift", "conj", "dim", "from_columns", "from_rational", "m",
-                "rref", "zero"}
+# types (conj, dim, from_columns, m, zero), and a kernel function and a
+# method of the same name (rref, from_rational).
+SHARED_NAMES = {"conj", "dim", "from_columns", "from_rational", "m", "rref",
+                "zero"}
 
 # A negative control for the pin: "twin" is defined twice, once per class.
 SHARED_SYNTHETIC = '''
@@ -216,6 +218,13 @@ def test_one_differential_per_analysis():
     # the harmonic layer and the metric probe run on the analysis's cm
     assert _readers(_trees(["src/acdol"]), "build_differential") == [
         "analyze"]
+
+
+def test_no_slot_inverse():
+    # the one inverse of the Gram data is the m x m K = H^{-1}; the other
+    # is complexify's change of frame
+    assert _readers(_trees(["src/acdol"]), "inverse") == [
+        "HermitianStructure.__init__", "complexify"]
 
 
 def test_reader_guard_flags_every_reader():

@@ -284,12 +284,15 @@ def _with_star_d_adjoint(monkeypatch):
 def test_star_formula_breaks_the_ungated_checks(monkeypatch):
     """Negative controls for the checks that need no unimodularity: on
     solvable-m2 they pass with the Gram adjoint, and with the star formula
-    in its place the harmonic checks fail, and so does the Betti check
-    with the star route d*; the Serre check of the delbar_mub-harmonics,
-    which reads ⋆, fails there ungated, which is why it is gated."""
-    harmonic_checks = ("harmonic_inclusion_bound",
-                       "delbar_mub_harmonic_equals_dolbeault",
-                       "delbar_mub_hodge_decomposition")
+    in its place the harmonic inclusion bound fails, and so does the Betti
+    check with the star route d*; the Serre check of the
+    delbar_mub-harmonics, which reads ⋆, fails there ungated, which is why
+    it is gated.  delbar_mub reads no delbar*, only the compressions of
+    delbar and the mubar* the star formula gets right, so its entries
+    still pass."""
+    harmonic_checks = ("harmonic_inclusion_bound",)
+    delbar_mub_checks = ("delbar_mub_harmonic_equals_dolbeault",
+                         "delbar_mub_hodge_decomposition")
 
     def battery():
         an = pipeline.analyze(validate_spec(named_spec("solvable-m2")))
@@ -304,6 +307,7 @@ def test_star_formula_breaks_the_ungated_checks(monkeypatch):
         _with_star_formula(patch)
         _, bad = battery()
         assert not any(bad[name].passed for name in harmonic_checks)
+        assert all(bad[name].passed for name in delbar_mub_checks)
     with monkeypatch.context() as patch:
         _with_star_d_adjoint(patch)
         _, bad = battery()
@@ -488,7 +492,8 @@ def test_mub_decomposition_su2su2_middle_slot():
     an = builtin_analysis("su2su2-nk")
     hs = an.hs
     assert hs.cm.block(MUBAR, 2, -1).rank() == 0
-    assert (an.dmb.coords[(1, 1)].rows, an.dmb.coords[(1, 1)].cols) == (8, 9)
+    coords = _delb_mub_oracle(hs)[0]
+    assert (coords[(1, 1)].rows, coords[(1, 1)].cols) == (8, 9)
     assert hs.adjoint_block(MUBAR, 0, 3).rank() == 1
     assert an.hs.harmonic(MUBAR)[(1, 1)].dim == 8
 
@@ -505,16 +510,108 @@ def _frames_analysis(name):
 
 def test_mub_decomposition_projector():
     """H C is the projector onto H_mubar along the two images: the harmonic
-    coordinates C give C H = I, C Im mubar = 0 and C Im mubar* = 0 on
-    every slot."""
+    coordinates C of the oracle give C H = I, C Im mubar = 0 and
+    C Im mubar* = 0 on every slot."""
     for name in ("su2su2-nk", "random-m3-seed1"):
         an = _frames_analysis(name)
         hs = an.hs
-        for (p, q), coords in an.dmb.coords.items():
+        for (p, q), coords in _delb_mub_oracle(hs)[0].items():
             h = hs.harmonic(MUBAR)[(p, q)]
             assert coords @ h.basis == Matrix.identity(h.dim)
             assert (coords @ hs.cm.block(MUBAR, p + 1, q - 2)).is_zero()
             assert (coords @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
+
+
+def _delb_mub_oracle(hs):
+    """The route the compressions replaced, kept as the oracle of
+    ``delb_mub``: the harmonic coordinates C of a slot are the H_mubar rows
+    of B^{-1}, B = [Im mubar | H_mubar | Im mubar*]; op = C_{q+1} delbar H_q,
+    op* = C_{q-1} delbar* H_q with delbar* the Gram adjoint
+    ``adjoint_block``, and the delbar_mub-harmonic space is Ker [op; op*]
+    lifted into the slot.  Off the grid C is 0 x 0.  Returns
+    ({(p, q): C}, op, harmonic)."""
+    cm = hs.cm
+    harm = hs.harmonic(MUBAR)
+    coords = {}
+    for (p, q), h in harm.items():
+        im_mub = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2))
+        im_adj = Subspace.from_matrix_columns(
+            hs.adjoint_block(MUBAR, p - 1, q + 2))
+        inv = im_mub.basis.hstack(h.basis).hstack(im_adj.basis).inverse()
+        coords[(p, q)] = Matrix(h.dim, h.ambient_dim,
+                                inv.entries[im_mub.dim:im_mub.dim + h.dim])
+    off_grid = Matrix.zero(0, 0)
+    op, harmonic_spaces = {}, {}
+    for (p, q), h in harm.items():
+        op[(p, q)] = coords.get((p, q + 1), off_grid) @ (
+            cm.block(DELBAR, p, q) @ h.basis)
+        adj = coords.get((p, q - 1), off_grid) @ (
+            hs.adjoint_block(DELBAR, p, q) @ h.basis)
+        ker = Subspace.kernel(op[(p, q)].vstack(adj))
+        harmonic_spaces[(p, q)] = Subspace.from_matrix_columns(
+            h.basis @ ker.basis)
+    return coords, op, harmonic_spaces
+
+
+DELB_MUB_ORACLE_INPUTS = catalog.builtin_names() + [
+    "s3s3-nk", "random-m3-seed1", "solvable-m2", "aff1"] + [
+    "random-m2-seed%d" % seed for seed in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("name", DELB_MUB_ORACLE_INPUTS)
+def test_delb_mub_equals_the_inverse_route(name):
+    """op = M^{-1} N and Ker [N_q; N_{q-1}^H] equal the B^{-1} route's
+    C delbar H and Ker [op; op*] exactly, unimodular or not."""
+    hs = hermitian(name)
+    _, op, harmonic_spaces = _delb_mub_oracle(hs)
+    dmb = delb_mub(hs)
+    assert dmb.op == op
+    assert dmb.harmonic == harmonic_spaces
+
+
+def _all_ones(mat):
+    return Matrix(mat.rows, mat.cols, [[ONE] * mat.cols] * mat.rows)
+
+
+def _columns_reversed(mat):
+    return Matrix(mat.rows, mat.cols, [row[::-1] for row in mat.entries])
+
+
+def _one_vector_short(space):
+    return Subspace.from_matrix_columns(Matrix(
+        space.ambient_dim, space.dim - 1,
+        [row[1:] for row in space.basis.entries]))
+
+
+@pytest.mark.parametrize("name, tamper", [("abelian-m2", "rank"),
+                                          ("abelian-m2", "harmonic"),
+                                          ("filiform-Jprime", "square")])
+def test_delbar_mub_hodge_decomposition_fails_on_a_tampered_layer(name,
+                                                                  tamper):
+    """Negative controls: the entry passes as built, and fails when op on
+    abelian-m2, zero everywhere, gets rank 1 on slot (0, 0), when the
+    harmonic space of its slot (1, 1) is one vector short, and when op on
+    slot (1, 1) of filiform-Jprime has its columns reversed, which keeps
+    every rank, and so the rank identity, but breaks the square."""
+    dmb = delb_mub(hermitian(name))
+
+    def entry(layer):
+        return next(c for c in delb_mub_checks(layer, layer.harmonic_dims())
+                    if c.name == "delbar_mub_hodge_decomposition").passed
+
+    assert entry(dmb)
+    if tamper == "rank":
+        bad = dataclasses.replace(dmb, op={
+            **dmb.op, (0, 0): _all_ones(dmb.op[(0, 0)])})
+    elif tamper == "harmonic":
+        bad = dataclasses.replace(dmb, harmonic={
+            **dmb.harmonic, (1, 1): _one_vector_short(dmb.harmonic[(1, 1)])})
+    else:
+        op = {**dmb.op, (1, 1): _columns_reversed(dmb.op[(1, 1)])}
+        assert ({pq: mat.rank() for pq, mat in op.items()}
+                == {pq: mat.rank() for pq, mat in dmb.op.items()})
+        bad = dataclasses.replace(dmb, op=op)
+    assert not entry(bad)
 
 
 def test_delb_mub_squares_to_zero_everywhere():

@@ -12,7 +12,6 @@ import pytest
 from acdol import (catalog, cohomology, docio, forms, harmonic, linalg,
                    pipeline, spectral)
 from acdol.cohomology import de_rham, dolbeault, mub_cohomology
-from acdol.kernel import from_rational
 from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
 
 ORACLES = ("mub_cohomology", "dolbeault", "de_rham")
@@ -51,9 +50,11 @@ def test_analyze_builds_no_harmonic_layer(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_mubar_hodge_decomposition_entry_can_fail(name):
-    """The entry checks C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0] on
-    every slot, with dense Gram matrices on random-m3, whose frame Gram is
-    not diagonal: it passes as built and fails on one tampered slot."""
+    """The entry certifies on every slot that the dims of Im mubar,
+    H_mubar and Im mubar* add up and that the three are pairwise
+    G-orthogonal, with dense Gram matrices on random-m3, whose frame Gram
+    is not diagonal: it passes as built, and fails, naming the slot, when
+    one H_mubar basis loses a vector after the layer is built."""
     an = pipeline.analyze(SPECS[name]())
 
     def entry():
@@ -61,10 +62,13 @@ def test_mubar_hodge_decomposition_entry_can_fail(name):
                     if c.name == "mubar_hodge_decomposition")
 
     assert entry().passed
-    coords = an.dmb.coords
-    pq = next(pq for pq, c in sorted(coords.items()) if c.rows)
-    coords[pq] = coords[pq].scale(from_rational(2))
-    assert not entry().passed
+    spaces = an.hs.harmonic(forms.MUBAR)
+    (p, q), h = next((pq, h) for pq, h in sorted(spaces.items()) if h.dim)
+    spaces[(p, q)] = linalg.Subspace(h.ambient_dim, linalg.Matrix(
+        h.ambient_dim, h.dim - 1, [row[1:] for row in h.basis.entries]))
+    failed = entry()
+    assert not failed.passed
+    assert failed.detail.startswith("mubar_decomposition_%d_%d " % (p, q))
 
 
 def test_battery_computes_each_oracle_once(monkeypatch):
@@ -91,11 +95,13 @@ def test_battery_computes_each_oracle_once(monkeypatch):
 
 
 def test_analysis_builds_one_harmonic_layer(monkeypatch):
-    """analyze, the battery and the result document build the mubar
-    decomposition and delbar_mub once for the input metric and once for the
-    probe's other metric, and the stacked [d; d*] once per degree, which
-    d_harmonic and the Betti check share; d_harmonic takes kernels of its
-    slot columns only, never of a whole stacked system."""
+    """analyze, the battery and the result document build delbar_mub once
+    for the input metric and once for the probe's other metric, each after
+    the mubar decomposition's certificate, which the battery's
+    mubar_hodge_decomposition entry runs once more, and the stacked [d; d*]
+    once per degree, which d_harmonic and the Betti check share;
+    d_harmonic takes kernels of its slot columns only, never of a whole
+    stacked system."""
     calls = {"mub_decomposition": 0, "delb_mub": 0}
     systems = {}  # (hs, n) -> every [d; d*] returned
 
@@ -127,7 +133,7 @@ def test_analysis_builds_one_harmonic_layer(monkeypatch):
     monkeypatch.setattr(linalg.Subspace, "kernel", classmethod(kernel))
     an = pipeline.analyze(docio.to_spec(catalog.builtin("su2su2-nk")))
     pipeline.result_document(an, pipeline.verification_checks(an))
-    assert calls == {"mub_decomposition": 2, "delb_mub": 2}
+    assert calls == {"mub_decomposition": 3, "delb_mub": 2}
     assert set(systems) == {(an.hs, n) for n in range(2 * an.m + 1)}
     assert all(len(found) == 2 and found[0] is found[1]
                for found in systems.values())
