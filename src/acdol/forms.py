@@ -148,6 +148,9 @@ class ComponentMatrices:
         self.m = basis.m
         self._blocks = blocks  # {(tag, p, q): Matrix}
         self._totals = {}
+        # Z_r and B_r of spectral.explicit_page, by (solver name, chain
+        # length, p, q), kept for the life of the differential
+        self.witness_spaces = {}
 
     def block(self, tag, p, q):
         """Matrix of the component ``tag`` on slot (p, q).

@@ -295,10 +295,19 @@ class HermitianStructure:
         return self.cm.total_matrix(n).vstack(self.d_adjoint(n))
 
     @_memoized
+    def anticommutator(self, a, b, p, q):
+        """[A, B] = AB + BA on slot (p, q) for the odd operators of
+        ``_operators`` keyed ``a`` and ``b``."""
+        ops = _operators(self)
+        (ap, aq), a_block = ops[a]
+        (bp, bq), b_block = ops[b]
+        return (a_block(p + bp, q + bq) @ b_block(p, q)
+                + b_block(p + ap, q + aq) @ a_block(p, q))
+
+    @_memoized
     def laplacian(self, tag):
         """Slotwise Laplacian [delta, delta*] = delta delta* + delta* delta."""
-        ops = _operators(self)
-        return {pq: _anticommutator(ops[tag], ops[tag + "*"], *pq)
+        return {pq: self.anticommutator(tag, tag + "*", *pq)
                 for pq in self.basis.slots}
 
     @_memoized
@@ -574,14 +583,6 @@ def _operators(hs):
     return ops
 
 
-def _anticommutator(a, b, p, q):
-    """[A, B] = AB + BA on slot (p, q) for odd operators of ``_operators``."""
-    (ap, aq), a_block = a
-    (bp, bq), b_block = b
-    return (a_block(p + bp, q + bq) @ b_block(p, q)
-            + b_block(p + ap, q + aq) @ a_block(p, q))
-
-
 def nearly_kahler_checks(dmb):
     """Exact operator identities characteristic of nearly Kahler structures,
     read from the harmonic layer ``dmb`` and its ``hs``.
@@ -605,11 +606,10 @@ def nearly_kahler_checks(dmb):
         raise ValueError("nearly Kahler identities are specific to m = 3")
     basis = hs.basis
     checks = []
-    ops = _operators(hs)
 
     for a, b in (("mu*", "delbar"), ("mubar*", "partial"), ("mu", "delbar*"),
                  ("mubar", "partial*"), ("mu", "mubar*"), ("mubar", "mu*")):
-        ok = all(_anticommutator(ops[a], ops[b], p, q).is_zero()
+        ok = all(hs.anticommutator(a, b, p, q).is_zero()
                  for (p, q) in basis.slots)
         checks.append(Check("nk_commutator [%s, %s] = 0" % (a, b), ok,
                             informational=True))
@@ -618,8 +618,8 @@ def nearly_kahler_checks(dmb):
                            (("delbar*", "partial"), ("mubar*", "delbar")),
                            (("partial*", "delbar"), ("mubar", "delbar*")),
                            (("partial*", "delbar"), ("mu*", "partial"))):
-        ok = all(_anticommutator(ops[a], ops[b], p, q)
-                 == -_anticommutator(ops[c], ops[e], p, q)
+        ok = all(hs.anticommutator(a, b, p, q)
+                 == -hs.anticommutator(c, e, p, q)
                  for (p, q) in basis.slots)
         checks.append(Check("nk_commutator [%s, %s] = -[%s, %s]"
                             % (a, b, c, e), ok, informational=True))
@@ -667,7 +667,7 @@ def nearly_kahler_checks(dmb):
         lmat = lef[(p, q)]
         if p == q or lmat.rows == 0:
             continue
-        mixed = _anticommutator(ops[PARTIAL], ops[DELBAR], p, q)
+        mixed = hs.anticommutator(PARTIAL, DELBAR, p, q)
         if lmat.is_zero():
             if not mixed.is_zero():
                 ok_fit = False

@@ -207,17 +207,25 @@ def echelon(rows, ncols):
     before it is used.  Rows that the pivot column does not reach cost
     nothing, which keeps sparse and block-structured matrices cheap.
 
-    Pivot rows are chosen by smallest entry.  Returns ``(rows, pivots)``:
-    every row as (x, y) Gaussian-integer pairs, the first ``len(pivots)``
-    in echelon form with their leading entries in the ``pivots`` columns,
-    and the rest zero.  The pivot columns, and so the rank, are those of
-    the reduced form.
+    Zero rows are set aside before clearing, so only the nonzero rows,
+    in their order, are cleared and eliminated; the zero rows come back at
+    the end.  Pivot rows are chosen by smallest entry.  Returns
+    ``(rows, pivots)``: every row as (x, y) Gaussian-integer pairs, the
+    first ``len(pivots)`` in echelon form with their leading entries in
+    the ``pivots`` columns, and the rest zero.  The pivot columns, and so
+    the rank, are those of the reduced form.
     """
     m = []
+    zero_rows = 0
     for row in rows:
+        nonzero = [e for e in row if e.xn or e.yn]
+        if not nonzero:
+            zero_rows += 1
+            continue
         den = 1
-        for e in row:
-            den = den * e.dn // gcd(den, e.dn)
+        for e in nonzero:
+            if den % e.dn:
+                den = lcm(den, e.dn)
         m.append([(e.xn * (den // e.dn), e.yn * (den // e.dn)) for e in row])
     nrows = len(m)
     unit = (1, 0, 1)
@@ -227,6 +235,8 @@ def echelon(rows, ncols):
     r = 0
     prev = unit
     for c in range(ncols):
+        if r == nrows:
+            break
         pr = -1
         best = -1
         for i in range(r, nrows):
@@ -270,8 +280,7 @@ def echelon(rows, ncols):
         prev = pivot
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
+    m.extend([(0, 0)] * ncols for _ in range(zero_rows))
     return m, pivots
 
 

@@ -40,8 +40,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries", "_pivots", "_kernel", "_span")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+        entries = tuple(map(tuple, entries))
+        if len(entries) != rows or (rows and set(map(len, entries)) != {cols}):
             raise LinalgError("entry grid does not match %d x %d" % (rows, cols))
         self.rows = rows
         self.cols = cols

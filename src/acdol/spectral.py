@@ -21,7 +21,8 @@ operations V preserve the filtration, until R = D V has distinct pivots
 gap r = value(sigma) - value(tau): d_r maps the class of tau onto that of
 sigma, so the pair lives on E_0 .. E_r.  Unpaired generators give E_inf,
 and every page with r >= 2m+2 is E_inf.  ``explicit_page`` computes the
-same dimensions from witness-chain systems as an independent oracle.
+same dimensions from witness-chain systems as an independent oracle,
+solving each distinct system once per differential.
 """
 
 from __future__ import annotations
@@ -278,11 +279,9 @@ def explicit_page(cm, r):
     """
     if r < 1 or r > 2 * cm.m + 2:
         raise ValueError("explicit page index must lie in 1 .. 2m+2")
-    basis = cm.basis
     dims = {}
-    for (p, q) in sorted(basis.slots):
-        z = explicit_cycles(cm, r, p, q)
-        b = explicit_boundaries(cm, r, p, q)
+    for (p, q) in sorted(cm.basis.slots):
+        z, b = explicit_spaces(cm, r, p, q)
         if not z.contains(b):
             raise ConsistencyError(
                 "explicit boundaries escape the cycles at r=%d (p=%d,q=%d)"
@@ -290,6 +289,44 @@ def explicit_page(cm, r):
         if z.dim - b.dim:
             dims[(p, q)] = z.dim - b.dim
     return dims
+
+
+def explicit_spaces(cm, r, p, q):
+    """(Z_r^{p,q}, B_r^{p,q}), each solved at its effective chain length,
+    ``_cycle_length`` or ``_boundary_length``, and memoised in
+    ``cm.witness_spaces`` by (solver name, length, p, q): the pages of one
+    analysis solve each distinct witness system once."""
+    slots = cm.basis.slots
+    spaces = []
+    for solve, length in ((explicit_cycles, _cycle_length(slots, r, p, q)),
+                          (explicit_boundaries,
+                           _boundary_length(slots, r, p, q))):
+        key = (solve.__name__, length, p, q)
+        if key not in cm.witness_spaces:
+            cm.witness_spaces[key] = solve(cm, length, p, q)
+        spaces.append(cm.witness_spaces[key])
+    return spaces
+
+
+def _cycle_length(slots, r, p, q):
+    """The effective chain length of Z_r^{p,q}: the largest i <= r whose
+    witness slot (p+i, q-i) or equation slot (p+i-1, q-i+2) is on the
+    grid, else 0.  Every later link has both slots off the grid, so it
+    adds a block row with no rows and a block column with no columns: the
+    system of length r is the same matrix."""
+    return max((i for i in range(1, r + 1)
+                if (p + i, q - i) in slots or (p + i - 1, q - i + 2) in slots),
+               default=0)
+
+
+def _boundary_length(slots, r, p, q):
+    """The effective chain length of B_r^{p,q}: the largest j <= r whose
+    witness slot (p+1-j, q-2+j) or equation slot (p-j, q+j) is on the
+    grid, at least 1; past it, as for ``_cycle_length``, the system and
+    the boundary map gain only blocks with no rows or no columns."""
+    return max((j for j in range(2, r + 1)
+                if (p + 1 - j, q - 2 + j) in slots or (p - j, q + j) in slots),
+               default=1)
 
 
 def dolbeault_delta1(cm, dol):

@@ -8,6 +8,8 @@ placement.
 """
 
 import random
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,107 @@ def test_forward_pass_pivots_equal_rref_pivots():
         assert all(not any(x or y for x, y in row)
                    for row in echelon_rows[len(pivots):])
         assert a.rank() == len(pivots) == len(a.rref()[1])
+
+
+def _echelon_every_row(rows, ncols):
+    """``kernel.echelon`` as it was before it set zero rows aside: every
+    row is cleared and takes part in the pivot search and the swaps.  The
+    labelled oracle of the zero-row path."""
+    m = []
+    for row in rows:
+        den = 1
+        for e in row:
+            den = den * e.dn // gcd(den, e.dn)
+        m.append([(e.xn * (den // e.dn), e.yn * (den // e.dn)) for e in row])
+    nrows = len(m)
+    unit = (1, 0, 1)
+    divisor = [unit] * nrows
+    pivots = []
+    r = 0
+    prev = unit
+    for c in range(ncols):
+        pr = -1
+        best = -1
+        for i in range(r, nrows):
+            x, y = m[i][c]
+            if x or y:
+                size = (abs(x) + abs(y)).bit_length()
+                if pr < 0 or size < best:
+                    pr = i
+                    best = size
+        if pr < 0:
+            continue
+        if pr != r:
+            m[pr], m[r] = m[r], m[pr]
+            divisor[pr], divisor[r] = divisor[r], divisor[pr]
+        row = m[r]
+        if divisor[r] != prev:
+            qx, qy, _ = prev
+            row = [(qx * x - qy * y, qx * y + qy * x) for (x, y) in row]
+            kernel._divide_row(row, divisor[r], c)
+            m[r] = row
+        px, py = row[c]
+        pivot = (px, py, px * px + py * py)
+        support = [(j, bx, by) for j, (bx, by) in
+                   enumerate(row[c + 1:], c + 1) if bx or by]
+        for i in range(r + 1, nrows):
+            tgt = m[i]
+            fx, fy = tgt[c]
+            if not (fx or fy):
+                continue
+            new = [(px * ax - py * ay, px * ay + py * ax) if ax or ay
+                   else (0, 0) for (ax, ay) in tgt]
+            for j, bx, by in support:
+                nx, ny = new[j]
+                new[j] = (nx - (fx * bx - fy * by), ny - (fx * by + fy * bx))
+            new[c] = (0, 0)
+            if divisor[i] != unit:
+                kernel._divide_row(new, divisor[i], c + 1)
+            m[i] = new
+            divisor[i] = pivot
+        prev = pivot
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _check_zero_rows(entries, cols):
+    """``kernel.echelon`` on ``entries`` against the same rows without the
+    zero ones, and rref, kernel and span against the every-row route and
+    the rref kernel basis."""
+    rows, pivots = kernel.echelon(entries, cols)
+    nonzero = [row for row in entries if any(row)]
+    assert pivots == kernel.echelon(nonzero, cols)[1]
+    assert pivots == _echelon_every_row(entries, cols)[1]
+    assert len(rows) == len(entries)
+    assert all(not any(x or y for x, y in row) for row in rows[len(pivots):])
+    a = Matrix(len(entries), cols, entries)
+    with mock.patch.object(kernel, "echelon", _echelon_every_row):
+        old = Matrix(a.rows, a.cols, entries)
+        old_rref = kernel.rref(entries, cols)
+        old_kernel, old_span = (Subspace.kernel(old),
+                                Subspace.from_matrix_columns(old))
+    assert kernel.rref(entries, cols) == old_rref
+    assert Subspace.kernel(a) == old_kernel == _subspace_oracle.kernel(a)
+    assert Subspace.from_matrix_columns(a) == old_span
+
+
+def test_echelon_zero_and_empty_matrices():
+    for rows, cols in ((4, 5), (0, 4), (3, 0), (1, 1)):
+        _check_zero_rows(Matrix.zero(rows, cols).entries, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_echelon_sets_zero_rows_aside(seed):
+    rng = random.Random(seed)
+    cols = rng.randint(0, 7)
+    entries = list(rand_low_rank(rng, rng.randint(0, 6), cols).entries)
+    for _ in range(rng.randint(1, 4)):
+        entries.insert(rng.randint(0, len(entries)), (ZERO,) * cols)
+    _check_zero_rows(entries, cols)
 
 
 def test_rank_trivial():

@@ -2,13 +2,15 @@
 
 import copy
 import dataclasses
+import functools
 
 import pytest
 
-from acdol import catalog, docio
+from acdol import catalog, docio, pipeline, spectral
 from acdol.cohomology import (ConsistencyError, de_rham, dolbeault,
                               mub_cohomology)
-from acdol.forms import DELBAR, MUBAR, build_basis, build_differential
+from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
+                         build_differential)
 from acdol.kernel import ONE, ZERO
 from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.linalg import Matrix, Subspace
@@ -386,6 +388,122 @@ def test_explicit_page_abelian_slot_dims():
         for p in range(3):
             for q in range(3):
                 assert exp.get((p, q), 0) == b.dim(p, q)
+
+
+# -- the witness systems at their effective chain length ---------------------
+
+
+def _explicit_oracle(cm, r, p, q):
+    """(Z_r, B_r) of slot (p, q) from the full-length witness systems of
+    r links, as ``explicit_page`` solved them before it read each slot at
+    its effective chain length: the labelled oracle of that rule and of
+    its memo."""
+    dim = cm.basis.dim
+    tags = (MUBAR, DELBAR, PARTIAL, MU)
+    cyc = [(p + i, q - i) for i in range(r + 1)]
+    system = Matrix.from_blocks(
+        [dim(p + i - 1, q - i + 2) for i in range(r + 1)],
+        [dim(*slot) for slot in cyc],
+        {(i, i - t): cm.block(tag, *cyc[i - t])
+         for i in range(r + 1) for t, tag in enumerate(tags) if t <= i})
+    ker = Subspace.kernel(system).basis
+    z = Subspace.from_matrix_columns(
+        Matrix(dim(p, q), ker.cols, ker.entries[:dim(p, q)]))
+    chain = [(p + 2 - i, q - 3 + i) for i in range(1, r + 2)]
+    widths = [dim(*slot) for slot in chain]
+    system = Matrix.from_blocks(
+        [dim(p - j, q + j) for j in range(1, r + 1)], widths,
+        {(j - 1, j + t): cm.block(tag, *chain[j + t])
+         for j in range(1, r + 1) for t, tag in enumerate(tags) if j + t <= r})
+    boundary = Matrix.from_blocks(
+        [dim(p, q)], widths,
+        {(0, t): cm.block(tag, *slot)
+         for t, (tag, slot) in enumerate(zip(tags, chain))})
+    return z, Subspace.from_matrix_columns(
+        boundary @ Subspace.kernel(system).basis)
+
+
+WITNESS_INPUTS = catalog.builtin_names() + ["s3s3-nk"] + [
+    "random-m%d-seed%d" % (m, seed)
+    for m, seeds in ((2, range(1, 13)), (3, range(1, 6))) for seed in seeds]
+
+
+@pytest.mark.parametrize("name", WITNESS_INPUTS)
+def test_explicit_spaces_equal_the_full_length_oracle(name):
+    cm = _cm_of(name)
+    for r in range(1, 2 * cm.m + 3):
+        dims = {}
+        for (p, q) in sorted(cm.basis.slots):
+            z, b = _explicit_oracle(cm, r, p, q)
+            assert spectral.explicit_spaces(cm, r, p, q) == [z, b], (r, p, q)
+            if z.dim - b.dim:
+                dims[(p, q)] = z.dim - b.dim
+        assert explicit_page(cm, r) == dims
+
+
+@pytest.mark.parametrize("name, systems", [("kt-J", 17), ("abelian-m3", 36)])
+def test_battery_solves_each_witness_system_once(name, systems, monkeypatch):
+    # the full-length systems were one per slot and page: 9 x 4 = 36 of
+    # each kind at m = 2 and 16 x 4 = 64 at m = 3
+    an = pipeline.analyze_document(catalog.builtin(name))
+    calls = {"explicit_cycles": 0, "explicit_boundaries": 0}
+
+    def counted(solve):
+        @functools.wraps(solve)
+        def wrapper(*args):
+            calls[solve.__name__] += 1
+            return solve(*args)
+        return wrapper
+
+    for fn in calls:
+        monkeypatch.setattr(spectral, fn, counted(getattr(spectral, fn)))
+    pipeline.verification_checks(an)
+    assert calls == {"explicit_cycles": systems,
+                     "explicit_boundaries": systems}
+    assert len(an.cm.witness_spaces) == 2 * systems
+
+
+def _pages_entry(an):
+    return next(c for c in pipeline.verification_checks(an)
+                if c.name == "explicit_pages_match_generic")
+
+
+def _narrow_slot(cm, r):
+    """The first slot whose Z_r is not the whole slot."""
+    return next((p, q) for (p, q) in sorted(cm.basis.slots)
+                if spectral.explicit_spaces(cm, r, p, q)[0].dim
+                < cm.basis.dim(p, q))
+
+
+def _widen(cm, solver, p, q):
+    """Replace each of ``solver``'s memoised spaces on slot (p, q) by the
+    whole slot."""
+    whole = Subspace.kernel(Matrix.zero(0, cm.basis.dim(p, q)))
+    for key in cm.witness_spaces:
+        if key[0] == solver and key[2:] == (p, q):
+            cm.witness_spaces[key] = whole
+
+
+def test_tampered_cycles_fail_the_pages_entry():
+    """The battery's explicit pages read the memoised Z_r: widened to the
+    whole slot, it no longer matches the Hodge reduction on page 4."""
+    an = pipeline.analyze_document(catalog.builtin("filiform-J"))
+    assert _pages_entry(an).passed
+    _widen(an.cm, "explicit_cycles", *_narrow_slot(an.cm, 4))
+    failed = _pages_entry(an)
+    assert not failed.passed
+    assert failed.detail == "page 4 differs"
+
+
+def test_tampered_boundaries_escape_the_cycles():
+    """A memoised B_r widened to the whole slot leaves Z_r, and the page
+    oracle names the page and the slot."""
+    cm = _cm_of("kt-J")
+    p, q = _narrow_slot(cm, 2)
+    _widen(cm, "explicit_boundaries", p, q)
+    with pytest.raises(ConsistencyError, match=r"explicit boundaries escape "
+                       r"the cycles at r=2 \(p=%d,q=%d\)$" % (p, q)):
+        explicit_page(cm, 2)
 
 
 @pytest.mark.parametrize("name", ["filiform-J", "kt-J", "abelian-m2",
