@@ -8,7 +8,9 @@ Subcommands; each computes only what it prints, with its own checks:
               Euler and Serre checks and the reduction certificate; it
               never builds the harmonic layer
     harmonic  harmonic dimension tables only, certified by the checks of
-              pages, the adjointness checks and the delbar_mub checks
+              pages and the harmonic layer's: the star identities, the
+              adjointness checks, the mubar Hodge decomposition and the
+              delbar_mub checks
     example   print a built-in input document as JSON
     list      list built-in example names
 
@@ -16,8 +18,10 @@ An input is converted by ``docio.to_spec`` and validated once, by
 ``pipeline.analyze`` as its first stage, after any metric repair.
 
 Exit codes: 0 success, 1 invalid input, 2 internal consistency failure (a
-failed check of the command, or an exact identity that fails while
-computing what it prints).
+failed check of the command, reported on stderr after the output as
+FAILED CHECK with its detail, or an exact identity that stops the run
+before any output).  The harmonic layer only computes: each of its
+identities is a check, so a failure there still prints the output.
 Diagnostics go to stderr; stdout carries only the rendered data.
 """
 
@@ -105,7 +109,9 @@ def _certificate(an, command):
     checks = cohomology.consistency_report(an.h_dol, an.betti, an.m)
     checks.append(pipeline.reduction_certificate(an.pages, {}))
     if command == "harmonic":
+        checks.append(harmonic.star_check(an.hs))
         checks.extend(harmonic.adjointness_checks(an.dmb))
+        checks.append(harmonic.mub_decomposition(an.hs))
         checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
     return checks
 

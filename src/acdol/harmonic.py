@@ -18,13 +18,17 @@ determined slotwise by
 
 with the volume form Ω = vol t^full ∧ tbar^full, vol = eps i^m / det K, of
 unit length in the orientation induced by J.  Then ⋆ = vol Π G, Π sending
-each monomial to its signed complement; ⋆1 = Ω, |Ω| = 1 and
-⋆⋆ = (-1)^degree, which on a dense G is Jacobi's complementary-minor
-identity, are asserted after construction.
+each monomial to its signed complement.
 
-Every identity the battery checks here is one exact matrix equation per
-slot over all basis pairs: the defining property P ⋆ C = conj(G) vol (P
-the top-degree wedge pairing, C the conjugation), the isometry
+The layer only computes; the battery checks each of its identities once
+per layer that something reads, as a ``Check`` naming the failing slot.
+``star_check`` covers ⋆1 = Ω, |Ω| = 1 and ⋆⋆ = (-1)^degree (Jacobi's
+complementary-minor identity on a dense G), ``mub_decomposition`` the
+mubar Hodge decomposition and ``delb_mub_checks`` delbar_mub^2 = 0; the
+metric probe certifies its own layer's decomposition and square, and
+builds no ⋆.  Every such identity is one exact matrix equation per slot
+over all basis pairs: the defining property P ⋆ C = conj(G) vol (P the
+top-degree wedge pairing, C the conjugation), the isometry
 ⋆^H G ⋆ = G, and orthogonality V^H G U = 0 of the parts of a Hodge
 decomposition.  Slot blocks of the components and of their adjoints are
 zero-shaped off the (p, q) grid, so anticommutators such as the
@@ -150,7 +154,6 @@ class HermitianStructure:
         for _ in range(self.m):
             coeff = coeff * I
         self.volume_coeff = coeff * self._minors_h[full][full]
-        self._verify_star()
 
     # -- Gram ----------------------------------------------------------------
 
@@ -215,28 +218,12 @@ class HermitianStructure:
                 x * e if e else ZERO for e in gram.entries[k]]
         return Matrix(len(rows), gram.cols, rows)
 
-    def _verify_star(self):
-        basis = self.basis
-        m = self.m
-        vol_idx = basis.index[(m, m)][self.top_monomial]
-        one = self.star(0, 0).col(0)
-        if one[vol_idx] != self.volume_coeff or any(
-                v for i, v in enumerate(one) if i != vol_idx):
-            raise ConsistencyError(
-                "⋆1 is not the volume form on slot (0, 0)")
-        vol = self.volume_coeff
-        if self.gram(m, m).entries[vol_idx][vol_idx] * vol * vol.conj() \
-                != ONE:
-            raise ConsistencyError(
-                "volume form is not unit length on slot (%d, %d)" % (m, m))
-        for (p, q) in basis.slots:
-            once = self.star(p, q)
-            twice = self.star(m - q, m - p) @ once
-            sign = -ONE if (p + q) & 1 else ONE
-            expect = Matrix.identity(basis.dim(p, q)).scale(sign)
-            if twice != expect:
-                raise ConsistencyError("⋆⋆ != (-1)^degree on slot (%d, %d)"
-                                       % (p, q))
+    def check_star_involution(self, p, q):
+        """⋆⋆ = (-1)^(p+q) on the slot; on a dense G this is Jacobi's
+        complementary-minor identity."""
+        sign = -ONE if (p + q) & 1 else ONE
+        return (self.star(self.m - q, self.m - p) @ self.star(p, q)
+                == Matrix.identity(self.basis.dim(p, q)).scale(sign))
 
     def check_star_defining(self, p, q):
         """w ∧ ⋆(conj e) = <w, e> Ω on every basis pair of the slot, as one
@@ -342,15 +329,41 @@ def build_hermitian(cm, frame, metric):
     return HermitianStructure(cm, frame, metric)
 
 
+def star_check(hs):
+    """The battery entry of the Hodge star: ⋆1 = Ω, |Ω| = 1, and on every
+    slot ⋆⋆ = (-1)^degree, the defining property and the isometry.  Its
+    detail names each failing identity with its first failing slot."""
+    m = hs.m
+    basis = hs.basis
+    vol = hs.volume_coeff
+    vol_idx = basis.index[(m, m)][hs.top_monomial]
+    failed = []
+    one = hs.star(0, 0).col(0)
+    if one[vol_idx] != vol or any(
+            v for i, v in enumerate(one) if i != vol_idx):
+        failed.append("⋆1 is not the volume form on slot (0, 0)")
+    if hs.gram(m, m).entries[vol_idx][vol_idx] * vol * vol.conj() != ONE:
+        failed.append("volume form is not unit length on slot (%d, %d)"
+                      % (m, m))
+    for name, holds in (("⋆⋆ != (-1)^degree", hs.check_star_involution),
+                        ("⋆ defining property fails", hs.check_star_defining),
+                        ("⋆ isometry fails", hs.check_star_isometry)):
+        bad = next((pq for pq in basis.slots if not holds(*pq)), None)
+        if bad:
+            failed.append("%s on slot (%d, %d)" % (name, *bad))
+    return Check("star_defining_and_isometry", not failed, "; ".join(failed))
+
+
 # -- mubar Hodge decomposition ------------------------------------------------
 
 
 def mub_decomposition(hs):
     """The certificate of the mubar Hodge decomposition A^{p,q} =
-    Im(mubar) ⊕ H_mubar ⊕ Im(mubar*), orthogonal, of every slot: the slots
-    it fails, in slot order, each named with the dims of its three parts.
-    G is positive definite, so G-orthogonal parts are independent and span
-    the slot when their dims add up."""
+    Im(mubar) ⊕ H_mubar ⊕ Im(mubar*), orthogonal, of every slot, as the
+    battery entry ``mubar_hodge_decomposition``: its detail names the slots
+    it fails, in slot order, each with the dims of its three parts.  G is
+    positive definite, so G-orthogonal parts are independent and span the
+    slot when their dims add up."""
     cm = hs.cm
     harm = hs.harmonic(MUBAR)
     failed = []
@@ -365,7 +378,7 @@ def mub_decomposition(hs):
             failed.append("mubar_decomposition_%d_%d (dims %d + %d + %d vs "
                           "slot %d)" % (p, q, *(sub.dim for sub in parts),
                                         dim))
-    return failed
+    return Check("mubar_hodge_decomposition", not failed, "; ".join(failed))
 
 
 def _pairwise_orthogonal(hs, p, q, subs):
@@ -390,7 +403,8 @@ class DelbMub:
     ``unimodular`` records whether the top cohomology is a line, the
     hypothesis under which the star formula gives the adjoint of delbar
     (Milnor 1976), so it gates only the checks that read ⋆ as an adjoint.
-    ``delb_mub`` builds all of it once; every later stage reads it.
+    ``delb_mub`` builds all of it once and asserts nothing; every later
+    stage reads it, and the battery certifies it (``delb_mub_checks``).
     """
 
     hs: HermitianStructure
@@ -406,12 +420,10 @@ def delb_mub(hs):
     """Build delbar_mub = H_mubar ∘ delbar restricted to mubar-harmonics:
     op = M^{-1} N and the harmonic space Ker [N_q; N_{q-1}^H] of every slot
     (see the module docstring), H_mubar being the zero space of k^0 off the
-    grid.  Raises ConsistencyError on the first slot ``mub_decomposition``
-    fails, and asserts delbar_mub^2 = 0."""
-    failed = mub_decomposition(hs)
-    if failed:
-        raise ConsistencyError("mubar Hodge decomposition failed: %s"
-                               % failed[0])
+    grid.  It only computes: M = H^H G H is invertible whatever the
+    decomposition, H being a kernel basis and G positive definite, and the
+    battery checks the decomposition (``mub_decomposition``) and
+    delbar_mub^2 = 0 (``delb_mub_checks``)."""
     cm = hs.cm
     rows = range(hs.m + 1)
     # H and (G H)^H on the grid and the ring of slots around it
@@ -428,13 +440,18 @@ def delb_mub(hs):
         ker = Subspace.kernel(comp[(p, q)].vstack(
             comp[(p, q - 1)].conj_transpose()))
         harmonic[(p, q)] = Subspace.from_matrix_columns(h[(p, q)] @ ker.basis)
-    for p in rows:
-        for q in range(hs.m):
-            if not (op[(p, q + 1)] @ op[(p, q)]).is_zero():
-                raise ConsistencyError(
-                    "delbar_mub does not square to zero on slot (%d, %d)"
-                    % (p, q))
     return DelbMub(hs, op, harmonic, top_cohomology_is_line(cm))
+
+
+def _square_failure(op, m):
+    """The first slot, p-major, on which delbar_mub does not square to
+    zero, as a failure detail; "" when it squares to zero on every slot."""
+    for p in range(m + 1):
+        for q in range(m):
+            if not (op[(p, q + 1)] @ op[(p, q)]).is_zero():
+                return ("delbar_mub does not square to zero on slot (%d, %d)"
+                        % (p, q))
+    return ""
 
 
 def star_adjoint(hs, tag, p, q):
@@ -477,18 +494,19 @@ def delb_mub_checks(dmb, h_dol_dims):
     part is orthogonal to both images by construction, and the images are
     orthogonal exactly when op squares to zero; the parts then span when
     rank op_{q-1} + dim harmonic + rank op_q = dim H_mubar, that is, when
-    the harmonic dims are the cohomology dims of op."""
-    op = dmb.op
-    m = dmb.hs.m
-    coh = cohomology_dims_of_operator(op)
+    the harmonic dims are the cohomology dims of op.  The decomposition
+    entry's detail names the first failing slot."""
+    coh = cohomology_dims_of_operator(dmb.op)
     dims = dmb.harmonic_dims()
-    square_zero = all((op[(p, q + 1)] @ op[(p, q)]).is_zero()
-                      for p in range(m + 1) for q in range(m))
+    ranks = next(("rank identity fails on slot (%d, %d)" % pq
+                  for pq in sorted(set(dims) | set(coh))
+                  if dims.get(pq) != coh.get(pq)), "")
+    failed = [f for f in (_square_failure(dmb.op, dmb.hs.m), ranks) if f]
     return [Check("delbar_mub_cohomology_equals_dolbeault",
                   coh == h_dol_dims),
             Check("delbar_mub_harmonic_equals_dolbeault", dims == h_dol_dims),
-            Check("delbar_mub_hodge_decomposition",
-                  square_zero and dims == coh)]
+            Check("delbar_mub_hodge_decomposition", not failed,
+                  "; ".join(failed))]
 
 
 # -- Serre duality by bar-star --------------------------------------------------
@@ -522,16 +540,25 @@ def metric_independence_probe(spec, dmb, metrics):
     Returns (list of dims dicts, the input metric's first; Check).  All
     dims agree, as each is h_dol.  The probe validates each metric and
     builds its layer by ``build_hermitian`` on the frame and the
-    differential of ``dmb``: only the Gram matrices are new.
+    differential of ``dmb``: only the Gram matrices are new, and no ⋆ is
+    built.  The Check also certifies each probed layer's mubar Hodge
+    decomposition and delbar_mub^2 = 0, naming the metric and the slot of
+    a failure.
     """
     runs = [dmb.harmonic_dims()]
+    failed = []
     for g in metrics:
         variant = liealg.validate_spec(spec.with_metric(g))
         hs = build_hermitian(dmb.hs.cm, dmb.hs.frame, variant.metric)
-        runs.append(delb_mub(hs).harmonic_dims())
+        probed = delb_mub(hs)
+        runs.append(probed.harmonic_dims())
+        failed += ["metric %d: %s" % (len(runs), detail) for detail in (
+            mub_decomposition(hs).detail, _square_failure(probed.op, hs.m))
+            if detail]
     agree = all(r == runs[0] for r in runs[1:])
-    return runs, Check("metric_independent_harmonic_dims", agree,
-                       "%d metrics probed" % len(runs))
+    return runs, Check("metric_independent_harmonic_dims",
+                       agree and not failed,
+                       "; ".join(["%d metrics probed" % len(runs)] + failed))
 
 
 # -- fundamental form and nearly Kahler identities -------------------------------

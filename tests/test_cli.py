@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, determinism, golden files."""
 
+import difflib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from acdol import catalog, docio, harmonic, liealg, pipeline, spectral
 from acdol.cli import main
 from acdol.forms import MUBAR
 from acdol.harmonic import HermitianStructure
+from acdol.kernel import Scalar
 from acdol.linalg import Matrix, Subspace
 from conftest import GOLDEN_INPUTS, golden_dir, input_path, named_analysis
 
@@ -197,22 +199,63 @@ def _drop_one_mubar_harmonic(monkeypatch):
     monkeypatch.setattr(HermitianStructure, "harmonic", one_short)
 
 
+def _changed_lines(before, after):
+    """(removed, added): the lines of ``before`` that ``after`` drops and
+    the lines it adds, by ``difflib.ndiff``."""
+    diff = list(difflib.ndiff(before.splitlines(), after.splitlines()))
+    return ([line[2:] for line in diff if line.startswith("- ")],
+            [line[2:] for line in diff if line.startswith("+ ")])
+
+
+MUBAR_FAILURE = "mubar_decomposition_1_1 (dims 0 + 7 + 1 vs slot 9)"
+
+
 def test_failed_mubar_decomposition_exit_2_names_the_slot(monkeypatch):
+    # the harmonic layer only computes: analyze prints the document of the
+    # tampered layer, whose H_mubar(1, 1) is one vector short, with the
+    # checks that read it failed, and exits 2
+    argv = ["analyze", "--example", "su2su2-nk"]
+    expected = run_cli(argv)
     _drop_one_mubar_harmonic(monkeypatch)
-    code, out, err = run_cli(["analyze", "--example", "su2su2-nk"])
+    code, out, err = run_cli(argv)
     assert code == 2
-    assert "mubar_decomposition_1_1 (dims 0 + 7 + 1 vs slot 9)" in err
-    assert out == ""
+    assert ("FAILED CHECK: mubar_hodge_decomposition %s" % MUBAR_FAILURE
+            in err.splitlines())
+    assert _changed_lines(expected[1], out) == (
+        ["3 8 6 0", "checks: 59 run, 10 failed"],
+        ["3 7 6 0", "checks: 59 run, 13 failed",
+         "  FAIL mubar_hodge_decomposition: %s" % MUBAR_FAILURE,
+         "  FAIL serre_bar_star_mubar_harmonics",
+         "  FAIL metric_independent_harmonic_dims: 2 metrics probed; "
+         "metric 2: %s" % MUBAR_FAILURE])
+    assert expected[0] == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "harmonic"])
 def test_failed_mubar_decomposition_fails_every_reader(command, monkeypatch):
-    # the commands that read the harmonic layer exit 2 as analyze does
+    # the commands that read the harmonic layer exit 2 as analyze does,
+    # after printing what they print: verify its check lines, harmonic its
+    # tables, whose H_mubar(1, 1) entry reads the tampered layer
+    argv = [command, "--example", "su2su2-nk"]
+    expected = run_cli(argv)
     _drop_one_mubar_harmonic(monkeypatch)
-    code, out, err = run_cli([command, "--example", "su2su2-nk"])
+    code, out, err = run_cli(argv)
     assert code == 2
-    assert "mubar_decomposition_1_1 (dims 0 + 7 + 1 vs slot 9)" in err
-    assert out == ""
+    assert ("FAILED CHECK: mubar_hodge_decomposition %s" % MUBAR_FAILURE
+            in err.splitlines())
+    if command == "verify":
+        changed = (
+            ["PASS mubar_hodge_decomposition",
+             "PASS serre_bar_star_mubar_harmonics",
+             "PASS metric_independent_harmonic_dims  (2 metrics probed)"],
+            ["FAIL mubar_hodge_decomposition  (%s)" % MUBAR_FAILURE,
+             "FAIL serre_bar_star_mubar_harmonics",
+             "FAIL metric_independent_harmonic_dims  (2 metrics probed; "
+             "metric 2: %s)" % MUBAR_FAILURE])
+    else:
+        changed = (["3 8 6 0"], ["3 7 6 0"])
+    assert _changed_lines(expected[1], out) == changed
+    assert expected[0] == 0
 
 
 def test_harmonic_certifies_the_mubar_adjoint(monkeypatch):
@@ -231,6 +274,25 @@ def test_harmonic_certifies_the_mubar_adjoint(monkeypatch):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, expected[1])
     assert "FAILED CHECK: mubar_adjoint_is_metric_adjoint" in err
+    assert expected[0] == 0
+
+
+def test_harmonic_certifies_the_star(monkeypatch):
+    # ⋆ on slot (0, 0) doubled: no printed table reads ⋆, so the output is
+    # unchanged, and the certificate's star entry names the slot
+    argv = ["harmonic", "--example", "filiform-J"]
+    expected = run_cli(argv)
+    star = HermitianStructure.star
+    monkeypatch.setattr(HermitianStructure, "star", lambda hs, p, q: (
+        star(hs, p, q).scale(Scalar(2)) if (p, q) == (0, 0)
+        else star(hs, p, q)))
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, expected[1])
+    assert [line for line in err.splitlines()
+            if line.startswith("FAILED CHECK: ")] == [
+        "FAILED CHECK: star_defining_and_isometry ⋆1 is not the volume form "
+        "on slot (0, 0); ⋆⋆ != (-1)^degree on slot (0, 0); ⋆ defining "
+        "property fails on slot (0, 0); ⋆ isometry fails on slot (0, 0)"]
     assert expected[0] == 0
 
 

@@ -18,7 +18,11 @@ in that module, read off its syntax tree the same way.  The star formula
 layer gets no differential of its own; and ``Matrix.inverse`` to its two
 readers, ``liealg.complexify`` and the K = H^{-1} of
 ``HermitianStructure.__init__``, so that no slot inverse comes back:
-delbar_mub solves with the compressions instead.
+delbar_mub solves with the compressions instead.  The mubar decomposition's
+certificate ``harmonic.mub_decomposition`` is pinned to its three readers,
+the battery (``verification_checks``), the ``harmonic`` command's
+certificate (``cli._certificate``) and the metric probe, which certifies
+its own layer, so that the layer's construction does not run it again.
 """
 
 import ast
@@ -225,6 +229,14 @@ def test_no_slot_inverse():
     # is complexify's change of frame
     assert _readers(_trees(["src/acdol"]), "inverse") == [
         "HermitianStructure.__init__", "complexify"]
+
+
+def test_mubar_certificate_runs_once_per_layer():
+    # delb_mub only computes; each layer's decomposition is certified by
+    # the battery or the harmonic command (the input's) or by the probe
+    # (its own)
+    assert _readers(_trees(["src/acdol"]), "mub_decomposition") == [
+        "_certificate", "metric_independence_probe", "verification_checks"]
 
 
 def test_reader_guard_flags_every_reader():

@@ -82,47 +82,62 @@ def _layer_args(name):
 
 
 def test_star_bookkeeping_error_names_its_slot(monkeypatch):
-    # negative control: no complement for the monomials of slot (1, 0)
+    # negative control: no complement for the monomials of slot (1, 0);
+    # the layer builds no ⋆, and the raise comes when ⋆(1, 0) is first built
     args = _layer_args("filiform-J")
     wedge = harmonic.forms.wedge_monomials
     monkeypatch.setattr(harmonic.forms, "wedge_monomials", lambda a, b: (
         None if (bin(a[1]).count("1"), bin(a[0]).count("1")) == (1, 0)
         else wedge(a, b)))
+    hs = build_hermitian(*args)
+    hs.star(0, 0)
     with pytest.raises(ConsistencyError, match=(
             r"^complementary monomial bookkeeping failed on slot \(1, 0\)$")):
-        build_hermitian(*args)
+        hs.star(1, 0)
+
+
+def _star_entry_details(hs):
+    """The failures the battery entry of ⋆ names on ``hs``, after checking
+    that the entry fails."""
+    check = harmonic.star_check(hs)
+    assert check.name == "star_defining_and_isometry"
+    assert not check.passed
+    return check.detail.split("; ")
 
 
 def test_star_of_one_error_names_its_slot(monkeypatch):
     # negative control: ⋆ on slot (0, 0) doubled
-    args = _layer_args("filiform-J")
+    hs = build_hermitian(*_layer_args("filiform-J"))
     star = HermitianStructure.star
     monkeypatch.setattr(HermitianStructure, "star", lambda hs, p, q: (
         star(hs, p, q).scale(Scalar(2)) if (p, q) == (0, 0)
         else star(hs, p, q)))
-    with pytest.raises(ConsistencyError, match=(
-            r"^⋆1 is not the volume form on slot \(0, 0\)$")):
-        build_hermitian(*args)
+    assert _star_entry_details(hs) == [
+        "⋆1 is not the volume form on slot (0, 0)",
+        "⋆⋆ != (-1)^degree on slot (0, 0)",
+        "⋆ defining property fails on slot (0, 0)",
+        "⋆ isometry fails on slot (0, 0)"]
 
 
 def test_volume_length_error_names_its_slot(monkeypatch):
     # negative control: the Gram matrix of the top slot (2, 2) doubled,
     # which ⋆1 does not read
-    args = _layer_args("filiform-J")
+    hs = build_hermitian(*_layer_args("filiform-J"))
     gram = HermitianStructure.gram
     monkeypatch.setattr(HermitianStructure, "gram", lambda hs, p, q: (
         gram(hs, p, q).scale(Scalar(2)) if (p, q) == (2, 2)
         else gram(hs, p, q)))
-    with pytest.raises(ConsistencyError, match=(
-            r"^volume form is not unit length on slot \(2, 2\)$")):
-        build_hermitian(*args)
+    details = _star_entry_details(hs)
+    assert details[0] == "volume form is not unit length on slot (2, 2)"
+    assert "⋆1 is not the volume form on slot (0, 0)" not in details
 
 
 def test_delbar_mub_square_error_names_its_slot(monkeypatch):
     # negative control: on abelian-m2 every form is mubar-harmonic, and
     # delbar replaced by all-ones blocks on slots (1, 0) and (1, 1) makes
     # the square nonzero from slot (1, 0) on; slots (0, 0) and (0, 1),
-    # checked first, are untouched
+    # checked first, are untouched.  delb_mub only computes; the battery
+    # entry names the slot
     args = _layer_args("abelian-m2")
     cm = args[0]
     hs = build_hermitian(*args)
@@ -135,9 +150,11 @@ def test_delbar_mub_square_error_names_its_slot(monkeypatch):
         return Matrix(real.rows, real.cols, [[ONE] * real.cols] * real.rows)
 
     monkeypatch.setattr(cm, "block", tampered)
-    with pytest.raises(ConsistencyError, match=(
-            r"^delbar_mub does not square to zero on slot \(1, 0\)$")):
-        delb_mub(hs)
+    entry = delb_mub_checks(delb_mub(hs), {})[2]
+    assert entry.name == "delbar_mub_hodge_decomposition"
+    assert not entry.passed
+    assert entry.detail.split("; ")[0] == (
+        "delbar_mub does not square to zero on slot (1, 0)")
 
 
 def test_pairwise_orthogonal_flags_a_non_orthogonal_pair():
@@ -716,6 +733,52 @@ def test_probe_layer_reads_the_analysis_differential(name, monkeypatch):
     assert check.passed
     assert [layer.cm is an.hs.cm for layer in layers] == [True]
     assert [layer.frame is an.hs.frame for layer in layers] == [True]
+
+
+@pytest.mark.parametrize("name, tamper", [("su2su2-nk", "mubar"),
+                                          ("random-m3-seed1", "mubar"),
+                                          ("filiform-Jprime", "square")])
+def test_probe_certifies_its_own_layer(name, tamper, monkeypatch):
+    """Negative controls on the probe's layer only: one H_mubar vector
+    dropped after the layer is built, which leaves delb_mub (it reads
+    ``harmonic_space``) and so the probed dims as they were, or the columns
+    of op on slot (1, 1) reversed, which keeps every rank.  The probe's own
+    certificate fails either way, naming the metric and the slot, while the
+    input layer's entries still pass."""
+    an = named_analysis(name)
+    dmb = an.dmb
+    build, build_delb_mub = harmonic.build_hermitian, harmonic.delb_mub
+    slots = []
+
+    def one_short(cm, frame, metric):
+        layer = build(cm, frame, metric)
+        spaces = layer.harmonic(MUBAR)
+        slots.append(next(pq for pq, h in spaces.items() if h.dim))
+        spaces[slots[0]] = _one_vector_short(spaces[slots[0]])
+        return layer
+
+    def square_broken(hs):
+        probed = build_delb_mub(hs)
+        return dataclasses.replace(probed, op={
+            **probed.op, (1, 1): _columns_reversed(probed.op[(1, 1)])})
+
+    if tamper == "mubar":
+        monkeypatch.setattr(harmonic, "build_hermitian", one_short)
+    else:
+        monkeypatch.setattr(harmonic, "delb_mub", square_broken)
+    runs, check = metric_independence_probe(an.spec, dmb,
+                                            pipeline.probe_metrics(an.spec))
+    assert runs[1] == runs[0]
+    assert not check.passed
+    if tamper == "mubar":
+        assert check.detail.startswith(
+            "2 metrics probed; metric 2: mubar_decomposition_%d_%d (dims "
+            % slots[0])
+    else:
+        assert check.detail == ("2 metrics probed; metric 2: delbar_mub does "
+                                "not square to zero on slot (1, 0)")
+    assert harmonic.mub_decomposition(an.hs).passed
+    assert all(c.passed for c in delb_mub_checks(dmb, an.h_dol))
 
 
 def _gl_j_pullback(spec, rng):

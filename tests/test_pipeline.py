@@ -96,14 +96,17 @@ def test_battery_computes_each_oracle_once(monkeypatch):
 
 def test_analysis_builds_one_harmonic_layer(monkeypatch):
     """analyze, the battery and the result document build delbar_mub once
-    for the input metric and once for the probe's other metric, each after
-    the mubar decomposition's certificate, which the battery's
-    mubar_hodge_decomposition entry runs once more, and the stacked [d; d*]
-    once per degree, which d_harmonic and the Betti check share;
-    d_harmonic takes kernels of its slot columns only, never of a whole
-    stacked system."""
-    calls = {"mub_decomposition": 0, "delb_mub": 0}
+    for the input metric and once for the probe's other metric, and the
+    stacked [d; d*] once per degree, which d_harmonic and the Betti check
+    share; d_harmonic takes kernels of its slot columns only, never of a
+    whole stacked system.  Each identity of a layer is checked once: the
+    mubar decomposition's certificate and delbar_mub^2 = 0 once per layer,
+    in the battery for the input's and in the probe for its own, and the ⋆
+    identities once, on the input's layer only: the probe builds no ⋆."""
+    calls = {"mub_decomposition": 0, "delb_mub": 0, "star_check": 0,
+             "_square_failure": 0}
     systems = {}  # (hs, n) -> every [d; d*] returned
+    stars = []  # the layer of every ⋆ read
 
     def counted(fn):
         inner = getattr(harmonic, fn)
@@ -130,10 +133,19 @@ def test_analysis_builds_one_harmonic_layer(monkeypatch):
         return subspace_kernel(mat)
 
     monkeypatch.setattr(harmonic.HermitianStructure, "d_stacked", recorded)
+    star = harmonic.HermitianStructure.star
+
+    def star_read(hs, p, q):
+        stars.append(hs)
+        return star(hs, p, q)
+
+    monkeypatch.setattr(harmonic.HermitianStructure, "star", star_read)
     monkeypatch.setattr(linalg.Subspace, "kernel", classmethod(kernel))
     an = pipeline.analyze(docio.to_spec(catalog.builtin("su2su2-nk")))
     pipeline.result_document(an, pipeline.verification_checks(an))
-    assert calls == {"mub_decomposition": 3, "delb_mub": 2}
+    assert calls == {"mub_decomposition": 2, "delb_mub": 2, "star_check": 1,
+                     "_square_failure": 2}
+    assert stars and set(stars) == {an.hs}
     assert set(systems) == {(an.hs, n) for n in range(2 * an.m + 1)}
     assert all(len(found) == 2 and found[0] is found[1]
                for found in systems.values())
