@@ -36,11 +36,10 @@ the Frolicher/Euler/Serre ``consistency_report``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from . import forms
 from .forms import DELBAR, MUBAR
-from .kernel import ZERO, Scalar
+from .kernel import ZERO, Scalar, cleared
 from .linalg import Matrix, Subspace, complement_in
 
 
@@ -224,11 +223,7 @@ def real_differential(cm, n):
                 raise ConsistencyError(
                     "d does not commute with the conjugation in degree %d"
                     % n)
-        den = 1
-        for x in d[r]:
-            if x.dn != 1:
-                den = lcm(den, x.dn)
-        z = [(x.xn * (den // x.dn), x.yn * (den // x.dn)) for x in d[r]]
+        (z,), _ = cleared([d[r]])
         re_row, im_row = [], []
         for j, k, s in sources:
             (xj, yj), (xk, yk) = z[j], z[k]

@@ -81,7 +81,8 @@ from .linalg import Matrix, Subspace
 
 
 def _memoized(method):
-    """Cache ``method`` per instance and arguments, in the instance."""
+    """Cache ``method`` per instance (its first argument, a layer) and
+    arguments, in the instance."""
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__,) + args
@@ -354,6 +355,15 @@ def star_check(hs):
     return Check("star_defining_and_isometry", not failed, "; ".join(failed))
 
 
+def slot_check(name, slots, holds):
+    """The battery entry ``name`` of the identity ``holds(p, q)`` on
+    ``slots``, taken in their order (p-major on the grid): its detail names
+    the first slot the identity fails on, and is empty on a pass."""
+    bad = next((pq for pq in slots if not holds(*pq)), None)
+    return Check(name, bad is None,
+                 "" if bad is None else "fails on slot (%d, %d)" % bad)
+
+
 # -- mubar Hodge decomposition ------------------------------------------------
 
 
@@ -471,12 +481,12 @@ def adjointness_checks(dmb):
     a line, the hypothesis under which ⋆ gives its adjoint."""
     hs = dmb.hs
 
-    def agree(tag):
-        return all(star_adjoint(hs, tag, p, q) == hs.adjoint_block(tag, p, q)
-                   for (p, q) in hs.basis.slots)
+    def agree(name, tag):
+        return slot_check(name, hs.basis.slots, lambda p, q: (
+            star_adjoint(hs, tag, p, q) == hs.adjoint_block(tag, p, q)))
 
-    return [Check("mubar_adjoint_is_metric_adjoint", agree(MUBAR)),
-            Check("delbar_adjointness", agree(DELBAR)) if dmb.unimodular
+    return [agree("mubar_adjoint_is_metric_adjoint", MUBAR),
+            agree("delbar_adjointness", DELBAR) if dmb.unimodular
             else skipped_not_unimodular("delbar_adjointness")]
 
 
@@ -518,16 +528,16 @@ def serre_star_check(dmb):
     harmonic forms to harmonic forms only when it gives the adjoint."""
     hs = dmb.hs
     m = hs.m
-    harm = hs.harmonic(MUBAR)
-    ok = all(hs.bar_star_image(p, q, sub) == harm[(m - p, m - q)]
-             for (p, q), sub in harm.items())
-    checks = [Check("serre_bar_star_mubar_harmonics", ok)]
+
+    def serre(name, harm):
+        return slot_check(name, harm, lambda p, q: (
+            hs.bar_star_image(p, q, harm[(p, q)]) == harm[(m - p, m - q)]))
+
+    checks = [serre("serre_bar_star_mubar_harmonics", hs.harmonic(MUBAR))]
     name = "serre_bar_star_delbar_mub_harmonics"
     if not dmb.unimodular:
         return checks + [skipped_not_unimodular(name)]
-    ok = all(hs.bar_star_image(p, q, sub) == dmb.harmonic[(m - p, m - q)]
-             for (p, q), sub in dmb.harmonic.items())
-    return checks + [Check(name, ok)]
+    return checks + [serre(name, dmb.harmonic)]
 
 
 # -- metric independence ---------------------------------------------------------
@@ -542,8 +552,9 @@ def metric_independence_probe(spec, dmb, metrics):
     builds its layer by ``build_hermitian`` on the frame and the
     differential of ``dmb``: only the Gram matrices are new, and no ⋆ is
     built.  The Check also certifies each probed layer's mubar Hodge
-    decomposition and delbar_mub^2 = 0, naming the metric and the slot of
-    a failure.
+    decomposition and delbar_mub^2 = 0.  A failure names the metric and
+    the slot: the first slot, p-major, whose dims differ from the input
+    metric's, then the certificates' slots.
     """
     runs = [dmb.harmonic_dims()]
     failed = []
@@ -551,13 +562,17 @@ def metric_independence_probe(spec, dmb, metrics):
         variant = liealg.validate_spec(spec.with_metric(g))
         hs = build_hermitian(dmb.hs.cm, dmb.hs.frame, variant.metric)
         probed = delb_mub(hs)
-        runs.append(probed.harmonic_dims())
-        failed += ["metric %d: %s" % (len(runs), detail) for detail in (
-            mub_decomposition(hs).detail, _square_failure(probed.op, hs.m))
-            if detail]
-    agree = all(r == runs[0] for r in runs[1:])
-    return runs, Check("metric_independent_harmonic_dims",
-                       agree and not failed,
+        dims = probed.harmonic_dims()
+        runs.append(dims)
+        differ = next((pq for pq in sorted(set(dims) | set(runs[0]))
+                       if dims.get(pq) != runs[0].get(pq)), None)
+        details = [mub_decomposition(hs).detail,
+                   _square_failure(probed.op, hs.m)]
+        if differ:
+            details.insert(0, "harmonic dims differ on slot (%d, %d)" % differ)
+        failed += ["metric %d: %s" % (len(runs), detail)
+                   for detail in details if detail]
+    return runs, Check("metric_independent_harmonic_dims", not failed,
                        "; ".join(["%d metrics probed" % len(runs)] + failed))
 
 
@@ -620,9 +635,7 @@ def nearly_kahler_checks(dmb):
     bidegree (-1, 2)), the restricted equalities Delta_mubar = Delta_mu and
     Delta_delbar = Delta_partial on p = q and p + q = 3, the three-space
     equality H_d = H_delbar ∩ H_mubar = H_delbar_mub on its bidegree range,
-    and fits the proportionality constant in
-    (partial delbar + delbar partial) = -i c (p - q) L, reporting whether a
-    single constant works on every applicable slot.  Every identity holds
+    and the fit of ``mixed_laplacian_fit``.  Every identity holds
     exactly on the homogeneous nearly Kahler S^3 x S^3 (the positive
     control of the acceptance suite); a failure shows that the metric and J
     of the input are not nearly Kahler, which is how the battery detects
@@ -687,6 +700,19 @@ def nearly_kahler_checks(dmb):
         "nk_three_space_equality on the stated bidegree range", ok_three,
         informational=True))
 
+    fit, value = mixed_laplacian_fit(hs)
+    return checks + [fit], value
+
+
+@_memoized
+def mixed_laplacian_fit(hs):
+    """Fit the constant c in (partial delbar + delbar partial) =
+    -i c (p - q) L on every slot p != q that L reaches, as (the Check
+    ``nk_mixed_laplacian_scalar single constant``, c as a string, None
+    unless one constant fits every such slot).  Memoised on the layer, so
+    the harmonic section and the battery share one fit, and it builds no
+    Laplacian."""
+    basis = hs.basis
     lef = lefschetz_matrices(hs)
     fitted = []
     ok_fit = True
@@ -715,7 +741,5 @@ def nearly_kahler_checks(dmb):
         fitted.append(((p, q), c))
     same = all(c == fitted[0][1] for _, c in fitted) if fitted else True
     value = str(fitted[0][1]) if fitted and same and ok_fit else None
-    checks.append(Check(
-        "nk_mixed_laplacian_scalar single constant", ok_fit and same,
-        "fitted constant %s" % value, informational=True))
-    return checks, value
+    return Check("nk_mixed_laplacian_scalar single constant", ok_fit and same,
+                 "fitted constant %s" % value, informational=True), value

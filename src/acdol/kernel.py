@@ -2,7 +2,13 @@
 
 A scalar is the exact complex number ``(xn + yn*i) / dn`` with arbitrary
 precision integers ``xn``, ``yn`` and ``dn > 0``, normalised so that
-``gcd(xn, yn, dn) = 1``.
+``gcd(xn, yn, dn) = 1``.  ``Scalar`` is closed: its arithmetic takes
+Scalars only, so an int or a Fraction operand raises ``TypeError`` and
+never compares equal to a Scalar.  Rationals enter through the one
+constructor ``from_rational``, and ``cleared`` clears rows of Scalars to
+Gaussian integers over one common denominator, the form in which the
+front end sums; ``echelon`` and ``matmul`` clear in their own loops, where
+they also skip zero rows and terms.
 """
 
 from fractions import Fraction
@@ -28,23 +34,6 @@ class Scalar:
         self.yn = yn
         self.dn = dn
 
-    @classmethod
-    def from_rational(cls, re, im=0):
-        """Build a scalar from two Fractions (or ints)."""
-        re = Fraction(re)
-        im = Fraction(im)
-        dn = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-        return cls(re.numerator * (dn // re.denominator),
-                   im.numerator * (dn // im.denominator), dn)
-
-    @property
-    def re(self):
-        return Fraction(self.xn, self.dn)
-
-    @property
-    def im(self):
-        return Fraction(self.yn, self.dn)
-
     def __bool__(self):
         return self.xn != 0 or self.yn != 0
 
@@ -52,50 +41,34 @@ class Scalar:
         return Scalar(self.xn, -self.yn, self.dn)
 
     def __add__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.xn * other.dn + other.xn * self.dn,
-                      self.yn * other.dn + other.yn * self.dn,
-                      self.dn * other.dn)
-
-    __radd__ = __add__
+        try:
+            return Scalar(self.xn * other.dn + other.xn * self.dn,
+                          self.yn * other.dn + other.yn * self.dn,
+                          self.dn * other.dn)
+        except AttributeError:
+            raise _operand_error("+", other) from None
 
     def __sub__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.xn * other.dn - other.xn * self.dn,
-                      self.yn * other.dn - other.yn * self.dn,
-                      self.dn * other.dn)
-
-    def __rsub__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        try:
+            return Scalar(self.xn * other.dn - other.xn * self.dn,
+                          self.yn * other.dn - other.yn * self.dn,
+                          self.dn * other.dn)
+        except AttributeError:
+            raise _operand_error("-", other) from None
 
     def __mul__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.xn * other.xn - self.yn * other.yn,
-                      self.xn * other.yn + self.yn * other.xn,
-                      self.dn * other.dn)
-
-    __rmul__ = __mul__
+        try:
+            return Scalar(self.xn * other.xn - self.yn * other.yn,
+                          self.xn * other.yn + self.yn * other.xn,
+                          self.dn * other.dn)
+        except AttributeError:
+            raise _operand_error("*", other) from None
 
     def __truediv__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return self * other._inv()
-
-    def __rtruediv__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self._inv()
+        try:
+            return self * other._inv()
+        except AttributeError:
+            raise _operand_error("/", other) from None
 
     def _inv(self):
         n = self.xn * self.xn + self.yn * self.yn
@@ -107,14 +80,11 @@ class Scalar:
         return Scalar(-self.xn, -self.yn, self.dn)
 
     def __eq__(self, other):
-        other = _lift(other)
-        if other is None:
+        if type(other) is not Scalar:
             return NotImplemented
         return self.xn == other.xn and self.yn == other.yn and self.dn == other.dn
 
     def __hash__(self):
-        if self.yn == 0:
-            return hash(Fraction(self.xn, self.dn))
         return hash((self.xn, self.yn, self.dn))
 
     def __repr__(self):
@@ -124,14 +94,9 @@ class Scalar:
         return _scalar_str(self.xn, self.yn, self.dn)
 
 
-def _lift(value):
-    if type(value) is Scalar:
-        return value
-    if isinstance(value, int):
-        return Scalar(value)
-    if isinstance(value, Scalar):
-        return value
-    return None
+def _operand_error(op, other):
+    return TypeError("unsupported operand type(s) for %s: 'Scalar' and %r"
+                     % (op, type(other).__name__))
 
 
 def _scalar_str(xn, yn, dn):
@@ -361,5 +326,21 @@ def matmul(a_rows, b_rows, bcols):
 
 
 def from_rational(re, im=0):
-    """Scalar from Fraction/int real and imaginary parts."""
-    return Scalar.from_rational(re, im)
+    """The scalar re + im i from Fraction or int parts."""
+    re = Fraction(re)
+    im = Fraction(im)
+    dn = lcm(re.denominator, im.denominator)
+    return Scalar(re.numerator * (dn // re.denominator),
+                  im.numerator * (dn // im.denominator), dn)
+
+
+def cleared(rows):
+    """(rows of (x, y) integer pairs, d) with rows = (x + y i) / d, d > 0
+    the least common denominator of the Scalar entries."""
+    d = 1
+    for row in rows:
+        for e in row:
+            if d % e.dn:
+                d = lcm(d, e.dn)
+    return [[(e.xn * (d // e.dn), e.yn * (d // e.dn)) for e in row]
+            for row in rows], d

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from .kernel import ZERO, Scalar, from_rational
+from .kernel import ZERO, Scalar, cleared, from_rational
 from .linalg import Matrix, Subspace
 
 
@@ -355,9 +355,9 @@ def complexify(spec, frame):
     m = frame.m
     w_vecs = list(frame.vectors) + [tuple(e.conj() for e in z)
                                     for z in frame.vectors]
-    pinv, pden = _gaussian_cleared(
+    pinv, pden = cleared(
         Matrix.from_columns(w_vecs, ambient_rows=n).inverse().entries)
-    wvecs, wden = _gaussian_cleared(w_vecs)
+    wvecs, wden = cleared(w_vecs)
     # (i, j, [(k, c_ij^k)]) over the nonzero structure constants, cleared
     consts, cden = _cleared([cij for ci in spec.brackets for cij in ci])
     lifted = [(idx // n, idx % n, [(k, x) for k, x in enumerate(row) if x])
@@ -405,14 +405,3 @@ def complexify(spec, frame):
     return ComplexStructureConstants(
         m=m, table=tuple(tuple(row) for row in table))
 
-
-def _gaussian_cleared(rows):
-    """(rows of (x, y) integer pairs, d) with rows = (x + y i) / d, d > 0
-    the least common denominator of the Scalar entries."""
-    d = 1
-    for row in rows:
-        for e in row:
-            if d % e.dn:
-                d = lcm(d, e.dn)
-    return [[(e.xn * (d // e.dn), e.yn * (d // e.dn)) for e in row]
-            for row in rows], d

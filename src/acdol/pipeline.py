@@ -253,22 +253,23 @@ def verification_checks(an):
     # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, and equality on
     # q = 0, where delbar* and mubar* vanish
     h_delbar, h_mubar = hs.harmonic(DELBAR), hs.harmonic(MUBAR)
-    ok = True
-    ok_row = True
-    for (p, q) in basis.slots:
-        inter = h_delbar[(p, q)].intersect(h_mubar[(p, q)])
-        if inter.dim > an.h_dol.get((p, q), 0):
-            ok = False
-        if q == 0 and inter.dim != an.h_dol.get((p, 0), 0):
-            ok_row = False
-    checks.append(Check("harmonic_inclusion_bound", ok))
-    checks.append(Check("harmonic_intersection_bottom_row", ok_row))
+    inter = {pq: h_delbar[pq].intersect(h_mubar[pq]).dim
+             for pq in basis.slots}
+    checks.append(harmonic.slot_check(
+        "harmonic_inclusion_bound", basis.slots,
+        lambda p, q: inter[(p, q)] <= an.h_dol.get((p, q), 0)))
+    checks.append(harmonic.slot_check(
+        "harmonic_intersection_bottom_row", [(p, 0) for p in range(m + 1)],
+        lambda p, q: inter[(p, q)] == an.h_dol.get((p, q), 0)))
 
     # d-harmonic forms realise the Betti numbers: Ker d ∩ Ker d* of each
-    # degree, the corank of the stacked [d; d*] that d_harmonic reads
-    coranks = tuple(s.cols - s.rank()
-                    for s in map(hs.d_stacked, range(2 * m + 1)))
-    checks.append(Check("d_harmonic_realises_betti", coranks == an.betti))
+    # degree, the corank of the stacked [d; d*] that d_harmonic reads; a
+    # failure names the first degree it fails in
+    coranks = [s.cols - s.rank() for s in map(hs.d_stacked, range(2 * m + 1))]
+    bad = next((n for n, (c, b) in enumerate(zip(coranks, an.betti))
+                if c != b), None)
+    checks.append(Check("d_harmonic_realises_betti", bad is None,
+                        "" if bad is None else "fails in degree %d" % bad))
 
     # metric independence of the harmonic Dolbeault dimensions
     _, probe = harmonic.metric_independence_probe(
@@ -347,7 +348,8 @@ def harmonic_section(an):
         "h_delb_mub": docio.table_to_json(an.dmb.harmonic_dims(), m),
         "h_d": docio.table_to_json(
             {k: v.dim for k, v in an.hs.d_harmonic().items()}, m),
-        "nk_scalar": an.nearly_kahler[1],
+        "nk_scalar": (harmonic.mixed_laplacian_fit(an.hs)[1] if m == 3
+                      else None),
     }
 
 

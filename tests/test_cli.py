@@ -225,7 +225,7 @@ def test_failed_mubar_decomposition_exit_2_names_the_slot(monkeypatch):
         ["3 8 6 0", "checks: 59 run, 10 failed"],
         ["3 7 6 0", "checks: 59 run, 13 failed",
          "  FAIL mubar_hodge_decomposition: %s" % MUBAR_FAILURE,
-         "  FAIL serre_bar_star_mubar_harmonics",
+         "  FAIL serre_bar_star_mubar_harmonics: fails on slot (1, 1)",
          "  FAIL metric_independent_harmonic_dims: 2 metrics probed; "
          "metric 2: %s" % MUBAR_FAILURE])
     assert expected[0] == 0
@@ -249,7 +249,7 @@ def test_failed_mubar_decomposition_fails_every_reader(command, monkeypatch):
              "PASS serre_bar_star_mubar_harmonics",
              "PASS metric_independent_harmonic_dims  (2 metrics probed)"],
             ["FAIL mubar_hodge_decomposition  (%s)" % MUBAR_FAILURE,
-             "FAIL serre_bar_star_mubar_harmonics",
+             "FAIL serre_bar_star_mubar_harmonics  (fails on slot (1, 1))",
              "FAIL metric_independent_harmonic_dims  (2 metrics probed; "
              "metric 2: %s)" % MUBAR_FAILURE])
     else:
@@ -294,6 +294,29 @@ def test_harmonic_certifies_the_star(monkeypatch):
         "on slot (0, 0); ⋆⋆ != (-1)^degree on slot (0, 0); ⋆ defining "
         "property fails on slot (0, 0); ⋆ isometry fails on slot (0, 0)"]
     assert expected[0] == 0
+
+
+def test_harmonic_fits_the_nk_scalar_without_laplacians(monkeypatch):
+    # harmonic prints nk_scalar from the Lefschetz fit alone, so on the
+    # nearly Kahler S^3 x S^3 it builds no Laplacian; analyze, whose
+    # battery builds them, prints the same constant
+    built = []
+    laplacian = HermitianStructure.laplacian
+
+    def counted(hs, tag):
+        built.append(tag)
+        return laplacian(hs, tag)
+
+    monkeypatch.setattr(HermitianStructure, "laplacian", counted)
+    printed = {}
+    for command in ("harmonic", "analyze"):
+        code, out, err = run_cli([command, input_path("s3s3-nk"),
+                                  "--format", "json"])
+        assert (code, err) == (0, "")
+        printed[command] = (json.loads(out)["harmonic"]["nk_scalar"],
+                            len(built))
+    assert printed["harmonic"] == ("8/9", 0)
+    assert printed["analyze"][0] == "8/9" and printed["analyze"][1] > 0
 
 
 def test_pages_never_reads_the_mubar_decomposition(monkeypatch):

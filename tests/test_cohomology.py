@@ -287,21 +287,22 @@ def _real_forms_image(cm, n):
     d = cm.total_matrix(n)
     i = kernel.I
     columns = []
-    for j, k, s in cohomology._conjugation_orbits(cm.basis, n):
+    for j, k, sign in cohomology._conjugation_orbits(cm.basis, n):
+        s = kernel.Scalar(sign)
         unit_j, unit_k = ([kernel.ONE if x == y else kernel.ZERO
                            for x in range(d.cols)] for y in (j, k))
         if j != k:
             columns.append([a + s * b for a, b in zip(unit_j, unit_k)])
             columns.append([i * (a - s * b) for a, b in zip(unit_j, unit_k)])
         else:
-            columns.append(unit_j if s == 1 else [i * a for a in unit_j])
+            columns.append(unit_j if sign == 1 else [i * a for a in unit_j])
     images = [d.apply(col) for col in columns]
     rows = []
     for r, r2, t in cohomology._conjugation_orbits(cm.basis, n + 1):
         if r != r2 or t == 1:
-            rows.append([kernel.from_rational(w[r].re) for w in images])
+            rows.append([kernel.Scalar(w[r].xn, 0, w[r].dn) for w in images])
         if r != r2 or t == -1:
-            rows.append([kernel.from_rational(w[r].im) for w in images])
+            rows.append([kernel.Scalar(w[r].yn, 0, w[r].dn) for w in images])
     return Matrix(len(rows), d.cols, rows)
 
 
@@ -328,7 +329,7 @@ def test_rows_of_d_n_are_the_columns_of_d_n_plus_1(name):
             lead = next((k for k, x in enumerate(unscaled) if x), None)
             scale = (row[lead] / unscaled[lead] if lead is not None
                      else kernel.ONE)
-            assert scale.im == 0 and scale.re > 0
+            assert scale.yn == 0 and scale.xn > 0
             assert list(row) == [scale * x for x in unscaled]
         after = cohomology.real_differential(cm, n + 1)
         assert (after @ image).is_zero()

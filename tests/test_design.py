@@ -5,10 +5,12 @@ Every function, method and class defined in ``src/acdol`` must be used in
 dataclass defined there must be read as ``.field`` there.  Uses are read
 from the syntax tree: a name, an attribute, an imported name, or a word of
 a string that is not a docstring (``perfbench/tracing.py`` names the
-functions it times by string).  Docstrings and comments are not uses, and
-tests do not count.  The checks are by name, so they are only a floor: a
-name shared by two definitions passes.  So the names defined more than once
-are pinned in ``SHARED_NAMES``, and a new one fails until it is reviewed.
+functions it times by string).  A method counts as used only when it is
+read as an attribute (``.name``), so a local variable of the same spelling
+does not keep it.  Docstrings and comments are not uses, and tests do not
+count.  The checks are by name, so they are only a floor: a name shared by
+two definitions passes.  So the names defined more than once are pinned in
+``SHARED_NAMES``, and a new one fails until it is reviewed.
 Special methods (``__add__`` and the like) are called by the interpreter,
 not by name, and are left out.  Every name a module imports must be used
 in that module, read off its syntax tree the same way.  The star formula
@@ -34,8 +36,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 USE_DIRS = ("src/acdol", "perfbench", "benchmarks")
 
 # A negative control: the guards must flag the helpers named only in a
-# docstring or a comment and the field named only in a docstring, and
-# nothing else.
+# docstring or a comment, the method whose name is read only as a local
+# variable and the field named only in a docstring, and nothing else.
 SYNTHETIC = '''
 """Mentions helper_in_docstring."""
 import dataclasses
@@ -64,16 +66,25 @@ def timed_by_string():
     pass
 
 
+class Shape:
+    def area(self):
+        pass
+
+
+def measured(shape):
+    area = 2
+    return shape, area
+
+
 TIMED = {"module.timed_s": ("module.timed_by_string",)}
-print(used(Record(1, 2)))
+print(used(Record(1, 2)), measured(Shape()))
 '''
 
 
 # Names defined more than once in src/acdol, reviewed: methods of several
 # types (conj, dim, from_columns, m, zero), and a kernel function and a
-# method of the same name (rref, from_rational).
-SHARED_NAMES = {"conj", "dim", "from_columns", "from_rational", "m", "rref",
-                "zero"}
+# method of the same name (rref).
+SHARED_NAMES = {"conj", "dim", "from_columns", "m", "rref", "zero"}
 
 # A negative control for the pin: "twin" is defined twice, once per class.
 SHARED_SYNTHETIC = '''
@@ -133,17 +144,25 @@ def _uses(trees):
 
 
 def _definitions(trees):
-    """The name of each function, method and class defined in ``trees``,
-    once per definition, special methods left out."""
-    return [node.name for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    """(name, is_method) of each function, method and class defined in
+    ``trees``, once per definition, special methods left out."""
+    out = []
+    for tree in trees:
+        methods = {stmt for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for stmt in node.body
+                   if isinstance(stmt, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))}
+        out.extend((node.name, node in methods) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))
+                   and not (node.name.startswith("__")
+                            and node.name.endswith("__")))
+    return out
 
 
 def _shared_names(trees):
-    return {name for name, count in Counter(_definitions(trees)).items()
-            if count > 1}
+    return {name for name, count in Counter(
+        name for name, _ in _definitions(trees)).items() if count > 1}
 
 
 def _dataclass_fields(trees):
@@ -161,9 +180,12 @@ def _dataclass_fields(trees):
 
 
 def _unused(defining, using):
+    """The names defined in ``defining`` that ``using`` never uses: a
+    method is used only as an attribute, a function or class also as a
+    name."""
     names, attrs = _uses(using)
-    return sorted(name for name in set(_definitions(defining))
-                  if name not in names and name not in attrs)
+    return sorted({name for name, method in _definitions(defining)
+                   if name not in attrs and (method or name not in names)})
 
 
 def _unread(defining, using):
@@ -254,7 +276,7 @@ def test_every_dataclass_field_is_read():
 
 def test_guards_do_not_count_docstrings_and_comments():
     trees = [ast.parse(SYNTHETIC)]
-    assert _unused(trees, trees) == ["helper_in_comment",
+    assert _unused(trees, trees) == ["area", "helper_in_comment",
                                      "helper_in_docstring"]
     assert _unread(trees, trees) == ["Record.unread"]
 

@@ -452,7 +452,7 @@ def _differential_oracle(csc, basis):
                     r2 = r1 and _wedge_by_inversions(r1[1], right)
                     if r2:
                         sign = (-1) ** pos * r1[0] * r2[0]
-                        dmono[r2[1]] = dmono.get(r2[1], ZERO) + c2 * sign
+                        dmono[r2[1]] = dmono.get(r2[1], ZERO) + c2 * Scalar(sign)
             for tag, (dp, dq) in BIDEGREE.items():
                 target = basis.monomials(p + dp, q + dq)
                 cols[tag].append([dmono.get(mono, ZERO) for mono in target])

@@ -13,12 +13,13 @@ from acdol.cohomology import (ConsistencyError, de_rham,
                               top_cohomology_is_line)
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential, conjugation_matrix)
-from acdol.harmonic import (HermitianStructure, build_hermitian, delb_mub,
+from acdol.harmonic import (HermitianStructure, adjointness_checks,
+                            build_hermitian, delb_mub,
                             delb_mub_checks, fundamental_form,
                             lefschetz_matrices, metric_independence_probe,
                             nearly_kahler_checks,
                             serre_star_check)
-from acdol.kernel import ONE, ZERO, Scalar
+from acdol.kernel import ONE, ZERO, Scalar, from_rational
 from acdol.liealg import (adapted_frame, complexify, make_spec,
                           pullback_metric, validate_spec)
 from acdol.linalg import Matrix, Subspace
@@ -682,6 +683,110 @@ def test_metric_independence_kt():
     assert check.passed
 
 
+# -- failing harmonic entries name their slot --------------------------------
+#
+# Negative controls on filiform-J (m = 2, unimodular), whose entries pass
+# with an empty detail as built.  A failing entry names the first slot,
+# p-major, on which its identity fails, which need not be the tampered one.
+
+
+@pytest.mark.parametrize("spaces, tampered, first", [
+    ("mubar", (2, 1), (0, 1)), ("delbar_mub", (1, 2), (1, 0))],
+    ids=["mubar", "delbar_mub"])
+def test_serre_entries_name_their_slot(spaces, tampered, first):
+    """One vector dropped from a harmonic space breaks bar-star on the
+    tampered slot and on its mirror (m - p, m - q), the first of the two
+    named."""
+    dmb = delb_mub(hermitian("filiform-J"))
+    assert [(c.passed, c.detail) for c in serre_star_check(dmb)] == [
+        (True, ""), (True, "")]
+    if spaces == "mubar":
+        harm = dmb.hs.harmonic(MUBAR)
+        harm[tampered] = _one_vector_short(harm[tampered])
+        name = "serre_bar_star_mubar_harmonics"
+    else:
+        dmb = dataclasses.replace(dmb, harmonic={
+            **dmb.harmonic, tampered: _one_vector_short(
+                dmb.harmonic[tampered])})
+        name = "serre_bar_star_delbar_mub_harmonics"
+    failed = [(c.name, c.detail) for c in serre_star_check(dmb)
+              if not c.passed]
+    assert failed == [(name, "fails on slot (%d, %d)" % first)]
+
+
+@pytest.mark.parametrize("tag, slot, name", [
+    (MUBAR, (1, 2), "mubar_adjoint_is_metric_adjoint"),
+    (DELBAR, (2, 1), "delbar_adjointness")], ids=[MUBAR, DELBAR])
+def test_adjointness_entries_name_their_slot(tag, slot, name, monkeypatch):
+    """One nonzero adjoint block doubled: the star formula differs from
+    it there and nowhere before it."""
+    dmb = delb_mub(hermitian("filiform-J"))
+    assert [(c.passed, c.detail) for c in adjointness_checks(dmb)] == [
+        (True, ""), (True, "")]
+    adjoint_block = HermitianStructure.adjoint_block
+
+    def doubled(hs, t, p, q):
+        blk = adjoint_block(hs, t, p, q)
+        return blk + blk if (t, (p, q)) == (tag, slot) else blk
+
+    monkeypatch.setattr(HermitianStructure, "adjoint_block", doubled)
+    assert not dmb.hs.adjoint_block(tag, *slot).is_zero()
+    failed = [(c.name, c.detail) for c in adjointness_checks(dmb)
+              if not c.passed]
+    assert failed == [(name, "fails on slot (%d, %d)" % slot)]
+
+
+@pytest.mark.parametrize("name, table, change, detail", [
+    # dim(H_delbar ∩ H_mubar) is 2 on (1, 1), above a lowered h_dol of 1
+    ("harmonic_inclusion_bound", "h_dol", ((1, 1), 1),
+     "fails on slot (1, 1)"),
+    # the intersection on (1, 0) is 1, below a raised h_dol of 2
+    ("harmonic_intersection_bottom_row", "h_dol", ((1, 0), 2),
+     "fails on slot (1, 0)"),
+    ("d_harmonic_realises_betti", "betti", (2, 3), "fails in degree 2")],
+    ids=["inclusion_bound", "bottom_row", "betti"])
+def test_battery_harmonic_entries_name_their_slot(name, table, change,
+                                                  detail):
+    """The battery's comparisons of the harmonic spaces with the tables,
+    run on an analysis with one table entry changed."""
+    an = pipeline.analyze_document(catalog.builtin("filiform-J"))
+    entry = next(c for c in pipeline.verification_checks(an)
+                 if c.name == name)
+    assert (entry.passed, entry.detail) == (True, "")
+    key, value = change
+    if table == "h_dol":
+        bad = dataclasses.replace(an, h_dol={**an.h_dol, key: value})
+    else:
+        betti = list(an.betti)
+        betti[key] = value
+        bad = dataclasses.replace(an, betti=tuple(betti))
+    entry = next(c for c in pipeline.verification_checks(bad)
+                 if c.name == name)
+    assert (entry.passed, entry.detail) == (False, detail)
+
+
+def test_probe_names_the_slot_where_dims_differ(monkeypatch):
+    """The probe's delbar_mub-harmonic space on (1, 1) one vector short:
+    its dims differ there, while its layer's certificates pass."""
+    an = pipeline.analyze_document(catalog.builtin("filiform-J"))
+    dmb = an.dmb  # the input layer's, built before the tamper
+    build_delb_mub = harmonic.delb_mub
+
+    def one_short(hs):
+        probed = build_delb_mub(hs)
+        return dataclasses.replace(probed, harmonic={
+            **probed.harmonic,
+            (1, 1): _one_vector_short(probed.harmonic[(1, 1)])})
+
+    monkeypatch.setattr(harmonic, "delb_mub", one_short)
+    runs, check = metric_independence_probe(an.spec, dmb,
+                                            pipeline.probe_metrics(an.spec))
+    assert runs[1][(1, 1)] == runs[0][(1, 1)] - 1
+    assert (check.passed, check.detail) == (
+        False, "2 metrics probed; metric 2: harmonic dims differ on slot "
+        "(1, 1)")
+
+
 # the catalog workload's inputs: the builtins and the NK S^3 x S^3
 CATALOG_INPUTS = catalog.builtin_names() + ["s3s3-nk"]
 
@@ -796,7 +901,7 @@ def _gl_j_pullback(spec, rng):
              for _ in range(n)]
         jpj = product(J, product(P, J))
         A = [[x - y for x, y in zip(row, jrow)] for row, jrow in zip(P, jpj)]
-        if Matrix.from_rows([[Scalar.from_rational(x) for x in row]
+        if Matrix.from_rows([[from_rational(x) for x in row]
                              for row in A]).rank() == n:
             return pullback_metric(spec.metric, A)
 
@@ -855,7 +960,7 @@ def _gram_oracle(spec, frame, p, q):
     G[k, l] = <e_l, e_k>.  So G_(1,0) is the transpose, equivalently the
     conjugate, of the t-block of P^{-1} g^{-1} P^{-H}."""
     theta = _frame_matrix(frame).inverse()
-    g_inv = Matrix.from_rows([[Scalar.from_rational(x) for x in row]
+    g_inv = Matrix.from_rows([[from_rational(x) for x in row]
                               for row in spec.metric]).inverse()
     pair = (theta @ g_inv @ theta.conj_transpose()).entries
     monos = [_generators(spec.m, mono)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from acdol import catalog, docio, liealg
-from acdol.kernel import ZERO, Scalar
+from acdol.kernel import ZERO, Scalar, from_rational
 from acdol.liealg import (ComplexFrame, LieAlgebraError, adapted_frame,
                           averaged_metric, complexify, make_spec,
                           validate_spec)
@@ -248,8 +248,8 @@ def test_frame_eigenvector_property():
         n = spec.dim
         for z in fr.vectors:
             jz = tuple(
-                sum(Scalar.from_rational(spec.J[i][k]) * z[k]
-                    for k in range(n))
+                sum((from_rational(spec.J[i][k]) * z[k] for k in range(n)),
+                    ZERO)
                 for i in range(n))
             assert jz == tuple(Scalar(0, 1) * c for c in z)
 
@@ -337,7 +337,7 @@ def test_complexify_conjugation_check_flags_a_broken_table(monkeypatch):
     its conjugate: the two differ in their imaginary parts only."""
     spec = validate_spec(filiform_spec())
     frame = adapted_frame(spec)
-    cleared = liealg._gaussian_cleared
+    cleared = liealg.cleared
     calls = []
 
     def perturbed(rows):
@@ -349,7 +349,7 @@ def test_complexify_conjugation_check_flags_a_broken_table(monkeypatch):
         calls.append(rows)
         return out, den
 
-    monkeypatch.setattr(liealg, "_gaussian_cleared", perturbed)
+    monkeypatch.setattr(liealg, "cleared", perturbed)
     with pytest.raises(LieAlgebraError, match=(
             "^internal error: conjugation symmetry broken in complexified "
             "brackets$")):
@@ -372,7 +372,7 @@ def _complexify_oracle(spec, frame):
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
-                        br[k] = br[k] + u[i] * v[j] * Scalar.from_rational(
+                        br[k] = br[k] + u[i] * v[j] * from_rational(
                             spec.brackets[i][j][k])
             row.append(p_inv.apply(br))
         table.append(tuple(row))
@@ -452,7 +452,8 @@ def _orthogonal_frame_oracle(spec, frame):
     g = spec.metric
     ortho = []
     seeds = []
-    for cand in (tuple(c.re for c in z) for z in frame.vectors):
+    for cand in (tuple(Fraction(c.xn, c.dn) for c in z)
+                 for z in frame.vectors):
         for u in ortho:
             coeff = _dense_pairing(g, cand, u) / _dense_pairing(g, u, u)
             cand = tuple(cv - coeff * uv for cv, uv in zip(cand, u))
@@ -462,7 +463,7 @@ def _orthogonal_frame_oracle(spec, frame):
 
 
 def _oracle_frame(spec, seeds):
-    vectors = tuple(tuple(Scalar.from_rational(xc, -jc) for xc, jc in
+    vectors = tuple(tuple(from_rational(xc, -jc) for xc, jc in
                           zip(x, _dense_apply(spec.J, x))) for x in seeds)
     return ComplexFrame(spec.m, vectors)
 
@@ -482,7 +483,7 @@ def _basis(n, idx):
 
 
 def _lift(fracs):
-    return tuple(Scalar.from_rational(f) for f in fracs)
+    return tuple(from_rational(f) for f in fracs)
 
 
 def _frame_message(spec):

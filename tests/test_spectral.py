@@ -11,7 +11,7 @@ from acdol.cohomology import (ConsistencyError, de_rham, dolbeault,
                               mub_cohomology)
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential)
-from acdol.kernel import ONE, ZERO
+from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.linalg import Matrix, Subspace
 from acdol.pipeline import reduction_certificate
@@ -274,7 +274,7 @@ def test_reduction_certificate_flags_a_wrong_reduction():
     assert check.detail == "r = [1, 2] verified against the next page"
     table = copy.deepcopy(an.pages)
     col = next(c for c in table.reduction.reduced[1] if c)
-    col[min(col)] = col[min(col)] * 2
+    col[min(col)] = col[min(col)] * Scalar(2)
     check = reduction_certificate(table, delta1)
     assert not check.passed and "D V != R in degree 1" in check.detail
     wrong = dict(delta1)
