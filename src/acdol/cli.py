@@ -44,8 +44,6 @@ def _add_input_options(sub):
                      help="name of a built-in example (see `list`)")
     sub.add_argument("--format", choices=("text", "json", "latex"),
                      default="text")
-    sub.add_argument("--max-page", type=int, default=None,
-                     help="cap the printed spectral-sequence page table")
     sub.add_argument("--averaged-metric", action="store_true",
                      help="replace the metric by its J-average (g + J^t g J)/2")
 
@@ -72,9 +70,8 @@ def _load_spec(args):
     if args.example is not None:
         doc = catalog.builtin(args.example)
     else:
-        # validated once, by pipeline.analyze, after any metric repair
         with open(args.input, "rb") as fh:
-            doc = docio.parse_document(fh.read(), validate=False)
+            doc = docio.parse_document(fh.read())
     return docio.to_spec(doc, average_metric=args.averaged_metric)
 
 
@@ -127,7 +124,7 @@ def _dispatch(args):
         return 0
 
     spec = _load_spec(args)
-    an = pipeline.analyze(spec, max_page=args.max_page)
+    an = pipeline.analyze(spec)
     checks = _certificate(an, args.command)
     failures = pipeline.hard_failures(checks)
 

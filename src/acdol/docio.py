@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .liealg import LieAlgebraError, averaged_metric, make_spec, validate_spec
+from .liealg import LieAlgebraError, averaged_metric, make_spec
 
 
 class DocumentError(ValueError):
@@ -65,14 +65,13 @@ def _parse_matrix(rows, n, where):
              for j in range(n)] for i in range(n)]
 
 
-def parse_document(text, validate=True):
-    """Parse bytes or str into a validated input document (a plain dict).
+def parse_document(text):
+    """Parse bytes or str into an input document (a plain dict).
 
     Syntax errors carry line/column from the JSON parser; schema errors name
-    the offending path.  The algebra of the parsed document is fully
-    validated, with a failure raised as DocumentError, unless ``validate``
-    is false, for a caller that validates later, after any metric repair,
-    as ``pipeline.analyze`` does.
+    the offending path.  The algebra is not validated here: ``to_spec``
+    converts the document and ``pipeline.analyze`` validates the spec, after
+    any metric repair, as its first stage.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -148,11 +147,6 @@ def parse_document(text, validate=True):
                 not isinstance(s, int) or not 1 <= s <= dim for s in seeds):
             raise DocumentError("frame_seeds must list indices in 1..%d" % dim)
         doc["frame_seeds"] = list(seeds)
-    if validate:
-        try:
-            validate_spec(to_spec(doc))
-        except LieAlgebraError as exc:
-            raise DocumentError(str(exc)) from None
     return doc
 
 

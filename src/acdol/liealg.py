@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
+from . import forms
+from .cohomology import ConsistencyError
 from .kernel import ZERO, Scalar, cleared, from_rational
 from .linalg import Matrix, Subspace
 
@@ -139,11 +141,11 @@ def _cleared(rows):
 def validate_spec(spec):
     """Check every structural invariant exactly; returns the spec unchanged.
 
-    Raises LieAlgebraError naming the first failure: odd dimension, a broken
-    antisymmetry or Jacobi triple, J^2 != -1, or a bad metric.  The Jacobi
-    sums run over the nonzero structure constants only.  J and g are
-    cleared once to integer matrices d J and e g, and checked there by two
-    integer products and one elimination:
+    Raises LieAlgebraError naming the first failure: odd dimension, m past
+    ``forms.MAX_M``, a broken antisymmetry or Jacobi triple, J^2 != -1, or a
+    bad metric.  The Jacobi sums run over the nonzero structure constants
+    only.  J and g are cleared once to integer matrices d J and e g, and
+    checked there by two integer products and one elimination:
 
     - J^2 = -1 is (d J)^2 = -d^2 I, entry by entry;
     - positivity reads the leading minors of e g, which have the signs of
@@ -156,6 +158,9 @@ def validate_spec(spec):
     n = spec.dim
     if n < 2 or n % 2 != 0:
         raise LieAlgebraError("dimension must be even and at least 2, got %d" % n)
+    if spec.m > forms.MAX_M:
+        raise LieAlgebraError("m = %d exceeds the limit forms.MAX_M = %d"
+                              % (spec.m, forms.MAX_M))
     if len(spec.basis_names) != n:
         raise LieAlgebraError("expected %d basis names" % n)
     c = spec.brackets
@@ -349,7 +354,9 @@ def complexify(spec, frame):
     structure constants and P^{-1} (P the frame matrix) are cleared to
     Gaussian integers, each over one common denominator, so a bracket and
     its expansion are integer sums and each table entry is normalised once.
-    The conjugation symmetry is checked on every (u, v, w).
+    The conjugation symmetry, which real structure constants force, is
+    checked on every (u, v, w); a failure is an internal error, raised as
+    ConsistencyError.
     """
     n = spec.dim
     m = frame.m
@@ -399,7 +406,7 @@ def complexify(spec, frame):
                 a = table[u][v][w]
                 b = table[cu][cv][(w + m) % (2 * m)]
                 if b.xn != a.xn or b.yn != -a.yn or b.dn != a.dn:
-                    raise LieAlgebraError(
+                    raise ConsistencyError(
                         "internal error: conjugation symmetry broken in "
                         "complexified brackets")
     return ComplexStructureConstants(

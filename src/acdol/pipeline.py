@@ -3,10 +3,10 @@
 ``analyze`` computes the metric-free stages: validation, the frame, the
 differential, the Frolicher pages and the three tables.  It computes each
 table by one route, the Hodge reduction behind the pages: h_dol is its
-first page, the Betti numbers count its unpaired generators (E_inf,
-whatever the page cap) and h_mub reads the mubar kernels memoised by the
-reduction's generators.  The harmonic layer, the one
-stage that needs the metric, is built on the first read of ``Analysis.dmb``.
+first page, the Betti numbers count its unpaired generators (E_inf) and
+h_mub reads the mubar kernels memoised by the reduction's generators.  The
+harmonic layer, the one stage that needs the metric, is built on the first
+read of ``Analysis.dmb``.
 ``verification_checks`` evaluates the complete property battery on an
 analysis (exact identities, duality symmetries, and the independent routes
 of ``cohomology`` as labelled oracles, each computed once).  Checks marked
@@ -34,7 +34,8 @@ class Analysis:
     """The metric-free stages of one run; the harmonic layer and the
     nearly Kahler checks are built on first read.  ``h_mub`` and ``h_dol``
     are {(p, q): dim} with zero entries left out; ``relations`` is the
-    report of ``forms.verify_relations`` on ``cm``."""
+    report of ``forms.verify_relations`` on ``cm``; ``pages`` is the Hodge
+    reduction, ``spectral.frolicher_all``, which holds every page."""
 
     spec: object
     frame: object
@@ -70,7 +71,7 @@ class Analysis:
         return harmonic.nearly_kahler_checks(self.dmb)
 
 
-def analyze(spec, max_page=None):
+def analyze(spec):
     """Run the metric-free stages, validating ``spec`` as the first, so a
     converted spec (``docio.to_spec``) needs no validation before; raises
     on invalid input or on any internal exact-identity failure among
@@ -84,12 +85,12 @@ def analyze(spec, max_page=None):
     if bad:
         raise ConsistencyError("differential identities failed: %s" % bad[:3])
     classification = forms.classify(cm)
-    pages = spectral.frolicher_all(cm, max_page=max_page)
+    pages = spectral.frolicher_all(cm)
     # one route per table: E_1 is Dolbeault cohomology, the unpaired
     # generators span E_inf, and the mubar kernels are memoised by the
     # reduction's generators
-    h_dol = pages.reduction.page(1)
-    betti = tuple(gaps.count(None) for gaps in pages.reduction.gap)
+    h_dol = pages.dims(1)
+    betti = tuple(gaps.count(None) for gaps in pages.gap)
     h_mub = {}
     for (p, q) in basis.slots:
         below = cm.block(MUBAR, p + 1, q - 2)
@@ -102,8 +103,8 @@ def analyze(spec, max_page=None):
                     h_dol, betti, pages)
 
 
-def analyze_document(doc, max_page=None):
-    return analyze(docio.to_spec(doc), max_page=max_page)
+def analyze_document(doc):
+    return analyze(docio.to_spec(doc))
 
 
 def probe_metrics(spec):
@@ -186,7 +187,7 @@ def verification_checks(an):
 
     # spectral pages, each page read once: dims[r] is E_r
     pages = an.pages
-    dims = [None] + [pages.dims(r) for r in range(1, pages.limit_page + 1)]
+    dims = [None] + [pages.dims(r) for r in range(1, 2 * m + 3)]
     ok = all(dims[1].get((p, q), 0) == dol.dim(p, q)
              for p in range(m + 1) for q in range(m + 1))
     checks.append(Check("first_page_equals_dolbeault", ok))
@@ -195,24 +196,16 @@ def verification_checks(an):
              for cur, nxt in zip(dims[1:], dims[2:])
              for key, val in nxt.items())
     checks.append(Check("page_dims_weakly_decrease", ok))
-    if pages.limit_page >= 2:
-        checks.append(Check("e2_corner_is_one",
-                            dims[2].get((0, 0), 0) == 1))
-    else:
-        checks.append(Check("e2_corner_is_one", True,
-                            "skipped: page iteration capped", skipped=True))
+    checks.append(Check("e2_corner_is_one", dims[2].get((0, 0), 0) == 1))
     if an.classification == forms.MAXIMALLY_NON_INTEGRABLE:
-        # the reduction holds every page whatever the cap
-        einf = pages.infinity()
-        degen = next(r for r in range(1, 2 * m + 3)
-                     if pages.reduction.page(r) == einf)
+        degen = pages.degeneration_page
         checks.append(Check("maximal_implies_e2_degeneration", degen <= 2,
                             "degenerates at page %d" % degen))
 
     # explicit witness systems against the generic filtered route
     ok = True
     detail = ""
-    for r in range(1, min(4, pages.limit_page) + 1):
+    for r in range(1, 5):
         exp = spectral.explicit_page(cm, r)
         gen = {k: v for k, v in dims[r].items() if v}
         if exp != gen:
@@ -287,8 +280,8 @@ def verification_checks(an):
     return checks
 
 
-def reduction_certificate(table, delta1):
-    """Check the Hodge reduction behind ``table`` exactly.
+def reduction_certificate(red, delta1):
+    """Check the Hodge reduction ``red`` behind the pages exactly.
 
     D V = R with V unit triangular in the (value, index) order, hence
     invertible and filtration preserving; R has distinct pivots and each
@@ -296,7 +289,6 @@ def reduction_certificate(table, delta1):
     generators in pairs of gap r, slot by slot, for r = 1, 2; and the ranks
     of the witness ``delta1`` count the gap-1 pairs leaving each slot.
     """
-    red = table.reduction
     bad = []
     for n, (d, ops, cols) in enumerate(zip(red.d, red.ops, red.reduced)):
         v_mat = Matrix.from_columns([[op.get(i, ZERO) for i in range(d.cols)]
@@ -313,10 +305,9 @@ def reduction_certificate(table, delta1):
         if n and {j for j, col in enumerate(cols) if col} & {
                 min(col) for col in red.reduced[n - 1] if col}:
             bad.append("a generator of degree %d is paired twice" % n)
-    verified = [r for r in (1, 2) if r + 1 <= table.limit_page]
-    for r in verified:
+    for r in (1, 2):
         drop = Counter(slot for pair in red.pairs(r) for slot in pair)
-        cur, nxt = table.dims(r), table.dims(r + 1)
+        cur, nxt = red.dims(r), red.dims(r + 1)
         for key in set(cur) | set(nxt) | set(drop):
             if nxt.get(key, 0) != cur.get(key, 0) - drop[key]:
                 bad.append("page %d at (p=%d,q=%d) is not page %d minus its "
@@ -327,13 +318,12 @@ def reduction_certificate(table, delta1):
             bad.append("witness delta_1 rank %d vs %d gap-1 pairs at "
                        "(p=%d,q=%d)" % (mat.rank(), sources[(p, q)], p, q))
     return Check("page_differentials_consistent", not bad, "; ".join(bad)
-                 or "r = %s verified against the next page" % verified)
+                 or "r = [1, 2] verified against the next page")
 
 
 def pages_section(an):
-    """The printed pages: E_1 up to the degeneration page, at least E_2,
-    within the page cap."""
-    last = min(max(2, an.pages.degeneration_page), an.pages.limit_page)
+    """The printed pages: E_1 up to the degeneration page, at least E_2."""
+    last = max(2, an.pages.degeneration_page)
     return {str(r): docio.table_to_json(an.pages.dims(r), an.m)
             for r in range(1, last + 1)}
 

@@ -20,13 +20,17 @@ operations V preserve the filtration, until R = D V has distinct pivots
 (earliest nonzero rows).  A column tau with pivot sigma pairs the two, with
 gap r = value(sigma) - value(tau): d_r maps the class of tau onto that of
 sigma, so the pair lives on E_0 .. E_r.  Unpaired generators give E_inf,
-and every page with r >= 2m+2 is E_inf.  ``explicit_page`` computes the
-same dimensions from witness-chain systems as an independent oracle,
-solving each distinct system once per differential.
+and the sequence degenerates at the first page past every gap, so the
+reduction holds every page and the degeneration page with no cap.
+``explicit_page`` computes the same dimensions from witness-chain systems
+as an independent oracle, solving each distinct system once per
+differential.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from . import forms
@@ -79,7 +83,8 @@ def _embed(vec, off, size):
 
 @dataclass
 class Reduction:
-    """The filtered column reduction of d, one list entry per degree n.
+    """The filtered column reduction of d, one list entry per degree n,
+    and every page of its spectral sequence.
 
     ``values[n]``: the generators' filtration values in (value, index)
     order; ``basis[n]``: the generators as columns (None: monomials);
@@ -96,8 +101,9 @@ class Reduction:
     reduced: list
     gap: list
 
-    def page(self, r):
-        """Dims of E_r as {(p, q): dim}, zero entries left out."""
+    def dims(self, r):
+        """Dims of E_r as {(p, q): dim}, zero entries left out: the
+        generators unpaired or in a pair of gap >= r."""
         if r < 0:
             raise ValueError("page index must be >= 0")
         dims = {}
@@ -106,6 +112,17 @@ class Reduction:
                 if g is None or g >= r:
                     dims[(v, n - v)] = dims.get((v, n - v), 0) + 1
         return dims
+
+    def infinity(self):
+        """Dims of E_inf: the unpaired generators."""
+        return self.dims(math.inf)
+
+    @functools.cached_property
+    def degeneration_page(self):
+        """The least r >= 1 with E_r = E_inf: one past the largest gap,
+        as E_r keeps exactly the pairs of gap >= r."""
+        return max([1] + [g + 1 for gaps in self.gap for g in gaps
+                          if g is not None])
 
     def pairs(self, r):
         """[(slot of tau, slot of sigma)] for the pairs of gap r."""
@@ -175,45 +192,16 @@ def _axpy(x, a, y):
             del x[i]
 
 
-@dataclass
-class PageTable:
-    """Every page of the Hodge-filtration spectral sequence.
-
-    ``dims(r)`` reads E_r from ``reduction``; pages past ``limit_page``
-    repeat it.  ``degeneration_page`` is the least r >= 1 with E_r equal to
-    the limit page.  ``infinity()`` is E_inf, the unpaired generators, which
-    the reduction holds whatever ``limit_page`` is.
-    """
-
-    m: int
-    reduction: Reduction
-    degeneration_page: int
-    limit_page: int
-
-    def dims(self, r):
-        return self.reduction.page(min(r, self.limit_page))
-
-    def infinity(self):
-        return self.reduction.page(2 * self.m + 2)
+def frolicher_all(cm):
+    """Every page of the Hodge filtration: its reduction."""
+    return reduce_filtration(cm, hodge_generators)
 
 
-def frolicher_all(cm, max_page=None):
-    """The Hodge pages up to r = 2m+2 (E_inf), or to ``max_page`` if that
-    is smaller, from one reduction."""
-    limit = 2 * cm.m + 2
-    if max_page is not None:
-        limit = min(limit, max(max_page, 1))
-    red = reduce_filtration(cm, hodge_generators)
-    degen = next(r for r in range(1, limit + 1)
-                 if red.page(r) == red.page(limit))
-    return PageTable(cm.m, red, degen, limit)
-
-
-def infinity_vs_betti(table, betti):
+def infinity_vs_betti(red, betti):
     """Check sum_p dim E_inf^{p, n-p} = b^n for all n."""
     checks = []
-    dims = table.infinity()
-    for n in range(2 * table.m + 1):
+    dims = red.infinity()
+    for n in range(len(red.values)):
         total = sum(dims.get((p, n - p), 0) for p in range(n + 1))
         checks.append(Check(
             "einf_equals_betti_degree_%d" % n, total == betti[n],
@@ -383,18 +371,18 @@ def witness_independent(cm, dol, p, q):
             @ (cm.block(DELBAR, p + 1, q - 1) @ kernel)).is_zero()
 
 
-def decalage_check(cm, table):
-    """Compare shifted-filtration pages with the Hodge pages of ``table``.
+def decalage_check(cm, hodge):
+    """Compare shifted-filtration pages with the Hodge reduction ``hodge``.
 
-    Checks  dim E_r^{p,n-p}(F) = dim E_{r+1}^{p+n,-p}(Ft)  for r = 1 .. the
-    table's limit page, and the subspace identity F^p A^n = Dec Ft^p A^n.
+    Checks  dim E_r^{p,n-p}(F) = dim E_{r+1}^{p+n,-p}(Ft)  for r = 1 ..
+    2m+2, and the subspace identity F^p A^n = Dec Ft^p A^n.
     """
     m = cm.m
     shifted = reduce_filtration(cm, shifted_generators)
     checks = []
-    for r in range(1, table.limit_page + 1):
-        ph = table.dims(r)
-        ps = shifted.page(r + 1)
+    for r in range(1, 2 * m + 3):
+        ph = hodge.dims(r)
+        ps = shifted.dims(r + 1)
         ok = True
         detail = ""
         for n in range(2 * m + 1):
@@ -406,7 +394,6 @@ def decalage_check(cm, table):
                     detail = ("r=%d (p=%d,q=%d): %d vs shifted %d"
                               % (r, p, n - p, lhs, rhs))
         checks.append(Check("decalage_shift_page_%d" % r, ok, detail))
-    hodge = table.reduction
     dec_ok = True
     for n in range(2 * m + 1):
         d = cm.total_matrix(n)

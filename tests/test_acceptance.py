@@ -239,7 +239,7 @@ def _structural_battery(cm, hs, h_dol, betti):
             assert witness_independent(cm, h_dol, p, q)
     # edge monotonicity of the pages
     pages = frolicher_all(cm)
-    for r in range(1, pages.limit_page):
+    for r in range(1, 2 * m + 2):
         for p in range(m + 1):
             assert (pages.dims(r + 1).get((p, 0), 0)
                     <= pages.dims(r).get((p, 0), 0))

@@ -10,11 +10,12 @@ import pytest
 
 from acdol import catalog, docio, harmonic, liealg, pipeline, spectral
 from acdol.cli import main
-from acdol.forms import MUBAR
+from acdol.forms import MAX_M, MUBAR
 from acdol.harmonic import HermitianStructure
 from acdol.kernel import Scalar
 from acdol.linalg import Matrix, Subspace
 from conftest import GOLDEN_INPUTS, golden_dir, input_path, named_analysis
+from test_liealg import break_conjugation, pairs_J
 
 
 def run_cli(argv):
@@ -140,7 +141,6 @@ def test_every_subcommand_validates_its_file_once(tmp_path, monkeypatch,
         return validate(spec)
 
     monkeypatch.setattr(liealg, "validate_spec", counted)
-    monkeypatch.setattr(docio, "validate_spec", counted)
     path = tmp_path / "kt.json"
     path.write_text(json.dumps(catalog.builtin("kt-J")))
     code, _, _ = run_cli([command, str(path), "--format", "json"])
@@ -358,24 +358,34 @@ def test_averaged_metric_flag(tmp_path):
     assert code == 0
 
 
-def test_max_page_flag():
-    code, out, _ = run_cli(["analyze", "--example", "filiform-J",
-                            "--max-page", "1", "--format", "json"])
-    assert code == 0
-    doc = json.loads(out)
-    assert list(doc["pages"]) == ["1"]
+def test_page_cap_option_is_gone(capsys):
+    # every page comes from one reduction: there is no cap to set
+    with pytest.raises(SystemExit) as exc:
+        main(["pages", "--example", "su2su2-nk", "--max-page", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-page" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("max_page", ["1", "2"])
-def test_max_page_keeps_maximal_degeneration_check(max_page):
-    # the reduction holds E_2 and E_inf whatever the cap, so the capped
-    # battery has the check, with the uncapped detail, and all 59 checks
-    code, out, err = run_cli(["verify", "--example", "su2su2-nk",
-                              "--max-page", max_page])
-    assert code == 0
-    assert ("PASS maximal_implies_e2_degeneration  (degenerates at page 2)"
-            in out.splitlines())
-    assert "59 checks: 0 hard failures" in err
+def test_broken_complexified_table_exits_2(monkeypatch):
+    # negative control: a broken conjugation symmetry is an internal
+    # error, not invalid input, and stops the run before any output
+    break_conjugation(monkeypatch)
+    code, out, err = run_cli(["pages", "--example", "filiform-J"])
+    assert (code, out) == (2, "")
+    assert err == ("internal consistency failure: internal error: "
+                   "conjugation symmetry broken in complexified brackets\n")
+
+
+def test_oversize_input_exits_1(tmp_path):
+    n = 2 * MAX_M + 2
+    path = tmp_path / "abelian-m13.json"
+    path.write_text(json.dumps({
+        "name": "abelian-m13", "dim": n,
+        "basis": ["e%d" % (i + 1) for i in range(n)], "brackets": [],
+        "J": pairs_J(MAX_M + 1)}))
+    code, out, err = run_cli(["pages", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: m = 13 exceeds the limit forms.MAX_M = 12\n"
 
 
 def test_pages_and_harmonic_subcommands():
@@ -410,9 +420,9 @@ def test_tampered_reduction_fails_the_certificate(command, monkeypatch):
     # certificate sees that E_2 is no longer E_1 minus its pairs
     frolicher_all = spectral.frolicher_all
 
-    def tampered(cm, max_page=None):
-        pages = frolicher_all(cm, max_page)
-        gaps = pages.reduction.gap[1]
+    def tampered(cm):
+        pages = frolicher_all(cm)
+        gaps = pages.gap[1]
         gaps[gaps.index(None)] = 1
         return pages
 

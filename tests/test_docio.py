@@ -70,13 +70,6 @@ def test_parse_syntax_error_has_position():
         parse_document("{not json")
 
 
-def test_parse_propagates_validation():
-    doc = catalog.builtin("filiform-J")
-    doc["brackets"].append({"i": 2, "j": 3, "coeffs": {"2": "1"}})
-    with pytest.raises(DocumentError, match="Jacobi"):
-        parse_document(json.dumps(doc))
-
-
 def test_to_spec_converts_and_analyze_validates():
     doc = catalog.builtin("filiform-J")
     doc["brackets"].append({"i": 2, "j": 3, "coeffs": {"2": "1"}})
@@ -89,7 +82,7 @@ def test_parse_rejects_duplicate_bracket():
     doc = catalog.builtin("filiform-J")
     doc["brackets"].append({"i": 2, "j": 1, "coeffs": {"3": "-1"}})
     with pytest.raises(DocumentError, match="duplicate"):
-        parse_document(json.dumps(doc))
+        docio.to_spec(parse_document(json.dumps(doc)))
 
 
 def test_unknown_builtin():

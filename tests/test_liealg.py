@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from acdol import catalog, docio, liealg
+from acdol import catalog, docio, forms, liealg
+from acdol.cohomology import ConsistencyError
 from acdol.kernel import ZERO, Scalar, from_rational
 from acdol.liealg import (ComplexFrame, LieAlgebraError, adapted_frame,
                           averaged_metric, complexify, make_spec,
@@ -34,6 +35,23 @@ def test_abelian_valid():
 def test_odd_dimension_rejected():
     with pytest.raises(LieAlgebraError, match="even"):
         validate_spec(make_spec(3, ["a", "b", "c"], {}, [[0]] * 3))
+
+
+def pairs_J(m):
+    """The pairs J of dimension 2m: J e_{2k-1} = e_{2k}, J e_{2k} = -e_{2k-1}."""
+    n = 2 * m
+    return [[-1 if j == i + 1 and i % 2 == 0 else 1 if j == i - 1 and i % 2
+             else 0 for j in range(n)] for i in range(n)]
+
+
+def test_m_past_max_m_rejected():
+    # forms.BigradedBasis cannot be built past MAX_M: validation names it
+    spec = make_spec(2 * forms.MAX_M + 2, None, {}, pairs_J(forms.MAX_M + 1))
+    want = "m = 13 exceeds the limit forms.MAX_M = 12"
+    assert _validation_oracle(spec) == want
+    assert _validation_message(spec) == want
+    assert _validation_message(make_spec(2 * forms.MAX_M, None, {},
+                                         pairs_J(forms.MAX_M))) is None
 
 
 def test_jacobi_violation_names_triple():
@@ -85,6 +103,9 @@ def _validation_oracle(spec):
     n = spec.dim
     if n < 2 or n % 2 != 0:
         return "dimension must be even and at least 2, got %d" % n
+    if n // 2 > forms.MAX_M:
+        return "m = %d exceeds the limit forms.MAX_M = %d" % (n // 2,
+                                                               forms.MAX_M)
     if len(spec.basis_names) != n:
         return "expected %d basis names" % n
     c = spec.brackets
@@ -329,14 +350,13 @@ def test_complexify_conjugation_symmetry_random():
                     assert csc.table[cu][cv][cw] == csc.table[u][v][w].conj()
 
 
-def test_complexify_conjugation_check_flags_a_broken_table(monkeypatch):
-    """Negative control: on filiform-J, [Z_1, Z_2] = e_4 = (i/2)(Z_2 -
-    conj Z_2).  The imaginary part of P^{-1} in the row of t^2 at e_4,
-    negated on its way in, makes the coefficient of Z_2 in [Z_1, Z_2]
-    -i/2, equal to that of conj Z_2 in [conj Z_1, conj Z_2] instead of
-    its conjugate: the two differ in their imaginary parts only."""
-    spec = validate_spec(filiform_spec())
-    frame = adapted_frame(spec)
+def break_conjugation(monkeypatch):
+    """Break the conjugation symmetry of the complexified filiform-J
+    table: [Z_1, Z_2] = e_4 = (i/2)(Z_2 - conj Z_2).  The imaginary part
+    of P^{-1} in the row of t^2 at e_4, negated on its way in, makes the
+    coefficient of Z_2 in [Z_1, Z_2] -i/2, equal to that of conj Z_2 in
+    [conj Z_1, conj Z_2] instead of its conjugate: the two differ in their
+    imaginary parts only."""
     cleared = liealg.cleared
     calls = []
 
@@ -350,7 +370,14 @@ def test_complexify_conjugation_check_flags_a_broken_table(monkeypatch):
         return out, den
 
     monkeypatch.setattr(liealg, "cleared", perturbed)
-    with pytest.raises(LieAlgebraError, match=(
+
+
+def test_complexify_conjugation_check_flags_a_broken_table(monkeypatch):
+    """Negative control: the broken table is an internal error."""
+    spec = validate_spec(filiform_spec())
+    frame = adapted_frame(spec)
+    break_conjugation(monkeypatch)
+    with pytest.raises(ConsistencyError, match=(
             "^internal error: conjugation symmetry broken in complexified "
             "brackets$")):
         complexify(spec, frame)

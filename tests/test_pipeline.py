@@ -157,9 +157,9 @@ def _tampered_run(monkeypatch, tamper):
     oracles can see it."""
     frolicher_all = spectral.frolicher_all
 
-    def tampered(cm, max_page=None):
-        pages = frolicher_all(cm, max_page)
-        tamper(pages.reduction)
+    def tampered(cm):
+        pages = frolicher_all(cm)
+        tamper(pages)
         return pages
 
     monkeypatch.setattr(spectral, "frolicher_all", tampered)

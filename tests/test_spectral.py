@@ -19,8 +19,9 @@ from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_page,
                             frolicher_all, hodge_generators, infinity_vs_betti,
                             reduce_filtration, shifted_generators,
                             witness_independent)
-from conftest import (ORACLE_INPUTS, builtin_analysis, dims_grid,
-                      random_nilpotent_spec, seeded_rng)
+from conftest import (GOLDEN_INPUTS, ORACLE_INPUTS, builtin_analysis,
+                      dims_grid, named_analysis, random_nilpotent_spec,
+                      seeded_rng)
 from test_cohomology import NON_UNIMODULAR, _cm_of
 from test_liealg import _orthogonal_frame_oracle
 from test_linalg import _subspace_oracle
@@ -146,7 +147,7 @@ def test_hodge_pages_equal_the_oracle_generators_pages(name):
     got = reduce_filtration(cm, hodge_generators)
     want = reduce_filtration(cm, _oracle_hodge_generators)
     for r in range(2 * cm.m + 3):
-        assert got.page(r) == want.page(r), "page %d" % r
+        assert got.dims(r) == want.dims(r), "page %d" % r
 
 
 def test_complement_at_the_forward_pivots_is_not_inverted():
@@ -168,7 +169,7 @@ def test_hodge_filtration_abelian_is_column_truncation():
     for n in range(5):
         for p in range(n + 2):
             expected = sum(basis.dim(i, n - i) for i in range(p, n + 1))
-            assert _level_dim(an.pages.reduction, p, n) == expected
+            assert _level_dim(an.pages, p, n) == expected
 
 
 def test_hodge_filtration_filiform_uses_mubar_kernel():
@@ -176,7 +177,7 @@ def test_hodge_filtration_filiform_uses_mubar_kernel():
     cm = an.cm
     ker_dim = cm.basis.dim(1, 1) - cm.block(MUBAR, 1, 1).rank()
     expected = ker_dim + cm.basis.dim(2, 0)
-    assert _level_dim(an.pages.reduction, 1, 2) == expected
+    assert _level_dim(an.pages, 1, 2) == expected
     assert expected < cm.basis.total_dim(2)
 
 
@@ -208,6 +209,20 @@ def test_degeneration_pages(name, page):
     assert builtin_analysis(name).pages.degeneration_page == page
 
 
+def test_degeneration_page_is_the_first_page_equal_to_einf():
+    # oracle: the least r >= 1 whose whole page equals E_inf
+    for name in sorted(DEGENERATION) + list(GOLDEN_INPUTS):
+        pages = named_analysis(name).pages
+        want = next(r for r in range(1, 2 * named_analysis(name).m + 3)
+                    if pages.dims(r) == pages.infinity())
+        assert pages.degeneration_page == want, name
+    # an unpaired degree-1 generator of filiform-J made to die on E_4
+    red = frolicher_all(_cm_of("filiform-J"))
+    red.gap[1][red.gap[1].index(None)] = 3
+    assert red.dims(3) != red.infinity() == red.dims(4)
+    assert red.degeneration_page == 4
+
+
 def test_filiform_jprime_infinity_table():
     an = builtin_analysis("filiform-Jprime")
     assert dims_grid(an.pages.dims(1), an.m) == ((1, 0, 0), (2, 2, 2),
@@ -224,7 +239,7 @@ def test_infinity_rows_sum_to_betti(name):
 def test_page_dims_weakly_decrease():
     for name in ("filiform-J", "su2su2-nk"):
         an = builtin_analysis(name)
-        for r in range(1, an.pages.limit_page):
+        for r in range(1, 2 * an.m + 2):
             nxt = an.pages.dims(r + 1)
             cur = an.pages.dims(r)
             for key, val in nxt.items():
@@ -235,7 +250,7 @@ def test_edge_monotonicity_and_corner():
     for name in ("filiform-J", "su2su2-nk", "kt-J"):
         an = builtin_analysis(name)
         m = an.m
-        for r in range(1, an.pages.limit_page):
+        for r in range(1, 2 * m + 2):
             for p in range(m + 1):
                 assert (an.pages.dims(r + 1).get((p, 0), 0)
                         <= an.pages.dims(r).get((p, 0), 0))
@@ -257,7 +272,7 @@ def test_bottom_row_first_page_is_kernel_intersection():
 
 def test_generic_delta1_matches_table_drop():
     an = builtin_analysis("filiform-J")
-    pairs = an.pages.reduction.pairs(1)
+    pairs = an.pages.pairs(1)
     # 4 -> 2 at (1, 1): one gap-1 pair leaves it and one arrives from (0, 1)
     assert sorted(pairs) == [((0, 1), (1, 1)), ((1, 1), (2, 1))]
     e1, e2 = an.pages.dims(1), an.pages.dims(2)
@@ -273,7 +288,7 @@ def test_reduction_certificate_flags_a_wrong_reduction():
     assert check.passed
     assert check.detail == "r = [1, 2] verified against the next page"
     table = copy.deepcopy(an.pages)
-    col = next(c for c in table.reduction.reduced[1] if c)
+    col = next(c for c in table.reduced[1] if c)
     col[min(col)] = col[min(col)] * Scalar(2)
     check = reduction_certificate(table, delta1)
     assert not check.passed and "D V != R in degree 1" in check.detail
@@ -296,7 +311,7 @@ def test_witness_delta1_agrees_with_generic_ranks():
     d1 = dolbeault_delta1(an.cm, dolbeault(an.cm))
     assert d1[(1, 1)].rank() == 1
     assert d1[(0, 1)].rank() == 1
-    sources = [src for src, _ in an.pages.reduction.pairs(1)]
+    sources = [src for src, _ in an.pages.pairs(1)]
     for key, mat in d1.items():
         assert mat.rank() == sources.count(key)
     # cohomology of the witness delta1 equals the second page
@@ -517,16 +532,6 @@ def test_er_page_rejects_negative_index():
     an = builtin_analysis("abelian-m2")
     with pytest.raises(ValueError):
         an.pages.dims(-1)
-    with pytest.raises(ValueError):
-        an.pages.reduction.page(-1)
-
-
-def test_max_page_cap():
-    an_full = builtin_analysis("filiform-J")
-    cm = an_full.cm
-    capped = frolicher_all(cm, max_page=1)
-    assert capped.limit_page == 1
-    assert capped.dims(1) == an_full.pages.dims(1)
 
 
 def _random_cm(rng, m):
