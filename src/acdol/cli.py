@@ -17,7 +17,8 @@ Subcommands; each computes only what it prints, with its own checks:
 An input is converted by ``docio.to_spec`` and validated once, by
 ``pipeline.analyze`` as its first stage, after any metric repair.
 
-Exit codes: 0 success, 1 invalid input, 2 internal consistency failure (a
+Exit codes: 0 success, 1 invalid input or a usage error (an unknown
+subcommand or option), 2 internal consistency failure (a
 failed check of the command, reported on stderr after the output as
 FAILED CHECK with its detail, or an exact identity that stops the run
 before any output).  The harmonic layer only computes: each of its
@@ -48,8 +49,17 @@ def _add_input_options(sub):
                      help="replace the metric by its J-average (g + J^t g J)/2")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as invalid input
+    does, not argparse's 2; the subcommand parsers are of its class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acdol",
         description="Exact Dolbeault cohomology, Frolicher spectral "
                     "sequences and harmonic theory for almost complex "

@@ -15,15 +15,17 @@ subspaces, and the battery compares them with the reduction:
   which reduces to classical delbar-cohomology when mubar = 0, with the
   cocycles read in the canonical coordinates of Ker mubar, and as the
   cohomology of delbar induced on mubar-classes;
-* de Rham Betti numbers from the ranks of the total complex, each taken
-  over Q on the real forms (the forms fixed by the conjugation of the
-  real Lie algebra, which d preserves) and, when the algebra is
-  unimodular, on half the degrees: Poincare duality pairs d_n with
-  d_{2m-1-n}.  The ranks are taken in order of degree and cleared (Chen
-  and Kerber, "Persistent homology computation with a twist", 2011):
-  d_n is ranked only on the columns outside a maximal independent set of
-  rows of d_{n-1}, which leaves its rank unchanged because d_n kills
-  Im d_{n-1}.
+* de Rham Betti numbers from the real Chevalley-Eilenberg complex of the
+  input basis, built by the Leibniz rule of ``forms.derivation`` from the
+  real structure constants ``cm.brackets`` cleared to integers: no
+  frame, no complexification and no block of ``cm``.  The Betti numbers
+  do not depend on the basis, and in the input basis d is sparse with
+  small integer entries.  When the algebra is unimodular only half the
+  degrees are ranked: Poincare duality pairs d_n with d_{2m-1-n}.  The
+  ranks are taken in order of degree and cleared (Chen and Kerber,
+  "Persistent homology computation with a twist", 2011): d_n is ranked
+  only on the columns outside a maximal independent set of rows of
+  d_{n-1}, which leaves its rank unchanged because d_n kills Im d_{n-1}.
 
 Ker and Im of one Matrix are eliminated once (``linalg`` memoises them on
 the instance), so the mubar kernels and images that ``mub_cohomology``
@@ -36,10 +38,12 @@ the Frolicher/Euler/Serre ``consistency_report``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb, lcm
 
 from . import forms
 from .forms import DELBAR, MUBAR
-from .kernel import ZERO, Scalar, cleared
+from .kernel import ZERO, Scalar
 from .linalg import Matrix, Subspace, complement_in
 
 
@@ -177,120 +181,78 @@ def top_cohomology_is_line(cm):
     return cm.total_matrix(2 * cm.m - 1).is_zero()
 
 
-def _conjugation_orbits(basis, n):
-    """The orbits of the conjugation on degree-n forms in total
-    coordinates: (j, k, s) with conj(e_j) = s e_k, s = +-1 and j <= k, one
-    per orbit, read off ``forms.conjugation_matrix``."""
-    offset = {(p, q): off for p, q, off in basis.slot_offsets(n)}
-    orbits = []
-    for (p, q), off in offset.items():
-        if p > q:
-            continue
-        conj = forms.conjugation_matrix(basis, p, q)
-        for i, row in enumerate(conj.entries):
-            for j, s in enumerate(row):
-                if s and off + j <= offset[(q, p)] + i:
-                    orbits.append((off + j, offset[(q, p)] + i, s.xn))
-    return orbits
+def _monomials(dim, n):
+    """The degree-n monomials of ``dim`` generators as bit masks, in the
+    lexicographic order of their generator sets."""
+    return [sum(1 << g for g in gens) for gens in combinations(range(dim), n)]
 
 
-def real_differential(cm, n):
-    """d_n on the real forms, as an integer matrix of the same rank.
+def _input_derivation(cm):
+    """``forms.derivation`` of the real structure constants ``cm.brackets``
+    times their least common denominator: an integer multiple of d in
+    every degree, since d is linear in the constants, so of d's ranks."""
+    consts = cm.brackets
+    den = lcm(*(c.denominator for plane in consts for row in plane
+                for c in row))
+    return forms.derivation([[[c.numerator * (den // c.denominator)
+                               for c in row] for row in plane]
+                             for plane in consts])
 
-    d commutes with the conjugation sigma of the real Lie algebra, so it
-    maps the sigma-fixed forms, a Q-form of A^n, into those of A^{n+1},
-    and the Q-rank of that map is the Q(i)-rank of d_n.  For a source
-    orbit conj(e_j) = s e_k the fixed forms e_j + s e_k and i(e_j - s e_k)
-    give the columns d e_j + s d e_k and i(d e_j - s d e_k); a fixed e_j
-    (j = k) gives d e_j or i d e_j.  A fixed form is determined by the
-    real and imaginary parts of the first coordinate of each target orbit,
-    which give the rows, each cleared of its denominators.  The entries
-    are read off d with no product, and the partner row of each target
-    orbit is checked to be the conjugate this assumes, so that d commutes
-    with sigma.
-    """
-    d = cm.total_matrix(n).entries
-    sources = _conjugation_orbits(cm.basis, n)
-    partner = [None] * cm.basis.total_dim(n)
-    for j, k, s in sources:
-        partner[j] = (k, s)
-        partner[k] = (j, s)
+
+def _transposed_differential(d, dim, n, cleared):
+    """The transpose of d_n on the real complex of ``dim`` generators:
+    row j is d e_j, for the j-th degree-n monomial of ``_monomials`` whose
+    index is not in ``cleared``, over the degree-(n + 1) monomials in the
+    same order."""
+    targets = {mono: i for i, mono in enumerate(_monomials(dim, n + 1))}
     rows = []
-    for r, r2, t in _conjugation_orbits(cm.basis, n + 1):
-        for x, (k, s) in zip(d[r], partner):
-            y = d[r2][k]
-            if (y.xn, y.yn, y.dn) != (s * t * x.xn, -s * t * x.yn, x.dn):
-                raise ConsistencyError(
-                    "d does not commute with the conjugation in degree %d"
-                    % n)
-        (z,), _ = cleared([d[r]])
-        re_row, im_row = [], []
-        for j, k, s in sources:
-            (xj, yj), (xk, yk) = z[j], z[k]
-            if j != k:
-                # d e_j + s d e_k and i(d e_j - s d e_k)
-                re_row += (xj + s * xk, s * yk - yj)
-                im_row += (yj + s * yk, xj - s * xk)
-            elif s == 1:
-                re_row.append(xj)
-                im_row.append(yj)
-            else:
-                re_row.append(-yj)
-                im_row.append(xj)
-        if r != r2 or t == 1:
-            rows.append([Scalar(v) if v else ZERO for v in re_row])
-        if r != r2 or t == -1:
-            rows.append([Scalar(v) if v else ZERO for v in im_row])
-    return Matrix(len(rows), cm.basis.total_dim(n), rows)
+    for j, mono in enumerate(_monomials(dim, n)):
+        if j in cleared:
+            continue
+        row = [ZERO] * len(targets)
+        for key, c in d(mono).items():
+            if c:
+                row[targets[key]] = Scalar(c)
+        rows.append(row)
+    return Matrix(len(rows), len(targets), rows)
 
 
-def _cleared_ranks(cm, degrees):
-    """The ranks of d_n for n < ``degrees``, each of ``real_differential``
-    with the columns that the previous degree's pivots clear left out
-    (``de_rham`` says why the rank does not change).
-
-    A row of ``real_differential(cm, n)`` is a coordinate of the real
-    (n+1)-forms, in the order of the columns of
-    ``real_differential(cm, n + 1)``: the real and imaginary parts of the
-    first coordinate of each orbit of ``_conjugation_orbits(basis, n + 1)``
-    are the coefficients on its fixed forms, and scaling a row by its
-    denominators does not change which rows are independent.  The pivots
-    of the forward elimination of the cleared transpose are rows of d_n
-    independent before the clearing too, as many as its rank, so they
-    clear the next degree.
-    """
+def _cleared_ranks(d, dim, degrees):
+    """The ranks of d_n for n < ``degrees``, each with the columns that
+    the previous degree's pivots clear left out (``de_rham`` says why the
+    rank does not change).  The pivots of the forward elimination of the
+    transpose are independent rows of d_n, as many as its rank, and each
+    names a monomial of degree n + 1, which the next degree clears."""
     ranks = []
-    cleared = set()
+    cleared = ()
     for n in range(degrees):
-        real = real_differential(cm, n)
-        columns = [[row[j] for row in real.entries]
-                   for j in range(real.cols) if j not in cleared]
-        cleared = set(Matrix(len(columns), real.rows, columns).pivots())
+        cleared = set(_transposed_differential(d, dim, n, cleared).pivots())
         ranks.append(len(cleared))
     return ranks
 
 
 def de_rham(cm):
-    """Complex Betti numbers of the total Chevalley-Eilenberg complex.
+    """Betti numbers of the real Chevalley-Eilenberg complex of the input
+    basis, which reads only ``cm.brackets``.
 
-    Each rank of d_n is one of ``real_differential``, taken in order of
-    degree and cleared (``_cleared_ranks``): for S a maximal independent
-    set of rows of d_{n-1}, A^n is the direct sum of Im d_{n-1} and the
-    coordinates outside S, and d_n kills Im d_{n-1}, so d_n has the same
-    rank on the columns outside S.  When the algebra is unimodular, the
-    wedge pairing into the top degree makes d_{2m-1-n} plus or minus the
-    transpose of d_n, so only n < m is ranked.
+    Each rank of d_n is taken in order of degree and cleared
+    (``_cleared_ranks``): for S a maximal independent set of rows of
+    d_{n-1}, A^n is the direct sum of Im d_{n-1} and the coordinates
+    outside S, and d_n kills Im d_{n-1}, so d_n has the same rank on the
+    columns outside S.  When d_{2m-1} = 0 the algebra is unimodular, and
+    the wedge pairing into the top degree makes d_{2m-1-n} plus or minus
+    the transpose of d_n, so only n < m is ranked.
     """
-    basis = cm.basis
-    m = basis.m
-    if top_cohomology_is_line(cm):
-        half = _cleared_ranks(cm, m)
-        ranks = half + half[::-1]
+    d = _input_derivation(cm)
+    dim = 2 * cm.m
+    if any(c for mono in _monomials(dim, dim - 1) for c in d(mono).values()):
+        ranks = _cleared_ranks(d, dim, dim)
     else:
-        ranks = _cleared_ranks(cm, 2 * m)
+        half = _cleared_ranks(d, dim, cm.m)
+        ranks = half + half[::-1]
     ranks = [0, *ranks, 0]
-    return tuple(basis.total_dim(n) - ranks[n] - ranks[n + 1]
-                 for n in range(2 * m + 1))
+    return tuple(comb(dim, n) - ranks[n] - ranks[n + 1]
+                 for n in range(dim + 1))
 
 
 def euler_characteristic(betti):

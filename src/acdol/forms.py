@@ -7,8 +7,8 @@ One sign rule gives them all: for disjoint generator sets B and R,
 e_B ∧ e_R is (-1)^k times the sorted monomial, k the parity of the bit
 count of R masked by the bits with an odd number of bits of B above them
 (``_below_parity``).  ``wedge_monomials``, from which the Hodge star and
-the Lefschetz map are built, and the Leibniz terms of d, on one 2m-bit
-mask per monomial, both take their signs from it.
+the Lefschetz map are built, and the Leibniz terms of d, on one bit mask
+per monomial (``derivation``), both take their signs from it.
 
 This module decides the (p, q) grid, 0 <= p, q <= m: off it a slot has
 dimension 0 and no monomials, and every block or slot table read there is
@@ -16,8 +16,10 @@ zero-shaped, so components that reach past the edge compose, solve and
 assemble (``Matrix.from_blocks``) without a special case.
 
 The differential on degree-one generators is minus the dual of the Lie
-bracket; it extends to the whole exterior algebra as a graded derivation and
-splits into four components by target bidegree:
+bracket; it extends to the whole exterior algebra as a graded derivation
+(``derivation``, which ``cohomology.de_rham`` also applies to the real
+structure constants of the input basis) and splits into four components by
+target bidegree:
 
     mubar : (p, q) -> (p-1, q+2)      delbar : (p, q) -> (p, q+1)
     partial : (p, q) -> (p+1, q)      mu     : (p, q) -> (p+2, q-1)
@@ -141,11 +143,14 @@ def wedge_monomials(m1, m2):
 
 
 class ComponentMatrices:
-    """The four bidegree blocks of d on every slot, as exact matrices."""
+    """The four bidegree blocks of d on every slot, as exact matrices,
+    with the real structure constants ``brackets`` of the input basis
+    (``LieAlgebraSpec.brackets``) that they come from."""
 
-    def __init__(self, basis, blocks):
+    def __init__(self, basis, blocks, brackets):
         self.basis = basis
         self.m = basis.m
+        self.brackets = brackets
         self._blocks = blocks  # {(tag, p, q): Matrix}
         self._totals = {}
         # Z_r and B_r of spectral.explicit_page, by (solver name, chain
@@ -185,31 +190,61 @@ class ComponentMatrices:
         return self._totals[n]
 
 
-def build_differential(csc, basis):
-    """Differential from complex structure constants, split into components.
+def derivation(table):
+    """The graded derivation d with d W^g = - sum_{v<w} table[v][w][g] W^v W^w
+    on the generators W^0 .. W^{n-1}, n = len(table), as a function of one
+    monomial.
 
-    On the dual generator W^u:  d W^u = - sum_{v<w} c^u_{vw} W^v W^w, and the
-    extension to monomials is the graded Leibniz rule.  A monomial is one
-    2m-bit mask M = S | T << m in the global generator order.  For each
+    A monomial is one n-bit mask M in the generator order.  For each
     generator g of M with the rest R = M - g, e_M = ±e_g ∧ e_R, so the
     Leibniz term of a pair P = {v, w} of d W^g is ±e_P ∧ e_R; both signs
-    come from the rule of ``_below_parity``, one popcount per term.
+    come from the rule of ``_below_parity``, one popcount per term.  The
+    function returns {mask: coefficient} of d e_M, with the sums that
+    cancel kept as zeros.
     """
-    m = basis.m
-    table = csc.table
+    n = len(table)
     # d of each degree-one generator: (pair mask, sign mask, coefficient)
     d_gen = []
-    for g in range(2 * m):
+    for g in range(n):
         below_g = _below_parity(1 << g)
         terms = []
-        for v in range(2 * m):
-            for w in range(v + 1, 2 * m):
+        for v in range(n):
+            for w in range(v + 1, n):
                 coeff = table[v][w][g]
                 if coeff:
                     pair = (1 << v) | (1 << w)
                     terms.append((pair, below_g ^ _below_parity(pair), -coeff))
         d_gen.append(terms)
 
+    def d(mono):
+        out = {}
+        gens = mono
+        while gens:
+            bit = gens & -gens
+            gens ^= bit
+            rest = mono ^ bit
+            for pair, sign_mask, coeff in d_gen[bit.bit_length() - 1]:
+                if pair & rest:
+                    continue
+                term = -coeff if (rest & sign_mask).bit_count() & 1 else coeff
+                key = rest | pair
+                prev = out.get(key)
+                out[key] = term if prev is None else prev + term
+        return out
+
+    return d
+
+
+def build_differential(csc, basis):
+    """Differential from complex structure constants, split into components.
+
+    d is the ``derivation`` of the frame table ``csc.table`` on the 2m-bit
+    masks M = S | T << m of the monomials (S, T), and each term goes to
+    the component of its bidegree shift.  The real structure constants
+    ``csc.brackets`` pass to the result for ``cohomology.de_rham``.
+    """
+    m = basis.m
+    d = derivation(csc.table)
     position = {s | t << m: i for monos in basis.slots.values()
                 for i, (s, t) in enumerate(monos)}
     tag_of = {shift: tag for tag, shift in BIDEGREE.items()}
@@ -220,28 +255,14 @@ def build_differential(csc, basis):
                       for _ in range(basis.dim(p + dp, q + dq))]
                 for tag, (dp, dq) in BIDEGREE.items()}
         for j, (s_mask, t_mask) in enumerate(monos):
-            mono = s_mask | t_mask << m
-            dmono = {}
-            gens = mono
-            while gens:
-                bit = gens & -gens
-                gens ^= bit
-                rest = mono ^ bit
-                for pair, sign_mask, coeff in d_gen[bit.bit_length() - 1]:
-                    if pair & rest:
-                        continue
-                    term = -coeff if (rest & sign_mask).bit_count() & 1 else coeff
-                    key = rest | pair
-                    prev = dmono.get(key)
-                    dmono[key] = term if prev is None else prev + term
-            for key, c in dmono.items():
+            for key, c in d(s_mask | t_mask << m).items():
                 if c:
                     tag = tag_of[((key & low).bit_count() - p,
                                   (key >> m).bit_count() - q)]
                     rows[tag][position[key]][j] = c
         for tag, data in rows.items():
             blocks[(tag, p, q)] = Matrix(len(data), len(monos), data)
-    return ComponentMatrices(basis, blocks)
+    return ComponentMatrices(basis, blocks, csc.brackets)
 
 
 RELATIONS = (

@@ -430,10 +430,12 @@ def delb_mub(hs):
     """Build delbar_mub = H_mubar ∘ delbar restricted to mubar-harmonics:
     op = M^{-1} N and the harmonic space Ker [N_q; N_{q-1}^H] of every slot
     (see the module docstring), H_mubar being the zero space of k^0 off the
-    grid.  It only computes: M = H^H G H is invertible whatever the
-    decomposition, H being a kernel basis and G positive definite, and the
-    battery checks the decomposition (``mub_decomposition``) and
-    delbar_mub^2 = 0 (``delb_mub_checks``)."""
+    grid.  The harmonic space is read as H Ker [...], a product of two
+    canonical bases: H is the identity on its lead rows, so the product is
+    canonical with no further elimination.  It only computes: M = H^H G H
+    is invertible whatever the decomposition, H being a kernel basis and G
+    positive definite, and the battery checks the decomposition
+    (``mub_decomposition``) and delbar_mub^2 = 0 (``delb_mub_checks``)."""
     cm = hs.cm
     rows = range(hs.m + 1)
     # H and (G H)^H on the grid and the ring of slots around it
@@ -449,7 +451,7 @@ def delb_mub(hs):
         op[(p, q)] = (gh[(p, q + 1)] @ h[(p, q + 1)]).solve(comp[(p, q)])
         ker = Subspace.kernel(comp[(p, q)].vstack(
             comp[(p, q - 1)].conj_transpose()))
-        harmonic[(p, q)] = Subspace.from_matrix_columns(h[(p, q)] @ ker.basis)
+        harmonic[(p, q)] = Subspace(h[(p, q)].rows, h[(p, q)] @ ker.basis)
     return DelbMub(hs, op, harmonic, top_cohomology_is_line(cm))
 
 

@@ -340,10 +340,13 @@ class ComplexStructureConstants:
 
     table[u][v][w] is the coefficient of W_w in [W_u, W_v]; conjugating all
     three indices (u <-> u+m mod 2m) conjugates the coefficient.
+    ``brackets`` are the real structure constants of the input basis that
+    the table expands, ``LieAlgebraSpec.brackets``.
     """
 
     m: int
     table: tuple
+    brackets: tuple
 
 
 def complexify(spec, frame):
@@ -410,5 +413,5 @@ def complexify(spec, frame):
                         "internal error: conjugation symmetry broken in "
                         "complexified brackets")
     return ComplexStructureConstants(
-        m=m, table=tuple(tuple(row) for row in table))
+        m=m, table=tuple(tuple(row) for row in table), brackets=spec.brackets)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import cohomology, docio, forms, harmonic, liealg, spectral
 from .cohomology import Check, ConsistencyError
-from .forms import DELBAR, MU, MUBAR, PARTIAL
+from .forms import DELBAR, MU, MUBAR
 from .kernel import ONE, ZERO
 from .linalg import Matrix, Subspace
 
@@ -120,6 +120,23 @@ def probe_metrics(spec):
     return [liealg.pullback_metric(spec.metric, q)]
 
 
+def conjugation_check(cm):
+    """The entry ``component_conjugation_symmetry``: C conj(delta) =
+    conj_delta C on every slot, for delta = mubar and delbar with the
+    conjugate components mu and partial, C the conjugation of monomials.
+    A failure names the first component and slot, p-major."""
+    basis = cm.basis
+    for tag in (MUBAR, DELBAR):
+        for (p, q) in sorted(basis.slots):
+            c_src = forms.conjugation_matrix(basis, p, q)
+            c_tgt = forms.conjugation_matrix(basis, *cm.target(tag, p, q))
+            if (c_tgt @ cm.block(tag, p, q).conj()
+                    != cm.block(forms.CONJUGATE_TAG[tag], q, p) @ c_src):
+                return Check("component_conjugation_symmetry", False,
+                             "%s fails on slot (%d, %d)" % (tag, p, q))
+    return Check("component_conjugation_symmetry", True)
+
+
 def verification_checks(an):
     """The full exact property battery for one analysis."""
     checks = []
@@ -134,18 +151,7 @@ def verification_checks(an):
                         "%d identity-slot pairs" % len(rel)))
 
     # conjugation symmetry of the component matrices
-    ok = True
-    for tag, conj_tag in ((MUBAR, MU), (DELBAR, PARTIAL)):
-        for (p, q) in basis.slots:
-            blk = cm.block(tag, p, q)
-            tp, tq = cm.target(tag, p, q)
-            c_src = forms.conjugation_matrix(basis, p, q)
-            c_tgt = forms.conjugation_matrix(basis, tp, tq)
-            lhs = c_tgt @ blk.conj()
-            rhs = cm.block(conj_tag, q, p) @ c_src
-            if lhs != rhs:
-                ok = False
-    checks.append(Check("component_conjugation_symmetry", ok))
+    checks.append(conjugation_check(cm))
 
     # mubar is trivial on the p = 0 column
     ok = all(cm.block(MUBAR, 0, q).is_zero() for q in range(m + 1))

@@ -362,8 +362,34 @@ def test_page_cap_option_is_gone(capsys):
     # every page comes from one reduction: there is no cap to set
     with pytest.raises(SystemExit) as exc:
         main(["pages", "--example", "su2su2-nk", "--max-page", "1"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments: --max-page" in capsys.readouterr().err
+
+
+def test_unknown_subcommand_exits_1(capsys):
+    # a usage error is invalid input (1), not an internal failure (2)
+    with pytest.raises(SystemExit) as exc:
+        main(["page", "--example", "su2su2-nk"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: acdol ")
+    assert "acdol: error: argument command: invalid choice: 'page'" in err
+
+
+@pytest.mark.parametrize("argv, usage, error", [
+    (["list", "--all"], "acdol", "unrecognized arguments: --all"),
+    (["analyze", "--example", "su2su2-nk", "--format", "yaml"],
+     "acdol analyze", "argument --format: invalid choice: 'yaml'")],
+    ids=["unknown-flag", "subcommand-flag-value"])
+def test_unknown_flag_exits_1(argv, usage, error, capsys):
+    # the subcommand parsers, which reject a bad value of their own
+    # options, inherit the exit code of usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: %s " % usage)
+    assert "%s: error: %s" % (usage, error) in err
 
 
 def test_broken_complexified_table_exits_2(monkeypatch):

@@ -223,7 +223,7 @@ def test_relations_fail_on_corrupted_block():
     data = [list(r) for r in bad.entries]
     data[0][0] = data[0][0] + ONE
     blocks[(MUBAR, 1, 0)] = Matrix(bad.rows, bad.cols, data)
-    corrupted = type(cm)(cm.basis, blocks)
+    corrupted = type(cm)(cm.basis, blocks, cm.brackets)
     report = verify_relations(corrupted)
     failing = [name for name, _, ok in report if not ok]
     assert failing
@@ -290,7 +290,7 @@ def _corrupted(cm, tag, p, q):
     data = [list(row) for row in bad.entries]
     data[0][0] = data[0][0] + ONE
     blocks[(tag, p, q)] = Matrix(bad.rows, bad.cols, data)
-    return type(cm)(cm.basis, blocks)
+    return type(cm)(cm.basis, blocks, cm.brackets)
 
 
 def test_relation_terms_are_the_pairs_of_each_bidegree():

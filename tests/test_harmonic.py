@@ -587,6 +587,21 @@ def test_delb_mub_equals_the_inverse_route(name):
     assert dmb.harmonic == harmonic_spaces
 
 
+@pytest.mark.parametrize("name", catalog.builtin_names() + [
+    "random-m3-seed%d" % seed for seed in (1, 2, 3)])
+def test_delb_mub_harmonic_spaces_need_no_canonicalisation(name):
+    """H Ker [N_q; N_{q-1}^H], the product of two canonical bases, is
+    already the canonical basis of its span; a basis with its columns
+    reversed is not, and compares unequal (a negative control)."""
+    dmb = delb_mub(hermitian(name))
+    for space in dmb.harmonic.values():
+        assert space == Subspace.from_matrix_columns(space.basis)
+    space = next(s for s in dmb.harmonic.values() if s.dim > 1)
+    reversed_space = Subspace(space.ambient_dim, _columns_reversed(space.basis))
+    assert reversed_space != Subspace.from_matrix_columns(
+        reversed_space.basis)
+
+
 def _all_ones(mat):
     return Matrix(mat.rows, mat.cols, [[ONE] * mat.cols] * mat.rows)
 
