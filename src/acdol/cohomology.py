@@ -13,8 +13,10 @@ subspaces, and the battery compares them with the reduction:
                     / {w = mubar a + delbar b with mubar b = 0},
 
   which reduces to classical delbar-cohomology when mubar = 0, with the
-  cocycles read in the canonical coordinates of Ker mubar, and as the
-  cohomology of delbar induced on mubar-classes;
+  cocycles read in the canonical coordinates of Ker mubar and the
+  coboundaries in the coordinates of the quotient by Im mubar, both from
+  one product E delbar K per slot, and as the cohomology of delbar
+  induced on mubar-classes;
 * de Rham Betti numbers from the real Chevalley-Eilenberg complex of the
   input basis, built by the Leibniz rule of ``forms.derivation`` from the
   real structure constants ``cm.brackets`` cleared to integers: no
@@ -29,7 +31,9 @@ subspaces, and the battery compares them with the reduction:
 
 Ker and Im of one Matrix are eliminated once (``linalg`` memoises them on
 the instance), so the mubar kernels and images that ``mub_cohomology``
-and ``dolbeault`` both read cost one elimination each.
+and ``dolbeault`` both read cost one elimination each, and the kernel and
+the span of one E delbar K serve two slots of ``dolbeault``.  A failed
+quotient names its route ("mubar", "dolbeault") and its slot.
 
 The module also holds the shared ``Check`` record, ``ConsistencyError`` and
 the Frolicher/Euler/Serre ``consistency_report``.
@@ -77,14 +81,17 @@ class CohomologyTable:
                 self.denominators.get((p, q), zero))
 
 
-def _quotient_table(m, parts):
+def _quotient_table(route, m, parts):
+    """The quotients num / den of ``parts`` = {(p, q): (num, den)}; a
+    failure names ``route`` and the slot."""
     dims = {}
     reps = {}
     dens = {}
     for (p, q), (num, den) in parts.items():
         if not num.contains(den):
             raise ConsistencyError(
-                "coboundaries are not cocycles on slot (%d, %d)" % (p, q))
+                "%s: coboundaries are not cocycles on slot (%d, %d)"
+                % (route, p, q))
         dims[(p, q)] = num.dim - den.dim
         reps[(p, q)] = complement_in(den, num)
         dens[(p, q)] = den
@@ -100,7 +107,7 @@ def operator_cohomology(cm, tag):
         ker = Subspace.kernel(cm.block(tag, p, q))
         img = Subspace.from_matrix_columns(cm.block(tag, p - dp, q - dq))
         parts[(p, q)] = (ker, img)
-    return _quotient_table(basis.m, parts)
+    return _quotient_table(tag, basis.m, parts)
 
 
 def mub_cohomology(cm):
@@ -111,33 +118,31 @@ def mub_cohomology(cm):
 def dolbeault(cm):
     """Dolbeault cohomology via the witness description.
 
-    With K the canonical basis of Ker(mubar) on a slot, the cocycles are
-    K Ker(E delbar K), E the equations of Im(mubar) in the target: the
-    forms of Ker(mubar) whose delbar lands in Im(mubar).  K is the
+    Per slot, with K the canonical basis of Ker(mubar) and E the equations
+    of Im(mubar) one row up, the quotient coordinates E delbar K are formed
+    once and serve twice.  Their kernel gives the cocycles K Ker(E delbar
+    K): the forms of Ker(mubar) whose delbar lands in Im(mubar).  K is the
     identity on its lead rows, so the product of K with an RCEF basis is
     again in RCEF and the cocycles are canonical with no further
-    elimination.  The coboundaries are Im(mubar) + delbar(Ker(mubar) one
-    row down), the span of [mubar | delbar K] with the K of the slot
-    below; off the grid that K is the 0 x 0 kernel of a zero-column block.
+    elimination.  Their column span gives the coboundaries of the slot one
+    row up, Im(mubar) + delbar(Ker(mubar)), as ``Subspace.extended``: one
+    RCEF of the dim K columns in the coordinates of the quotient by
+    Im(mubar), not of the stacked [mubar | delbar K].  On the row q = 0
+    the coboundaries are zero.
     """
-    basis = cm.basis
-    m = basis.m
-    kernels = {}
-    for p in range(m + 1):
-        for q in range(-1, m + 1):
-            ker = Subspace.kernel(cm.block(MUBAR, p, q)).basis
-            kernels[(p, q)] = (ker, cm.block(DELBAR, p, q) @ ker)
+    m = cm.basis.m
     parts = {}
-    for (p, q) in basis.slots:
-        ker, delbar_ker = kernels[(p, q)]
-        im_mub_above = Subspace.from_matrix_columns(
-            cm.block(MUBAR, p + 1, q - 1))
-        closed = Subspace.kernel(im_mub_above.equations() @ delbar_ker)
-        num = Subspace(ker.rows, ker @ closed.basis)
-        den = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2).hstack(
-            kernels[(p, q - 1)][1]))
-        parts[(p, q)] = (num, den)
-    return _quotient_table(m, parts)
+    for p in range(m + 1):
+        for q in range(m + 1):
+            ker = Subspace.kernel(cm.block(MUBAR, p, q)).basis
+            # image and quotient are those of the slot below
+            den = (image.extended(quotient) if q
+                   else Subspace.zero(ker.rows))
+            image = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 1))
+            quotient = image.equations() @ (cm.block(DELBAR, p, q) @ ker)
+            num = Subspace(ker.rows, ker @ Subspace.kernel(quotient).basis)
+            parts[(p, q)] = (num, den)
+    return _quotient_table("dolbeault", m, parts)
 
 
 def induced_delbar(cm, mub_table):

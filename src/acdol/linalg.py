@@ -17,7 +17,10 @@ elimination per subspace.  A canonical basis is
 the identity on its lead rows, so a vector of the span has its entries
 there as coordinates, and the product of two RCEF bases is in RCEF: a
 complement inside a subspace is one forward elimination of the inner
-space's coordinates, dim inner x dim outer.  ``Matrix.from_blocks``
+space's coordinates, dim inner x dim outer.  The equations of a subspace
+S give the coordinates of the quotient by S, so a sum S + span(W) is one
+RCEF of the quotient coordinates of W, lifted and merged with the basis
+of S (``Subspace.extended``, the one sum route).  ``Matrix.from_blocks``
 assembles every block matrix: absent blocks are zero, zero-sized ones
 need no special case and a block of the wrong shape raises LinalgError.
 """
@@ -355,7 +358,48 @@ class Subspace:
 
     def __add__(self, other):
         self._same_ambient(other)
-        return Subspace.from_matrix_columns(self.basis.hstack(other.basis))
+        return self.extended(self.equations() @ other.basis)
+
+    def extended(self, quotient):
+        """self + span(W), given ``quotient`` = self.equations() @ W, the
+        coordinates of W in the quotient by self.
+
+        With b the canonical basis and L its lead rows, every w satisfies
+        w - b w_L = lift(E w), E the equations and lift the map that puts
+        coordinates on the rows outside L, in order.  So self + span(W)
+        is the direct sum of self and lift(span(E W)), and its canonical
+        basis takes one elimination, the RCEF of E W (memoised on
+        ``quotient``): lift its columns, clear each column of b at their
+        lead rows, and merge the columns by lead row.  b is zero above its
+        lead, so a column of b meets only lifted columns that lead further
+        down.
+        """
+        lead = self.lead_rows()
+        leads = set(lead)
+        rest = [r for r in range(self.ambient_dim) if r not in leads]
+        if quotient.rows != len(rest):
+            raise LinalgError("quotient coordinates have %d rows, not %d"
+                              % (quotient.rows, len(rest)))
+        coords = Subspace.from_matrix_columns(quotient)
+        if coords.dim == 0:
+            return self
+        if self.dim == 0:
+            return coords
+        d, k = self.dim, coords.dim
+        lifted_leads = [rest[s] for s in coords.lead_rows()]
+        correction = coords.basis @ Matrix(
+            k, d, [self.basis.entries[r] for r in lifted_leads])
+        order = [c for _, c in sorted(
+            [(r, i) for i, r in enumerate(lead)]
+            + [(r, d + j) for j, r in enumerate(lifted_leads)])]
+        rows = [row + (ZERO,) * k for row in self.basis.entries]
+        for r, fix, lifted in zip(rest, correction.entries,
+                                  coords.basis.entries):
+            rows[r] = tuple(b - c if c else b for b, c in
+                            zip(self.basis.entries[r], fix)) + lifted
+        n = self.ambient_dim
+        return Subspace(n, Matrix(n, d + k, [[row[c] for c in order]
+                                             for row in rows]))
 
     def intersect(self, other):
         """Exact intersection: the kernel of both sets of equations."""

@@ -102,22 +102,28 @@ def test_representatives_span_quotients():
         assert den.intersect(rep).dim == 0
 
 
+def _counted_cm():
+    spec = validate_spec(random_nilpotent_spec(seeded_rng(1), 3))
+    return build_differential(complexify(spec, adapted_frame(spec)),
+                              build_basis(3))
+
+
 def test_oracle_routes_take_one_elimination_per_subspace(monkeypatch):
     # mub_cohomology: per slot the kernel and the image, one rref each;
     # containment and the complement take none.  dolbeault: per slot the
-    # image above, the kernel in Ker mubar's coordinates and the
-    # denominator span, and the kernel of mubar on each slot and on the
-    # off-grid slot below each q = 0 slot.  16 slots at m = 3, 20 kernels.
-    # Each Matrix keeps its kernel and span, and cm.block builds each
-    # off-grid block once, so on one cm a later route takes none for the
-    # 16 kernels of mubar on the grid and the 12 images of the blocks
-    # (p + 1, q - 2) with q >= 1 that both oracle routes read, 6 of them
-    # off the grid.  The Hodge generators of frolicher_all take the same
-    # 16 kernels and nothing else.
+    # kernel of mubar, the image one row up and the kernel of the quotient
+    # coordinates E delbar K, and per slot with q >= 1 the span of the
+    # quotient coordinates of the slot below, its coboundaries; on q = 0
+    # they are zero and take none.  16 slots at m = 3, 4 of them on q = 0:
+    # 16 + 16 + 16 + 12 = 4 * 16 - 4.  Each Matrix keeps its kernel and
+    # span, and cm.block builds each off-grid block once, so on one cm a
+    # later route takes none for the 16 kernels of mubar and for the 12
+    # images that both oracle routes read: those of the blocks
+    # (p + 1, q - 1) with q <= 2, which mub_cohomology reads as the images
+    # of slot (p, q + 1), 6 of them off the grid.  The Hodge generators of
+    # frolicher_all take the same 16 kernels and nothing else.
     def counts(*routes):
-        spec = validate_spec(random_nilpotent_spec(seeded_rng(1), 3))
-        cm = build_differential(complexify(spec, adapted_frame(spec)),
-                                build_basis(3))
+        cm = _counted_cm()
         calls = {}
         rref = kernel.rref
 
@@ -134,12 +140,44 @@ def test_oracle_routes_take_one_elimination_per_subspace(monkeypatch):
         return calls
 
     assert counts(mub_cohomology, dolbeault) == {
-        "mub_cohomology": 2 * 16, "dolbeault": 3 * 16 + 20 - 16 - 12}
+        "mub_cohomology": 2 * 16, "dolbeault": 4 * 16 - 4 - 16 - 12}
     assert counts(dolbeault, mub_cohomology) == {
-        "dolbeault": 3 * 16 + 20, "mub_cohomology": 2 * 16 - 16 - 12}
+        "dolbeault": 4 * 16 - 4, "mub_cohomology": 2 * 16 - 16 - 12}
     assert counts(frolicher_all, dolbeault, mub_cohomology) == {
-        "frolicher_all": 16, "dolbeault": 3 * 16 + 20 - 16,
+        "frolicher_all": 16, "dolbeault": 4 * 16 - 4 - 16,
         "mub_cohomology": 2 * 16 - 16 - 12}
+
+
+def test_each_coboundary_eliminates_the_kernel_of_the_slot_below(
+        monkeypatch):
+    # the coboundaries of slot (p, q >= 1) are one RCEF of the quotient
+    # coordinates E delbar K of slot (p, q - 1): its transpose has one row
+    # per column of K, dim Ker mubar_{p, q-1}, and one column per
+    # coordinate of the quotient by Im mubar_{p+1, q-2}, not the rows and
+    # columns of the stacked [mubar_{p+1, q-2} | delbar K]
+    cm = _counted_cm()
+    shapes = []
+    rref = kernel.rref
+    extended = Subspace.extended
+
+    def counted(self, quotient):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "rref", lambda rows, ncols: (
+                calls.append((len(rows), ncols)) or rref(rows, ncols)))
+            out = extended(self, quotient)
+        shapes.extend(calls)
+        return out
+
+    monkeypatch.setattr(Subspace, "extended", counted)
+    dolbeault(cm)
+    expected = []
+    for p in range(4):
+        for q in range(1, 4):
+            image = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2))
+            expected.append((Subspace.kernel(cm.block(MUBAR, p, q - 1)).dim,
+                             cm.basis.dim(p, q) - image.dim))
+    assert shapes == expected
 
 
 def test_dolbeault_two_routes_agree_on_random_specs():
@@ -403,9 +441,9 @@ def _dolbeault_parts(cm, monkeypatch):
     parts = {}
     quotient = cohomology._quotient_table
 
-    def capture(m, slot_parts):
+    def capture(route, m, slot_parts):
         parts.update(slot_parts)
-        return quotient(m, slot_parts)
+        return quotient(route, m, slot_parts)
 
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "_quotient_table", capture)
@@ -427,12 +465,73 @@ def test_dolbeault_cocycles_equal_the_stacked_kernel(name, monkeypatch):
             im_above.equations() @ cm.block(DELBAR, p, q)))
 
 
+def _stacked_coboundaries(cm, p, q):
+    """The oracle: the coboundaries of slot (p, q) as one RCEF of the
+    stacked [mubar_{p+1, q-2} | delbar K], K the canonical basis of
+    Ker mubar_{p, q-1}."""
+    ker = Subspace.kernel(cm.block(MUBAR, p, q - 1)).basis
+    return Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 2).hstack(
+        cm.block(DELBAR, p, q - 1) @ ker))
+
+
+def _mismatched_coboundaries(name, monkeypatch):
+    """The slots of ``name`` whose coboundaries from ``dolbeault`` are not
+    the stacked span, in slot order."""
+    cm = _cm_of(name)
+    parts = _dolbeault_parts(cm, monkeypatch)
+    assert sorted(parts) == sorted(cm.basis.slots)
+    return [(p, q) for (p, q), (_, den) in sorted(parts.items())
+            if den != _stacked_coboundaries(cm, p, q)]
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + [
+    "random-m4-seed5", "random-m4-seed7"])
+def test_dolbeault_coboundaries_equal_the_stacked_span(name, monkeypatch):
+    # equality of Subspaces is equality of canonical bases, so the
+    # extension of Im mubar by the quotient coordinates must be in RCEF
+    assert _mismatched_coboundaries(name, monkeypatch) == []
+
+
+def _extended_without_clearing(self, quotient):
+    """``Subspace.extended`` with the columns of b left as they are at the
+    lifted lead rows: b and the lifted RCEF of the quotient coordinates,
+    merged by lead row.  The span is right; the basis is not canonical."""
+    coords = Subspace.from_matrix_columns(quotient)
+    rest = iter(coords.basis.entries)
+    leads = set(self.lead_rows())
+    lifted = Matrix(self.ambient_dim, coords.dim, [
+        (kernel.ZERO,) * coords.dim if r in leads else next(rest)
+        for r in range(self.ambient_dim)])
+    cols = sorted(self.basis.hstack(lifted).columns(),
+                  key=lambda col: next(i for i, e in enumerate(col) if e))
+    return Subspace(self.ambient_dim,
+                    Matrix.from_columns(cols, self.ambient_dim))
+
+
+def test_coboundaries_without_clearing_fail_the_stacked_span(monkeypatch):
+    # negative control: on filiform-Jprime slot (1, 2) both Im mubar and
+    # the quotient coordinates of slot (1, 1) are nonzero, and a column of
+    # Im mubar's basis is nonzero at a lifted lead row; left uncleared the
+    # basis spans the coboundaries but is not their RCEF
+    cm = _cm_of("filiform-Jprime")
+    image = Subspace.from_matrix_columns(cm.block(MUBAR, 2, 0))
+    ker = Subspace.kernel(cm.block(MUBAR, 1, 1)).basis
+    assert image.dim and not (
+        image.equations() @ cm.block(DELBAR, 1, 1) @ ker).is_zero()
+    monkeypatch.setattr(Subspace, "extended", _extended_without_clearing)
+    assert _mismatched_coboundaries("filiform-Jprime", monkeypatch) == [
+        (1, 2)]
+    den = dolbeault(cm).denominators[(1, 2)]
+    assert Subspace.from_matrix_columns(den.basis) == _stacked_coboundaries(
+        cm, 1, 2)
+
+
 def test_quotient_table_rejects_coboundaries_outside_the_cocycles(
         monkeypatch):
     # negative control: with the whole slot as its coboundaries, a slot
     # whose cocycles are smaller fails the containment check before the
     # complement, which reads coordinates that only containment makes
-    # meaningful, runs
+    # meaningful, runs; the failure names the route and the slot
     cm = _cm_of("filiform-J")
     (p, q), (num, den) = next(
         (pq, part) for pq, part in sorted(
@@ -442,10 +541,26 @@ def test_quotient_table_rejects_coboundaries_outside_the_cocycles(
     complement = cohomology.complement_in
     monkeypatch.setattr(cohomology, "complement_in", lambda inner, outer: (
         calls.append((inner, outer)) or complement(inner, outer)))
-    cohomology._quotient_table(cm.m, {(p, q): (num, den)})
+    cohomology._quotient_table("dolbeault", cm.m, {(p, q): (num, den)})
     assert calls == [(den, num)]
     whole = Subspace.kernel(Matrix.zero(0, num.ambient_dim))
     with pytest.raises(ConsistencyError, match=(
-            r"^coboundaries are not cocycles on slot \(%d, %d\)$" % (p, q))):
-        cohomology._quotient_table(cm.m, {(p, q): (num, whole)})
+            r"^dolbeault: coboundaries are not cocycles on slot \(%d, %d\)$"
+            % (p, q))):
+        cohomology._quotient_table("dolbeault", cm.m, {(p, q): (num, whole)})
     assert calls == [(den, num)]
+
+
+def test_mubar_route_names_itself_on_coboundaries_outside_the_cocycles(
+        monkeypatch):
+    # negative control: mub_cohomology with the image of mubar into slot
+    # (1, 0) of filiform-J, the off-grid block (2, -2), replaced by the
+    # whole slot, which Ker mubar there does not contain
+    cm = _cm_of("filiform-J")
+    assert Subspace.kernel(cm.block(MUBAR, 1, 0)).dim < cm.basis.dim(1, 0)
+    everything = Matrix.identity(cm.basis.dim(1, 0))
+    monkeypatch.setattr(cm, "block", lambda tag, p, q, block=cm.block: (
+        everything if (tag, p, q) == (MUBAR, 2, -2) else block(tag, p, q)))
+    with pytest.raises(ConsistencyError, match=(
+            r"^mubar: coboundaries are not cocycles on slot \(1, 0\)$")):
+        mub_cohomology(cm)

@@ -51,7 +51,8 @@ def rand_subspace(rng, n):
 class _subspace_oracle:
     """The earlier subspace formulas, kept as the labelled oracle: a kernel
     as the span of the rref kernel basis, an intersection and a preimage
-    from the kernels of [U | -V] and [A | -B], containment by rank."""
+    from the kernels of [U | -V] and [A | -B], containment by rank, a sum
+    as the span of [U | V]."""
 
     @staticmethod
     def nullspace_matrix(mat):
@@ -96,6 +97,11 @@ class _subspace_oracle:
         if v.dim == 0:
             return True
         return len(u.basis.hstack(v.basis).rref()[1]) == u.dim
+
+    @staticmethod
+    def add(u, v):
+        """The span of the stacked bases [u | v], one RCEF."""
+        return Subspace.from_matrix_columns(u.basis.hstack(v.basis))
 
     @staticmethod
     def complement_in(inner, outer):
@@ -252,6 +258,34 @@ def test_subspace_operations_match_oracle():
         assert (Subspace.kernel(u.equations() @ a)
                 == _subspace_oracle.preimage(a, u))
     assert outcomes == {True, False}
+
+
+def test_sum_and_extension_match_the_stacked_span(monkeypatch):
+    # u + v and u.extended(E w), E the equations of u, against the RCEF of
+    # the stacked bases: each is canonical and takes one elimination, of
+    # dim v (or the columns of w) x the n - dim u quotient coordinates
+    rng = random.Random(97)
+    calls = _counting_rref(monkeypatch)
+    for n, cols in _random_shapes(rng, 60):
+        w = rand_low_rank(rng, n, cols)
+        v = Subspace.from_matrix_columns(w)
+        for u in (Subspace.zero(n), Subspace.kernel(Matrix.zero(0, n)),
+                  rand_subspace(rng, n)):
+            expected = _subspace_oracle.add(u, v)
+            del calls[:]
+            total = u + v
+            assert calls == [n - u.dim]
+            extension = u.extended(u.equations() @ w)
+            assert calls == [n - u.dim] * 2
+            assert total == extension == expected
+            assert _is_rcef(total.basis)
+            assert v + u == total
+
+
+def test_extension_rejects_coordinates_of_another_quotient():
+    u = Subspace.from_matrix_columns(rand_matrix(random.Random(3), 5, 2))
+    with pytest.raises(LinalgError):
+        u.extended(Matrix.zero(5, 1))
 
 
 def test_forward_pass_pivots_equal_rref_pivots():
