@@ -3,8 +3,9 @@
 The production tables of ``pipeline.analyze`` come from the Hodge reduction
 in ``spectral``: h_dol is its first page, the Betti numbers count its
 unpaired generators and h_mub reads the ranks of the mubar blocks.  The
-routes here compute the same tables another way, with representative
-subspaces, and the battery compares them with the reduction:
+routes here compute the same tables another way, as cocycles modulo
+coboundaries per slot, with no basis of the quotient, and the battery
+compares them with the reduction:
 
 * mubar-cohomology slot by slot, as Ker/Im since mubar^2 = 0;
 * Dolbeault cohomology from the zig-zag description
@@ -16,7 +17,7 @@ subspaces, and the battery compares them with the reduction:
   cocycles read in the canonical coordinates of Ker mubar and the
   coboundaries in the coordinates of the quotient by Im mubar, both from
   one product E delbar K per slot, and as the cohomology of delbar
-  induced on mubar-classes;
+  induced on mubar-classes, read off its ranks;
 * de Rham Betti numbers from the real Chevalley-Eilenberg complex of the
   input basis, built by the Leibniz rule of ``forms.derivation`` from the
   real structure constants ``cm.brackets`` cleared to integers: no
@@ -48,7 +49,7 @@ from math import comb, lcm
 from . import forms
 from .forms import DELBAR, MUBAR
 from .kernel import ZERO, Scalar
-from .linalg import Matrix, Subspace, complement_in
+from .linalg import Matrix, Subspace
 
 
 class ConsistencyError(RuntimeError):
@@ -57,45 +58,38 @@ class ConsistencyError(RuntimeError):
 
 @dataclass
 class CohomologyTable:
-    """Dimensions and representative subspaces per (p, q) slot.
-
-    ``representatives[(p, q)]`` spans a complement of the coboundaries
-    inside the cocycles, so its columns represent a basis of the quotient.
-    ``denominators`` retains the coboundary subspaces for downstream class
-    computations (slot coordinates).
-    """
+    """Cocycles, coboundaries and the dimension of their quotient per
+    (p, q) slot.  Every reader takes a dimension or a rank, so no basis of
+    the quotient is kept."""
 
     m: int
     dims: dict
-    representatives: dict
-    denominators: dict
+    cocycles: dict
+    coboundaries: dict
 
     def dim(self, p, q):
         return self.dims.get((p, q), 0)
 
-    def classes(self, p, q):
-        """(representatives, denominators) of slot (p, q); off the grid
-        both are the zero subspace of k^0."""
+    def spaces(self, p, q):
+        """(cocycles, coboundaries) of slot (p, q); off the grid both are
+        the zero subspace of k^0."""
         zero = Subspace.zero(0)
-        return (self.representatives.get((p, q), zero),
-                self.denominators.get((p, q), zero))
+        return (self.cocycles.get((p, q), zero),
+                self.coboundaries.get((p, q), zero))
 
 
 def _quotient_table(route, m, parts):
     """The quotients num / den of ``parts`` = {(p, q): (num, den)}; a
     failure names ``route`` and the slot."""
-    dims = {}
-    reps = {}
-    dens = {}
     for (p, q), (num, den) in parts.items():
         if not num.contains(den):
             raise ConsistencyError(
                 "%s: coboundaries are not cocycles on slot (%d, %d)"
                 % (route, p, q))
-        dims[(p, q)] = num.dim - den.dim
-        reps[(p, q)] = complement_in(den, num)
-        dens[(p, q)] = den
-    return CohomologyTable(m, dims, reps, dens)
+    return CohomologyTable(
+        m, {pq: num.dim - den.dim for pq, (num, den) in parts.items()},
+        {pq: num for pq, (num, _) in parts.items()},
+        {pq: den for pq, (_, den) in parts.items()})
 
 
 def operator_cohomology(cm, tag):
@@ -146,38 +140,43 @@ def dolbeault(cm):
 
 
 def induced_delbar(cm, mub_table):
-    """Matrix of delbar on mubar-cohomology classes, per slot.
+    """{(p, q): rank of delbar induced on mubar-classes out of (p, q)}.
 
-    Classes are written in the representative bases of ``mub_table``; the
-    image classes are extracted by one solve against [representatives |
-    Im mubar].  Cross-checks the Dolbeault computation: the cohomology of
-    this operator has the same dimensions.
+    With K = Ker mubar_{p,q} and B = Im mubar_{p,q+1} it is rank
+    [delbar K | B] - dim B, one forward elimination, once products show
+    delbar K in Ker mubar_{p,q+1} and delbar Im mubar in B (a failure
+    names "mubar" and the slot).  Not rank E delbar K, E the equations of
+    B: ``dolbeault`` eliminates that very matrix, and the cross-check of
+    the two routes could not fail.
     """
-    basis = cm.basis
-    out = {}
-    for (p, q) in basis.slots:
-        src = mub_table.representatives[(p, q)]
-        tgt_reps, tgt_den = mub_table.classes(p, q + 1)
-        x = tgt_reps.basis.hstack(tgt_den.basis).solve(
-            cm.block(DELBAR, p, q) @ src.basis)
-        if x is None:
+    ranks = {}
+    for (p, q) in cm.basis.slots:
+        ker, img = mub_table.spaces(p, q)
+        tgt_ker, tgt_img = mub_table.spaces(p, q + 1)
+        delbar = cm.block(DELBAR, p, q)
+        image = delbar @ ker.basis
+        if not (tgt_ker.equations() @ image).is_zero():
             raise ConsistencyError(
-                "delbar image not mubar-closed modulo boundaries at "
+                "mubar: delbar of the cocycles leaves Ker mubar at (%d, %d)"
+                % (p, q))
+        if not (tgt_img.equations() @ (delbar @ img.basis)).is_zero():
+            raise ConsistencyError(
+                "mubar: delbar of the coboundaries leaves Im mubar at "
                 "(%d, %d)" % (p, q))
-        out[(p, q)] = Matrix(tgt_reps.dim, src.dim, x.entries[:tgt_reps.dim])
-    return out
+        ranks[(p, q)] = image.hstack(tgt_img.basis).rank() - tgt_img.dim
+    return ranks
 
 
-def cohomology_dims_of_operator(mats):
-    """Dims of Ker/Im for a square-zero slotwise operator along q, zero
-    entries left out."""
-    ranks = {pq: mat.rank() for pq, mat in mats.items()}
-    dims = {}
-    for (p, q), mat in mats.items():
-        dim = mat.cols - ranks[(p, q)] - ranks.get((p, q - 1), 0)
+def cohomology_dims(dims, ranks):
+    """Dims of the cohomology of a square-zero slotwise operator along q,
+    from the dims of its source spaces and its ranks, {(p, q): rank of
+    the map out of slot (p, q)}; zero entries left out."""
+    out = {}
+    for (p, q), dim in dims.items():
+        dim -= ranks.get((p, q), 0) + ranks.get((p, q - 1), 0)
         if dim:
-            dims[(p, q)] = dim
-    return dims
+            out[(p, q)] = dim
+    return out
 
 
 def top_cohomology_is_line(cm):

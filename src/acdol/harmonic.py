@@ -73,7 +73,7 @@ import functools
 from dataclasses import dataclass
 
 from . import forms, liealg
-from .cohomology import (Check, ConsistencyError, cohomology_dims_of_operator,
+from .cohomology import (Check, ConsistencyError, cohomology_dims,
                          top_cohomology_is_line)
 from .forms import BIDEGREE, CONJUGATE_TAG, DELBAR, MU, MUBAR, PARTIAL
 from .kernel import I, ONE, ZERO, from_rational
@@ -508,7 +508,8 @@ def delb_mub_checks(dmb, h_dol_dims):
     rank op_{q-1} + dim harmonic + rank op_q = dim H_mubar, that is, when
     the harmonic dims are the cohomology dims of op.  The decomposition
     entry's detail names the first failing slot."""
-    coh = cohomology_dims_of_operator(dmb.op)
+    coh = cohomology_dims({pq: op.cols for pq, op in dmb.op.items()},
+                          {pq: op.rank() for pq, op in dmb.op.items()})
     dims = dmb.harmonic_dims()
     ranks = next(("rank identity fails on slot (%d, %d)" % pq
                   for pq in sorted(set(dims) | set(coh))

@@ -13,11 +13,12 @@ intersection is the kernel of both sets of equations stacked, a preimage
 and containment is one product with the equations.  Each Matrix keeps
 its kernel and its column span once computed, on the instance and with no
 hashing of the entries, so routes that read the same block share one
-elimination per subspace.  A canonical basis is
-the identity on its lead rows, so a vector of the span has its entries
-there as coordinates, and the product of two RCEF bases is in RCEF: a
-complement inside a subspace is one forward elimination of the inner
-space's coordinates, dim inner x dim outer.  The equations of a subspace
+elimination per subspace.  A canonical basis is the identity on its lead
+rows, so a vector of the span has its entries there as coordinates, and
+the product of two RCEF bases is in RCEF.  No complement of a subspace is
+ever built: a quotient is read through the equations of the subspace
+divided out, as its dimension or as the rank of a map into it.  The
+equations of a subspace
 S give the coordinates of the quotient by S, so a sum S + span(W) is one
 RCEF of the quotient coordinates of W, lifted and merged with the basis
 of S (``Subspace.extended``, the one sum route).  ``Matrix.from_blocks``
@@ -413,27 +414,3 @@ class Subspace:
             raise LinalgError("ambient dimension mismatch: %d vs %d"
                               % (self.ambient_dim, other.ambient_dim))
 
-
-def complement_in(inner, outer):
-    """A canonical complement of ``inner`` inside ``outer``.
-
-    Requires inner to be contained in outer, which the caller checks.
-    Restricted to its lead rows outer's canonical basis is the identity,
-    so a vector of outer has as coordinates its entries at those rows.
-    Column j of outer's basis is left out exactly when some vector of
-    inner has its last nonzero coordinate at j: these are the pivots of
-    one forward elimination of inner's coordinates in reversed order, and
-    the kept columns are the pivot columns of [inner | outer] past
-    inner's.  A subset of RCEF columns is in RCEF, so the result is
-    canonical as it stands.  It satisfies inner + result = outer and
-    inner.intersect(result) = 0.
-    """
-    d = outer.dim
-    lead = outer.lead_rows()[::-1]
-    coords = [[inner.basis.entries[r][i] for r in lead]
-              for i in range(inner.dim)]
-    skipped = {d - 1 - p for p in kernel.echelon(coords, d)[1]}
-    chosen = [j for j in range(d) if j not in skipped]
-    return Subspace(outer.ambient_dim, Matrix(
-        outer.ambient_dim, len(chosen),
-        [[row[j] for j in chosen] for row in outer.basis.entries]))

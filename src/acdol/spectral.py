@@ -24,7 +24,8 @@ and the sequence degenerates at the first page past every gap, so the
 reduction holds every page and the degeneration page with no cap.
 ``explicit_page`` computes the same dimensions from witness-chain systems
 as an independent oracle, solving each distinct system once per
-differential.
+differential, and ``dolbeault_delta1`` the ranks of d_1 on Dolbeault
+classes from the witness formula, as the oracle of the gap-1 pairs.
 """
 
 from __future__ import annotations
@@ -286,12 +287,12 @@ def explicit_spaces(cm, r, p, q):
     analysis solve each distinct witness system once."""
     slots = cm.basis.slots
     spaces = []
-    for solve, length in ((explicit_cycles, _cycle_length(slots, r, p, q)),
-                          (explicit_boundaries,
-                           _boundary_length(slots, r, p, q))):
-        key = (solve.__name__, length, p, q)
+    for system, length in ((explicit_cycles, _cycle_length(slots, r, p, q)),
+                           (explicit_boundaries,
+                            _boundary_length(slots, r, p, q))):
+        key = (system.__name__, length, p, q)
         if key not in cm.witness_spaces:
-            cm.witness_spaces[key] = solve(cm, length, p, q)
+            cm.witness_spaces[key] = system(cm, length, p, q)
         spaces.append(cm.witness_spaces[key])
     return spaces
 
@@ -318,57 +319,58 @@ def _boundary_length(slots, r, p, q):
 
 
 def dolbeault_delta1(cm, dol):
-    """delta_1 on Dolbeault representatives via the witness formula.
+    """delta_1 via the witness formula, one matrix Q per slot.
 
-    For a class [w] with mubar w = 0 and delbar w = mubar eta, the image is
-    [partial w - delbar eta] in H_Dol^{p+1, q}.  The class does not depend
-    on the witness eta: another witness differs by k in Ker(mubar) and moves
-    the image by delbar k, a Dolbeault coboundary, which
-    ``witness_independent`` re-verifies for the whole of Ker(mubar) at once.
-    Per slot, one solve gives the witnesses of every representative and one
-    more their classes; off the grid the target classes are those of k^0.
+    For a cocycle w, mubar w = 0 and delbar w = mubar eta, the image is
+    [partial w - delbar eta] in H_Dol^{p+1, q}.  One solve gives the
+    witnesses of the cocycles Z of ``dol``, whose images must be cocycles
+    of slot (p + 1, q); Q = E (partial Z - delbar eta), E the equations of
+    the coboundaries there.  Z maps onto the classes, so rank Q is the
+    rank of delta_1 once it maps coboundaries to coboundaries, which
+    ``witness_independent`` checks.  Off the grid the target is k^0.
     """
-    basis = cm.basis
     mats = {}
-    for (p, q) in basis.slots:
-        src = dol.representatives[(p, q)]
-        tgt_reps, tgt_den = dol.classes(p + 1, q)
-        eta = cm.block(MUBAR, p + 1, q - 1).solve(
-            cm.block(DELBAR, p, q) @ src.basis)
+    for (p, q) in cm.basis.slots:
+        src = dol.cocycles[(p, q)].basis
+        tgt_cocycles, tgt_coboundaries = dol.spaces(p + 1, q)
+        eta = cm.block(MUBAR, p + 1, q - 1).solve(cm.block(DELBAR, p, q) @ src)
         if eta is None:
             raise ConsistencyError(
-                "no mubar-witness at (%d, %d): a representative is not a "
-                "page-1 cycle" % (p, q))
-        image = (cm.block(PARTIAL, p, q) @ src.basis
+                "no mubar-witness at (%d, %d): a cocycle is not a page-1 "
+                "cycle" % (p, q))
+        image = (cm.block(PARTIAL, p, q) @ src
                  - cm.block(DELBAR, p + 1, q - 1) @ eta)
-        x = tgt_reps.basis.hstack(tgt_den.basis).solve(image)
-        if x is None:
+        if not (tgt_cocycles.equations() @ image).is_zero():
             raise ConsistencyError(
                 "delta_1 image is not a Dolbeault cocycle at (%d, %d)"
                 % (p, q))
-        mats[(p, q)] = Matrix(tgt_reps.dim, src.dim, x.entries[:tgt_reps.dim])
+        mats[(p, q)] = tgt_coboundaries.equations() @ image
     return mats
 
 
-def witness_independent(cm, dol, p, q):
-    """Check the delta_1 classes of slot (p, q) do not depend on the witness.
+def witness_independent(cm, dol, delta1, p, q):
+    """Whether the witness ``delta1`` of slot (p, q) is well defined on
+    Dolbeault classes, the input of that oracle (not the reduction).
 
-    Another witness is eta + k with k in Ker mubar_{p+1,q-1}, which moves
-    the image by delbar k; so the check is that delbar(Ker mubar_{p+1,q-1})
-    lies in the Dolbeault coboundaries of slot (p+1, q), the denominators
-    of the zig-zag table ``dol``.  What the battery's
-    ``delta1_witness_independence`` certifies is therefore the input of
-    the witness delta_1 oracle: that ``dol`` makes delta_1 well defined on
-    classes.  It certifies nothing about the pages or the Hodge reduction,
-    and it can fail only on a table that ``cohomology.dolbeault`` did not
-    build, whose denominators contain delbar(Ker mubar) by construction.
+    Another witness eta + k, k in Ker mubar_{p+1,q-1}, moves the image by
+    delbar k, so delbar Ker mubar_{p+1,q-1} must lie in the coboundaries
+    of (p + 1, q), as ``cohomology.dolbeault`` builds them.  And delta_1
+    must map the coboundaries B of (p, q) into those: B = Z C, C the rows
+    of B's basis at the lead rows of the cocycles Z, so Q C = 0 for the
+    Q of ``dolbeault_delta1``.  A witness formula with the sign of
+    delbar eta flipped fails it.
     """
-    if dol.representatives[(p, q)].dim == 0:
+    if dol.dim(p, q) == 0:
         return True
-    _, tgt_den = dol.classes(p + 1, q)
+    cocycles, coboundaries = dol.spaces(p, q)
+    _, tgt_coboundaries = dol.spaces(p + 1, q)
     kernel = Subspace.kernel(cm.block(MUBAR, p + 1, q - 1)).basis
-    return (tgt_den.equations()
-            @ (cm.block(DELBAR, p + 1, q - 1) @ kernel)).is_zero()
+    coords = Matrix(cocycles.dim, coboundaries.dim,
+                    [coboundaries.basis.entries[r]
+                     for r in cocycles.lead_rows()])
+    return ((tgt_coboundaries.equations()
+             @ (cm.block(DELBAR, p + 1, q - 1) @ kernel)).is_zero()
+            and (delta1[(p, q)] @ coords).is_zero())
 
 
 def decalage_check(cm, hodge):

@@ -12,16 +12,17 @@ metric (see notes/decisions.md).
 import os
 
 from acdol import docio, pipeline
-from acdol.cohomology import (cohomology_dims_of_operator, de_rham,
-                              dolbeault, euler_characteristic)
+from acdol.cohomology import (cohomology_dims, de_rham, dolbeault,
+                              euler_characteristic)
 from acdol.forms import (MUBAR, build_basis, build_differential,
                          verify_relations)
 from acdol.harmonic import (build_hermitian, delb_mub,
                             metric_independence_probe)
 from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.linalg import Matrix
-from acdol.spectral import (decalage_check, explicit_page, frolicher_all,
-                            infinity_vs_betti, witness_independent)
+from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_page,
+                            frolicher_all, infinity_vs_betti,
+                            witness_independent)
 from conftest import (_invert, builtin_analysis, dims_grid,
                       random_nilpotent_spec, seeded_rng)
 from test_harmonic import _delb_mub_oracle
@@ -224,7 +225,8 @@ def _structural_battery(cm, hs, h_dol, betti):
             Matrix.identity(coords.rows)
         assert (coords @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
     # delbar_mub squares to zero (asserted in delb_mub) and matches Dolbeault
-    coh = cohomology_dims_of_operator(dmb.op)
+    coh = cohomology_dims({pq: op.cols for pq, op in dmb.op.items()},
+                          {pq: op.rank() for pq, op in dmb.op.items()})
     for p in range(m + 1):
         for q in range(m + 1):
             assert coh.get((p, q), 0) == h_dol.dim(p, q)
@@ -234,9 +236,10 @@ def _structural_battery(cm, hs, h_dol, betti):
             for q in range(m + 1):
                 assert h_dol.dim(p, q) == h_dol.dim(m - p, m - q)
     # witness independence of delta_1
+    delta1 = dolbeault_delta1(cm, h_dol)
     for p in range(m + 1):
         for q in range(m + 1):
-            assert witness_independent(cm, h_dol, p, q)
+            assert witness_independent(cm, h_dol, delta1, p, q)
     # edge monotonicity of the pages
     pages = frolicher_all(cm)
     for r in range(1, 2 * m + 2):

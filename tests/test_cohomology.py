@@ -5,11 +5,10 @@ import dataclasses
 import pytest
 
 from acdol import cohomology, forms, kernel
-from acdol.cohomology import (ConsistencyError, consistency_report, de_rham,
-                              dolbeault,
+from acdol.cohomology import (ConsistencyError, cohomology_dims,
+                              consistency_report, de_rham, dolbeault,
                               euler_characteristic, induced_delbar,
                               mub_cohomology, operator_cohomology,
-                              cohomology_dims_of_operator,
                               top_cohomology_is_line)
 from acdol.forms import (DELBAR, MU, MUBAR, PARTIAL, build_basis,
                          build_differential)
@@ -86,20 +85,22 @@ def test_b0_always_one():
 
 
 def test_representatives_span_quotients():
+    # oracle: the cocycles as the intersection of Ker mubar with the
+    # preimage of Im mubar, and the coboundaries as one RCEF of the stacked
+    # [mubar | delbar K]; the quotient's dimension is the Dolbeault number
     an = builtin_analysis("filiform-J")
     cm = an.cm
     dol = dolbeault(cm)
-    for (p, q), rep in dol.representatives.items():
-        # the cocycles: Ker mubar whose delbar lands in Im mubar, as the
-        # intersection of Ker mubar with the preimage of Im mubar
+    assert sorted(dol.cocycles) == sorted(dol.coboundaries) == sorted(
+        cm.basis.slots)
+    for (p, q), num in dol.cocycles.items():
         im_above = Subspace.from_matrix_columns(cm.block(MUBAR, p + 1, q - 1))
-        num = Subspace.kernel(cm.block(MUBAR, p, q)).intersect(
+        assert num == Subspace.kernel(cm.block(MUBAR, p, q)).intersect(
             Subspace.kernel(im_above.equations() @ cm.block(DELBAR, p, q)))
-        den = dol.denominators[(p, q)]
+        den = dol.coboundaries[(p, q)]
+        assert den == _stacked_coboundaries(cm, p, q)
         assert num.contains(den)
-        assert rep.dim == an.h_dol.get((p, q), 0)
-        assert den + rep == num
-        assert den.intersect(rep).dim == 0
+        assert num.dim - den.dim == dol.dim(p, q) == an.h_dol.get((p, q), 0)
 
 
 def _counted_cm():
@@ -110,34 +111,41 @@ def _counted_cm():
 
 def test_oracle_routes_take_one_elimination_per_subspace(monkeypatch):
     # mub_cohomology: per slot the kernel and the image, one rref each;
-    # containment and the complement take none.  dolbeault: per slot the
-    # kernel of mubar, the image one row up and the kernel of the quotient
-    # coordinates E delbar K, and per slot with q >= 1 the span of the
-    # quotient coordinates of the slot below, its coboundaries; on q = 0
-    # they are zero and take none.  16 slots at m = 3, 4 of them on q = 0:
+    # containment takes none.  dolbeault: per slot the kernel of mubar, the
+    # image one row up and the kernel of the quotient coordinates
+    # E delbar K, and per slot with q >= 1 the span of the quotient
+    # coordinates of the slot below, its coboundaries; on q = 0 they are
+    # zero and take none.  16 slots at m = 3, 4 of them on q = 0:
     # 16 + 16 + 16 + 12 = 4 * 16 - 4.  Each Matrix keeps its kernel and
     # span, and cm.block builds each off-grid block once, so on one cm a
     # later route takes none for the 16 kernels of mubar and for the 12
     # images that both oracle routes read: those of the blocks
     # (p + 1, q - 1) with q <= 2, which mub_cohomology reads as the images
     # of slot (p, q + 1), 6 of them off the grid.  The Hodge generators of
-    # frolicher_all take the same 16 kernels and nothing else.
+    # frolicher_all take the same 16 kernels and nothing else.  Every rref
+    # runs one forward elimination, and the tables run no other, no
+    # complement of the coboundaries in particular, so each route's
+    # echelon count is its rref count.
     def counts(*routes):
         cm = _counted_cm()
-        calls = {}
-        rref = kernel.rref
+        rrefs, echelons = {}, {}
+        rref, echelon = kernel.rref, kernel.echelon
 
-        def counted(name):
+        def counted(calls, name, fn):
             def wrapper(rows, ncols):
                 calls[name] = calls.get(name, 0) + 1
-                return rref(rows, ncols)
+                return fn(rows, ncols)
             return wrapper
 
         with monkeypatch.context() as patch:
             for route in routes:
-                patch.setattr(kernel, "rref", counted(route.__name__))
+                name = route.__name__
+                patch.setattr(kernel, "rref", counted(rrefs, name, rref))
+                patch.setattr(kernel, "echelon",
+                              counted(echelons, name, echelon))
                 route(cm)
-        return calls
+        assert echelons == rrefs
+        return rrefs
 
     assert counts(mub_cohomology, dolbeault) == {
         "mub_cohomology": 2 * 16, "dolbeault": 4 * 16 - 4 - 16 - 12}
@@ -188,23 +196,35 @@ def test_dolbeault_two_routes_agree_on_random_specs():
                                 build_basis(2))
         hm = mub_cohomology(cm)
         route1 = dolbeault(cm).dims
-        route2 = cohomology_dims_of_operator(induced_delbar(cm, hm))
+        route2 = cohomology_dims(hm.dims, induced_delbar(cm, hm))
         for p in range(3):
             for q in range(3):
                 assert route1.get((p, q), 0) == route2.get((p, q), 0)
 
 
 def test_induced_delbar_flags_an_image_outside_the_classes():
-    # negative control: without Im mubar in slot (0, 2) of filiform-J the
-    # delbar images of the (0, 1) classes have no class coordinates
+    # negative controls: with the cocycles of slot (0, 2) of filiform-J
+    # cut down to zero, the delbar images of the (0, 1) cocycles leave
+    # them; with Im mubar of slot (1, 3) of su2su2-nk cut down to zero,
+    # the delbar images of Im mubar of slot (1, 2) leave it
     cm = builtin_analysis("filiform-J").cm
     hm = mub_cohomology(cm)
     induced_delbar(cm, hm)
-    den = hm.denominators[(0, 2)]
-    assert den.dim
-    tampered = dataclasses.replace(hm, denominators={
-        **hm.denominators, (0, 2): Subspace.zero(den.ambient_dim)})
-    with pytest.raises(ConsistencyError, match=r"at \(0, 1\)"):
+    ker = hm.cocycles[(0, 2)]
+    tampered = dataclasses.replace(hm, cocycles={
+        **hm.cocycles, (0, 2): Subspace.zero(ker.ambient_dim)})
+    with pytest.raises(ConsistencyError, match=(
+            r"^mubar: delbar of the cocycles leaves Ker mubar at \(0, 1\)$")):
+        induced_delbar(cm, tampered)
+    cm = builtin_analysis("su2su2-nk").cm
+    hm = mub_cohomology(cm)
+    induced_delbar(cm, hm)
+    img = hm.coboundaries[(1, 3)]
+    tampered = dataclasses.replace(hm, coboundaries={
+        **hm.coboundaries, (1, 3): Subspace.zero(img.ambient_dim)})
+    with pytest.raises(ConsistencyError, match=(
+            r"^mubar: delbar of the coboundaries leaves Im mubar at "
+            r"\(1, 2\)$")):
         induced_delbar(cm, tampered)
 
 
@@ -521,7 +541,7 @@ def test_coboundaries_without_clearing_fail_the_stacked_span(monkeypatch):
     monkeypatch.setattr(Subspace, "extended", _extended_without_clearing)
     assert _mismatched_coboundaries("filiform-Jprime", monkeypatch) == [
         (1, 2)]
-    den = dolbeault(cm).denominators[(1, 2)]
+    den = dolbeault(cm).coboundaries[(1, 2)]
     assert Subspace.from_matrix_columns(den.basis) == _stacked_coboundaries(
         cm, 1, 2)
 
@@ -529,26 +549,21 @@ def test_coboundaries_without_clearing_fail_the_stacked_span(monkeypatch):
 def test_quotient_table_rejects_coboundaries_outside_the_cocycles(
         monkeypatch):
     # negative control: with the whole slot as its coboundaries, a slot
-    # whose cocycles are smaller fails the containment check before the
-    # complement, which reads coordinates that only containment makes
-    # meaningful, runs; the failure names the route and the slot
+    # whose cocycles are smaller fails the containment check; the failure
+    # names the route and the slot
     cm = _cm_of("filiform-J")
     (p, q), (num, den) = next(
         (pq, part) for pq, part in sorted(
             _dolbeault_parts(cm, monkeypatch).items())
         if part[0].dim < part[0].ambient_dim)
-    calls = []
-    complement = cohomology.complement_in
-    monkeypatch.setattr(cohomology, "complement_in", lambda inner, outer: (
-        calls.append((inner, outer)) or complement(inner, outer)))
-    cohomology._quotient_table("dolbeault", cm.m, {(p, q): (num, den)})
-    assert calls == [(den, num)]
+    table = cohomology._quotient_table("dolbeault", cm.m, {(p, q): (num, den)})
+    assert table.spaces(p, q) == (num, den)
+    assert table.dim(p, q) == num.dim - den.dim
     whole = Subspace.kernel(Matrix.zero(0, num.ambient_dim))
     with pytest.raises(ConsistencyError, match=(
             r"^dolbeault: coboundaries are not cocycles on slot \(%d, %d\)$"
             % (p, q))):
         cohomology._quotient_table("dolbeault", cm.m, {(p, q): (num, whole)})
-    assert calls == [(den, num)]
 
 
 def test_mubar_route_names_itself_on_coboundaries_outside_the_cocycles(

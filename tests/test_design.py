@@ -20,7 +20,11 @@ in that module, read off its syntax tree the same way.  The star formula
 layer gets no differential of its own; and ``Matrix.inverse`` to its two
 readers, ``liealg.complexify`` and the K = H^{-1} of
 ``HermitianStructure.__init__``, so that no slot inverse comes back:
-delbar_mub solves with the compressions instead.  The mubar decomposition's
+delbar_mub solves with the compressions instead.  ``Matrix.solve`` is
+pinned to its two readers, ``harmonic.delb_mub`` and the witnesses of
+``spectral.dolbeault_delta1``, so that no solve for class coordinates
+comes back: the cohomology tables keep no basis of the classes, and the
+induced maps are read as ranks.  The mubar decomposition's
 certificate ``harmonic.mub_decomposition`` is pinned to its three readers,
 the battery (``verification_checks``), the ``harmonic`` command's
 certificate (``cli._certificate``) and the metric probe, which certifies
@@ -251,6 +255,13 @@ def test_no_slot_inverse():
     # is complexify's change of frame
     assert _readers(_trees(["src/acdol"]), "inverse") == [
         "HermitianStructure.__init__", "complexify"]
+
+
+def test_no_class_solve():
+    # the quotients are read through ranks, so the only solves are the
+    # witnesses of delta_1 and delbar_mub from the compressions
+    assert _readers(_trees(["src/acdol"]), "solve") == [
+        "delb_mub", "dolbeault_delta1"]
 
 
 def test_mubar_certificate_runs_once_per_layer():

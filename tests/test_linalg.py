@@ -1,10 +1,9 @@
 """Exact linear algebra: ranks, kernels, solves, subspace lattice, blocks.
 
 The subspace operations are checked against ``_subspace_oracle``, the
-earlier formulas that take two or more eliminations per result, or for a
-complement one elimination of the stacked [inner | outer], and the block
-assembly of d against ``_total_matrix_oracle``, the earlier entry-by-entry
-placement.
+earlier formulas that take two or more eliminations per result, and the
+block assembly of d against ``_total_matrix_oracle``, the earlier
+entry-by-entry placement.
 """
 
 import random
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from acdol import catalog, kernel
 from acdol.forms import BIDEGREE
 from acdol.kernel import I, ONE, ZERO, Scalar
-from acdol.linalg import LinalgError, Matrix, Subspace, complement_in
+from acdol.linalg import LinalgError, Matrix, Subspace
 from conftest import named_analysis
 
 
@@ -102,16 +101,6 @@ class _subspace_oracle:
     def add(u, v):
         """The span of the stacked bases [u | v], one RCEF."""
         return Subspace.from_matrix_columns(u.basis.hstack(v.basis))
-
-    @staticmethod
-    def complement_in(inner, outer):
-        """The columns of outer's canonical basis at the pivot columns of
-        [inner | outer] past inner's."""
-        d = inner.dim
-        chosen = [p - d for p in inner.basis.hstack(outer.basis).pivots()
-                  if p >= d]
-        return Subspace(outer.ambient_dim, Matrix.from_columns(
-            [outer.basis.col(j) for j in chosen], outer.ambient_dim))
 
 
 def _is_rcef(basis):
@@ -520,41 +509,6 @@ def test_dimension_identity_random(seed):
     u = Subspace.from_matrix_columns(rand_matrix(rng, 6, rng.randint(0, 4)))
     v = Subspace.from_matrix_columns(rand_matrix(rng, 6, rng.randint(0, 4)))
     assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
-
-
-def _check_complement(inner, outer):
-    comp = complement_in(inner, outer)
-    assert comp == _subspace_oracle.complement_in(inner, outer)
-    assert _is_rcef(comp.basis)
-    assert inner + comp == outer
-    assert inner.intersect(comp).dim == 0
-    return comp
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_complement_in_matches_oracle_on_nested_pairs(seed):
-    rng = random.Random(seed)
-    n = rng.randint(0, 7)
-    outer = rand_subspace(rng, n)
-    inner = Subspace.from_matrix_columns(
-        outer.basis @ rand_low_rank(rng, outer.dim, rng.randint(0, 4)))
-    _check_complement(inner, outer)
-
-
-def test_complement_in():
-    # inner = 0, inner = outer, outer = the whole space, ambient dimension 0
-    rng = random.Random(37)
-    whole = Subspace.kernel(Matrix.zero(0, 6))
-    outer = Subspace.from_matrix_columns(rand_matrix(rng, 6, 4))
-    inner = outer.intersect(Subspace.from_matrix_columns(rand_matrix(rng, 6, 4)))
-    assert 0 < inner.dim < outer.dim < 6
-    assert _check_complement(Subspace.zero(6), outer) == outer
-    assert _check_complement(outer, outer).dim == 0
-    assert _check_complement(inner, whole).dim == 6 - inner.dim
-    assert _check_complement(whole, whole).dim == 0
-    assert _check_complement(Subspace.zero(0), Subspace.zero(0)).dim == 0
-    _check_complement(inner, outer)
 
 
 def test_inverse_round_trip():

@@ -13,6 +13,7 @@ from acdol import (catalog, cohomology, docio, forms, harmonic, linalg,
                    pipeline, spectral)
 from acdol.cohomology import de_rham, dolbeault, mub_cohomology
 from conftest import builtin_analysis, random_nilpotent_spec, seeded_rng
+from test_spectral import _witness_images
 
 ORACLES = ("mub_cohomology", "dolbeault", "de_rham")
 SPECS = {
@@ -201,3 +202,57 @@ def test_oracles_catch_a_tampered_reduction(monkeypatch):
     assert an.betti == good.betti
     assert not got["first_page_equals_dolbeault"]
     assert all(got[name] for name in einf)
+
+
+def _entry(an, name):
+    return next(c for c in pipeline.verification_checks(an) if c.name == name)
+
+
+def test_two_route_agreement_names_the_first_failing_slot(monkeypatch):
+    # negative control: the Dolbeault coboundaries each one dimension short
+    # wherever the quotient coordinates add to Im mubar, which moves h_dol
+    # on slots (1, 1) and (1, 2) of filiform-Jprime; the induced delbar
+    # ranks the stacked [delbar K | Im mubar] and does not move with it
+    an = builtin_analysis("filiform-Jprime")
+    entry = _entry(an, "h_dol_two_route_agreement")
+    assert entry.passed and entry.detail == ""
+    extended = linalg.Subspace.extended
+
+    def short(self, quotient):
+        out = extended(self, quotient)
+        basis = out.basis
+        return out if out.dim == self.dim else linalg.Subspace(
+            out.ambient_dim, linalg.Matrix(basis.rows, basis.cols - 1,
+                                           [r[:-1] for r in basis.entries]))
+
+    dolbeault = cohomology.dolbeault
+
+    def tampered(cm):
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg.Subspace, "extended", short)
+            return dolbeault(cm)
+
+    monkeypatch.setattr(cohomology, "dolbeault", tampered)
+    entry = _entry(an, "h_dol_two_route_agreement")
+    assert not entry.passed
+    assert entry.detail == "fails on slot (1, 1)"
+
+
+def test_witness_independence_entry_names_the_first_failing_slot(
+        monkeypatch):
+    # negative control: the witness delta_1 with the sign of delbar eta
+    # flipped is not well defined on the classes of slot (1, 1) of
+    # filiform-Jprime
+    an = builtin_analysis("filiform-Jprime")
+    entry = _entry(an, "delta1_witness_independence")
+    assert entry.passed and entry.detail == ""
+
+    def flipped(cm, dol):
+        return {(p, q): dol.spaces(p + 1, q)[1].equations() @ _witness_images(
+            cm, p, q, dol.cocycles[(p, q)].basis, flip=True)
+            for (p, q) in cm.basis.slots}
+
+    monkeypatch.setattr(spectral, "dolbeault_delta1", flipped)
+    entry = _entry(an, "delta1_witness_independence")
+    assert not entry.passed
+    assert entry.detail == "fails on slot (1, 1)"

@@ -22,7 +22,7 @@ from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_page,
 from conftest import (GOLDEN_INPUTS, ORACLE_INPUTS, builtin_analysis,
                       dims_grid, named_analysis, random_nilpotent_spec,
                       seeded_rng)
-from test_cohomology import NON_UNIMODULAR, _cm_of
+from test_cohomology import NON_UNIMODULAR, _cm_of, _stacked_coboundaries
 from test_liealg import _orthogonal_frame_oracle
 from test_linalg import _subspace_oracle
 
@@ -303,44 +303,59 @@ def test_reduction_certificate_flags_a_wrong_reduction():
 def test_su2su2_delta1_injective_on_01():
     an = builtin_analysis("su2su2-nk")
     mat = dolbeault_delta1(an.cm, dolbeault(an.cm))[(0, 1)]
-    assert mat.cols == 3 and mat.rank() == 3
+    assert mat.rank() == an.h_dol[(0, 1)] == 3
 
 
 def test_witness_delta1_agrees_with_generic_ranks():
     an = builtin_analysis("filiform-J")
-    d1 = dolbeault_delta1(an.cm, dolbeault(an.cm))
+    dol = dolbeault(an.cm)
+    d1 = dolbeault_delta1(an.cm, dol)
     assert d1[(1, 1)].rank() == 1
     assert d1[(0, 1)].rank() == 1
     sources = [src for src, _ in an.pages.pairs(1)]
     for key, mat in d1.items():
         assert mat.rank() == sources.count(key)
-    # cohomology of the witness delta1 equals the second page
+    # cohomology of the witness delta1 on classes equals the second page
     for (p, q) in an.cm.basis.slots:
-        out = d1.get((p, q))
         inc = d1.get((p - 1, q))
-        if out is None:
-            continue
-        ker = out.cols - out.rank()
         img = inc.rank() if inc is not None else 0
-        assert ker - img == an.pages.dims(2).get((p, q), 0)
+        assert (dol.dim(p, q) - d1[(p, q)].rank() - img
+                == an.pages.dims(2).get((p, q), 0))
+
+
+def _witness_images(cm, p, q, cocycles, flip=False):
+    """The witness formula partial w - delbar eta, mubar eta = delbar w,
+    on the columns w of ``cocycles`` in slot (p, q), into slot (p + 1, q);
+    with ``flip`` the sign of delbar eta is wrong."""
+    eta = cm.block(MUBAR, p + 1, q - 1).solve(cm.block(DELBAR, p, q)
+                                              @ cocycles)
+    assert eta is not None
+    shift = cm.block(DELBAR, p + 1, q - 1) @ eta
+    image = cm.block(PARTIAL, p, q) @ cocycles
+    return image + shift if flip else image - shift
 
 
 def test_delta1_squares_to_zero():
-    an = builtin_analysis("su2su2-nk")
-    d1 = dolbeault_delta1(an.cm, dolbeault(an.cm))
-    for (p, q), mat in d1.items():
-        nxt = d1.get((p + 1, q))
-        if nxt is not None and mat.cols and nxt.rows:
-            assert (nxt @ mat).is_zero()
+    # the witness formula applied twice lands in the coboundaries of
+    # (p + 2, q), the stacked oracle's
+    for name in ("su2su2-nk", "s3s3-nk", "filiform-J", "random-m3-seed1"):
+        cm = _cm_of(name)
+        dol = dolbeault(cm)
+        for (p, q), cocycles in dol.cocycles.items():
+            once = _witness_images(cm, p, q, cocycles.basis)
+            twice = _witness_images(cm, p + 1, q, once)
+            assert _stacked_coboundaries(cm, p + 2, q).contains(
+                Subspace.from_matrix_columns(twice)), (name, p, q)
 
 
 @pytest.mark.parametrize("name", ["filiform-J", "kt-J", "su2su2-nk"])
 def test_witness_independence(name):
     an = builtin_analysis(name)
     dol = dolbeault(an.cm)
+    delta1 = dolbeault_delta1(an.cm, dol)
     for p in range(an.m + 1):
         for q in range(an.m + 1):
-            assert witness_independent(an.cm, dol, p, q)
+            assert witness_independent(an.cm, dol, delta1, p, q)
 
 
 def test_witness_independence_flags_a_missing_coboundary():
@@ -349,16 +364,17 @@ def test_witness_independence_flags_a_missing_coboundary():
     an = builtin_analysis("su2su2-nk")
     cm = an.cm
     dol = dolbeault(cm)
-    for (p, q), rep in sorted(dol.representatives.items()):
-        den = dol.denominators.get((p + 1, q))
+    delta1 = dolbeault_delta1(cm, dol)
+    for (p, q) in sorted(dol.cocycles):
+        den = dol.coboundaries.get((p + 1, q))
         shifts = Subspace.from_matrix_columns(
             cm.block(DELBAR, p + 1, q - 1)
             @ _subspace_oracle.nullspace_matrix(cm.block(MUBAR, p + 1, q - 1)))
-        if rep.dim and den is not None and shifts.dim:
+        if dol.dim(p, q) and den is not None and shifts.dim:
             break
     else:
         pytest.fail("no slot where the witness can move the image")
-    assert witness_independent(cm, dol, p, q)
+    assert witness_independent(cm, dol, delta1, p, q)
     cols = den.basis.columns()
     smaller = next(
         sub for sub in (Subspace.from_columns(den.ambient_dim,
@@ -366,21 +382,39 @@ def test_witness_independence_flags_a_missing_coboundary():
                         for k in range(len(cols)))
         if not sub.contains(shifts))
     tampered = dataclasses.replace(
-        dol, denominators={**dol.denominators, (p + 1, q): smaller})
-    assert not witness_independent(cm, tampered, p, q)
+        dol, coboundaries={**dol.coboundaries, (p + 1, q): smaller})
+    assert not witness_independent(cm, tampered, delta1, p, q)
+
+
+@pytest.mark.parametrize("name,slots", [("filiform-Jprime", [(1, 1)]),
+                                        ("s3s3-nk", [(1, 2)])])
+def test_witness_independence_flags_a_flipped_witness_term(name, slots):
+    # negative control: with the sign of delbar eta flipped, the images of
+    # the coboundaries of these slots leave the target's coboundaries
+    cm = _cm_of(name)
+    dol = dolbeault(cm)
+    flipped = {}
+    for (p, q), cocycles in dol.cocycles.items():
+        _, tgt_coboundaries = dol.spaces(p + 1, q)
+        flipped[(p, q)] = tgt_coboundaries.equations() @ _witness_images(
+            cm, p, q, cocycles.basis, flip=True)
+    delta1 = dolbeault_delta1(cm, dol)
+    assert [pq for pq in sorted(dol.cocycles)
+            if not witness_independent(cm, dol, delta1, *pq)] == []
+    assert [pq for pq in sorted(dol.cocycles)
+            if not witness_independent(cm, dol, flipped, *pq)] == slots
 
 
 def test_delta1_flags_an_image_outside_the_cocycles():
-    # negative control: without the Dolbeault coboundaries of slot (2, 2)
-    # of su2su2-nk the delta_1 images of the (1, 2) classes have no class
-    # coordinates
+    # negative control: without the Dolbeault cocycles of slot (2, 2) of
+    # su2su2-nk the delta_1 images of the (1, 2) cocycles, nonzero forms
+    # in the coboundaries there, are not cocycles
     cm = builtin_analysis("su2su2-nk").cm
     dol = dolbeault(cm)
     dolbeault_delta1(cm, dol)
-    den = dol.denominators[(2, 2)]
-    assert den.dim
-    tampered = dataclasses.replace(dol, denominators={
-        **dol.denominators, (2, 2): Subspace.zero(den.ambient_dim)})
+    num = dol.cocycles[(2, 2)]
+    tampered = dataclasses.replace(dol, cocycles={
+        **dol.cocycles, (2, 2): Subspace.zero(num.ambient_dim)})
     with pytest.raises(ConsistencyError,
                        match=r"not a Dolbeault cocycle at \(1, 2\)"):
         dolbeault_delta1(cm, tampered)
