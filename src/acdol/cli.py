@@ -4,9 +4,9 @@ Subcommands; each computes only what it prints, with its own checks:
 
     analyze   the result document, with the full property battery
     verify    the full property battery, one PASS/FAIL/SKIP line per check
-    pages     spectral-sequence pages only, certified by the Frolicher,
-              Euler and Serre checks and the reduction certificate; it
-              never builds the harmonic layer
+    pages     spectral-sequence pages only, certified by the d^2 = 0
+              identities, the Frolicher, Euler and Serre checks and the
+              reduction certificate; it never builds the harmonic layer
     harmonic  harmonic dimension tables only, certified by the checks of
               pages and the harmonic layer's: the star identities, the
               adjointness checks, the mubar Hodge decomposition and the
@@ -21,8 +21,9 @@ Exit codes: 0 success, 1 invalid input or a usage error (an unknown
 subcommand or option), 2 internal consistency failure (a
 failed check of the command, reported on stderr after the output as
 FAILED CHECK with its detail, or an exact identity that stops the run
-before any output).  The harmonic layer only computes: each of its
-identities is a check, so a failure there still prints the output.
+before any output).  The d^2 = 0 identities of the differential
+(``component_relations``) and the identities of the harmonic layer are
+checks, not stages, so a failure there still prints the output.
 Diagnostics go to stderr; stdout carries only the rendered data.
 """
 
@@ -113,7 +114,8 @@ def _certificate(an, command):
     the reduction certificate is an oracle of the battery only."""
     if command in ("analyze", "verify"):
         return pipeline.verification_checks(an)
-    checks = cohomology.consistency_report(an.h_dol, an.betti, an.m)
+    checks = [pipeline.relations_check(an.cm)]
+    checks += cohomology.consistency_report(an.h_dol, an.betti, an.m)
     checks.append(pipeline.reduction_certificate(an.pages, {}))
     if command == "harmonic":
         checks.append(harmonic.star_check(an.hs))

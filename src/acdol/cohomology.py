@@ -274,6 +274,15 @@ class Check:
     informational: bool = False
 
 
+def slot_check(name, slots, holds):
+    """The battery entry ``name`` of the identity ``holds(p, q)`` on
+    ``slots``, taken in their order (p-major on the grid): its detail names
+    the first slot the identity fails on, and is empty on a pass."""
+    bad = next((pq for pq in slots if not holds(*pq)), None)
+    return Check(name, bad is None,
+                 "" if bad is None else "fails on slot (%d, %d)" % bad)
+
+
 def consistency_report(dol, betti, m):
     """Frolicher inequalities, Euler equality, and (if applicable) Serre
     duality for the Dolbeault table ``dol`` = {(p, q): dim}."""
@@ -289,9 +298,10 @@ def consistency_report(dol, betti, m):
     checks.append(Check("euler_characteristic", chi_dol == chi,
                         "alternating Hodge sum %d vs chi %d" % (chi_dol, chi)))
     if betti[2 * m] == 1:
-        ok = all(dol.get((p, q), 0) == dol.get((m - p, m - q), 0)
-                 for p in range(m + 1) for q in range(m + 1))
-        checks.append(Check("serre_duality_dims", ok))
+        checks.append(slot_check(
+            "serre_duality_dims",
+            [(p, q) for p in range(m + 1) for q in range(m + 1)],
+            lambda p, q: dol.get((p, q), 0) == dol.get((m - p, m - q), 0)))
     else:
         checks.append(Check("serre_duality_dims", True,
                             "skipped: top Betti number is not 1", skipped=True))

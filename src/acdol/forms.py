@@ -13,7 +13,9 @@ per monomial (``derivation``), both take their signs from it.
 This module decides the (p, q) grid, 0 <= p, q <= m: off it a slot has
 dimension 0 and no monomials, and every block or slot table read there is
 zero-shaped, so components that reach past the edge compose, solve and
-assemble (``Matrix.from_blocks``) without a special case.
+assemble without a special case.  ``assemble`` builds every operator
+between two lists of slots (the total d, d* and the witness systems) from
+the components whose bidegrees join them.
 
 The differential on degree-one generators is minus the dual of the Lie
 bracket; it extends to the whole exterior algebra as a graded derivation
@@ -52,6 +54,8 @@ BIDEGREE = {
     MU: (2, -1),
 }
 
+_TAG_OF = {shift: tag for tag, shift in BIDEGREE.items()}
+
 CONJUGATE_TAG = {MUBAR: MU, MU: MUBAR, DELBAR: PARTIAL, PARTIAL: DELBAR}
 
 INTEGRABLE = "integrable"
@@ -87,6 +91,10 @@ class BigradedBasis:
 
     def total_dim(self, n):
         return sum(self.dim(p, n - p) for p in range(self.m + 1))
+
+    def degree_slots(self, n):
+        """The slots (p, n - p), p = 0 .. m, on the grid or off it."""
+        return [(p, n - p) for p in range(self.m + 1)]
 
     def slot_offsets(self, n):
         """[(p, q, offset)] for the slots of total degree n, p increasing."""
@@ -153,8 +161,9 @@ class ComponentMatrices:
         self.brackets = brackets
         self._blocks = blocks  # {(tag, p, q): Matrix}
         self._totals = {}
-        # Z_r and B_r of spectral.explicit_page, by (solver name, chain
-        # length, p, q), kept for the life of the differential
+        # Z_r and B_r of spectral.explicit_page, by (solver name, row
+        # slots, column slots) of the witness system on the grid, kept for
+        # the life of the differential
         self.witness_spaces = {}
 
     def block(self, tag, p, q):
@@ -176,18 +185,30 @@ class ComponentMatrices:
         return (p + dp, q + dq)
 
     def total_matrix(self, n):
-        """The full differential A^n -> A^{n+1} in slot-block coordinates:
-        block column p is slot (p, n - p) and block row p + 1 is slot
-        (p, n + 1 - p), for every p a component reaches, -1 .. m + 2."""
+        """The full differential A^n -> A^{n+1}, from the degree-n slots
+        to the degree-(n + 1) slots."""
         if n not in self._totals:
-            dim = self.basis.dim
-            m = self.m
-            self._totals[n] = Matrix.from_blocks(
-                [dim(p, n + 1 - p) for p in range(-1, m + 3)],
-                [dim(p, n - p) for p in range(m + 1)],
-                {(p + dp + 1, p): self.block(tag, p, n - p)
-                 for tag, (dp, _) in BIDEGREE.items() for p in range(m + 1)})
+            slots = self.basis.degree_slots
+            self._totals[n] = assemble(self.basis, slots(n + 1), slots(n),
+                                       self.block)
         return self._totals[n]
+
+
+def assemble(basis, rows, cols, blocks, sign=1):
+    """The block matrix from the slot list ``cols`` to the slot list
+    ``rows``.  Block (i, j) is ``blocks(tag, *cols[j])`` for the component
+    ``tag`` whose bidegree, times ``sign``, takes cols[j] to rows[i]; every
+    other block is zero.  A slot off the grid has dimension 0, so its
+    blocks have no rows or no columns, and ``blocks`` is not read there."""
+    row_dims = [basis.dim(*slot) for slot in rows]
+    col_dims = [basis.dim(*slot) for slot in cols]
+    found = {}
+    for j, (p, q) in enumerate(cols):
+        for i, (a, b) in enumerate(rows):
+            tag = _TAG_OF.get((sign * (a - p), sign * (b - q)))
+            if tag and row_dims[i] and col_dims[j]:
+                found[(i, j)] = blocks(tag, p, q)
+    return Matrix.from_blocks(row_dims, col_dims, found)
 
 
 def derivation(table):
@@ -247,7 +268,6 @@ def build_differential(csc, basis):
     d = derivation(csc.table)
     position = {s | t << m: i for monos in basis.slots.values()
                 for i, (s, t) in enumerate(monos)}
-    tag_of = {shift: tag for tag, shift in BIDEGREE.items()}
     low = (1 << m) - 1
     blocks = {}
     for (p, q), monos in basis.slots.items():
@@ -257,8 +277,8 @@ def build_differential(csc, basis):
         for j, (s_mask, t_mask) in enumerate(monos):
             for key, c in d(s_mask | t_mask << m).items():
                 if c:
-                    tag = tag_of[((key & low).bit_count() - p,
-                                  (key >> m).bit_count() - q)]
+                    tag = _TAG_OF[((key & low).bit_count() - p,
+                                   (key >> m).bit_count() - q)]
                     rows[tag][position[key]][j] = c
         for tag, data in rows.items():
             blocks[(tag, p, q)] = Matrix(len(data), len(monos), data)

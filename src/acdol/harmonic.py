@@ -36,7 +36,8 @@ Laplacians [δ, δ*] are composed by one helper without special cases.
 
 Each adjoint is the Gram adjoint  δ* = G_src^{-1} δ^H G_tgt, the adjoint
 of the finite-dimensional complex on every Lie algebra, formed as products
-over the memoised G and G^{-1} of each slot (of each degree for d*).
+over the memoised G and G^{-1} of each slot.  G is block diagonal over the
+slots of a degree, so d* is these blocks, assembled by ``forms.assemble``.
 A δ-harmonic space is Ker δ ∩ Ker δ*, one stacked kernel per slot; it is
 Ker Δ_δ and, when δ² = 0, it is isomorphic to the cohomology of δ, with no
 hypothesis on the algebra.  The star formula -⋆ δ̄ ⋆ (δ̄ the conjugate
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 
 from . import forms, liealg
 from .cohomology import (Check, ConsistencyError, cohomology_dims,
-                         top_cohomology_is_line)
+                         slot_check, top_cohomology_is_line)
 from .forms import BIDEGREE, CONJUGATE_TAG, DELBAR, MU, MUBAR, PARTIAL
 from .kernel import I, ONE, ZERO, from_rational
 from .linalg import Matrix, Subspace
@@ -122,12 +123,6 @@ def _minors(a):
                 if acc:
                     dets[t] = acc
     return out
-
-
-def _gram_adjoint(a, src_inverse, tgt):
-    """The Gram adjoint G_src^{-1} a^H G_tgt of a map ``a``, given the
-    inverse Gram matrix of its source and the Gram matrix of its target."""
-    return src_inverse @ (a.conj_transpose() @ tgt)
 
 
 class HermitianStructure:
@@ -182,16 +177,6 @@ class HermitianStructure:
     def gram_inverse(self, p, q):
         """G^{-1} of slot (p, q), the same construction on H = K^{-1}."""
         return self._compound(self._minors_h, p, q)
-
-    @_memoized
-    def degree_grams(self, n):
-        """(G, G^{-1}) on the total degree-n space, block diagonal over its
-        slots in the order of ``cm.total_matrix``."""
-        slots = [(p, n - p) for p in range(self.m + 1)]
-        dims = [self.basis.dim(*pq) for pq in slots]
-        return tuple(Matrix.from_blocks(dims, dims, {
-            (i, i): blocks(*pq) for i, pq in enumerate(slots)})
-            for blocks in (self.gram, self.gram_inverse))
 
     # -- Hodge star ----------------------------------------------------------
 
@@ -267,20 +252,17 @@ class HermitianStructure:
         cm.block."""
         dp, dq = BIDEGREE[tag]
         src = (p - dp, q - dq)
-        return _gram_adjoint(self.cm.block(tag, *src),
-                             self.gram_inverse(*src), self.gram(p, q))
-
-    def d_adjoint(self, n):
-        """d* on the total degree-n space, the Gram adjoint of d_{n-1}."""
-        return _gram_adjoint(self.cm.total_matrix(n - 1),
-                             self.degree_grams(n - 1)[1],
-                             self.degree_grams(n)[0])
+        return self.gram_inverse(*src) @ (
+            self.cm.block(tag, *src).conj_transpose() @ self.gram(p, q))
 
     @_memoized
     def d_stacked(self, n):
         """The stacked [d; d*] on the total degree-n space: its kernel is
-        the d-harmonic space Ker d ∩ Ker d* of degree n."""
-        return self.cm.total_matrix(n).vstack(self.d_adjoint(n))
+        the d-harmonic space Ker d ∩ Ker d* of degree n.  G is block
+        diagonal over the slots, so d* is the slot adjoints, assembled."""
+        slots = self.basis.degree_slots
+        return self.cm.total_matrix(n).vstack(forms.assemble(
+            self.basis, slots(n - 1), slots(n), self.adjoint_block, sign=-1))
 
     @_memoized
     def anticommutator(self, a, b, p, q):
@@ -353,15 +335,6 @@ def star_check(hs):
         if bad:
             failed.append("%s on slot (%d, %d)" % (name, *bad))
     return Check("star_defining_and_isometry", not failed, "; ".join(failed))
-
-
-def slot_check(name, slots, holds):
-    """The battery entry ``name`` of the identity ``holds(p, q)`` on
-    ``slots``, taken in their order (p-major on the grid): its detail names
-    the first slot the identity fails on, and is empty on a pass."""
-    bad = next((pq for pq in slots if not holds(*pq)), None)
-    return Check(name, bad is None,
-                 "" if bad is None else "fails on slot (%d, %d)" % bad)
 
 
 # -- mubar Hodge decomposition ------------------------------------------------
@@ -515,9 +488,13 @@ def delb_mub_checks(dmb, h_dol_dims):
                   for pq in sorted(set(dims) | set(coh))
                   if dims.get(pq) != coh.get(pq)), "")
     failed = [f for f in (_square_failure(dmb.op, dmb.hs.m), ranks) if f]
-    return [Check("delbar_mub_cohomology_equals_dolbeault",
-                  coh == h_dol_dims),
-            Check("delbar_mub_harmonic_equals_dolbeault", dims == h_dol_dims),
+
+    def match(name, table):
+        return slot_check(name, dmb.hs.basis.slots, lambda p, q: (
+            table.get((p, q), 0) == h_dol_dims.get((p, q), 0)))
+
+    return [match("delbar_mub_cohomology_equals_dolbeault", coh),
+            match("delbar_mub_harmonic_equals_dolbeault", dims),
             Check("delbar_mub_hodge_decomposition", not failed,
                   "; ".join(failed))]
 

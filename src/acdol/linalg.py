@@ -22,8 +22,8 @@ equations of a subspace
 S give the coordinates of the quotient by S, so a sum S + span(W) is one
 RCEF of the quotient coordinates of W, lifted and merged with the basis
 of S (``Subspace.extended``, the one sum route).  ``Matrix.from_blocks``
-assembles every block matrix: absent blocks are zero, zero-sized ones
-need no special case and a block of the wrong shape raises LinalgError.
+lays out a block matrix: absent blocks are zero, zero-sized ones need no
+special case and a block of the wrong shape raises LinalgError.
 """
 
 from __future__ import annotations
@@ -356,10 +356,6 @@ class Subspace:
         """Whether other is contained in self."""
         self._same_ambient(other)
         return (self.equations() @ other.basis).is_zero()
-
-    def __add__(self, other):
-        self._same_ambient(other)
-        return self.extended(self.equations() @ other.basis)
 
     def extended(self, quotient):
         """self + span(W), given ``quotient`` = self.equations() @ W, the

@@ -6,7 +6,8 @@ table by one route, the Hodge reduction behind the pages: h_dol is its
 first page, the Betti numbers count its unpaired generators (E_inf) and
 h_mub reads the mubar kernels memoised by the reduction's generators.  The
 harmonic layer, the one stage that needs the metric, is built on the first
-read of ``Analysis.dmb``.
+read of ``Analysis.dmb``.  The d^2 = 0 identities are no stage of
+``analyze`` but a check of each command, ``relations_check``.
 ``verification_checks`` evaluates the complete property battery on an
 analysis (exact identities, duality symmetries, and the independent routes
 of ``cohomology`` as labelled oracles, each computed once).  Checks marked
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology, docio, forms, harmonic, liealg, spectral
-from .cohomology import Check, ConsistencyError
+from .cohomology import Check
 from .forms import DELBAR, MU, MUBAR
 from .kernel import ONE, ZERO
 from .linalg import Matrix, Subspace
@@ -33,14 +34,12 @@ from .linalg import Matrix, Subspace
 class Analysis:
     """The metric-free stages of one run; the harmonic layer and the
     nearly Kahler checks are built on first read.  ``h_mub`` and ``h_dol``
-    are {(p, q): dim} with zero entries left out; ``relations`` is the
-    report of ``forms.verify_relations`` on ``cm``; ``pages`` is the Hodge
+    are {(p, q): dim} with zero entries left out; ``pages`` is the Hodge
     reduction, ``spectral.frolicher_all``, which holds every page."""
 
     spec: object
     frame: object
     cm: object
-    relations: list
     classification: str
     h_mub: dict
     h_dol: dict
@@ -74,16 +73,11 @@ class Analysis:
 def analyze(spec):
     """Run the metric-free stages, validating ``spec`` as the first, so a
     converted spec (``docio.to_spec``) needs no validation before; raises
-    on invalid input or on any internal exact-identity failure among
-    them."""
+    on invalid input or on an internal failure that stops a stage."""
     spec = liealg.validate_spec(spec)
     frame = liealg.adapted_frame(spec)
     basis = forms.build_basis(spec.m)
     cm = forms.build_differential(liealg.complexify(spec, frame), basis)
-    relations = forms.verify_relations(cm)
-    bad = [(name, slot) for name, slot, ok in relations if not ok]
-    if bad:
-        raise ConsistencyError("differential identities failed: %s" % bad[:3])
     classification = forms.classify(cm)
     pages = spectral.frolicher_all(cm)
     # one route per table: E_1 is Dolbeault cohomology, the unpaired
@@ -99,8 +93,8 @@ def analyze(spec):
         dim = Subspace.kernel(cm.block(MUBAR, p, q)).dim - rank
         if dim:
             h_mub[(p, q)] = dim
-    return Analysis(spec, frame, cm, relations, classification, h_mub,
-                    h_dol, betti, pages)
+    return Analysis(spec, frame, cm, classification, h_mub, h_dol, betti,
+                    pages)
 
 
 def analyze_document(doc):
@@ -118,6 +112,16 @@ def probe_metrics(spec):
     q = [[Fraction(2 if i == j else 0) + spec.J[i][j] for j in range(n)]
          for i in range(n)]
     return [liealg.pullback_metric(spec.metric, q)]
+
+
+def relations_check(cm):
+    """The entry ``component_relations``, ``forms.verify_relations``: a
+    pass counts the identity-slot pairs, a failure names the first."""
+    report = forms.verify_relations(cm)
+    bad = next(((name, pq) for name, pq, ok in report if not ok), None)
+    return Check("component_relations", bad is None,
+                 "%d identity-slot pairs" % len(report) if bad is None
+                 else "%s fails on slot (%d, %d)" % (bad[0], *bad[1]))
 
 
 def conjugation_check(cm):
@@ -144,11 +148,8 @@ def verification_checks(an):
     basis = cm.basis
     m = an.m
 
-    # the seven differential identities, blockwise, as analyze found them
-    rel = an.relations
-    checks.append(Check("component_relations",
-                        all(ok for _, _, ok in rel),
-                        "%d identity-slot pairs" % len(rel)))
+    # the seven differential identities, blockwise
+    checks.append(relations_check(cm))
 
     # conjugation symmetry of the component matrices
     checks.append(conjugation_check(cm))
@@ -185,7 +186,7 @@ def verification_checks(an):
     mub_table = cohomology.mub_cohomology(cm)
     dims2 = cohomology.cohomology_dims(
         mub_table.dims, cohomology.induced_delbar(cm, mub_table))
-    checks.append(harmonic.slot_check(
+    checks.append(cohomology.slot_check(
         "h_dol_two_route_agreement", basis.slots,
         lambda p, q: dims2.get((p, q), 0) == dol.dim(p, q)))
 
@@ -195,9 +196,9 @@ def verification_checks(an):
     # spectral pages, each page read once: dims[r] is E_r
     pages = an.pages
     dims = [None] + [pages.dims(r) for r in range(1, 2 * m + 3)]
-    ok = all(dims[1].get((p, q), 0) == dol.dim(p, q)
-             for p in range(m + 1) for q in range(m + 1))
-    checks.append(Check("first_page_equals_dolbeault", ok))
+    checks.append(cohomology.slot_check(
+        "first_page_equals_dolbeault", basis.slots,
+        lambda p, q: dims[1].get((p, q), 0) == dol.dim(p, q)))
     checks.extend(spectral.infinity_vs_betti(pages, cohomology.de_rham(cm)))
     ok = all(val <= cur.get(key, 0)
              for cur, nxt in zip(dims[1:], dims[2:])
@@ -209,16 +210,17 @@ def verification_checks(an):
         checks.append(Check("maximal_implies_e2_degeneration", degen <= 2,
                             "degenerates at page %d" % degen))
 
-    # explicit witness systems against the generic filtered route
-    ok = True
+    # explicit witness systems against the generic filtered route; a
+    # failure names the first page and slot they differ on
     detail = ""
     for r in range(1, 5):
         exp = spectral.explicit_page(cm, r)
-        gen = {k: v for k, v in dims[r].items() if v}
-        if exp != gen:
-            ok = False
-            detail = "page %d differs" % r
-    checks.append(Check("explicit_pages_match_generic", ok, detail))
+        bad = next((pq for pq in basis.slots
+                    if exp.get(pq, 0) != dims[r].get(pq, 0)), None)
+        if bad is not None:
+            detail = "fails on page %d, slot (%d, %d)" % (r, *bad)
+            break
+    checks.append(Check("explicit_pages_match_generic", not detail, detail))
 
     # decalage comparison with the shifted filtration
     dec = spectral.decalage_check(cm, pages)
@@ -231,7 +233,7 @@ def verification_checks(an):
     checks.append(reduction_certificate(pages, delta1))
 
     # the witness delta_1 is well defined on Dolbeault classes
-    checks.append(harmonic.slot_check(
+    checks.append(cohomology.slot_check(
         "delta1_witness_independence", basis.slots,
         lambda p, q: spectral.witness_independent(cm, dol, delta1, p, q)))
 
@@ -255,10 +257,10 @@ def verification_checks(an):
     h_delbar, h_mubar = hs.harmonic(DELBAR), hs.harmonic(MUBAR)
     inter = {pq: h_delbar[pq].intersect(h_mubar[pq]).dim
              for pq in basis.slots}
-    checks.append(harmonic.slot_check(
+    checks.append(cohomology.slot_check(
         "harmonic_inclusion_bound", basis.slots,
         lambda p, q: inter[(p, q)] <= an.h_dol.get((p, q), 0)))
-    checks.append(harmonic.slot_check(
+    checks.append(cohomology.slot_check(
         "harmonic_intersection_bottom_row", [(p, 0) for p in range(m + 1)],
         lambda p, q: inter[(p, q)] == an.h_dol.get((p, q), 0)))
 

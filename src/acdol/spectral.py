@@ -23,7 +23,7 @@ sigma, so the pair lives on E_0 .. E_r.  Unpaired generators give E_inf,
 and the sequence degenerates at the first page past every gap, so the
 reduction holds every page and the degeneration page with no cap.
 ``explicit_page`` computes the same dimensions from witness-chain systems
-as an independent oracle, solving each distinct system once per
+as an independent oracle, each one ``forms.assemble`` call solved once per
 differential, and ``dolbeault_delta1`` the ranks of d_1 on Dolbeault
 classes from the witness formula, as the oracle of the gap-1 pairs.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import forms
 from .cohomology import Check, ConsistencyError
-from .forms import DELBAR, MU, MUBAR, PARTIAL
+from .forms import DELBAR, MUBAR, PARTIAL
 from .linalg import Matrix, Subspace
 
 
@@ -212,12 +212,10 @@ def infinity_vs_betti(red, betti):
 
 # -- explicit witness-chain systems (independent page oracle) --------------
 
-# the components of d by the shift t in p: tag t maps A^{p,q} to A^{p+t-1,.}
-_CHAIN_TAGS = (MUBAR, DELBAR, PARTIAL, MU)
 
-
-def explicit_cycles(cm, r, p, q):
-    """Z_r^{p,q} from the witness chain (w, w_1 .. w_r), w_i in A^{p+i,q-i}.
+def explicit_cycles(cm, rows, cols):
+    """Z_r^{p,q} from the witness chain (w, w_1 .. w_r), w_i in A^{p+i,q-i},
+    on the grid's equation slots ``rows`` and witness slots ``cols``.
 
     Chain equations:  mubar w = 0;  delbar w = mubar w_1;
     partial w = mubar w_2 + delbar w_1;  mu w = mubar w_3 + delbar w_2 +
@@ -226,37 +224,24 @@ def explicit_cycles(cm, r, p, q):
     system takes the witnesses with their sign flipped: every block enters
     with sign +1.
     """
-    dim = cm.basis.dim
-    variables = [(p + i, q - i) for i in range(r + 1)]
-    system = Matrix.from_blocks(
-        [dim(p + i - 1, q - i + 2) for i in range(r + 1)],
-        [dim(*slot) for slot in variables],
-        {(i, i - t): cm.block(tag, *variables[i - t])
-         for i in range(r + 1) for t, tag in enumerate(_CHAIN_TAGS) if t <= i})
+    dim = cm.basis.dim(*cols[0])  # the slot (p, q) of w
+    system = forms.assemble(cm.basis, rows, cols, cm.block)
     ker = Subspace.kernel(system).basis
     return Subspace.from_matrix_columns(
-        Matrix(dim(p, q), ker.cols, ker.entries[:dim(p, q)]))
+        Matrix(dim, ker.cols, ker.entries[:dim]))
 
 
-def explicit_boundaries(cm, r, p, q):
-    """B_r^{p,q} from the witness chain (e_1 .. e_{r+1}), e_i in A^{p+2-i,q-3+i}.
+def explicit_boundaries(cm, rows, cols):
+    """B_r^{p,q} from the witness chain (e_1 .. e_{r+1}), e_i in
+    A^{p+2-i,q-3+i}: the slots ``cols``, with the boundary slot
+    (p, q) = rows[0] and the closing equation slots rows[1:], on the grid.
 
     The boundary form is  mubar e_1 + delbar e_2 + partial e_3 + mu e_4,
     taken over chains satisfying the homogeneous closing equations: closing
     equation j, in A^{p-j,q+j}, sums the chain tags over e_{j+1} .. e_{j+4}.
     """
-    dim = cm.basis.dim
-    variables = [(p + 2 - i, q - 3 + i) for i in range(1, r + 2)]
-    var_dims = [dim(*slot) for slot in variables]
-    system = Matrix.from_blocks(
-        [dim(p - j, q + j) for j in range(1, r + 1)], var_dims,
-        {(j - 1, j + t): cm.block(tag, *variables[j + t])
-         for j in range(1, r + 1) for t, tag in enumerate(_CHAIN_TAGS)
-         if j + t <= r})
-    boundary = Matrix.from_blocks(
-        [dim(p, q)], var_dims,
-        {(0, t): cm.block(tag, *slot)
-         for t, (tag, slot) in enumerate(zip(_CHAIN_TAGS, variables))})
+    boundary = forms.assemble(cm.basis, rows[:1], cols, cm.block)
+    system = forms.assemble(cm.basis, rows[1:], cols, cm.block)
     return Subspace.from_matrix_columns(
         boundary @ Subspace.kernel(system).basis)
 
@@ -281,41 +266,23 @@ def explicit_page(cm, r):
 
 
 def explicit_spaces(cm, r, p, q):
-    """(Z_r^{p,q}, B_r^{p,q}), each solved at its effective chain length,
-    ``_cycle_length`` or ``_boundary_length``, and memoised in
-    ``cm.witness_spaces`` by (solver name, length, p, q): the pages of one
-    analysis solve each distinct witness system once."""
+    """(Z_r^{p,q}, B_r^{p,q}) from the witness systems of r links, each
+    memoised in ``cm.witness_spaces`` by its solver and its slots on the
+    grid: the slots off it add only empty blocks, so the pages of one
+    analysis solve each distinct system once."""
     slots = cm.basis.slots
     spaces = []
-    for system, length in ((explicit_cycles, _cycle_length(slots, r, p, q)),
-                           (explicit_boundaries,
-                            _boundary_length(slots, r, p, q))):
-        key = (system.__name__, length, p, q)
+    for solver, rows, cols in (
+            (explicit_cycles, [(p + i - 1, q - i + 2) for i in range(r + 1)],
+             [(p + i, q - i) for i in range(r + 1)]),
+            (explicit_boundaries, [(p - j, q + j) for j in range(r + 1)],
+             [(p + 1 - j, q - 2 + j) for j in range(r + 1)])):
+        key = (solver.__name__, tuple(s for s in rows if s in slots),
+               tuple(s for s in cols if s in slots))
         if key not in cm.witness_spaces:
-            cm.witness_spaces[key] = system(cm, length, p, q)
+            cm.witness_spaces[key] = solver(cm, *key[1:])
         spaces.append(cm.witness_spaces[key])
     return spaces
-
-
-def _cycle_length(slots, r, p, q):
-    """The effective chain length of Z_r^{p,q}: the largest i <= r whose
-    witness slot (p+i, q-i) or equation slot (p+i-1, q-i+2) is on the
-    grid, else 0.  Every later link has both slots off the grid, so it
-    adds a block row with no rows and a block column with no columns: the
-    system of length r is the same matrix."""
-    return max((i for i in range(1, r + 1)
-                if (p + i, q - i) in slots or (p + i - 1, q - i + 2) in slots),
-               default=0)
-
-
-def _boundary_length(slots, r, p, q):
-    """The effective chain length of B_r^{p,q}: the largest j <= r whose
-    witness slot (p+1-j, q-2+j) or equation slot (p-j, q+j) is on the
-    grid, at least 1; past it, as for ``_cycle_length``, the system and
-    the boundary map gain only blocks with no rows or no columns."""
-    return max((j for j in range(2, r + 1)
-                if (p + 1 - j, q - 2 + j) in slots or (p - j, q + j) in slots),
-               default=1)
 
 
 def dolbeault_delta1(cm, dol):

@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from acdol import catalog, docio, harmonic, liealg, pipeline, spectral
+from acdol import catalog, docio, forms, harmonic, liealg, pipeline, spectral
 from acdol.cli import main
-from acdol.forms import MAX_M, MUBAR
+from acdol.forms import MAX_M, MUBAR, RELATIONS
 from acdol.harmonic import HermitianStructure
-from acdol.kernel import Scalar
+from acdol.kernel import ONE, Scalar
 from acdol.linalg import Matrix, Subspace
 from conftest import GOLDEN_INPUTS, golden_dir, input_path, named_analysis
 from test_liealg import break_conjugation, pairs_J
@@ -400,6 +400,37 @@ def test_broken_complexified_table_exits_2(monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("internal consistency failure: internal error: "
                    "conjugation symmetry broken in complexified brackets\n")
+
+
+def _corrupt_mubar_block(monkeypatch):
+    """Raise entry (0, 0) of the mubar block of slot (1, 0) by one in every
+    differential built: d^2 = 0 fails there, and every stage still runs."""
+    build = forms.build_differential
+
+    def corrupted(csc, basis):
+        cm = build(csc, basis)
+        bad = cm.block(MUBAR, 1, 0)
+        data = [list(row) for row in bad.entries]
+        data[0][0] = data[0][0] + ONE
+        cm._blocks[(MUBAR, 1, 0)] = Matrix(bad.rows, bad.cols, data)
+        return cm
+
+    monkeypatch.setattr(forms, "build_differential", corrupted)
+
+
+@pytest.mark.parametrize("command", ["pages", "harmonic", "verify",
+                                     "analyze"])
+def test_failed_relations_print_the_output_and_exit_2(command, monkeypatch):
+    # the d^2 = 0 identities are a check of every command, not a stage of
+    # analyze: a corrupted block prints the output, then names the first
+    # failing identity and its slot, and exits 2
+    _corrupt_mubar_block(monkeypatch)
+    code, out, err = run_cli([command, "--example", "filiform-J"])
+    failed = [line for line in err.splitlines()
+              if line.startswith("FAILED CHECK: ")]
+    assert code == 2 and out
+    assert failed[0] == ("FAILED CHECK: component_relations %s fails on "
+                         "slot (1, 0)" % RELATIONS[3])
 
 
 def test_oversize_input_exits_1(tmp_path):

@@ -29,6 +29,12 @@ certificate ``harmonic.mub_decomposition`` is pinned to its three readers,
 the battery (``verification_checks``), the ``harmonic`` command's
 certificate (``cli._certificate``) and the metric probe, which certifies
 its own layer, so that the layer's construction does not run it again.
+``Matrix.from_blocks`` is pinned to ``forms.assemble``, which places every
+block between two slot lists, and to the two-block ``nijenhuis_operator``,
+so that no block dict indexed by hand comes back; ``forms.verify_relations``
+is pinned to ``pipeline.relations_check``, so that the d^2 = 0 identities
+run as a check of the command that prints them, not as a stage of
+``analyze``.
 """
 
 import ast
@@ -270,6 +276,20 @@ def test_mubar_certificate_runs_once_per_layer():
     # (its own)
     assert _readers(_trees(["src/acdol"]), "mub_decomposition") == [
         "_certificate", "metric_independence_probe", "verification_checks"]
+
+
+def test_every_block_matrix_is_assembled_between_slot_lists():
+    # the total differential, d* and the witness systems are each one
+    # assemble call; the Nijenhuis operator joins two blocks of degree one
+    assert _readers(_trees(["src/acdol"]), "from_blocks") == [
+        "assemble", "nijenhuis_operator"]
+
+
+def test_relations_run_only_as_a_check():
+    # analyze computes no d^2 = 0 report: the battery and the pages and
+    # harmonic certificates read it through relations_check
+    assert _readers(_trees(["src/acdol"]), "verify_relations") == [
+        "relations_check"]
 
 
 def test_reader_guard_flags_every_reader():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from acdol import catalog
+from acdol import catalog, pipeline
 from acdol.forms import (BIDEGREE, DELBAR, INTEGRABLE, INTERMEDIATE,
                          MAXIMALLY_NON_INTEGRABLE, MU, MUBAR, PARTIAL,
                          RELATIONS, build_basis, build_differential,
@@ -228,6 +228,11 @@ def test_relations_fail_on_corrupted_block():
     failing = [name for name, _, ok in report if not ok]
     assert failing
     assert any("mubar" in name for name in failing)
+    # the battery entry names the first failing identity and its slot
+    entry = pipeline.relations_check(corrupted)
+    assert (entry.passed, entry.detail) == (
+        False, "%s fails on slot (1, 0)" % RELATIONS[3])
+    assert pipeline.relations_check(cm).passed
 
 
 def test_mubar_vanishes_on_p0_column():

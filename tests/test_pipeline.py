@@ -89,10 +89,10 @@ def test_battery_computes_each_oracle_once(monkeypatch):
     counted(forms, "verify_relations")
     checks = pipeline.verification_checks(an)
     assert calls == {"mub_cohomology": 1, "dolbeault": 1, "de_rham": 1,
-                     "verify_relations": 0}
+                     "verify_relations": 1}
     rel = next(c for c in checks if c.name == "component_relations")
-    assert rel.passed and rel.detail == "%d identity-slot pairs" % len(
-        an.relations)
+    assert rel.passed and rel.detail == "%d identity-slot pairs" % (
+        len(forms.RELATIONS) * len(an.cm.basis.slots))
 
 
 def test_analysis_builds_one_harmonic_layer(monkeypatch):
@@ -155,7 +155,7 @@ def test_analysis_builds_one_harmonic_layer(monkeypatch):
 def _tampered_run(monkeypatch, tamper):
     """analyze + battery on filiform-J with ``tamper`` applied to the
     reduction, so that the production tables inherit the fault and only the
-    oracles can see it."""
+    oracles can see it: the analysis and the battery's entries by name."""
     frolicher_all = spectral.frolicher_all
 
     def tampered(cm):
@@ -166,15 +166,15 @@ def _tampered_run(monkeypatch, tamper):
     monkeypatch.setattr(spectral, "frolicher_all", tampered)
     an = pipeline.analyze(builtin_analysis("filiform-J").spec)
     monkeypatch.undo()
-    return an, {c.name: c.passed for c in pipeline.verification_checks(an)}
+    return an, {c.name: c for c in pipeline.verification_checks(an)}
 
 
 def test_oracles_catch_a_tampered_reduction(monkeypatch):
     good = builtin_analysis("filiform-J")
     einf = ["einf_equals_betti_degree_%d" % n for n in range(2 * good.m + 1)]
     _, got = _tampered_run(monkeypatch, lambda red: None)
-    assert got["first_page_equals_dolbeault"]
-    assert all(got[name] for name in einf)
+    assert got["first_page_equals_dolbeault"].passed
+    assert all(got[name].passed for name in einf)
 
     # an unpaired degree-1 generator made to die on E_2: E_1 is unchanged,
     # E_inf and so the Betti numbers lose it
@@ -184,12 +184,13 @@ def test_oracles_catch_a_tampered_reduction(monkeypatch):
     an, got = _tampered_run(monkeypatch, unpaired_to_gap_1)
     assert an.h_dol == good.h_dol
     assert an.betti[1] == good.betti[1] - 1
-    assert got["first_page_equals_dolbeault"]
-    assert [name for name in einf if not got[name]] == [
+    assert got["first_page_equals_dolbeault"].passed
+    assert [name for name in einf if not got[name].passed] == [
         "einf_equals_betti_degree_1"]
 
     # a gap-0 pair (a mubar pair of the non-integrable structure) moved to
-    # gap 1: E_1 and so h_dol gain both generators, E_inf is unchanged
+    # gap 1: E_1 and so h_dol gain both generators, E_inf is unchanged;
+    # the Dolbeault entries name the first slot they fail on
     def gap_0_pair_to_gap_1(red):
         n, tau = next((n, j) for n, gaps in enumerate(red.gap)
                       for j, g in enumerate(gaps)
@@ -200,8 +201,20 @@ def test_oracles_catch_a_tampered_reduction(monkeypatch):
     an, got = _tampered_run(monkeypatch, gap_0_pair_to_gap_1)
     assert sum(an.h_dol.values()) == sum(good.h_dol.values()) + 2
     assert an.betti == good.betti
-    assert not got["first_page_equals_dolbeault"]
-    assert all(got[name] for name in einf)
+    assert all(got[name].passed for name in einf)
+    assert {name: (got[name].passed, got[name].detail) for name in (
+        "first_page_equals_dolbeault", "serre_duality_dims",
+        "delbar_mub_cohomology_equals_dolbeault",
+        "delbar_mub_harmonic_equals_dolbeault",
+        "explicit_pages_match_generic")} == {
+        "first_page_equals_dolbeault": (False, "fails on slot (0, 1)"),
+        "serre_duality_dims": (False, "fails on slot (0, 1)"),
+        "delbar_mub_cohomology_equals_dolbeault": (
+            False, "fails on slot (0, 1)"),
+        "delbar_mub_harmonic_equals_dolbeault": (
+            False, "fails on slot (0, 1)"),
+        "explicit_pages_match_generic": (
+            False, "fails on page 1, slot (0, 1)")}
 
 
 def _entry(an, name):

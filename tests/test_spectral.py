@@ -526,22 +526,30 @@ def _narrow_slot(cm, r):
 
 def _widen(cm, solver, p, q):
     """Replace each of ``solver``'s memoised spaces on slot (p, q) by the
-    whole slot."""
+    whole slot.  A key is (solver, row slots, column slots) on the grid,
+    and the slot heads the columns of a cycle system and the rows of a
+    boundary system."""
     whole = Subspace.kernel(Matrix.zero(0, cm.basis.dim(p, q)))
+    head = 2 if solver == "explicit_cycles" else 1
     for key in cm.witness_spaces:
-        if key[0] == solver and key[2:] == (p, q):
+        if key[0] == solver and key[head][0] == (p, q):
             cm.witness_spaces[key] = whole
 
 
 def test_tampered_cycles_fail_the_pages_entry():
     """The battery's explicit pages read the memoised Z_r: widened to the
-    whole slot, it no longer matches the Hodge reduction on page 4."""
+    whole slot, it no longer matches the Hodge reduction, and the entry
+    names the first page and slot that differ.  Z_1 of the slot (0, 1) is
+    the whole slot already, so that page is 2."""
     an = pipeline.analyze_document(catalog.builtin("filiform-J"))
     assert _pages_entry(an).passed
-    _widen(an.cm, "explicit_cycles", *_narrow_slot(an.cm, 4))
+    slot = _narrow_slot(an.cm, 4)
+    assert (spectral.explicit_spaces(an.cm, 1, *slot)[0].dim
+            == an.cm.basis.dim(*slot))
+    _widen(an.cm, "explicit_cycles", *slot)
     failed = _pages_entry(an)
     assert not failed.passed
-    assert failed.detail == "page 4 differs"
+    assert (slot, failed.detail) == ((0, 1), "fails on page 2, slot (0, 1)")
 
 
 def test_tampered_boundaries_escape_the_cycles():
