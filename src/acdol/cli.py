@@ -118,10 +118,7 @@ def _certificate(an, command):
     checks += cohomology.consistency_report(an.h_dol, an.betti, an.m)
     checks.append(pipeline.reduction_certificate(an.pages, {}))
     if command == "harmonic":
-        checks.append(harmonic.star_check(an.hs))
-        checks.extend(harmonic.adjointness_checks(an.dmb))
-        checks.append(harmonic.mub_decomposition(an.hs))
-        checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
+        checks += harmonic.layer_checks(an.hs, an.h_dol)
     return checks
 
 

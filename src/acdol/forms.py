@@ -161,10 +161,6 @@ class ComponentMatrices:
         self.brackets = brackets
         self._blocks = blocks  # {(tag, p, q): Matrix}
         self._totals = {}
-        # Z_r and B_r of spectral.explicit_page, by (solver name, row
-        # slots, column slots) of the witness system on the grid, kept for
-        # the life of the differential
-        self.witness_spaces = {}
 
     def block(self, tag, p, q):
         """Matrix of the component ``tag`` on slot (p, q).

@@ -32,7 +32,8 @@ top-degree wedge pairing, C the conjugation), the isometry
 ⋆^H G ⋆ = G, and orthogonality V^H G U = 0 of the parts of a Hodge
 decomposition.  Slot blocks of the components and of their adjoints are
 zero-shaped off the (p, q) grid, so anticommutators such as the
-Laplacians [δ, δ*] are composed by one helper without special cases.
+Laplacians [δ, δ*] are composed by one memoised method,
+``anticommutator``, without special cases.
 
 Each adjoint is the Gram adjoint  δ* = G_src^{-1} δ^H G_tgt, the adjoint
 of the finite-dimensional complex on every Lie algebra, formed as products
@@ -57,21 +58,19 @@ N_q = (G H)_{q+1}^H delbar H_q of delbar; its adjoint in the pairing M is
 M^{-1} N^H, and its harmonic space is Ker [N_q; N_{q-1}^H], with no
 inverse formed.
 
-The layer is built once per analysis: ``_memoized`` caches every operator
-of ``HermitianStructure`` (the Gram matrices and the stacked [d; d*]
-included) in the instance, so a layer's cache is freed with it;
-``delb_mub`` stores op and the delbar_mub-harmonic space of every slot on
-its ``DelbMub``, and the battery, the nearly Kahler checks and the metric
-probe read that ``DelbMub``.  Every layer comes from one constructor,
+The layer is built once per analysis and is the one handle on a metric:
+``_memoized`` caches every operator of ``HermitianStructure`` (the Gram
+matrices and the stacked [d; d*] included), ``delb_mub`` and
+``mixed_laplacian_fit`` in the instance, so a layer's cache is freed with
+it; every check takes the layer.  Every layer comes from one constructor,
 ``build_hermitian``, on the analysis's own frame and differential: the
-probe builds only new Gram matrices for each other metric, and reads the
+probe builds only new Gram matrices for its other metric, and reads the
 differential's memoised spans and kernels.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import forms, liealg
 from .cohomology import (Check, ConsistencyError, cohomology_dims,
@@ -126,8 +125,8 @@ def _minors(a):
 
 
 class HermitianStructure:
-    """Slotwise Gram matrices, Hodge star, adjoints and Laplacians (all
-    cached) of the metric ``metric`` on the frame ``frame``, whose
+    """Slotwise Gram matrices, Hodge star, adjoints and anticommutators
+    (all cached) of the metric ``metric`` on the frame ``frame``, whose
     differential is ``cm``."""
 
     def __init__(self, cm, frame, metric):
@@ -275,12 +274,6 @@ class HermitianStructure:
                 + b_block(p + ap, q + aq) @ a_block(p, q))
 
     @_memoized
-    def laplacian(self, tag):
-        """Slotwise Laplacian [delta, delta*] = delta delta* + delta* delta."""
-        return {pq: self.anticommutator(tag, tag + "*", *pq)
-                for pq in self.basis.slots}
-
-    @_memoized
     def harmonic_space(self, tag, p, q):
         """The delta-harmonic space Ker δ ∩ Ker δ* of slot (p, q), one
         kernel of the stacked [δ; δ*]; off the grid both blocks have no
@@ -375,38 +368,25 @@ def _pairwise_orthogonal(hs, p, q, subs):
 # -- the delbar_mub operator ---------------------------------------------------
 
 
-@dataclass
-class DelbMub:
-    """delbar_mub in the bases of H_mubar, and its harmonic spaces.
+def space_dims(spaces):
+    """{(p, q): dim} of the slot spaces ``spaces``, zero entries left out."""
+    return {pq: space.dim for pq, space in spaces.items() if space.dim}
+
+
+@_memoized
+def delb_mub(hs):
+    """delbar_mub = H_mubar ∘ delbar restricted to mubar-harmonics, as the
+    dicts (op, harmonic) over the slots, memoised on the layer ``hs``.
 
     ``op[(p, q)]`` takes coordinates in the basis of the mubar-harmonic
     space ``hs.harmonic(MUBAR)[(p, q)]`` to those of slot (p, q + 1), a
-    matrix with no rows on q = m, and ``harmonic[(p, q)]`` is
-    Ker(delbar_mub) ∩ Ker(delbar_mub*) lifted into the slot.
-    ``unimodular`` records whether the top cohomology is a line, the
-    hypothesis under which the star formula gives the adjoint of delbar
-    (Milnor 1976), so it gates only the checks that read ⋆ as an adjoint.
-    ``delb_mub`` builds all of it once and asserts nothing; every later
-    stage reads it, and the battery certifies it (``delb_mub_checks``).
-    """
-
-    hs: HermitianStructure
-    op: dict
-    harmonic: dict
-    unimodular: bool
-
-    def harmonic_dims(self):
-        return {k: v.dim for k, v in self.harmonic.items() if v.dim}
-
-
-def delb_mub(hs):
-    """Build delbar_mub = H_mubar ∘ delbar restricted to mubar-harmonics:
-    op = M^{-1} N and the harmonic space Ker [N_q; N_{q-1}^H] of every slot
-    (see the module docstring), H_mubar being the zero space of k^0 off the
-    grid.  The harmonic space is read as H Ker [...], a product of two
-    canonical bases: H is the identity on its lead rows, so the product is
-    canonical with no further elimination.  It only computes: M = H^H G H
-    is invertible whatever the decomposition, H being a kernel basis and G
+    matrix with no rows on q = m: op = M^{-1} N (see the module
+    docstring), H_mubar being the zero space of k^0 off the grid.
+    ``harmonic[(p, q)]`` is Ker(delbar_mub) ∩ Ker(delbar_mub*) lifted into
+    the slot, read as H Ker [N_q; N_{q-1}^H], a product of two canonical
+    bases: H is the identity on its lead rows, so the product is canonical
+    with no further elimination.  It only computes: M = H^H G H is
+    invertible whatever the decomposition, H being a kernel basis and G
     positive definite, and the battery checks the decomposition
     (``mub_decomposition``) and delbar_mub^2 = 0 (``delb_mub_checks``)."""
     cm = hs.cm
@@ -425,17 +405,17 @@ def delb_mub(hs):
         ker = Subspace.kernel(comp[(p, q)].vstack(
             comp[(p, q - 1)].conj_transpose()))
         harmonic[(p, q)] = Subspace(h[(p, q)].rows, h[(p, q)] @ ker.basis)
-    return DelbMub(hs, op, harmonic, top_cohomology_is_line(cm))
+    return op, harmonic
 
 
-def _square_failure(op, m):
-    """The first slot, p-major, on which delbar_mub does not square to
-    zero, as a failure detail; "" when it squares to zero on every slot."""
-    for p in range(m + 1):
-        for q in range(m):
-            if not (op[(p, q + 1)] @ op[(p, q)]).is_zero():
-                return ("delbar_mub does not square to zero on slot (%d, %d)"
-                        % (p, q))
+def _square_failure(op):
+    """The first slot, p-major, on which delbar_mub ``op`` does not square
+    to zero, as a failure detail; "" when it squares to zero on every
+    slot."""
+    for (p, q), first in op.items():
+        if (p, q + 1) in op and not (op[(p, q + 1)] @ first).is_zero():
+            return ("delbar_mub does not square to zero on slot (%d, %d)"
+                    % (p, q))
     return ""
 
 
@@ -450,18 +430,18 @@ def star_adjoint(hs, tag, p, q):
                                 @ hs.star(p, q)))
 
 
-def adjointness_checks(dmb):
+def adjointness_checks(hs):
     """The star formula against the Gram adjoint ``adjoint_block`` on every
     slot: always for mubar, and for delbar only when the top cohomology is
     a line, the hypothesis under which ⋆ gives its adjoint."""
-    hs = dmb.hs
 
     def agree(name, tag):
         return slot_check(name, hs.basis.slots, lambda p, q: (
             star_adjoint(hs, tag, p, q) == hs.adjoint_block(tag, p, q)))
 
     return [agree("mubar_adjoint_is_metric_adjoint", MUBAR),
-            agree("delbar_adjointness", DELBAR) if dmb.unimodular
+            agree("delbar_adjointness", DELBAR)
+            if top_cohomology_is_line(hs.cm)
             else skipped_not_unimodular("delbar_adjointness")]
 
 
@@ -472,26 +452,27 @@ def skipped_not_unimodular(name):
                  skipped=True)
 
 
-def delb_mub_checks(dmb, h_dol_dims):
-    """The Hodge decomposition of H_mubar under delbar_mub, and the
-    Dolbeault match, ``h_dol_dims`` with zero entries left out, of its
-    cohomology and of its harmonic spaces.  In the pairing M the harmonic
-    part is orthogonal to both images by construction, and the images are
-    orthogonal exactly when op squares to zero; the parts then span when
+def delb_mub_checks(op, harmonic, h_dol):
+    """The Hodge decomposition of H_mubar under delbar_mub, the dicts
+    ``op`` and ``harmonic`` of ``delb_mub``, and the Dolbeault match,
+    ``h_dol`` with zero entries left out, of its cohomology and of its
+    harmonic spaces.  In the pairing M the harmonic part is orthogonal to
+    both images by construction, and the images are orthogonal exactly
+    when op squares to zero; the parts then span when
     rank op_{q-1} + dim harmonic + rank op_q = dim H_mubar, that is, when
     the harmonic dims are the cohomology dims of op.  The decomposition
     entry's detail names the first failing slot."""
-    coh = cohomology_dims({pq: op.cols for pq, op in dmb.op.items()},
-                          {pq: op.rank() for pq, op in dmb.op.items()})
-    dims = dmb.harmonic_dims()
+    coh = cohomology_dims({pq: mat.cols for pq, mat in op.items()},
+                          {pq: mat.rank() for pq, mat in op.items()})
+    dims = space_dims(harmonic)
     ranks = next(("rank identity fails on slot (%d, %d)" % pq
                   for pq in sorted(set(dims) | set(coh))
                   if dims.get(pq) != coh.get(pq)), "")
-    failed = [f for f in (_square_failure(dmb.op, dmb.hs.m), ranks) if f]
+    failed = [f for f in (_square_failure(op), ranks) if f]
 
     def match(name, table):
-        return slot_check(name, dmb.hs.basis.slots, lambda p, q: (
-            table.get((p, q), 0) == h_dol_dims.get((p, q), 0)))
+        return slot_check(name, op, lambda p, q: (
+            table.get((p, q), 0) == h_dol.get((p, q), 0)))
 
     return [match("delbar_mub_cohomology_equals_dolbeault", coh),
             match("delbar_mub_harmonic_equals_dolbeault", dims),
@@ -499,14 +480,20 @@ def delb_mub_checks(dmb, h_dol_dims):
                   "; ".join(failed))]
 
 
+def layer_checks(hs, h_dol):
+    """The checks of the layer ``hs`` behind the harmonic tables: ⋆, the
+    adjoints, the mubar Hodge decomposition and delbar_mub vs ``h_dol``."""
+    return ([star_check(hs)] + adjointness_checks(hs)
+            + [mub_decomposition(hs)] + delb_mub_checks(*delb_mub(hs), h_dol))
+
+
 # -- Serre duality by bar-star --------------------------------------------------
 
 
-def serre_star_check(dmb):
+def serre_star_check(hs):
     """bar-star maps H_mubar^{p,q} onto H_mubar^{m-p,m-q}, ditto the
     delbar_mub-harmonics when the top cohomology is a line: ⋆ maps those
     harmonic forms to harmonic forms only when it gives the adjoint."""
-    hs = dmb.hs
     m = hs.m
 
     def serre(name, harm):
@@ -515,45 +502,39 @@ def serre_star_check(dmb):
 
     checks = [serre("serre_bar_star_mubar_harmonics", hs.harmonic(MUBAR))]
     name = "serre_bar_star_delbar_mub_harmonics"
-    if not dmb.unimodular:
+    if not top_cohomology_is_line(hs.cm):
         return checks + [skipped_not_unimodular(name)]
-    return checks + [serre(name, dmb.harmonic)]
+    return checks + [serre(name, delb_mub(hs)[1])]
 
 
 # -- metric independence ---------------------------------------------------------
 
 
-def metric_independence_probe(spec, dmb, metrics):
-    """Compare the delbar_mub harmonic dimensions of ``dmb``, the layer of
-    the input metric, with those of a layer built for each of ``metrics``.
+def metric_independence_probe(spec, hs, metric):
+    """Compare the delbar_mub harmonic dimensions of ``hs``, the layer of
+    the input metric, with those of a layer built for the metric
+    ``metric``, as the battery entry ``metric_independent_harmonic_dims``.
 
-    Returns (list of dims dicts, the input metric's first; Check).  All
-    dims agree, as each is h_dol.  The probe validates each metric and
+    The dims agree, as both are h_dol.  The probe validates the metric and
     builds its layer by ``build_hermitian`` on the frame and the
-    differential of ``dmb``: only the Gram matrices are new, and no ⋆ is
-    built.  The Check also certifies each probed layer's mubar Hodge
+    differential of ``hs``: only the Gram matrices are new, and no ⋆ is
+    built.  The Check also certifies the probed layer's mubar Hodge
     decomposition and delbar_mub^2 = 0.  A failure names the metric and
     the slot: the first slot, p-major, whose dims differ from the input
     metric's, then the certificates' slots.
     """
-    runs = [dmb.harmonic_dims()]
-    failed = []
-    for g in metrics:
-        variant = liealg.validate_spec(spec.with_metric(g))
-        hs = build_hermitian(dmb.hs.cm, dmb.hs.frame, variant.metric)
-        probed = delb_mub(hs)
-        dims = probed.harmonic_dims()
-        runs.append(dims)
-        differ = next((pq for pq in sorted(set(dims) | set(runs[0]))
-                       if dims.get(pq) != runs[0].get(pq)), None)
-        details = [mub_decomposition(hs).detail,
-                   _square_failure(probed.op, hs.m)]
-        if differ:
-            details.insert(0, "harmonic dims differ on slot (%d, %d)" % differ)
-        failed += ["metric %d: %s" % (len(runs), detail)
-                   for detail in details if detail]
-    return runs, Check("metric_independent_harmonic_dims", not failed,
-                       "; ".join(["%d metrics probed" % len(runs)] + failed))
+    variant = liealg.validate_spec(spec.with_metric(metric))
+    probed = build_hermitian(hs.cm, hs.frame, variant.metric)
+    op, harm = delb_mub(probed)
+    base = delb_mub(hs)[1]
+    differ = next((pq for pq in harm if harm[pq].dim != base[pq].dim), None)
+    details = [mub_decomposition(probed).detail, _square_failure(op)]
+    if differ:
+        details.insert(0, "harmonic dims differ on slot (%d, %d)" % differ)
+    return Check("metric_independent_harmonic_dims", not any(details),
+                 "; ".join(["2 metrics probed"] + ["metric 2: %s" % detail
+                                                   for detail in details
+                                                   if detail]))
 
 
 # -- fundamental form and nearly Kahler identities -------------------------------
@@ -605,14 +586,27 @@ def _operators(hs):
     return ops
 
 
-def nearly_kahler_checks(dmb):
+# The nearly Kahler battery: the vanishing and the opposite anticommutators,
+# and the bidegrees of the three-space equality.
+_NK_VANISHING = (("mu*", "delbar"), ("mubar*", "partial"), ("mu", "delbar*"),
+                 ("mubar", "partial*"), ("mu", "mubar*"), ("mubar", "mu*"))
+_NK_OPPOSITE = ((("delbar*", "partial"), ("mu", "partial*")),
+                (("delbar*", "partial"), ("mubar*", "delbar")),
+                (("partial*", "delbar"), ("mubar", "delbar*")),
+                (("partial*", "delbar"), ("mu*", "partial")))
+_NK_GREY = tuple(sorted({(p, q) for p in range(4) for q in (0, 3)}
+                        | {(0, 2), (1, 2), (2, 1), (3, 1)}))
+
+
+def nearly_kahler_checks(hs):
     """Exact operator identities characteristic of nearly Kahler structures,
-    read from the harmonic layer ``dmb`` and its ``hs``.
+    read from the harmonic layer ``hs``: its 14 checks.
 
     Only meaningful for m = 3.  Evaluates the graded commutator relations
     among the components and their adjoints, the Laplacian identity
     Delta_delbar + 2 Delta_mubar = Delta_partial + 2 Delta_mu (mubar of
-    bidegree (-1, 2)), the restricted equalities Delta_mubar = Delta_mu and
+    bidegree (-1, 2)), each Laplacian [delta, delta*] an anticommutator,
+    the restricted equalities Delta_mubar = Delta_mu and
     Delta_delbar = Delta_partial on p = q and p + q = 3, the three-space
     equality H_d = H_delbar ∩ H_mubar = H_delbar_mub on its bidegree range,
     and the fit of ``mixed_laplacian_fit``.  Every identity holds
@@ -621,67 +615,41 @@ def nearly_kahler_checks(dmb):
     of the input are not nearly Kahler, which is how the battery detects
     non-nearly-Kahler structures.
     """
-    hs = dmb.hs
     if hs.m != 3:
         raise ValueError("nearly Kahler identities are specific to m = 3")
-    basis = hs.basis
-    checks = []
+    slots = hs.basis.slots
+    anti = hs.anticommutator
 
-    for a, b in (("mu*", "delbar"), ("mubar*", "partial"), ("mu", "delbar*"),
-                 ("mubar", "partial*"), ("mu", "mubar*"), ("mubar", "mu*")):
-        ok = all(hs.anticommutator(a, b, p, q).is_zero()
-                 for (p, q) in basis.slots)
-        checks.append(Check("nk_commutator [%s, %s] = 0" % (a, b), ok,
-                            informational=True))
+    def lap(tag, p, q):
+        return anti(tag, tag + "*", p, q)
 
-    for (a, b), (c, e) in ((("delbar*", "partial"), ("mu", "partial*")),
-                           (("delbar*", "partial"), ("mubar*", "delbar")),
-                           (("partial*", "delbar"), ("mubar", "delbar*")),
-                           (("partial*", "delbar"), ("mu*", "partial"))):
-        ok = all(hs.anticommutator(a, b, p, q)
-                 == -hs.anticommutator(c, e, p, q)
-                 for (p, q) in basis.slots)
-        checks.append(Check("nk_commutator [%s, %s] = -[%s, %s]"
-                            % (a, b, c, e), ok, informational=True))
+    def check(name, ok):
+        return Check(name, ok, informational=True)
 
-    lap = {tag: hs.laplacian(tag) for tag in BIDEGREE}
-    ok_main = True
-    for (p, q) in basis.slots:
-        lhs = lap[DELBAR][(p, q)] + lap[MUBAR][(p, q)].scale(from_rational(2))
-        rhs = lap[PARTIAL][(p, q)] + lap[MU][(p, q)].scale(from_rational(2))
-        if lhs != rhs:
-            ok_main = False
-    checks.append(Check(
-        "nk_laplacian delbar + 2 mubar = partial + 2 mu", ok_main,
-        informational=True))
-
-    ok_restricted = True
-    for (p, q) in basis.slots:
-        if p == q or p + q == 3:
-            if lap[MUBAR][(p, q)] != lap[MU][(p, q)]:
-                ok_restricted = False
-            if lap[DELBAR][(p, q)] != lap[PARTIAL][(p, q)]:
-                ok_restricted = False
-    checks.append(Check(
-        "nk_laplacian equalities on p = q and p + q = 3", ok_restricted,
-        informational=True))
-
-    grey = {(p, 0) for p in range(4)} | {(p, 3) for p in range(4)} \
-        | {(0, 2), (1, 2), (2, 1), (3, 1)}
-    h_delbar = hs.harmonic(DELBAR)
-    h_mubar = hs.harmonic(MUBAR)
-    h_d = hs.d_harmonic()
-    ok_three = True
-    for (p, q) in grey:
-        inter = h_delbar[(p, q)].intersect(h_mubar[(p, q)])
-        if h_d[(p, q)] != inter or inter != dmb.harmonic[(p, q)]:
-            ok_three = False
-    checks.append(Check(
-        "nk_three_space_equality on the stated bidegree range", ok_three,
-        informational=True))
-
-    fit, value = mixed_laplacian_fit(hs)
-    return checks + [fit], value
+    checks = [check("nk_commutator [%s, %s] = 0" % pair,
+                    all(anti(*pair, *pq).is_zero() for pq in slots))
+              for pair in _NK_VANISHING]
+    checks += [check("nk_commutator [%s, %s] = -[%s, %s]" % (*one, *other),
+                     all(anti(*one, *pq) == -anti(*other, *pq)
+                         for pq in slots))
+               for one, other in _NK_OPPOSITE]
+    two = from_rational(2)
+    checks.append(check(
+        "nk_laplacian delbar + 2 mubar = partial + 2 mu", all(
+            lap(DELBAR, *pq) + lap(MUBAR, *pq).scale(two)
+            == lap(PARTIAL, *pq) + lap(MU, *pq).scale(two) for pq in slots)))
+    checks.append(check(
+        "nk_laplacian equalities on p = q and p + q = 3", all(
+            lap(MUBAR, p, q) == lap(MU, p, q)
+            and lap(DELBAR, p, q) == lap(PARTIAL, p, q)
+            for (p, q) in slots if p == q or p + q == 3)))
+    h_delbar, h_mubar = hs.harmonic(DELBAR), hs.harmonic(MUBAR)
+    h_d, h_delb_mub = hs.d_harmonic(), delb_mub(hs)[1]
+    checks.append(check(
+        "nk_three_space_equality on the stated bidegree range", all(
+            h_d[pq] == h_delbar[pq].intersect(h_mubar[pq]) == h_delb_mub[pq]
+            for pq in _NK_GREY)))
+    return checks + [mixed_laplacian_fit(hs)[0]]
 
 
 @_memoized
@@ -692,34 +660,27 @@ def mixed_laplacian_fit(hs):
     unless one constant fits every such slot).  Memoised on the layer, so
     the harmonic section and the battery share one fit, and it builds no
     Laplacian."""
-    basis = hs.basis
     lef = lefschetz_matrices(hs)
     fitted = []
     ok_fit = True
-    for (p, q) in sorted(basis.slots):
+    for (p, q) in sorted(hs.basis.slots):
         lmat = lef[(p, q)]
         if p == q or lmat.rows == 0:
             continue
         mixed = hs.anticommutator(PARTIAL, DELBAR, p, q)
-        if lmat.is_zero():
-            if not mixed.is_zero():
-                ok_fit = False
+        lead = next(((i, j) for i, row in enumerate(lmat.entries)
+                     for j, x in enumerate(row) if x), None)
+        if lead is None:
+            ok_fit &= mixed.is_zero()
             continue
-        scale = None
-        for i in range(lmat.rows):
-            for j in range(lmat.cols):
-                if lmat.entries[i][j]:
-                    scale = mixed.entries[i][j] / lmat.entries[i][j]
-                    break
-            if scale is not None:
-                break
+        i, j = lead
+        scale = mixed.entries[i][j] / lmat.entries[i][j]
         if lmat.scale(scale) != mixed:
             ok_fit = False
             continue
         # mixed = -i c (p - q) L  =>  c = scale * i / (p - q)
-        c = scale * I / from_rational(p - q)
-        fitted.append(((p, q), c))
-    same = all(c == fitted[0][1] for _, c in fitted) if fitted else True
-    value = str(fitted[0][1]) if fitted and same and ok_fit else None
+        fitted.append(scale * I / from_rational(p - q))
+    same = all(c == fitted[0] for c in fitted)
+    value = str(fitted[0]) if fitted and same and ok_fit else None
     return Check("nk_mixed_laplacian_scalar single constant", ok_fit and same,
                  "fitted constant %s" % value, informational=True), value

@@ -6,8 +6,8 @@ table by one route, the Hodge reduction behind the pages: h_dol is its
 first page, the Betti numbers count its unpaired generators (E_inf) and
 h_mub reads the mubar kernels memoised by the reduction's generators.  The
 harmonic layer, the one stage that needs the metric, is built on the first
-read of ``Analysis.dmb``.  The d^2 = 0 identities are no stage of
-``analyze`` but a check of each command, ``relations_check``.
+read of ``Analysis.hs``, the one handle on it.  The d^2 = 0 identities are
+no stage of ``analyze`` but a check of each command, ``relations_check``.
 ``verification_checks`` evaluates the complete property battery on an
 analysis (exact identities, duality symmetries, and the independent routes
 of ``cohomology`` as labelled oracles, each computed once).  Checks marked
@@ -32,10 +32,10 @@ from .linalg import Matrix, Subspace
 
 @dataclass
 class Analysis:
-    """The metric-free stages of one run; the harmonic layer and the
-    nearly Kahler checks are built on first read.  ``h_mub`` and ``h_dol``
-    are {(p, q): dim} with zero entries left out; ``pages`` is the Hodge
-    reduction, ``spectral.frolicher_all``, which holds every page."""
+    """The metric-free stages of one run; the harmonic layer ``hs`` is
+    built on first read.  ``h_mub`` and ``h_dol`` are {(p, q): dim} with
+    zero entries left out; ``pages`` is the Hodge reduction,
+    ``spectral.frolicher_all``, which holds every page."""
 
     spec: object
     frame: object
@@ -51,23 +51,10 @@ class Analysis:
         return self.spec.m
 
     @functools.cached_property
-    def dmb(self):
-        """delbar_mub on the Hermitian layer of the input metric, built on
-        the plain frame and its differential ``cm``."""
-        return harmonic.delb_mub(
-            harmonic.build_hermitian(self.cm, self.frame, self.spec.metric))
-
-    @property
     def hs(self):
-        return self.dmb.hs
-
-    @functools.cached_property
-    def nearly_kahler(self):
-        """(checks, fitted scalar) of the nearly Kahler identities; ([],
-        None) unless m = 3."""
-        if self.m != 3:
-            return [], None
-        return harmonic.nearly_kahler_checks(self.dmb)
+        """The Hermitian layer of the input metric, built on the plain
+        frame and its differential ``cm``."""
+        return harmonic.build_hermitian(self.cm, self.frame, self.spec.metric)
 
 
 def analyze(spec):
@@ -101,8 +88,8 @@ def analyze_document(doc):
     return analyze(docio.to_spec(doc))
 
 
-def probe_metrics(spec):
-    """The metrics the probe compares with the input's: one other
+def probe_metric(spec):
+    """The metric the probe compares with the input's: another
     compatible metric, the pullback of g by 2I + J.  For a compatible g
     that is 5g: (2I + J)^t g (2I + J) = 4g + 2(J^t g + g J) + J^t g J,
     where J^t g + g J = 0 and J^t g J = g.  A homothety leaves the frame
@@ -111,7 +98,7 @@ def probe_metrics(spec):
     n = spec.dim
     q = [[Fraction(2 if i == j else 0) + spec.J[i][j] for j in range(n)]
          for i in range(n)]
-    return [liealg.pullback_metric(spec.metric, q)]
+    return liealg.pullback_metric(spec.metric, q)
 
 
 def relations_check(cm):
@@ -165,20 +152,21 @@ def verification_checks(an):
 
     # mubar-cohomology symmetries
     h_mu = cohomology.operator_cohomology(cm, MU)
-    ok = all(an.h_mub.get((p, q), 0) == h_mu.dim(q, p)
-             for p in range(m + 1) for q in range(m + 1))
-    checks.append(Check("h_mub_conjugation_dims", ok))
-    ok = all(an.h_mub.get((p, q), 0) == an.h_mub.get((m - p, m - q), 0)
-             for p in range(m + 1) for q in range(m + 1))
-    checks.append(Check("h_mub_serre_dims", ok))
+    checks.append(cohomology.slot_check(
+        "h_mub_conjugation_dims", basis.slots,
+        lambda p, q: an.h_mub.get((p, q), 0) == h_mu.dim(q, p)))
+    checks.append(cohomology.slot_check(
+        "h_mub_serre_dims", basis.slots,
+        lambda p, q: an.h_mub.get((p, q), 0)
+        == an.h_mub.get((m - p, m - q), 0)))
 
     # Dolbeault: the bottom row equals Ker(delbar) ∩ Ker(mubar)
-    ok = True
-    for p in range(m + 1):
-        both = cm.block(DELBAR, p, 0).vstack(cm.block(MUBAR, p, 0))
-        if an.h_dol.get((p, 0), 0) != both.cols - both.rank():
-            ok = False
-    checks.append(Check("h_dol_bottom_row", ok))
+    def bottom(p, q):
+        both = cm.block(DELBAR, p, q).vstack(cm.block(MUBAR, p, q))
+        return an.h_dol.get((p, q), 0) == both.cols - both.rank()
+
+    checks.append(cohomology.slot_check(
+        "h_dol_bottom_row", [(p, 0) for p in range(m + 1)], bottom))
 
     # the oracles: the zig-zag Dolbeault table, and the cohomology of
     # delbar induced on mubar-classes, from its ranks
@@ -200,10 +188,9 @@ def verification_checks(an):
         "first_page_equals_dolbeault", basis.slots,
         lambda p, q: dims[1].get((p, q), 0) == dol.dim(p, q)))
     checks.extend(spectral.infinity_vs_betti(pages, cohomology.de_rham(cm)))
-    ok = all(val <= cur.get(key, 0)
-             for cur, nxt in zip(dims[1:], dims[2:])
-             for key, val in nxt.items())
-    checks.append(Check("page_dims_weakly_decrease", ok))
+    checks.append(_page_slot_check(
+        "page_dims_weakly_decrease", range(2, 2 * m + 3), basis.slots,
+        lambda r, pq: dims[r].get(pq, 0) <= dims[r - 1].get(pq, 0)))
     checks.append(Check("e2_corner_is_one", dims[2].get((0, 0), 0) == 1))
     if an.classification == forms.MAXIMALLY_NON_INTEGRABLE:
         degen = pages.degeneration_page
@@ -212,20 +199,13 @@ def verification_checks(an):
 
     # explicit witness systems against the generic filtered route; a
     # failure names the first page and slot they differ on
-    detail = ""
-    for r in range(1, 5):
-        exp = spectral.explicit_page(cm, r)
-        bad = next((pq for pq in basis.slots
-                    if exp.get(pq, 0) != dims[r].get(pq, 0)), None)
-        if bad is not None:
-            detail = "fails on page %d, slot (%d, %d)" % (r, *bad)
-            break
-    checks.append(Check("explicit_pages_match_generic", not detail, detail))
+    exp = [None] + spectral.explicit_pages(cm, 4)
+    checks.append(_page_slot_check(
+        "explicit_pages_match_generic", range(1, 5), basis.slots,
+        lambda r, pq: exp[r].get(pq, 0) == dims[r].get(pq, 0)))
 
     # decalage comparison with the shifted filtration
-    dec = spectral.decalage_check(cm, pages)
-    checks.append(Check("decalage", all(c.passed for c in dec),
-                        "; ".join(c.detail for c in dec if not c.passed)))
+    checks.append(spectral.decalage_check(cm, pages))
 
     # the certificate of the reduction behind the pages, with the witness
     # delta_1 as the oracle for the first page differential
@@ -237,20 +217,10 @@ def verification_checks(an):
         "delta1_witness_independence", basis.slots,
         lambda p, q: spectral.witness_independent(cm, dol, delta1, p, q)))
 
-    # Hodge star invariants: ⋆1 = Ω, |Ω| = 1, ⋆⋆, defining property, isometry
+    # the identities of the harmonic layer, and bar-star Serre duality
     hs = an.hs
-    checks.append(harmonic.star_check(hs))
-
-    # adjoints: the star formula as the oracle of the Gram adjoint
-    checks.extend(harmonic.adjointness_checks(an.dmb))
-
-    # mubar Hodge decomposition: on every slot the dims of Im mubar, H_mubar
-    # and Im mubar* add up and the three are pairwise G-orthogonal
-    checks.append(harmonic.mub_decomposition(hs))
-
-    # delbar_mub cohomology / harmonic spaces
-    checks.extend(harmonic.delb_mub_checks(an.dmb, an.h_dol))
-    checks.extend(harmonic.serre_star_check(an.dmb))
+    checks.extend(harmonic.layer_checks(hs, an.h_dol))
+    checks.extend(harmonic.serre_star_check(hs))
 
     # harmonic inclusion: dim(H_delbar ∩ H_mubar) <= h_dol, and equality on
     # q = 0, where delbar* and mubar* vanish
@@ -274,19 +244,26 @@ def verification_checks(an):
                         "" if bad is None else "fails in degree %d" % bad))
 
     # metric independence of the harmonic Dolbeault dimensions
-    _, probe = harmonic.metric_independence_probe(
-        an.spec, an.dmb, probe_metrics(an.spec))
-    checks.append(probe)
+    checks.append(harmonic.metric_independence_probe(
+        an.spec, hs, probe_metric(an.spec)))
 
     # nearly Kahler identity battery (descriptive for m = 3 inputs)
-    nk_checks, _ = an.nearly_kahler
-    if nk_checks:
-        checks.extend(nk_checks)
+    if m == 3:
+        checks.extend(harmonic.nearly_kahler_checks(hs))
     else:
         checks.append(Check("nearly_kahler_identities", True,
                             "skipped: requires m = 3", skipped=True,
                             informational=True))
     return checks
+
+
+def _page_slot_check(name, pages, slots, holds):
+    """``cohomology.slot_check`` of ``holds(r, (p, q))`` over ``pages`` and
+    ``slots``: the detail names the first failing page, then slot."""
+    bad = next(((r, pq) for r in pages for pq in slots if not holds(r, pq)),
+               None)
+    return Check(name, bad is None, "" if bad is None else
+                 "fails on page %d, slot (%d, %d)" % (bad[0], *bad[1]))
 
 
 def reduction_certificate(red, delta1):
@@ -339,16 +316,17 @@ def pages_section(an):
 
 def harmonic_section(an):
     """The harmonic tables; reading them builds the harmonic layer."""
-    m = an.m
+    m, hs = an.m, an.hs
+
+    def table(spaces):
+        return docio.table_to_json(harmonic.space_dims(spaces), m)
+
     return {
-        "unimodular": an.dmb.unimodular,
-        "h_mub_harmonic": docio.table_to_json(
-            {k: v.dim for k, v in an.hs.harmonic(MUBAR).items()}, m),
-        "h_delb_mub": docio.table_to_json(an.dmb.harmonic_dims(), m),
-        "h_d": docio.table_to_json(
-            {k: v.dim for k, v in an.hs.d_harmonic().items()}, m),
-        "nk_scalar": (harmonic.mixed_laplacian_fit(an.hs)[1] if m == 3
-                      else None),
+        "unimodular": cohomology.top_cohomology_is_line(an.cm),
+        "h_mub_harmonic": table(hs.harmonic(MUBAR)),
+        "h_delb_mub": table(harmonic.delb_mub(hs)[1]),
+        "h_d": table(hs.d_harmonic()),
+        "nk_scalar": harmonic.mixed_laplacian_fit(hs)[1] if m == 3 else None,
     }
 
 

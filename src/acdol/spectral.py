@@ -22,10 +22,10 @@ gap r = value(sigma) - value(tau): d_r maps the class of tau onto that of
 sigma, so the pair lives on E_0 .. E_r.  Unpaired generators give E_inf,
 and the sequence degenerates at the first page past every gap, so the
 reduction holds every page and the degeneration page with no cap.
-``explicit_page`` computes the same dimensions from witness-chain systems
+``explicit_pages`` computes the same dimensions from witness-chain systems
 as an independent oracle, each one ``forms.assemble`` call solved once per
-differential, and ``dolbeault_delta1`` the ranks of d_1 on Dolbeault
-classes from the witness formula, as the oracle of the gap-1 pairs.
+call, and ``dolbeault_delta1`` the ranks of d_1 on Dolbeault classes from
+the witness formula, as the oracle of the gap-1 pairs.
 """
 
 from __future__ import annotations
@@ -246,16 +246,24 @@ def explicit_boundaries(cm, rows, cols):
         boundary @ Subspace.kernel(system).basis)
 
 
-def explicit_page(cm, r):
-    """Page dimensions from the explicit witness systems: {(p, q): dim}.
+def explicit_pages(cm, last):
+    """[{(p, q): dim}] of the pages 1 .. ``last`` from the explicit witness
+    systems, solved once each in one memo local to the call.
 
     Independent of the filtration route; asserts B_r is contained in Z_r.
     """
-    if r < 1 or r > 2 * cm.m + 2:
+    if last < 1 or last > 2 * cm.m + 2:
         raise ValueError("explicit page index must lie in 1 .. 2m+2")
+    memo = {}
+    return [explicit_page(cm, r, memo) for r in range(1, last + 1)]
+
+
+def explicit_page(cm, r, memo):
+    """The dimensions {(p, q): dim} of page ``r`` from the witness systems,
+    solved or read in ``memo`` (``explicit_spaces``)."""
     dims = {}
     for (p, q) in sorted(cm.basis.slots):
-        z, b = explicit_spaces(cm, r, p, q)
+        z, b = explicit_spaces(cm, r, p, q, memo)
         if not z.contains(b):
             raise ConsistencyError(
                 "explicit boundaries escape the cycles at r=%d (p=%d,q=%d)"
@@ -265,11 +273,11 @@ def explicit_page(cm, r):
     return dims
 
 
-def explicit_spaces(cm, r, p, q):
+def explicit_spaces(cm, r, p, q, memo):
     """(Z_r^{p,q}, B_r^{p,q}) from the witness systems of r links, each
-    memoised in ``cm.witness_spaces`` by its solver and its slots on the
-    grid: the slots off it add only empty blocks, so the pages of one
-    analysis solve each distinct system once."""
+    memoised in the dict ``memo`` by its solver and its slots on the grid:
+    the slots off it add only empty blocks, so pages that share ``memo``
+    solve each distinct system once."""
     slots = cm.basis.slots
     spaces = []
     for solver, rows, cols in (
@@ -279,9 +287,9 @@ def explicit_spaces(cm, r, p, q):
              [(p + 1 - j, q - 2 + j) for j in range(r + 1)])):
         key = (solver.__name__, tuple(s for s in rows if s in slots),
                tuple(s for s in cols if s in slots))
-        if key not in cm.witness_spaces:
-            cm.witness_spaces[key] = solver(cm, *key[1:])
-        spaces.append(cm.witness_spaces[key])
+        if key not in memo:
+            memo[key] = solver(cm, *key[1:])
+        spaces.append(memo[key])
     return spaces
 
 
@@ -341,29 +349,26 @@ def witness_independent(cm, dol, delta1, p, q):
 
 
 def decalage_check(cm, hodge):
-    """Compare shifted-filtration pages with the Hodge reduction ``hodge``.
+    """The entry ``decalage``: shifted-filtration pages vs the Hodge
+    reduction ``hodge``.
 
     Checks  dim E_r^{p,n-p}(F) = dim E_{r+1}^{p+n,-p}(Ft)  for r = 1 ..
-    2m+2, and the subspace identity F^p A^n = Dec Ft^p A^n.
+    2m+2, and the subspace identity F^p A^n = Dec Ft^p A^n.  A failure
+    names the first page and slot, else the first degree n and p.
     """
     m = cm.m
     shifted = reduce_filtration(cm, shifted_generators)
-    checks = []
     for r in range(1, 2 * m + 3):
         ph = hodge.dims(r)
         ps = shifted.dims(r + 1)
-        ok = True
-        detail = ""
-        for n in range(2 * m + 1):
-            for p in range(n + 1):
-                lhs = ph.get((p, n - p), 0)
-                rhs = ps.get((p + n, -p), 0)
-                if lhs != rhs:
-                    ok = False
-                    detail = ("r=%d (p=%d,q=%d): %d vs shifted %d"
-                              % (r, p, n - p, lhs, rhs))
-        checks.append(Check("decalage_shift_page_%d" % r, ok, detail))
-    dec_ok = True
+        for (p, q) in sorted(cm.basis.slots):
+            # the slot (p, n - p) of E_r(F) is (p + n, -p) of E_{r+1}(Ft)
+            lhs = ph.get((p, q), 0)
+            rhs = ps.get((2 * p + q, -p), 0)
+            if lhs != rhs:
+                return Check("decalage", False,
+                             "fails on page %d, slot (%d, %d): %d vs "
+                             "shifted %d" % (r, p, q, lhs, rhs))
     for n in range(2 * m + 1):
         d = cm.total_matrix(n)
         nxt = shifted.values[n + 1] if n < 2 * m else []
@@ -377,8 +382,11 @@ def decalage_check(cm, hodge):
                                                 for i in low])
             gens = [g for g, v in zip(hodge.basis[n].columns(),
                                       hodge.values[n]) if v >= p]
-            dec_ok &= block.cols - block.rank() == len(gens) and all(
-                not any(g[j] for j in out)
-                and not any(block.apply([g[j] for j in src])) for g in gens)
-    checks.append(Check("decalage_subspace_identity", dec_ok))
-    return checks
+            if not (block.cols - block.rank() == len(gens) and all(
+                    not any(g[j] for j in out)
+                    and not any(block.apply([g[j] for j in src]))
+                    for g in gens)):
+                return Check("decalage", False,
+                             "subspace identity fails in degree %d at p = %d"
+                             % (n, p))
+    return Check("decalage", True)

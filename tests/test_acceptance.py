@@ -13,14 +13,15 @@ import os
 
 from acdol import docio, pipeline
 from acdol.cohomology import (cohomology_dims, de_rham, dolbeault,
-                              euler_characteristic)
+                              euler_characteristic, top_cohomology_is_line)
 from acdol.forms import (MUBAR, build_basis, build_differential,
                          verify_relations)
 from acdol.harmonic import (build_hermitian, delb_mub,
-                            metric_independence_probe)
+                            metric_independence_probe, nearly_kahler_checks,
+                            space_dims)
 from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.linalg import Matrix
-from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_page,
+from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_pages,
                             frolicher_all, infinity_vs_betti,
                             witness_independent)
 from conftest import (_invert, builtin_analysis, dims_grid,
@@ -109,11 +110,10 @@ def test_criterion_5_betti_recovery():
 def test_criterion_6_oracle_equivalence():
     for name in ALL_BUILTINS:
         an = builtin_analysis(name)
-        for r in range(1, 5):
-            exp = explicit_page(an.cm, r)
+        for r, exp in enumerate(explicit_pages(an.cm, 4), 1):
             gen = {k: v for k, v in an.pages.dims(r).items() if v}
             assert exp == gen, "%s page %d" % (name, r)
-        assert all(c.passed for c in decalage_check(an.cm, an.pages)), name
+        assert decalage_check(an.cm, an.pages).passed, name
     _report(6, "explicit pages r=1..4 and decalage shift on every builtin")
 
 
@@ -121,16 +121,17 @@ def test_criterion_7_harmonic_isomorphism():
     probed = 0
     for name in ALL_BUILTINS:
         an = builtin_analysis(name)
-        assert an.dmb.unimodular
-        metrics = pipeline.probe_metrics(an.spec)
-        assert metrics and all(g != [list(row) for row in an.spec.metric]
-                               for g in metrics)
-        runs, check = metric_independence_probe(an.spec, an.dmb, metrics)
+        assert top_cohomology_is_line(an.cm)
+        metric = pipeline.probe_metric(an.spec)
+        assert metric != [list(row) for row in an.spec.metric]
+        check = metric_independence_probe(an.spec, an.hs, metric)
         assert check.passed, name
-        assert len(runs) == len(metrics) + 1
-        for dims in runs:
+        other = build_hermitian(an.cm, an.frame, validate_spec(
+            an.spec.with_metric(metric)).metric)
+        for hs in (an.hs, other):
+            dims = space_dims(delb_mub(hs)[1])
             assert dims_grid(dims, an.m) == dims_grid(an.h_dol, an.m), name
-        probed += len(runs)
+            probed += 1
     _report(7, "H_delbar_mub = H_Dol under %d metrics across builtins" % probed)
 
 
@@ -180,7 +181,7 @@ def test_criterion_8_nearly_kahler_identities():
     t = _nabla_J(nk.spec)
     assert _nabla_J_skew(t), "s3s3-nk is not nearly Kahler"
     assert any(x for row in t for vec in row for x in vec), "s3s3-nk is Kahler"
-    nk_checks, _ = nk.nearly_kahler
+    nk_checks = nearly_kahler_checks(nk.hs)
     assert len(nk_checks) == 14
     failed = [c.name for c in nk_checks if not c.passed]
     assert not failed, "identities false on a nearly Kahler structure: %s" \
@@ -190,7 +191,7 @@ def test_criterion_8_nearly_kahler_identities():
     # metric, so the battery must flag it (see notes/decisions.md)
     an = builtin_analysis("su2su2-nk")
     assert not _nabla_J_skew(_nabla_J(an.spec))
-    an_checks, _ = an.nearly_kahler
+    an_checks = nearly_kahler_checks(an.hs)
     assert [c.name for c in an_checks] == [c.name for c in nk_checks]
     by_name = {c.name: c for c in an_checks}
     mixed = [c for c in an_checks if c.name.startswith("nk_commutator")
@@ -216,22 +217,22 @@ def _structural_battery(cm, hs, h_dol, betti):
     # coordinates C of the B^{-1} oracle give
     # C [Im mubar | H_mubar | Im mubar*] = [0 | I | 0], and delbar_mub
     # equals the oracle's
-    dmb = delb_mub(hs)
+    op, harmonic_spaces = delb_mub(hs)
     oracle_coords, oracle_op, oracle_harmonic = _delb_mub_oracle(hs)
-    assert dmb.op == oracle_op and dmb.harmonic == oracle_harmonic
+    assert op == oracle_op and harmonic_spaces == oracle_harmonic
     for (p, q), coords in oracle_coords.items():
         assert (coords @ hs.cm.block(MUBAR, p + 1, q - 2)).is_zero()
         assert coords @ hs.harmonic(MUBAR)[(p, q)].basis == \
             Matrix.identity(coords.rows)
         assert (coords @ hs.adjoint_block(MUBAR, p - 1, q + 2)).is_zero()
     # delbar_mub squares to zero (asserted in delb_mub) and matches Dolbeault
-    coh = cohomology_dims({pq: op.cols for pq, op in dmb.op.items()},
-                          {pq: op.rank() for pq, op in dmb.op.items()})
+    coh = cohomology_dims({pq: mat.cols for pq, mat in op.items()},
+                          {pq: mat.rank() for pq, mat in op.items()})
     for p in range(m + 1):
         for q in range(m + 1):
             assert coh.get((p, q), 0) == h_dol.dim(p, q)
     # Serre duality dims when the top cohomology is a line
-    if dmb.unimodular:
+    if top_cohomology_is_line(cm):
         for p in range(m + 1):
             for q in range(m + 1):
                 assert h_dol.dim(p, q) == h_dol.dim(m - p, m - q)

@@ -15,6 +15,7 @@ from acdol.harmonic import HermitianStructure
 from acdol.kernel import ONE, Scalar
 from acdol.linalg import Matrix, Subspace
 from conftest import GOLDEN_INPUTS, golden_dir, input_path, named_analysis
+from test_harmonic import _count_laplacians
 from test_liealg import break_conjugation, pairs_J
 
 
@@ -145,8 +146,7 @@ def test_every_subcommand_validates_its_file_once(tmp_path, monkeypatch,
     path.write_text(json.dumps(catalog.builtin("kt-J")))
     code, _, _ = run_cli([command, str(path), "--format", "json"])
     assert code == 0
-    probed = len(pipeline.probe_metrics(specs[0])) if command in (
-        "analyze", "verify") else 0
+    probed = 1 if command in ("analyze", "verify") else 0
     assert [s.name for s in specs] == ["kt-J"] * (1 + probed)
     assert [s.metric == specs[0].metric for s in specs] == (
         [True] + [False] * probed)
@@ -298,16 +298,10 @@ def test_harmonic_certifies_the_star(monkeypatch):
 
 def test_harmonic_fits_the_nk_scalar_without_laplacians(monkeypatch):
     # harmonic prints nk_scalar from the Lefschetz fit alone, so on the
-    # nearly Kahler S^3 x S^3 it builds no Laplacian; analyze, whose
-    # battery builds them, prints the same constant
-    built = []
-    laplacian = HermitianStructure.laplacian
-
-    def counted(hs, tag):
-        built.append(tag)
-        return laplacian(hs, tag)
-
-    monkeypatch.setattr(HermitianStructure, "laplacian", counted)
+    # nearly Kahler S^3 x S^3 it builds no Laplacian
+    # anticommutator(tag, tag + "*"); analyze, whose battery builds them,
+    # prints the same constant
+    built = _count_laplacians(monkeypatch)
     printed = {}
     for command in ("harmonic", "analyze"):
         code, out, err = run_cli([command, input_path("s3s3-nk"),

@@ -25,10 +25,15 @@ pinned to its two readers, ``harmonic.delb_mub`` and the witnesses of
 ``spectral.dolbeault_delta1``, so that no solve for class coordinates
 comes back: the cohomology tables keep no basis of the classes, and the
 induced maps are read as ranks.  The mubar decomposition's
-certificate ``harmonic.mub_decomposition`` is pinned to its three readers,
-the battery (``verification_checks``), the ``harmonic`` command's
-certificate (``cli._certificate``) and the metric probe, which certifies
-its own layer, so that the layer's construction does not run it again.
+certificate ``harmonic.mub_decomposition`` is pinned to its two readers,
+``layer_checks``, the input layer's certificate that the battery and the
+``harmonic`` command share, and the metric probe, which certifies its own
+layer, so that the layer's construction does not run it again.
+``HermitianStructure`` is pinned to ``build_hermitian``, so that every
+layer comes from one constructor and no second object holds a metric, and
+``HermitianStructure.anticommutator`` to ``nearly_kahler_checks`` and
+``mixed_laplacian_fit``, the nearly Kahler identities, so that no method
+assembles the slot Laplacians of every tag again.
 ``Matrix.from_blocks`` is pinned to ``forms.assemble``, which places every
 block between two slot lists, and to the two-block ``nijenhuis_operator``,
 so that no block dict indexed by hand comes back; ``forms.verify_relations``
@@ -272,10 +277,24 @@ def test_no_class_solve():
 
 def test_mubar_certificate_runs_once_per_layer():
     # delb_mub only computes; each layer's decomposition is certified by
-    # the battery or the harmonic command (the input's) or by the probe
-    # (its own)
+    # layer_checks, which the battery and the harmonic command read (the
+    # input's), or by the probe (its own)
     assert _readers(_trees(["src/acdol"]), "mub_decomposition") == [
-        "_certificate", "metric_independence_probe", "verification_checks"]
+        "layer_checks", "metric_independence_probe"]
+
+
+def test_one_handle_on_a_metric():
+    # every Hermitian layer comes from build_hermitian, and no other
+    # object (a dataclass field, say) names the layer's type
+    assert _readers(_trees(["src/acdol"]), "HermitianStructure") == [
+        "build_hermitian"]
+
+
+def test_anticommutators_only_for_the_nearly_kahler_identities():
+    # the slot Laplacians are anticommutator(tag, tag + "*"), read by the
+    # nearly Kahler battery alone; the fit reads [partial, delbar]
+    assert _readers(_trees(["src/acdol"]), "anticommutator") == [
+        "nearly_kahler_checks", "mixed_laplacian_fit"]
 
 
 def test_every_block_matrix_is_assembled_between_slot_lists():

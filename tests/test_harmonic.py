@@ -151,7 +151,7 @@ def test_delbar_mub_square_error_names_its_slot(monkeypatch):
         return Matrix(real.rows, real.cols, [[ONE] * real.cols] * real.rows)
 
     monkeypatch.setattr(cm, "block", tampered)
-    entry = delb_mub_checks(delb_mub(hs), {})[2]
+    entry = delb_mub_checks(*delb_mub(hs), {})[2]
     assert entry.name == "delbar_mub_hodge_decomposition"
     assert not entry.passed
     assert entry.detail.split("; ")[0] == (
@@ -260,13 +260,12 @@ def affine_analysis():
 def test_non_unimodular_detected_and_skipped():
     # only the checks that read ⋆ as the adjoint of delbar are skipped
     an = affine_analysis()
-    assert not an.dmb.unimodular
     assert not top_cohomology_is_line(an.cm)
-    checks = delb_mub_checks(an.dmb, an.h_dol)
+    checks = delb_mub_checks(*delb_mub(an.hs), an.h_dol)
     assert all(c.passed and not c.skipped for c in checks)
-    serre = serre_star_check(an.dmb)
+    serre = serre_star_check(an.hs)
     assert [c.skipped for c in serre] == [False, True]
-    adjoint = harmonic.adjointness_checks(an.dmb)
+    adjoint = harmonic.adjointness_checks(an.hs)
     assert [c.skipped for c in adjoint] == [False, True]
 
 
@@ -314,7 +313,9 @@ def test_star_formula_breaks_the_ungated_checks(monkeypatch):
     an, good = battery()
     assert all(good[name].passed and not good[name].skipped
                for name in harmonic_checks + ("d_harmonic_realises_betti",))
-    ungated = serre_star_check(dataclasses.replace(an.dmb, unimodular=True))
+    with monkeypatch.context() as patch:
+        patch.setattr(harmonic, "top_cohomology_is_line", lambda cm: True)
+        ungated = serre_star_check(an.hs)
     assert [c.passed for c in ungated] == [True, False]
     with monkeypatch.context() as patch:
         _with_star_formula(patch)
@@ -325,6 +326,13 @@ def test_star_formula_breaks_the_ungated_checks(monkeypatch):
         assert (betti.passed, betti.detail) == (False, "fails in degree 1")
 
 
+def _laplacian(hs, tag):
+    """The slot Laplacians [delta, delta*] = delta delta* + delta* delta of
+    the component ``tag``, {(p, q): matrix}."""
+    return {pq: hs.anticommutator(tag, tag + "*", *pq)
+            for pq in hs.basis.slots}
+
+
 def test_laplacian_kernel_is_two_sided_kernel():
     """Oracle: delta* is the Gram adjoint, so Ker Delta_delta of the slot
     Laplacian is the harmonic space Ker delta ∩ Ker delta* of every
@@ -332,7 +340,7 @@ def test_laplacian_kernel_is_two_sided_kernel():
     for name in ORACLE_INPUTS + NON_UNIMODULAR_INPUTS:
         hs = hermitian(name)
         for tag in (MUBAR, DELBAR, PARTIAL, MU):
-            lap, harm = hs.laplacian(tag), hs.harmonic(tag)
+            lap, harm = _laplacian(hs, tag), hs.harmonic(tag)
             for pq in hs.basis.slots:
                 assert Subspace.kernel(lap[pq]) == harm[pq], (name, tag, pq)
 
@@ -343,7 +351,7 @@ def test_laplacian_kernel_differs_without_adjointness(monkeypatch):
     # adjoint there, Ker Delta_delbar is larger on some slot
     _with_star_formula(monkeypatch)
     hs = affine_analysis().hs
-    lap, harm = hs.laplacian(DELBAR), hs.harmonic(DELBAR)
+    lap, harm = _laplacian(hs, DELBAR), hs.harmonic(DELBAR)
     kers = {pq: Subspace.kernel(lap[pq]) for pq in harm}
     assert all(kers[pq].contains(harm[pq]) for pq in harm)
     assert any(kers[pq] != harm[pq] for pq in harm)
@@ -352,13 +360,25 @@ def test_laplacian_kernel_differs_without_adjointness(monkeypatch):
 @pytest.mark.parametrize("name", ["filiform-J", "kt-J", "abelian-m2"])
 def test_analysis_battery_and_document_build_no_slot_laplacian(name,
                                                                monkeypatch):
-    calls = []
-    laplacian = HermitianStructure.laplacian
-    monkeypatch.setattr(HermitianStructure, "laplacian",
-                        lambda hs, tag: calls.append(tag) or laplacian(hs, tag))
+    calls = _count_laplacians(monkeypatch)
     an = pipeline.analyze_document(catalog.builtin(name))
     pipeline.result_document(an, pipeline.verification_checks(an))
     assert calls == []
+
+
+def _count_laplacians(monkeypatch):
+    """Record the tag of every slot Laplacian anticommutator(tag, tag + "*")
+    that a layer is asked for, in the list returned."""
+    calls = []
+    anticommutator = HermitianStructure.anticommutator
+
+    def counted(hs, a, b, p, q):
+        if b == a + "*":
+            calls.append(a)
+        return anticommutator(hs, a, b, p, q)
+
+    monkeypatch.setattr(HermitianStructure, "anticommutator", counted)
+    return calls
 
 
 def test_everything_harmonic_on_abelian():
@@ -604,9 +624,7 @@ def test_delb_mub_equals_the_inverse_route(name):
     C delbar H and Ker [op; op*] exactly, unimodular or not."""
     hs = hermitian(name)
     _, op, harmonic_spaces = _delb_mub_oracle(hs)
-    dmb = delb_mub(hs)
-    assert dmb.op == op
-    assert dmb.harmonic == harmonic_spaces
+    assert delb_mub(hs) == (op, harmonic_spaces)
 
 
 @pytest.mark.parametrize("name", catalog.builtin_names() + [
@@ -615,10 +633,10 @@ def test_delb_mub_harmonic_spaces_need_no_canonicalisation(name):
     """H Ker [N_q; N_{q-1}^H], the product of two canonical bases, is
     already the canonical basis of its span; a basis with its columns
     reversed is not, and compares unequal (a negative control)."""
-    dmb = delb_mub(hermitian(name))
-    for space in dmb.harmonic.values():
+    _, spaces = delb_mub(hermitian(name))
+    for space in spaces.values():
         assert space == Subspace.from_matrix_columns(space.basis)
-    space = next(s for s in dmb.harmonic.values() if s.dim > 1)
+    space = next(s for s in spaces.values() if s.dim > 1)
     reversed_space = Subspace(space.ambient_dim, _columns_reversed(space.basis))
     assert reversed_space != Subspace.from_matrix_columns(
         reversed_space.basis)
@@ -648,30 +666,29 @@ def test_delbar_mub_hodge_decomposition_fails_on_a_tampered_layer(name,
     harmonic space of its slot (1, 1) is one vector short, and when op on
     slot (1, 1) of filiform-Jprime has its columns reversed, which keeps
     every rank, and so the rank identity, but breaks the square."""
-    dmb = delb_mub(hermitian(name))
+    op, spaces = delb_mub(hermitian(name))
 
-    def entry(layer):
-        return next(c for c in delb_mub_checks(layer, layer.harmonic_dims())
+    def entry(op, spaces):
+        return next(c for c in delb_mub_checks(op, spaces,
+                                               harmonic.space_dims(spaces))
                     if c.name == "delbar_mub_hodge_decomposition").passed
 
-    assert entry(dmb)
+    assert entry(op, spaces)
     if tamper == "rank":
-        bad = dataclasses.replace(dmb, op={
-            **dmb.op, (0, 0): _all_ones(dmb.op[(0, 0)])})
+        bad = ({**op, (0, 0): _all_ones(op[(0, 0)])}, spaces)
     elif tamper == "harmonic":
-        bad = dataclasses.replace(dmb, harmonic={
-            **dmb.harmonic, (1, 1): _one_vector_short(dmb.harmonic[(1, 1)])})
+        bad = (op, {**spaces, (1, 1): _one_vector_short(spaces[(1, 1)])})
     else:
-        op = {**dmb.op, (1, 1): _columns_reversed(dmb.op[(1, 1)])}
-        assert ({pq: mat.rank() for pq, mat in op.items()}
-                == {pq: mat.rank() for pq, mat in dmb.op.items()})
-        bad = dataclasses.replace(dmb, op=op)
-    assert not entry(bad)
+        reversed_op = {**op, (1, 1): _columns_reversed(op[(1, 1)])}
+        assert ({pq: mat.rank() for pq, mat in reversed_op.items()}
+                == {pq: mat.rank() for pq, mat in op.items()})
+        bad = (reversed_op, spaces)
+    assert not entry(*bad)
 
 
 def test_delb_mub_squares_to_zero_everywhere():
     for name in catalog.builtin_names() + ["random-m3-seed1"]:
-        op = _frames_analysis(name).dmb.op
+        op, _ = delb_mub(_frames_analysis(name).hs)
         for (p, q), mat in op.items():
             nxt = op.get((p, q + 1))
             if nxt is not None and mat.cols and nxt.rows:
@@ -683,16 +700,17 @@ def test_delb_mub_squares_to_zero_everywhere():
                                   "random-m3-seed1"])
 def test_delb_mub_cohomology_and_harmonics_match_dolbeault(name):
     an = _frames_analysis(name)
-    checks = delb_mub_checks(an.dmb, an.h_dol)
+    op, spaces = delb_mub(an.hs)
+    checks = delb_mub_checks(op, spaces, an.h_dol)
     assert all(c.passed for c in checks)
-    grid = dims_grid(an.dmb.harmonic_dims(), an.m)
+    grid = dims_grid(harmonic.space_dims(spaces), an.m)
     assert grid == dims_grid(an.h_dol, an.m)
 
 
 def test_serre_star_checks():
     for name in ("filiform-J", "su2su2-nk", "abelian-m2"):
         an = builtin_analysis(name)
-        checks = serre_star_check(an.dmb)
+        checks = serre_star_check(an.hs)
         assert all(c.passed for c in checks)
 
 
@@ -707,16 +725,16 @@ def test_metric_independence_filiform():
     an = builtin_analysis("filiform-J")
     g2 = [[Fraction(v) for v in row]
           for row in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))]
-    runs, check = metric_independence_probe(an.spec, an.dmb, [g2])
+    check = metric_independence_probe(an.spec, an.hs, g2)
     assert check.passed
-    assert dims_grid(runs[0], 2) == dims_grid(an.h_dol, 2)
+    assert dims_grid(harmonic.space_dims(delb_mub(an.hs)[1]),
+                     2) == dims_grid(an.h_dol, 2)
 
 
 def test_metric_independence_kt():
     an = builtin_analysis("kt-J")
-    from acdol.pipeline import probe_metrics
-    runs, check = metric_independence_probe(an.spec, an.dmb,
-                                            probe_metrics(an.spec))
+    from acdol.pipeline import probe_metric
+    check = metric_independence_probe(an.spec, an.hs, probe_metric(an.spec))
     assert check.passed
 
 
@@ -734,19 +752,17 @@ def test_serre_entries_name_their_slot(spaces, tampered, first):
     """One vector dropped from a harmonic space breaks bar-star on the
     tampered slot and on its mirror (m - p, m - q), the first of the two
     named."""
-    dmb = delb_mub(hermitian("filiform-J"))
-    assert [(c.passed, c.detail) for c in serre_star_check(dmb)] == [
+    hs = hermitian("filiform-J")
+    assert [(c.passed, c.detail) for c in serre_star_check(hs)] == [
         (True, ""), (True, "")]
     if spaces == "mubar":
-        harm = dmb.hs.harmonic(MUBAR)
-        harm[tampered] = _one_vector_short(harm[tampered])
+        harm = hs.harmonic(MUBAR)
         name = "serre_bar_star_mubar_harmonics"
     else:
-        dmb = dataclasses.replace(dmb, harmonic={
-            **dmb.harmonic, tampered: _one_vector_short(
-                dmb.harmonic[tampered])})
+        harm = delb_mub(hs)[1]
         name = "serre_bar_star_delbar_mub_harmonics"
-    failed = [(c.name, c.detail) for c in serre_star_check(dmb)
+    harm[tampered] = _one_vector_short(harm[tampered])
+    failed = [(c.name, c.detail) for c in serre_star_check(hs)
               if not c.passed]
     assert failed == [(name, "fails on slot (%d, %d)" % first)]
 
@@ -757,8 +773,8 @@ def test_serre_entries_name_their_slot(spaces, tampered, first):
 def test_adjointness_entries_name_their_slot(tag, slot, name, monkeypatch):
     """One nonzero adjoint block doubled: the star formula differs from
     it there and nowhere before it."""
-    dmb = delb_mub(hermitian("filiform-J"))
-    assert [(c.passed, c.detail) for c in adjointness_checks(dmb)] == [
+    hs = hermitian("filiform-J")
+    assert [(c.passed, c.detail) for c in adjointness_checks(hs)] == [
         (True, ""), (True, "")]
     adjoint_block = HermitianStructure.adjoint_block
 
@@ -767,8 +783,8 @@ def test_adjointness_entries_name_their_slot(tag, slot, name, monkeypatch):
         return blk + blk if (t, (p, q)) == (tag, slot) else blk
 
     monkeypatch.setattr(HermitianStructure, "adjoint_block", doubled)
-    assert not dmb.hs.adjoint_block(tag, *slot).is_zero()
-    failed = [(c.name, c.detail) for c in adjointness_checks(dmb)
+    assert not hs.adjoint_block(tag, *slot).is_zero()
+    failed = [(c.name, c.detail) for c in adjointness_checks(hs)
               if not c.passed]
     assert failed == [(name, "fails on slot (%d, %d)" % slot)]
 
@@ -806,19 +822,20 @@ def test_probe_names_the_slot_where_dims_differ(monkeypatch):
     """The probe's delbar_mub-harmonic space on (1, 1) one vector short:
     its dims differ there, while its layer's certificates pass."""
     an = pipeline.analyze_document(catalog.builtin("filiform-J"))
-    dmb = an.dmb  # the input layer's, built before the tamper
     build_delb_mub = harmonic.delb_mub
+    dims = {}
 
     def one_short(hs):
-        probed = build_delb_mub(hs)
-        return dataclasses.replace(probed, harmonic={
-            **probed.harmonic,
-            (1, 1): _one_vector_short(probed.harmonic[(1, 1)])})
+        op, spaces = build_delb_mub(hs)
+        if hs is not an.hs:  # the probe's layer
+            spaces = {**spaces, (1, 1): _one_vector_short(spaces[(1, 1)])}
+        dims[hs is an.hs] = harmonic.space_dims(spaces)
+        return op, spaces
 
     monkeypatch.setattr(harmonic, "delb_mub", one_short)
-    runs, check = metric_independence_probe(an.spec, dmb,
-                                            pipeline.probe_metrics(an.spec))
-    assert runs[1][(1, 1)] == runs[0][(1, 1)] - 1
+    check = metric_independence_probe(an.spec, an.hs,
+                                      pipeline.probe_metric(an.spec))
+    assert dims[False][(1, 1)] == dims[True][(1, 1)] - 1
     assert (check.passed, check.detail) == (
         False, "2 metrics probed; metric 2: harmonic dims differ on slot "
         "(1, 1)")
@@ -836,7 +853,7 @@ def _scaled_metric(spec, c):
 def test_probe_metric_is_five_times_the_input_metric(name):
     # (2I + J)^t g (2I + J) = 4g + 2(J^t g + g J) + J^t g J = 5g
     spec = named_analysis(name).spec
-    assert pipeline.probe_metrics(spec) == [_scaled_metric(spec, 5)]
+    assert pipeline.probe_metric(spec) == _scaled_metric(spec, 5)
 
 
 @pytest.mark.parametrize("name", catalog.builtin_names())
@@ -857,7 +874,6 @@ def test_orthogonal_frame_remeasures_a_frame_of_another_metric(name):
 @pytest.mark.parametrize("name", CATALOG_INPUTS)
 def test_probe_layer_reads_the_analysis_differential(name, monkeypatch):
     an = named_analysis(name)
-    dmb = an.dmb
     layers = []
     build = harmonic.build_hermitian
 
@@ -870,8 +886,8 @@ def test_probe_layer_reads_the_analysis_differential(name, monkeypatch):
 
     monkeypatch.setattr(harmonic, "build_hermitian", recorded)
     monkeypatch.setattr(forms, "build_differential", refuse)
-    _, check = metric_independence_probe(an.spec, dmb,
-                                         pipeline.probe_metrics(an.spec))
+    check = metric_independence_probe(an.spec, an.hs,
+                                      pipeline.probe_metric(an.spec))
     assert check.passed
     assert [layer.cm is an.hs.cm for layer in layers] == [True]
     assert [layer.frame is an.hs.frame for layer in layers] == [True]
@@ -888,9 +904,9 @@ def test_probe_certifies_its_own_layer(name, tamper, monkeypatch):
     certificate fails either way, naming the metric and the slot, while the
     input layer's entries still pass."""
     an = named_analysis(name)
-    dmb = an.dmb
     build, build_delb_mub = harmonic.build_hermitian, harmonic.delb_mub
     slots = []
+    dims = []
 
     def one_short(cm, frame, metric):
         layer = build(cm, frame, metric)
@@ -899,18 +915,19 @@ def test_probe_certifies_its_own_layer(name, tamper, monkeypatch):
         spaces[slots[0]] = _one_vector_short(spaces[slots[0]])
         return layer
 
-    def square_broken(hs):
-        probed = build_delb_mub(hs)
-        return dataclasses.replace(probed, op={
-            **probed.op, (1, 1): _columns_reversed(probed.op[(1, 1)])})
+    def recorded(hs):
+        op, spaces = build_delb_mub(hs)
+        dims.append(harmonic.space_dims(spaces))
+        if tamper == "square" and hs is not an.hs:  # the probe's layer
+            op = {**op, (1, 1): _columns_reversed(op[(1, 1)])}
+        return op, spaces
 
+    monkeypatch.setattr(harmonic, "delb_mub", recorded)
     if tamper == "mubar":
         monkeypatch.setattr(harmonic, "build_hermitian", one_short)
-    else:
-        monkeypatch.setattr(harmonic, "delb_mub", square_broken)
-    runs, check = metric_independence_probe(an.spec, dmb,
-                                            pipeline.probe_metrics(an.spec))
-    assert runs[1] == runs[0]
+    check = metric_independence_probe(an.spec, an.hs,
+                                      pipeline.probe_metric(an.spec))
+    assert len(dims) == 2 and dims[0] == dims[1]
     assert not check.passed
     if tamper == "mubar":
         assert check.detail.startswith(
@@ -919,8 +936,9 @@ def test_probe_certifies_its_own_layer(name, tamper, monkeypatch):
     else:
         assert check.detail == ("2 metrics probed; metric 2: delbar_mub does "
                                 "not square to zero on slot (1, 0)")
+    monkeypatch.undo()
     assert harmonic.mub_decomposition(an.hs).passed
-    assert all(c.passed for c in delb_mub_checks(dmb, an.h_dol))
+    assert all(c.passed for c in delb_mub_checks(*delb_mub(an.hs), an.h_dol))
 
 
 def _gl_j_pullback(spec, rng):
@@ -956,7 +974,7 @@ def test_layer_of_a_metric_that_moves_the_frame(name):
     layer = build_hermitian(an.cm, an.frame, variant.metric)
     assert layer.cm is an.cm and layer.frame is an.frame
     assert not _is_diagonal(layer.frame_gram)
-    _, check = metric_independence_probe(an.spec, an.dmb, [variant.metric])
+    check = metric_independence_probe(an.spec, an.hs, variant.metric)
     assert check.passed
 
 
@@ -1021,7 +1039,7 @@ def _frame_change(spec, plain, other, p, q):
 def _spaces(hs):
     """{name: {(p, q): space}} of the harmonic spaces the layer computes."""
     return {"mubar": hs.harmonic(MUBAR), "delbar": hs.harmonic(DELBAR),
-            "d": hs.d_harmonic(), "delbar_mub": delb_mub(hs).harmonic}
+            "d": hs.d_harmonic(), "delbar_mub": delb_mub(hs)[1]}
 
 
 def _orthogonal_frame_spaces(name):
@@ -1097,12 +1115,12 @@ def test_fundamental_form_and_lefschetz():
 def test_nearly_kahler_requires_m3():
     an = builtin_analysis("filiform-J")
     with pytest.raises(ValueError):
-        nearly_kahler_checks(an.dmb)
+        nearly_kahler_checks(an.hs)
 
 
 def test_nearly_kahler_trivial_on_abelian():
     an = builtin_analysis("abelian-m3")
-    checks, scalar = nearly_kahler_checks(an.dmb)
+    checks = nearly_kahler_checks(an.hs)
     assert all(c.passed for c in checks)
 
 
@@ -1112,7 +1130,8 @@ def test_nearly_kahler_su2su2_honest_outcomes():
     identities and the Laplacian identity fail while the
     conjugation-symmetric ones hold (see notes/decisions.md)."""
     an = builtin_analysis("su2su2-nk")
-    nk_checks, nk_scalar = an.nearly_kahler
+    nk_checks = nearly_kahler_checks(an.hs)
+    nk_scalar = harmonic.mixed_laplacian_fit(an.hs)[1]
     by_name = {c.name: c for c in nk_checks}
     assert by_name["nk_laplacian equalities on p = q and p + q = 3"].passed
     assert by_name["nk_commutator [mu, mubar*] = 0"].passed
@@ -1148,8 +1167,8 @@ def test_nk_scalar_scales_inversely_with_metric(name):
                                    for row in spec.metric])
         frame = adapted_frame(scaled)
         cm = build_differential(complexify(scaled, frame), build_basis(3))
-        _, fitted = nearly_kahler_checks(delb_mub(build_hermitian(
-            cm, frame, scaled.metric)))
+        _, fitted = harmonic.mixed_laplacian_fit(build_hermitian(
+            cm, frame, scaled.metric))
         assert Fraction(fitted) == NK_SCALARS[name] / lam, lam
 
 
@@ -1166,5 +1185,5 @@ def test_nearly_kahler_negative_control():
     frame = adapted_frame(spec)
     cm = build_differential(complexify(spec, frame), build_basis(3))
     hs = build_hermitian(cm, frame, spec.metric)
-    checks, _ = nearly_kahler_checks(delb_mub(hs))
+    checks = nearly_kahler_checks(hs)
     assert any(not c.passed for c in checks)

@@ -7,6 +7,8 @@ is wrong.  ``analyze`` builds no harmonic layer; it is built once, on
 first read, and read by the battery and the result document.
 """
 
+import dataclasses
+
 import pytest
 
 from acdol import (catalog, cohomology, docio, forms, harmonic, linalg,
@@ -46,7 +48,8 @@ def test_analyze_builds_no_harmonic_layer(name, monkeypatch):
         monkeypatch.setattr(harmonic, fn, refuse)
     an = pipeline.analyze(SPECS[name]())
     monkeypatch.undo()
-    assert an.hs is an.dmb.hs  # built on the first read
+    assert "hs" not in vars(an)
+    assert an.hs is an.hs  # built on the first read
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -97,17 +100,18 @@ def test_battery_computes_each_oracle_once(monkeypatch):
 
 def test_analysis_builds_one_harmonic_layer(monkeypatch):
     """analyze, the battery and the result document build delbar_mub once
-    for the input metric and once for the probe's other metric, and the
+    for the input metric and once for the probe's other metric (every
+    other read of a layer's delbar_mub returns the memoised dicts), and the
     stacked [d; d*] once per degree, which d_harmonic and the Betti check
     share; d_harmonic takes kernels of its slot columns only, never of a
     whole stacked system.  Each identity of a layer is checked once: the
     mubar decomposition's certificate and delbar_mub^2 = 0 once per layer,
     in the battery for the input's and in the probe for its own, and the ⋆
     identities once, on the input's layer only: the probe builds no ⋆."""
-    calls = {"mub_decomposition": 0, "delb_mub": 0, "star_check": 0,
-             "_square_failure": 0}
+    calls = {"mub_decomposition": 0, "star_check": 0, "_square_failure": 0}
     systems = {}  # (hs, n) -> every [d; d*] returned
     stars = []  # the layer of every ⋆ read
+    built = {}  # hs -> every (op, harmonic) of delb_mub returned
 
     def counted(fn):
         inner = getattr(harmonic, fn)
@@ -119,6 +123,13 @@ def test_analysis_builds_one_harmonic_layer(monkeypatch):
 
     for fn in calls:
         counted(fn)
+    delb_mub = harmonic.delb_mub
+
+    def delb_mub_read(hs):
+        built.setdefault(hs, []).append(delb_mub(hs))
+        return built[hs][-1]
+
+    monkeypatch.setattr(harmonic, "delb_mub", delb_mub_read)
     d_stacked = harmonic.HermitianStructure.d_stacked
 
     def recorded(hs, n):
@@ -144,8 +155,10 @@ def test_analysis_builds_one_harmonic_layer(monkeypatch):
     monkeypatch.setattr(linalg.Subspace, "kernel", classmethod(kernel))
     an = pipeline.analyze(docio.to_spec(catalog.builtin("su2su2-nk")))
     pipeline.result_document(an, pipeline.verification_checks(an))
-    assert calls == {"mub_decomposition": 2, "delb_mub": 2, "star_check": 1,
+    assert calls == {"mub_decomposition": 2, "star_check": 1,
                      "_square_failure": 2}
+    assert len(built) == 2 and an.hs in built
+    assert all(found[0] is each for found in built.values() for each in found)
     assert stars and set(stars) == {an.hs}
     assert set(systems) == {(an.hs, n) for n in range(2 * an.m + 1)}
     assert all(len(found) == 2 and found[0] is found[1]
@@ -269,3 +282,48 @@ def test_witness_independence_entry_names_the_first_failing_slot(
     entry = _entry(an, "delta1_witness_independence")
     assert not entry.passed
     assert entry.detail == "fails on slot (1, 1)"
+
+
+@pytest.mark.parametrize("name, table, change, detail", [
+    # h_mub raised on (2, 1): its conjugate h_mu(1, 2) and its mirror
+    # h_mub(0, 1) no longer match, the mirror first
+    ("h_mub_conjugation_dims", "h_mub", (2, 1), "fails on slot (2, 1)"),
+    ("h_mub_serre_dims", "h_mub", (2, 1), "fails on slot (0, 1)"),
+    ("h_dol_bottom_row", "h_dol", (1, 0), "fails on slot (1, 0)")],
+    ids=["h_mub_conjugation", "h_mub_serre", "h_dol_bottom_row"])
+def test_table_entries_name_the_first_failing_slot(name, table, change,
+                                                   detail):
+    """Negative controls: one entry of a table of filiform-J raised by
+    one."""
+    an = builtin_analysis("filiform-J")
+    good = _entry(an, name)
+    assert (good.passed, good.detail) == (True, "")
+    dims = getattr(an, table)
+    bad = dataclasses.replace(an, **{table: {
+        **dims, change: dims.get(change, 0) + 1}})
+    entry = _entry(bad, name)
+    assert (entry.passed, entry.detail) == (False, detail)
+
+
+def test_page_dims_entry_names_the_first_growing_page_and_slot(
+        monkeypatch):
+    """Negative control: E_3 of filiform-J, which degenerates at E_2,
+    read one larger than E_2 on the slots (2, 1) and (1, 2), and E_5 one
+    larger than E_4 on (0, 0): the entry names page 3 and the first of
+    its slots, p-major."""
+    an = pipeline.analyze_document(catalog.builtin("filiform-J"))
+    name = "page_dims_weakly_decrease"
+    good = _entry(an, name)
+    assert (good.passed, good.detail) == (True, "")
+    dims = an.pages.dims
+
+    def grown(r):
+        out = dims(r)
+        for pq in {3: ((2, 1), (1, 2)), 5: ((0, 0),)}.get(r, ()):
+            out[pq] = out.get(pq, 0) + 1
+        return out
+
+    monkeypatch.setattr(an.pages, "dims", grown)
+    entry = _entry(an, name)
+    assert (entry.passed, entry.detail) == (
+        False, "fails on page 3, slot (1, 2)")

@@ -15,7 +15,7 @@ from acdol.kernel import ONE, ZERO, Scalar
 from acdol.liealg import adapted_frame, complexify, validate_spec
 from acdol.linalg import Matrix, Subspace
 from acdol.pipeline import reduction_certificate
-from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_page,
+from acdol.spectral import (decalage_check, dolbeault_delta1, explicit_pages,
                             frolicher_all, hodge_generators, infinity_vs_betti,
                             reduce_filtration, shifted_generators,
                             witness_independent)
@@ -423,8 +423,7 @@ def test_delta1_flags_an_image_outside_the_cocycles():
 @pytest.mark.parametrize("name", sorted(DEGENERATION))
 def test_explicit_pages_match_generic(name):
     an = builtin_analysis(name)
-    for r in range(1, 5):
-        exp = explicit_page(an.cm, r)
+    for r, exp in enumerate(explicit_pages(an.cm, 4), 1):
         gen = {k: v for k, v in an.pages.dims(r).items() if v}
         assert exp == gen, "page %d" % r
 
@@ -432,8 +431,7 @@ def test_explicit_pages_match_generic(name):
 def test_explicit_page_abelian_slot_dims():
     an = builtin_analysis("abelian-m2")
     b = an.cm.basis
-    for r in (1, 2, 3):
-        exp = explicit_page(an.cm, r)
+    for exp in explicit_pages(an.cm, 3):
         for p in range(3):
             for q in range(3):
                 assert exp.get((p, q), 0) == b.dim(p, q)
@@ -444,7 +442,7 @@ def test_explicit_page_abelian_slot_dims():
 
 def _explicit_oracle(cm, r, p, q):
     """(Z_r, B_r) of slot (p, q) from the full-length witness systems of
-    r links, as ``explicit_page`` solved them before it read each slot at
+    r links, as ``explicit_pages`` solved them before it read each slot at
     its effective chain length: the labelled oracle of that rule and of
     its memo."""
     dim = cm.basis.dim
@@ -480,22 +478,29 @@ WITNESS_INPUTS = catalog.builtin_names() + ["s3s3-nk"] + [
 @pytest.mark.parametrize("name", WITNESS_INPUTS)
 def test_explicit_spaces_equal_the_full_length_oracle(name):
     cm = _cm_of(name)
+    memo = {}
+    pages = []
     for r in range(1, 2 * cm.m + 3):
         dims = {}
         for (p, q) in sorted(cm.basis.slots):
             z, b = _explicit_oracle(cm, r, p, q)
-            assert spectral.explicit_spaces(cm, r, p, q) == [z, b], (r, p, q)
+            assert (spectral.explicit_spaces(cm, r, p, q, memo)
+                    == [z, b]), (r, p, q)
             if z.dim - b.dim:
                 dims[(p, q)] = z.dim - b.dim
-        assert explicit_page(cm, r) == dims
+        pages.append(dims)
+    assert explicit_pages(cm, 2 * cm.m + 2) == pages
 
 
 @pytest.mark.parametrize("name, systems", [("kt-J", 17), ("abelian-m3", 36)])
 def test_battery_solves_each_witness_system_once(name, systems, monkeypatch):
     # the full-length systems were one per slot and page: 9 x 4 = 36 of
-    # each kind at m = 2 and 16 x 4 = 64 at m = 3
+    # each kind at m = 2 and 16 x 4 = 64 at m = 3; the battery's one call
+    # of explicit_pages solves each distinct system once, and leaves no
+    # witness state on the differential
     an = pipeline.analyze_document(catalog.builtin(name))
-    calls = {"explicit_cycles": 0, "explicit_boundaries": 0}
+    calls = {"explicit_cycles": 0, "explicit_boundaries": 0,
+             "explicit_pages": 0}
 
     def counted(solve):
         @functools.wraps(solve)
@@ -508,8 +513,8 @@ def test_battery_solves_each_witness_system_once(name, systems, monkeypatch):
         monkeypatch.setattr(spectral, fn, counted(getattr(spectral, fn)))
     pipeline.verification_checks(an)
     assert calls == {"explicit_cycles": systems,
-                     "explicit_boundaries": systems}
-    assert len(an.cm.witness_spaces) == 2 * systems
+                     "explicit_boundaries": systems, "explicit_pages": 1}
+    assert not hasattr(an.cm, "witness_spaces")
 
 
 def _pages_entry(an):
@@ -520,54 +525,89 @@ def _pages_entry(an):
 def _narrow_slot(cm, r):
     """The first slot whose Z_r is not the whole slot."""
     return next((p, q) for (p, q) in sorted(cm.basis.slots)
-                if spectral.explicit_spaces(cm, r, p, q)[0].dim
+                if spectral.explicit_spaces(cm, r, p, q, {})[0].dim
                 < cm.basis.dim(p, q))
 
 
-def _widen(cm, solver, p, q):
-    """Replace each of ``solver``'s memoised spaces on slot (p, q) by the
-    whole slot.  A key is (solver, row slots, column slots) on the grid,
-    and the slot heads the columns of a cycle system and the rows of a
-    boundary system."""
-    whole = Subspace.kernel(Matrix.zero(0, cm.basis.dim(p, q)))
-    head = 2 if solver == "explicit_cycles" else 1
-    for key in cm.witness_spaces:
-        if key[0] == solver and key[head][0] == (p, q):
-            cm.witness_spaces[key] = whole
+def _widen(monkeypatch, solver, p, q):
+    """Make the witness solver ``solver`` return the whole slot (p, q) for
+    each of its systems on that slot: the slot heads the column slots of a
+    cycle system and the row slots of a boundary system."""
+    solve = getattr(spectral, solver)
+
+    @functools.wraps(solve)
+    def widened(cm, rows, cols):
+        head = cols if solver == "explicit_cycles" else rows
+        if head[0] == (p, q):
+            return Subspace.kernel(Matrix.zero(0, cm.basis.dim(p, q)))
+        return solve(cm, rows, cols)
+
+    monkeypatch.setattr(spectral, solver, widened)
 
 
-def test_tampered_cycles_fail_the_pages_entry():
-    """The battery's explicit pages read the memoised Z_r: widened to the
-    whole slot, it no longer matches the Hodge reduction, and the entry
-    names the first page and slot that differ.  Z_1 of the slot (0, 1) is
-    the whole slot already, so that page is 2."""
+def test_tampered_cycles_fail_the_pages_entry(monkeypatch):
+    """The battery's explicit pages read Z_r: widened to the whole slot,
+    it no longer matches the Hodge reduction, and the entry names the
+    first page and slot that differ.  Z_1 of the slot (0, 1) is the whole
+    slot already, so that page is 2."""
     an = pipeline.analyze_document(catalog.builtin("filiform-J"))
     assert _pages_entry(an).passed
     slot = _narrow_slot(an.cm, 4)
-    assert (spectral.explicit_spaces(an.cm, 1, *slot)[0].dim
+    assert (spectral.explicit_spaces(an.cm, 1, *slot, {})[0].dim
             == an.cm.basis.dim(*slot))
-    _widen(an.cm, "explicit_cycles", *slot)
+    _widen(monkeypatch, "explicit_cycles", *slot)
     failed = _pages_entry(an)
     assert not failed.passed
     assert (slot, failed.detail) == ((0, 1), "fails on page 2, slot (0, 1)")
 
 
-def test_tampered_boundaries_escape_the_cycles():
-    """A memoised B_r widened to the whole slot leaves Z_r, and the page
-    oracle names the page and the slot."""
+def test_tampered_boundaries_escape_the_cycles(monkeypatch):
+    """B_r widened to the whole slot leaves Z_r, and the page oracle names
+    the page and the slot."""
     cm = _cm_of("kt-J")
     p, q = _narrow_slot(cm, 2)
-    _widen(cm, "explicit_boundaries", p, q)
+    _widen(monkeypatch, "explicit_boundaries", p, q)
     with pytest.raises(ConsistencyError, match=r"explicit boundaries escape "
                        r"the cycles at r=2 \(p=%d,q=%d\)$" % (p, q)):
-        explicit_page(cm, 2)
+        spectral.explicit_page(cm, 2, {})
 
 
 @pytest.mark.parametrize("name", ["filiform-J", "kt-J", "abelian-m2",
                                   "su2su2-nk"])
 def test_decalage(name):
     an = builtin_analysis(name)
-    assert all(c.passed for c in decalage_check(an.cm, an.pages))
+    check = decalage_check(an.cm, an.pages)
+    assert (check.name, check.passed, check.detail) == ("decalage", True, "")
+
+
+def test_decalage_names_the_first_failing_page_and_slot():
+    """Negative control: every unpaired generator of filiform-J's Hodge
+    reduction made to die on E_2, so that E_2 loses a generator on several
+    slots of several degrees; the entry names page 2 and the first of
+    them, p-major, (0, 0), where the old page loop named the last."""
+    an = builtin_analysis("filiform-J")
+    tampered = dataclasses.replace(an.pages, gap=[
+        [1 if g is None else g for g in gaps] for gaps in an.pages.gap])
+    lost = sorted(pq for pq, dim in an.pages.dims(2).items()
+                  if tampered.dims(2).get(pq, 0) != dim)
+    assert lost[0] == (0, 0) and len({p + q for p, q in lost}) > 1
+    check = decalage_check(an.cm, tampered)
+    assert (check.passed, check.detail) == (
+        False, "fails on page 2, slot (0, 0): 0 vs shifted 1")
+
+
+def test_decalage_names_the_degree_of_a_failing_subspace_identity():
+    """Negative control: filiform-J's degree-1 Hodge generators replaced by
+    the monomials, their values kept, so that every page is as it was but
+    the subspace identity fails, first in degree 1 at p = 1."""
+    an = builtin_analysis("filiform-J")
+    basis = list(an.pages.basis)
+    basis[1] = Matrix.identity(basis[1].rows)
+    tampered = dataclasses.replace(an.pages, basis=basis)
+    assert all(tampered.dims(r) == an.pages.dims(r) for r in range(1, 7))
+    check = decalage_check(an.cm, tampered)
+    assert (check.passed, check.detail) == (
+        False, "subspace identity fails in degree 1 at p = 1")
 
 
 def test_er_page_rejects_negative_index():
@@ -589,9 +629,8 @@ def test_random_specs_spectral_convergence():
         pages = frolicher_all(cm)
         betti = de_rham(cm)
         assert all(c.passed for c in infinity_vs_betti(pages, betti))
-        for r in (1, 2, 3):
-            assert explicit_page(cm, r) == {
-                k: v for k, v in pages.dims(r).items() if v}
+        for r, exp in enumerate(explicit_pages(cm, 3), 1):
+            assert exp == {k: v for k, v in pages.dims(r).items() if v}
 
 
 def _frame_invariants(spec, frame):
@@ -633,6 +672,5 @@ def test_random_m4_pages_converge():
     cm = _random_cm(seeded_rng(11), 4)
     pages = frolicher_all(cm)
     assert all(c.passed for c in infinity_vs_betti(pages, de_rham(cm)))
-    dec = decalage_check(cm, pages)
-    assert [c.name for c in dec if not c.passed] == []
+    assert decalage_check(cm, pages).passed
     assert pages.degeneration_page == 1
